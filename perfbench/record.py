@@ -1,13 +1,14 @@
 """Record a baseline: repeated benchmark runs summarised per workload.
 
-    python3 perfbench/record.py --runs 10 --seconds 20 --out perfbench/baseline/BENCH_seed.json
-                                [--workloads pipeline,decide,characters] [--first-seed 1]
+    python3 perfbench/record.py --out perfbench/baseline/BENCH_seed.json
 
-For each workload, runs ``run.py`` once per seed (``--first-seed`` onwards,
-``--trace 0``), then once traced on the first seed.  Writes, per workload
-and end-to-end metric (plus the printed ``latency_p99_ms`` on decide), the
-median, the quartiles, their spread as a share of the median and the number
-of runs, plus the traced per-layer split.
+Takes the workloads and ``run_seconds`` from ``BENCHMARK.json``.  Runs
+``run.py --trace 0`` on seeds ``FIRST_SEED`` to ``FIRST_SEED + RUNS - 1``,
+seed by seed with the workloads interleaved, so that a slow spell of the host
+falls on every workload alike; then one traced run per workload on the first
+seed.  Writes, per workload and end-to-end metric (plus the printed
+``latency_p99_ms`` on decide), the median, the quartiles, their spread as a
+share of the median and the number of runs, plus the traced per-layer split.
 Runs one benchmark at a time; run it from the root of a checkout.
 """
 
@@ -23,6 +24,8 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
+RUNS = 10
+FIRST_SEED = 1
 
 
 def bench(workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -52,29 +55,32 @@ def summarise(values: list[float]) -> dict:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=20)
-    parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--workloads", default="pipeline,decide,characters")
     parser.add_argument("--out", required=True)
     args = parser.parse_args()
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
+        spec = json.load(handle)
+    seconds = spec["run_seconds"]
+    names = [w["name"] for w in spec["workloads"]]
+    seeds = range(FIRST_SEED, FIRST_SEED + RUNS)
+    runs: dict[str, list[dict]] = {name: [] for name in names}
+    for seed in seeds:
+        for workload in names:
+            runs[workload].append(bench(workload, seed, seconds, 0))
+            print(workload, seed, runs[workload][-1]["summary"],
+                  {k: round(v["value"], 4) for k, v in runs[workload][-1]["metrics"].items()}, flush=True)
     record = {"machine": f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}",
-              "seconds": args.seconds, "workloads": {}}
-    for workload in args.workloads.split(","):
-        runs = []
-        for seed in range(args.first_seed, args.first_seed + args.runs):
-            runs.append(bench(workload, seed, args.seconds, 0))
-            print(workload, seed, runs[-1]["summary"],
-                  {k: round(v["value"], 4) for k, v in runs[-1]["metrics"].items()}, flush=True)
+              "seconds": seconds, "workloads": {}}
+    for workload in names:
         metrics = {}
-        for name, first in runs[0]["metrics"].items():
-            metrics[name] = {"unit": first["unit"], **summarise([r["metrics"][name]["value"] for r in runs])}
+        for name, first in runs[workload][0]["metrics"].items():
+            metrics[name] = {"unit": first["unit"],
+                             **summarise([r["metrics"][name]["value"] for r in runs[workload]])}
             print(f"  {workload:<10} {name:<16} median {metrics[name]['median']:.6g} "
                   f"spread {metrics[name]['spread']:.4f}", flush=True)
-        traced = bench(workload, args.first_seed, args.seconds, 1)
+        traced = bench(workload, FIRST_SEED, seconds, 1)
         record["workloads"][workload] = {
-            "seeds": [args.first_seed, args.first_seed + args.runs - 1],
-            "ops_per_run": [r["attempted"] for r in runs],
+            "seeds": [seeds[0], seeds[-1]],
+            "ops_per_run": [r["attempted"] for r in runs[workload]],
             "end_to_end": metrics,
             "per_layer": {k: v["value"] for k, v in traced["metrics"].items()},
         }

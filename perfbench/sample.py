@@ -3,11 +3,18 @@
 Started by ``run.py`` with ``PYTHONPATH`` pointing at the checkout's
 ``src``; prints one JSON object on stdout.  Modes:
 
-* ``sample``: build the inputs, run the timed section once, then check every
-  answer (after timing, so checks never warm the caches being measured).
-  Reports each op's time as a list of parts: one per job, or for the
-  pipeline its fixed-space calls and the rest.
-* ``setup``: stop where the timed section would start; measures set-up only.
+* ``sample``: regenerate the run's jobs (run.py wrote their documents before
+  the first sample, so file writes stay out of set-up), run the timed section
+  once, then, in the run's first sample only, check every answer (after
+  timing, so checks never warm the caches being measured).  Later samples
+  repeat the same inputs and their reports must be byte-identical to the
+  first's (run.py compares the digests), so each of their answers is checked
+  through that identity.
+  Reports the timed section's time, each op's time (one op per job, or the
+  whole pipeline) and the times of the reference computation, which runs
+  every ``PROBE_INTERVAL_S`` and is left out of every time reported.
+* ``setup``: stop where the timed section would start; measures set-up only,
+  then times the reference computation (``reference.py``) for its scale.
 * ``check``: run a small input with the tracer and cProfile both on, and
   report the tracer's completeness mismatches and its call counts.
 
@@ -22,19 +29,62 @@ import io
 import json
 import os
 import resource
-import shutil
+import signal
 import sys
 import time
 
+import reference
 import workloads
 
-# 252 decide jobs are 21 blocks, whole rotations of every shape (workloads.py).
-JOBS = {"decide": 252, "characters": 120}
-CHECK_JOBS = {"decide": 12, "characters": 5}
 # The pipeline's main search runs at degree 2, window 2 instead of its default
 # (4, 3): that keeps both verdicts and all 12 fixed-space calls, and one cold
 # sample takes about 10 s instead of 35-56 s, so a run holds repeats.
 PIPELINE_BOUNDS = (2, 2)
+# A sample times the reference computation every PROBE_INTERVAL_S of wall
+# time through its timed section; a set-up probe times it SETUP_PROBES times.
+PROBE_INTERVAL_S = 0.15
+SETUP_PROBES = 15
+
+
+class Probe:
+    """Times the reference computation while a sample runs.
+
+    Once started, a ``SIGALRM`` handler runs it every ``PROBE_INTERVAL_S``,
+    between two bytecodes of whatever is running, so the probes spread evenly
+    over the timed section, inside ops too.  ``clock()`` is
+    ``time.perf_counter()`` less the time spent in probes; every op, and in a
+    traced sample every span, is timed with it.
+    """
+
+    def __init__(self) -> None:
+        self.times: list[float] = []
+        self.spent = 0.0
+
+    def measure(self, *_signal) -> None:
+        start = time.perf_counter()
+        self.times.append(reference.time_reference())
+        self.spent += time.perf_counter() - start
+
+    def start(self) -> None:
+        signal.signal(signal.SIGALRM, self.measure)
+        signal.setitimer(signal.ITIMER_REAL, PROBE_INTERVAL_S, PROBE_INTERVAL_S)
+
+    def stop(self) -> None:
+        """Stop the timer, then time the reference up to ``SETUP_PROBES`` times."""
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, signal.SIG_DFL)
+        for _ in range(SETUP_PROBES - len(self.times)):
+            self.measure()
+
+    def clock(self) -> float:
+        while True:
+            spent = self.spent
+            now = time.perf_counter()
+            if spent == self.spent:  # no probe ran in between
+                return now - spent
+
+    def clock_ns(self) -> int:
+        return int(self.clock() * 1e9)
 
 
 def main(args: dict) -> dict:
@@ -44,85 +94,58 @@ def main(args: dict) -> dict:
 
     jobs = None
     if workload != "pipeline":
-        size = CHECK_JOBS[workload] if mode == "check" else JOBS[workload]
-        make = workloads.decide_jobs if workload == "decide" else workloads.characters_jobs
-        jobs = make(seed, size)
-        jobdir = os.path.join(args["workdir"], f"{workload}-{seed}-{os.getpid()}")
-        os.makedirs(jobdir, exist_ok=True)
+        size = workloads.CHECK_JOBS[workload] if mode == "check" else workloads.JOBS[workload]
+        jobs = workloads.make_jobs(workload, seed, size)
         for i, job in enumerate(jobs):
-            job["path"] = os.path.join(jobdir, f"job{i}.df")
-            with open(job["path"], "w", encoding="utf-8") as handle:
-                handle.write(job["doc"])
-    try:
-        if mode == "setup":
-            return {"setup_end": time.monotonic()}
-        tracer = None
-        if mode == "check" or args["trace"]:
-            from tracer import Tracer
-
-            tracer = Tracer()
-            tracer.install()
-        if mode == "check":
-            return _check(workload, seed, jobs, tracer, diffield)
+            job["path"] = workloads.job_path(args["jobdir"], i)
+    probe = Probe()
+    if mode == "setup":
         setup_end = time.monotonic()
-        if workload == "pipeline":
-            out = _pipeline(seed, diffield, tracer)
-        else:
-            out = _stream(workload, jobs, diffield, tracer)
-        out["setup_end"] = setup_end
-        if tracer is not None:
-            out["layers"] = tracer.layer_metrics(out["run_s"])
-            out["counts"] = tracer.counts()
-            out["spans"] = _dump_spans(tracer, args)
-        return out
-    finally:
-        if jobs is not None:
-            shutil.rmtree(jobdir, ignore_errors=True)
+        probe.stop()
+        return {"setup_end": setup_end, "reference": probe.times}
+    tracer = None
+    if mode == "check" or args["trace"]:
+        from tracer import Tracer
+
+        tracer = Tracer(clock=probe.clock_ns)
+        tracer.install()
+    if mode == "check":
+        return _check(workload, seed, jobs, tracer, diffield)
+    setup_end = time.monotonic()
+    verify = args["index"] == 0
+    probe.start()
+    if workload == "pipeline":
+        out = _pipeline(seed, diffield, tracer, probe, verify)
+    else:
+        out = _stream(workload, jobs, diffield, tracer, probe, verify)
+    out["setup_end"] = setup_end
+    if tracer is not None:
+        out["layers"] = tracer.layer_metrics(out["run_s"])
+        out["counts"] = tracer.counts()
+        out["spans"] = _dump_spans(tracer, args)
+    return out
 
 
 def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def _time_fixed_space() -> list[float]:
-    """Time each fixed-space call through the binding ``run_pipeline`` reaches.
-
-    About 99% of a pipeline sample is in its twelve fixed-space calls; run.py
-    takes each call at its fastest repeat, which damps the host's speed swings
-    of a few seconds.  Without that binding the sample is timed whole.
-    """
-    systems = sys.modules["diffield.systems"]
-    inner = getattr(systems, "fixed_space", None)
-    times: list[float] = []
-    if inner is None:
-        return times
-
-    def timed(*args, **kwargs):
-        start = time.perf_counter()
-        try:
-            return inner(*args, **kwargs)
-        finally:
-            times.append(time.perf_counter() - start)
-
-    systems.fixed_space = timed
-    return times
-
-
-def _pipeline(seed: int, diffield, tracer) -> dict:
+def _pipeline(seed: int, diffield, tracer, probe: Probe, verify: bool) -> dict:
     if tracer is not None:
         tracer.trace_id = 1
-    stages = _time_fixed_space()
-    start = time.perf_counter()
+    start = probe.clock()
     report = diffield.run_pipeline(bounds=diffield.SearchBounds(*PIPELINE_BOUNDS), seed=seed)
-    run_s = time.perf_counter() - start
+    run_s = probe.clock() - start
+    probe.stop()
     rss = _peak_rss_mb()
     if tracer is not None:
         tracer.uninstall()
     payload = json.dumps(report.to_dict(), indent=2) + "\n"
-    problems = _check_pipeline(report, diffield)
+    problems = _check_pipeline(report, diffield) if verify else None
     return {
         "run_s": run_s,
-        "parts": [stages + [run_s - sum(stages)]],
+        "latencies": [run_s],
+        "reference": probe.times,
         "failures": [problems] if problems else [],
         "attempted": 1,
         "digests": [hashlib.sha256(payload.encode()).hexdigest()],
@@ -158,10 +181,10 @@ def _run_job(job: dict) -> tuple[int, str]:
     return code, buf.getvalue()
 
 
-def _stream(workload: str, jobs: list[dict], diffield, tracer) -> dict:
+def _stream(workload: str, jobs: list[dict], diffield, tracer, probe: Probe, verify: bool) -> dict:
     outputs = []
     latencies = []
-    clock = time.perf_counter
+    clock = probe.clock
     start = clock()
     for i, job in enumerate(jobs):
         if tracer is not None:
@@ -173,18 +196,20 @@ def _stream(workload: str, jobs: list[dict], diffield, tracer) -> dict:
             outputs.append((None, f"{type(exc).__name__}: {exc}"))
         latencies.append(clock() - t0)
     run_s = clock() - start
+    probe.stop()
     rss = _peak_rss_mb()
     if tracer is not None:
         tracer.uninstall()
     failures, digests = [], []
     for job, (code, text) in zip(jobs, outputs):
         digests.append(hashlib.sha256(text.encode()).hexdigest())
-        problem = _check_output(workload, job, code, text, diffield)
+        problem = _check_output(workload, job, code, text, diffield) if verify else None
         if problem is not None:
             failures.append(f"{job['family']}: {problem}\n{job['doc']}")
     return {
         "run_s": run_s,
-        "parts": [[t] for t in latencies],
+        "latencies": latencies,
+        "reference": probe.times,
         "failures": failures,
         "attempted": len(jobs),
         "digests": digests,

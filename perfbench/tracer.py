@@ -75,7 +75,8 @@ class Record:
 class Tracer:
     """Counters and spans for one sample; spans stay in memory until dumped."""
 
-    def __init__(self) -> None:
+    def __init__(self, clock=time.perf_counter_ns) -> None:
+        self.clock = clock  # nanoseconds; spans are timed with it
         self.records: dict[str, Record] = {name: Record() for _, _, name, _ in TARGETS}
         self.spans: list[tuple] = []
         self.trace_id = 0
@@ -140,7 +141,7 @@ class Tracer:
     def _span_wrapper(self, name: str, rec: Record, fn):
         stack = self._stack
         spans = self.spans
-        clock = time.perf_counter_ns
+        clock = self.clock
         observe = {
             "ratfunc.SpanTracker.add": self._observe_span_add,
             "tower.fixed_space": self._observe_fixed_space,
