@@ -25,8 +25,7 @@ from typing import Mapping, Sequence
 from .certify import AvoidedRegistry, certify_unsolvable
 from .equations import SearchBounds, TwistedEquation, Unsolvable
 from .field import Element, Presentation
-from .linalg import Q0, solve_affine
-from .ratfunc import CircleValue, linear_relations
+from .ratfunc import CircleValue, express_in_span, linear_relations
 from .systems import AdditiveEquation, Decomposition, SystemModel
 from .tower import fixed_space
 
@@ -132,23 +131,6 @@ def value_of(table: CharacterTable, element: Element) -> CircleValue | None:
     for q, v in zip(combo, table.angles()):
         total += q * v.angle
     return CircleValue(total)
-
-
-def express_in_span(basis, target) -> list[Fraction] | None:
-    """Rational coordinates of target over the basis values, if any."""
-    from .ratfunc import common_denominator
-    from .poly import divexact
-
-    elems = list(basis) + [target]
-    den = common_denominator(elems)
-    cleared = [e.num * divexact(den, e.den) for e in elems]
-    monos = sorted({m for p in cleared for m in p.terms}, key=str)
-    matrix = [[p.terms.get(m, Q0) for p in cleared[:-1]] for m in monos]
-    rhs = [cleared[-1].terms.get(m, Q0) for m in monos]
-    solved = solve_affine(matrix, rhs)
-    if solved is None:
-        return None
-    return solved[0]
 
 
 def product_condition(

@@ -39,9 +39,6 @@ class TwistedEquation:
     def torsor(target: Element) -> "TwistedEquation":
         return TwistedEquation(target.pres.one(), target)
 
-    def is_torsor(self) -> bool:
-        return self.e1 == 1
-
     def holds_for(self, x: Element) -> bool:
         return x.sigma(1) - self.e1 * x == self.e2
 

@@ -111,12 +111,6 @@ class Presentation:
     def has_gen(self, name: str) -> bool:
         return any(g.name == name for g in self.gens)
 
-    def free_names(self) -> tuple[str, ...]:
-        return tuple(g.name for g in self.gens if g.is_free)
-
-    def affine_names(self) -> tuple[str, ...]:
-        return tuple(g.name for g in self.gens if not g.is_free)
-
     def is_free_only(self) -> bool:
         return all(g.is_free for g in self.gens)
 
@@ -210,7 +204,7 @@ def _as_ratfunc(x) -> RatFunc:
         return x
     if isinstance(x, MPoly):
         return RatFunc.from_poly(x)
-    return RatFunc.const(Fraction(x))
+    return RatFunc.const(x)
 
 
 class Element:

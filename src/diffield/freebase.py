@@ -110,13 +110,6 @@ def _clip_window(w: WindowBound | None, cap: int | None) -> WindowBound | None:
     return WindowBound(max(w.lo, -cap), min(w.hi, cap))
 
 
-def _shift_product(q: MPoly, span: int) -> MPoly:
-    out = MPoly.const(1)
-    for i in range(1, span + 1):
-        out = out * q.shift(-i)
-    return out
-
-
 def _denominator_bound(up: MPoly, down: MPoly, span: int) -> MPoly:
     """Two-sided candidate denominator.
 

@@ -12,7 +12,7 @@ outside the lattice spanned by rescaled basis vectors would go unchecked.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm
 from typing import Sequence
 
 Q0 = Fraction(0)
@@ -91,7 +91,7 @@ def solve_affine(matrix: list[Row], rhs: list[Fraction]) -> tuple[Row, list[Row]
 def _row_lcm_scale(row: Sequence[Fraction]) -> list[int]:
     den = 1
     for x in row:
-        den = den * x.denominator // int_gcd(den, x.denominator)
+        den = lcm(den, x.denominator)
     return [int(x * den) for x in row]
 
 

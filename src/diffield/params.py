@@ -17,8 +17,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .field import Element, Presentation
-from .poly import divexact
-from .ratfunc import common_denominator
+from .ratfunc import clear_denominators
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -49,9 +48,6 @@ class LinComb:
     @staticmethod
     def parameter(pres: Presentation, param: int) -> "LinComb":
         return LinComb(pres, pres.zero(), {param: pres.one()})
-
-    def is_known(self) -> bool:
-        return not self.coeffs
 
     def __add__(self, other: "LinComb") -> "LinComb":
         coeffs = dict(self.coeffs)
@@ -188,15 +184,8 @@ class ParamContext:
 
     def add_zero(self, lc: LinComb) -> None:
         """Require lc == 0; expands into one row per monomial."""
-        elems = [lc.const.value] + [v.value for v in lc.coeffs.values()]
-        den = common_denominator(elems)
+        cleared = clear_denominators([lc.const.value] + [v.value for v in lc.coeffs.values()])
         keys = list(lc.coeffs.keys())
-        cleared = []
-        for e in elems:
-            if e.den == den:
-                cleared.append(e.num)
-            else:
-                cleared.append(e.num * divexact(den, e.den))
         monos = {m for p in cleared for m in p.terms}
         for m in monos:
             const = cleared[0].terms.get(m, Q0)
@@ -210,9 +199,6 @@ class ParamContext:
                     raise Infeasible(f"constant residue {const} cannot vanish")
                 continue
             self._insert_row(coeffs, const)
-
-    def feasible(self) -> bool:
-        return True  # inconsistency is raised on insertion
 
     def solve(self) -> tuple[dict[int, Fraction], list[dict[int, Fraction]]]:
         """Particular solution (free parameters zero) and kernel directions."""

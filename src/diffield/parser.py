@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .field import Element, Presentation, PresentationError
-from .ratfunc import CircleValue
+from .ratfunc import CircleValue, RatFunc
 
 
 class ParseError(ValueError):
@@ -120,10 +120,6 @@ class _Cursor:
 
 
 _RESERVED = {"s", "wp", "free", "affine", "gen", "linear", "const"}
-
-
-def parse_expression(cur: _Cursor, pres: Presentation) -> Element:
-    return _expr(cur, pres)
 
 
 def _expr(cur: _Cursor, pres: Presentation) -> Element:
@@ -388,42 +384,9 @@ def print_element(elem: Element) -> str:
 
 
 def print_value(value) -> str:
-    from .poly import MPoly
-    from .ratfunc import RatFunc
-
-    if isinstance(value, MPoly):
-        value = RatFunc.from_poly(value)
-    num = _print_poly(value.num)
-    if value.den == MPoly.const(1):
-        return num
-    den = _print_poly(value.den)
-    return f"({num})/({den})"
-
-
-def _print_poly(poly) -> str:
-    if poly.is_zero():
-        return "0"
-    parts = []
-    for mono, coeff in poly.sorted_terms():
-        factors = []
-        for v, e in mono:
-            name = v.name if v.shift == 0 else f"{v.name}[{v.shift}]"
-            factors.append(name if e == 1 else f"{name}^{e}")
-        body = "*".join(factors)
-        if not body:
-            piece = _frac(coeff)
-        elif coeff == 1:
-            piece = body
-        elif coeff == -1:
-            piece = f"-{body}"
-        else:
-            piece = f"{_frac(coeff)}*{body}"
-        parts.append(piece)
-    out = parts[0]
-    for piece in parts[1:]:
-        out += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
-    return out
-
-
-def _frac(q: Fraction) -> str:
-    return str(q) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    """A polynomial prints as its ``repr``; a fraction as ``(num)/(den)``."""
+    if isinstance(value, RatFunc):
+        if not value.is_polynomial():
+            return f"({value.num!r})/({value.den!r})"
+        value = value.num
+    return repr(value)

@@ -16,10 +16,24 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from math import gcd, lcm
+from typing import Collection, Mapping
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
+
+
+def as_rational(c) -> Fraction:
+    """An ``int`` or ``Fraction`` as a ``Fraction``; anything else is a TypeError.
+
+    Floats, strings and other number types are refused rather than converted,
+    so no inexact value enters the exact arithmetic.
+    """
+    if isinstance(c, int):
+        return Fraction(c)
+    if isinstance(c, Fraction):
+        return c
+    raise TypeError(f"expected an int or a Fraction, got {type(c).__name__} {c!r}")
 
 
 @dataclass(frozen=True)
@@ -112,7 +126,7 @@ def mono_cmp(a: Monomial, b: Monomial) -> int:
     return 0
 
 
-_MONO_SORT_KEY = functools.cmp_to_key(mono_cmp)
+MONO_KEY = functools.cmp_to_key(mono_cmp)
 
 
 def mono_shift(m: Monomial, k: int) -> Monomial:
@@ -131,7 +145,7 @@ class MPoly:
         if terms:
             for m, c in terms.items():
                 if c:
-                    t[m] = c if isinstance(c, Fraction) else Fraction(c)
+                    t[m] = c if isinstance(c, Fraction) else as_rational(c)
         self.terms: dict[Monomial, Fraction] = t
         self._hash: int | None = None
 
@@ -143,7 +157,7 @@ class MPoly:
 
     @staticmethod
     def const(c) -> "MPoly":
-        c = Fraction(c)
+        c = as_rational(c)
         return MPoly({ONE_MONO: c}) if c else MPoly()
 
     @staticmethod
@@ -204,7 +218,7 @@ class MPoly:
         return MPoly({m: c for m, c in self.terms.items() if mono_degree(m) == d})
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        return sorted(self.terms.items(), key=lambda p: _MONO_SORT_KEY(p[0]), reverse=True)
+        return sorted(self.terms.items(), key=lambda p: MONO_KEY(p[0]), reverse=True)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -252,7 +266,7 @@ class MPoly:
         return p
 
     def scale(self, c) -> "MPoly":
-        c = Fraction(c)
+        c = as_rational(c)
         if not c:
             return MPoly()
         p = MPoly.__new__(MPoly)
@@ -326,7 +340,7 @@ class MPoly:
             rest: list[tuple[VarId, int]] = []
             for v, e in m:
                 if v in assignment:
-                    coef *= Fraction(assignment[v]) ** e
+                    coef *= as_rational(assignment[v]) ** e
                 else:
                     rest.append((v, e))
             if not coef:
@@ -366,14 +380,7 @@ def divexact(a: MPoly, b: MPoly) -> MPoly:
     return MPoly(quot)
 
 
-def try_divexact(a: MPoly, b: MPoly) -> MPoly | None:
-    try:
-        return divexact(a, b)
-    except ValueError:
-        return None
-
-
-def _to_univar(p: MPoly, v: VarId) -> dict[int, MPoly]:
+def to_univar(p: MPoly, v: VarId) -> dict[int, MPoly]:
     """View p as a polynomial in v with coefficients free of v."""
     out: dict[int, dict[Monomial, Fraction]] = {}
     for m, c in p.terms.items():
@@ -433,23 +440,24 @@ def _int_primitive(p: MPoly) -> MPoly:
     """
     if p.is_zero():
         return p
-    den = 1
-    for c in p.terms.values():
-        den = den * c.denominator // _int_gcd(den, c.denominator)
-    num = 0
-    for c in p.terms.values():
-        num = _int_gcd(num, abs(c.numerator * (den // c.denominator)))
-    scale = Fraction(den, num)
-    q = p.scale(scale)
+    q = p.scale(_int_content_scale(p.terms.values()))
     if q.leading_coefficient() < 0:
         q = q.scale(-1)
     return q
 
 
-def _int_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
+def _int_content_scale(coeffs: Collection[Fraction]) -> Fraction:
+    """Positive s making s*coeffs integers with gcd 1 (1 when all are 0).
+
+    s is the lcm of the denominators over the gcd of the cleared numerators.
+    """
+    den = 1
+    for c in coeffs:
+        den = lcm(den, c.denominator)
+    num = 0
+    for c in coeffs:
+        num = gcd(num, c.numerator * (den // c.denominator))
+    return Fraction(den, num) if num else Q1
 
 
 def _content(coeffs: dict[int, MPoly]) -> MPoly:
@@ -490,11 +498,11 @@ def _gcd_primitive(a: MPoly, b: MPoly) -> MPoly:
     v = _main_variable(a, b, avars | bvars)
     if v not in avars:
         # gcd divides a, which is free of v: reduce b to its v-content.
-        return _gcd_primitive(a, _content(_to_univar(b, v)))
+        return _gcd_primitive(a, _content(to_univar(b, v)))
     if v not in bvars:
-        return _gcd_primitive(_content(_to_univar(a, v)), b)
-    ua = _to_univar(a, v)
-    ub = _to_univar(b, v)
+        return _gcd_primitive(_content(to_univar(a, v)), b)
+    ua = to_univar(a, v)
+    ub = to_univar(b, v)
     ca = _content(ua)
     cb = _content(ub)
     cont = _gcd_primitive(ca, cb)
@@ -537,17 +545,7 @@ def _monomial_gcd(single: MPoly, other: MPoly) -> MPoly:
 
 
 def _strip_int_content_univar(coeffs: dict[int, MPoly]) -> dict[int, MPoly]:
-    num = 0
-    den = 1
-    for c in coeffs.values():
-        for coef in c.terms.values():
-            den = den * coef.denominator // _int_gcd(den, coef.denominator)
-    for c in coeffs.values():
-        for coef in c.terms.values():
-            num = _int_gcd(num, abs(coef.numerator * (den // coef.denominator)))
-    if num == 0:
-        return coeffs
-    scale = Fraction(den, num)
+    scale = _int_content_scale([coef for c in coeffs.values() for coef in c.terms.values()])
     if scale == 1:
         return coeffs
     return {d: c.scale(scale) for d, c in coeffs.items()}

@@ -12,8 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .linalg import integer_kernel
-from .poly import MPoly, VarId, divexact, poly_gcd, poly_lcm
+from .linalg import integer_kernel, solve_affine
+from .poly import MONO_KEY, MPoly, VarId, as_rational, divexact, poly_gcd, poly_lcm
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -259,6 +259,23 @@ def common_denominator(elems: Sequence[RatFunc]) -> MPoly:
     return den
 
 
+def clear_denominators(elems: Sequence[RatFunc]) -> list[MPoly]:
+    """Numerators over the common denominator D: elems[i] == out[i] / D."""
+    den = common_denominator(elems)
+    return [e.num if e.den == den else e.num * divexact(den, e.den) for e in elems]
+
+
+def _coefficient_matrix(elems: Sequence[RatFunc]) -> list[list[Fraction]]:
+    """Cleared coefficients: one row per monomial, one column per element.
+
+    Rows are in ``str`` order of the monomials, which fixes the lattice bases
+    and the witnesses that reports print.
+    """
+    cleared = clear_denominators(elems)
+    monomials = sorted({m for p in cleared for m in p.terms}, key=str)
+    return [[p.terms.get(m, Q0) for p in cleared] for m in monomials]
+
+
 def linear_relations(elements: Sequence[RatFunc]) -> list[tuple[Fraction, ...]]:
     """Basis of the integer relation lattice {z : sum z_i * element_i = 0}.
 
@@ -270,12 +287,18 @@ def linear_relations(elements: Sequence[RatFunc]) -> list[tuple[Fraction, ...]]:
     """
     if not elements:
         raise ValueError("empty element list")
-    den = common_denominator(elements)
-    cleared = [e.num * divexact(den, e.den) for e in elements]
-    monomials = sorted({m for p in cleared for m in p.terms}, key=lambda m: str(m))
-    matrix = [[p.terms.get(m, Q0) for p in cleared] for m in monomials]
-    basis = integer_kernel(matrix, len(elements))
+    basis = integer_kernel(_coefficient_matrix(elements), len(elements))
     return [tuple(Fraction(z) for z in vec) for vec in basis]
+
+
+def express_in_span(basis: Sequence[RatFunc], target: RatFunc) -> list[Fraction] | None:
+    """Rational coordinates of target over the basis values, if any."""
+    matrix = _coefficient_matrix([*basis, target])
+    rhs = [row.pop() for row in matrix]
+    solved = solve_affine(matrix, rhs)
+    if solved is None:
+        return None
+    return solved[0]
 
 
 class SpanTracker:
@@ -304,7 +327,7 @@ class SpanTracker:
 
     def _reduce(self, vec: dict) -> dict:
         while vec:
-            lead = max(vec, key=_mono_key)
+            lead = max(vec, key=MONO_KEY)
             pivot = self._pivots.get(lead)
             if pivot is None:
                 return vec
@@ -318,7 +341,7 @@ class SpanTracker:
         return vec
 
     def _insert(self, vec: dict) -> None:
-        lead = max(vec, key=_mono_key)
+        lead = max(vec, key=MONO_KEY)
         inv = Q1 / vec[lead]
         self._pivots[lead] = {m: c * inv for m, c in vec.items()}
 
@@ -328,13 +351,6 @@ class SpanTracker:
             vec = self._reduce(self._clear(v))
             if vec:
                 self._insert(vec)
-
-    def contains(self, f: RatFunc) -> bool:
-        if f.is_zero():
-            return True
-        if not poly_lcm(self.den, f.den) == self.den:
-            return False  # its denominator is not even reachable
-        return not self._reduce(self._clear(f))
 
     def add(self, f: RatFunc) -> bool:
         """Add if independent; returns True when the span grew."""
@@ -352,17 +368,6 @@ class SpanTracker:
         return True
 
 
-def _mono_key(m):
-    from .poly import mono_degree
-
-    return (mono_degree(m), _mono_lex_key(m))
-
-
-def _mono_lex_key(m):
-    # ascending variable order with exponents negated compares like graded-lex
-    return tuple((-v.index, -v.shift, v.name, e) for v, e in m)
-
-
 class CircleValue:
     """Element of the rational circle group Q/Z, written additively.
 
@@ -374,7 +379,7 @@ class CircleValue:
     __slots__ = ("angle",)
 
     def __init__(self, angle) -> None:
-        a = Fraction(angle)
+        a = as_rational(angle)
         self.angle = a - (a.numerator // a.denominator)
 
     def __add__(self, other: "CircleValue") -> "CircleValue":
@@ -387,7 +392,7 @@ class CircleValue:
         return CircleValue(self.angle - other.angle)
 
     def scaled(self, q) -> "CircleValue":
-        return CircleValue(self.angle * Fraction(q))
+        return CircleValue(self.angle * as_rational(q))
 
     def is_identity(self) -> bool:
         return self.angle == 0

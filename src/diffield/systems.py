@@ -122,16 +122,6 @@ class SystemModel:
         model.validate()
         return model, gen
 
-    def adjoin_free(self, w: Iterable[int], name: str) -> tuple["SystemModel", Element]:
-        wset = frozenset(w)
-        pres, gen = self.pres.with_free(name)
-        if wset:
-            model = SystemModel(pres, self.size, self.base_names, self.assignment + ((name, wset),))
-        else:
-            model = SystemModel(pres, self.size, self.base_names + (name,), self.assignment)
-        model.validate()
-        return model, gen
-
     def validate(self) -> None:
         if self.size < 1:
             raise SystemModelError("system size must be at least 1")

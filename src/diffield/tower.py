@@ -38,7 +38,7 @@ from .equations import (
 from .field import Element, GeneratorSpec, Presentation
 from .freebase import decide_free_base, twisted_family
 from .params import Infeasible, LinComb, ParamContext
-from .poly import MPoly
+from .poly import to_univar
 from .ratfunc import RatFunc, SpanTracker
 
 
@@ -60,21 +60,11 @@ def coefficients_in(elem: Element, pres: Presentation, gen: GeneratorSpec) -> di
         raise UnsupportedCoefficientShape(
             f"coefficient has {gen.name!r} in its denominator"
         )
-    out: dict[int, dict] = {}
-    for mono, c in value.num.terms.items():
-        deg = 0
-        rest = []
-        for v, e in mono:
-            if v == var:
-                deg = e
-            else:
-                rest.append((v, e))
-        out.setdefault(deg, {})[tuple(rest)] = c
     den = RatFunc.from_poly(value.den)
-    result: dict[int, Element] = {}
-    for deg, terms in out.items():
-        result[deg] = Element(elem.pres, RatFunc.from_poly(MPoly(terms)) / den)
-    return result
+    return {
+        deg: Element(elem.pres, RatFunc.from_poly(coeff) / den)
+        for deg, coeff in to_univar(value.num, var).items()
+    }
 
 
 def _safe_branches(*args) -> Iterator[tuple[ParamContext, LinComb]]:

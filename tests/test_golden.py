@@ -1,0 +1,48 @@
+"""Byte-identical CLI reports for the sample jobs, across code changes.
+
+``tests/golden/<job>.json`` holds the report of each ``jobs/<job>.df`` run
+with the command and flags listed below (the README's commands).  The
+reports print canonical forms (``repr`` of polynomials and rational
+functions, lattice bases, witnesses), so any drift in the exact substrate's
+canonical forms shows up here.  Regenerate a file only for an intended
+change of output, with ``diffield COMMAND jobs/JOB.df FLAGS --out
+tests/golden/JOB.json``.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from conftest import run_cli
+
+ROOT = Path(__file__).resolve().parents[1]
+
+JOBS = {
+    "torsor_over_closed_base": ["solve-sas"],
+    "twisted_avoided": ["solve-sas"],
+    "multiplicative_family": ["solve-mult"],
+    "cocycle": ["decompose", "--seed", "7"],
+    "ff_planted": ["ff-decompose", "--bounds-degree", "2", "--bounds-window", "1"],
+    "character": ["character"],
+    "hyperplane": ["hyperplane"],
+    "amalg": ["amalg-check"],
+    "nsas": ["nsas-check"],
+    "closure": ["closure-step"],
+}
+
+
+@pytest.mark.parametrize("job", sorted(JOBS))
+def test_golden_report(job, tmp_path):
+    command, *flags = JOBS[job]
+    out = tmp_path / "report.json"
+    proc = run_cli(
+        [command, str(ROOT / "jobs" / f"{job}.df"), *flags, "--out", str(out)],
+        cwd=tmp_path,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == (ROOT / "tests" / "golden" / f"{job}.json").read_bytes()
+
+
+def test_golden_covers_every_job():
+    assert sorted(p.stem for p in (ROOT / "jobs").glob("*.df")) == sorted(JOBS)

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diffield.field import Presentation
 from diffield.poly import MPoly, VarId, divexact, poly_gcd
-from diffield.ratfunc import PoleError, RatFunc, linear_relations
+from diffield.ratfunc import CircleValue, PoleError, RatFunc, express_in_span, linear_relations
 
 X = VarId(0, "x")
 Y = VarId(1, "y")
@@ -219,3 +220,59 @@ def _int_rank(rows):
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         r += 1
     return r
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_express_in_span_agrees_with_linear_relations(seed):
+    # express_in_span and linear_relations share one coefficient matrix; over
+    # an independent basis, t has coordinates exactly when some relation of
+    # basis + [t] involves t
+    rng = random.Random(seed)
+    basis = []
+    for _ in range(rng.randint(1, 4)):
+        f = rand_ratfunc(rng, [X, Y])
+        if not linear_relations(basis + [f]):
+            basis.append(f)
+    if not basis:
+        basis = [x]
+    target = RatFunc.zero()
+    for b in basis:
+        target = target + RatFunc.const(Fraction(rng.randint(-3, 3), rng.randint(1, 2))) * b
+    planted = rng.random() < 0.5
+    if not planted:
+        target = target + rand_ratfunc(rng, [X, Y])
+    coords = express_in_span(basis, target)
+    involved = any(rel[-1] for rel in linear_relations(basis + [target]))
+    assert (coords is not None) == involved
+    assert coords is not None or not planted
+    if coords is not None:
+        total = RatFunc.zero()
+        for q, b in zip(coords, basis):
+            total = total + RatFunc.const(q) * b
+        assert total == target
+
+
+# -- exact numbers only ------------------------------------------------------
+
+
+def test_inexact_numbers_rejected():
+    pres, g = Presentation.empty().with_free("g")
+    for make in (
+        lambda: pres.const(0.1),
+        lambda: pres.with_affine("a", 0.5, 0),
+        lambda: CircleValue(0.25),
+        lambda: pres.const("1/3"),
+        lambda: MPoly({(): 0.5}),
+        lambda: px.scale(0.5),
+        lambda: px.eval_partial({X: 0.5}),
+        lambda: CircleValue(Fraction(1, 3)).scaled(0.5),
+    ):
+        with pytest.raises(TypeError):
+            make()
+    # ints and Fractions stay exact
+    assert pres.const(Fraction(1, 3)) * 3 == pres.one()
+    _, a = pres.with_affine("a", 1, Fraction(1, 2))
+    assert a.sigma(1) == a + Fraction(1, 2)
+    assert CircleValue(Fraction(5, 4)) == CircleValue(Fraction(1, 4))
+    assert px.eval_partial({X: 2}) == MPoly.const(2)
