@@ -61,7 +61,7 @@ from .field import Element, Presentation, PresentationError, is_fixed, sigma, va
 from .freebase import decide_free_base
 from .parser import ParseError, SemanticError, parse_document, print_element, print_presentation
 from .poly import MPoly, VarId, poly_gcd, poly_lcm
-from .ratfunc import CircleValue, PoleError, RatFunc, linear_relations, normalize
+from .ratfunc import CircleValue, PoleError, RatFunc, linear_relations
 from .systems import (
     AdditiveEquation,
     ClosureOracle,

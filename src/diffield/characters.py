@@ -27,7 +27,7 @@ from .equations import SearchBounds, TwistedEquation, Unsolvable
 from .field import Element, Presentation
 from .ratfunc import CircleValue, express_in_span, linear_relations
 from .systems import AdditiveEquation, Decomposition, SystemModel
-from .tower import fixed_space
+from .tower import fixed_space, span_basis
 
 
 class CharacterError(ValueError):
@@ -300,7 +300,7 @@ def build_failing_instance(
             "combination": tuple(combo),
             "span": tuple(span),
         }
-    table = CharacterTable(pres, tuple((s, CircleValue(0)) for s in _independent(span)))
+    table = CharacterTable(pres, tuple((s, CircleValue(0)) for s in span_basis(span)))
     # each corner type extends the shared pairwise data *separately*: the
     # whole point of the obstruction is that these one-at-a-time extensions
     # are consistent while a joint one would violate the zero-sum relation.
@@ -333,17 +333,6 @@ def build_failing_instance(
         "forced_relation": "summands sum to zero, so their angles must too",
         "per_corner_tables_consistent": per_corner_ok,
     }
-
-
-def _independent(elems: Sequence[Element]) -> list[Element]:
-    from .ratfunc import SpanTracker
-
-    tracker = SpanTracker()
-    out: list[Element] = []
-    for e in sorted(elems, key=lambda x: (repr(x.value.den), repr(x.value))):
-        if not e.is_zero() and tracker.add(e.value):
-            out.append(e)
-    return out
 
 
 def check_n_sas_witness(

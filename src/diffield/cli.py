@@ -14,7 +14,14 @@ import argparse
 import json
 import sys
 
-from .certify import Certificate
+from .certify import (
+    BaseRefutation,
+    Certificate,
+    DegreeObstruction,
+    ExtensionSplit,
+    FamilyBaseRefutation,
+    RegistryHit,
+)
 from .characters import (
     CharacterTable,
     Obstruction,
@@ -34,10 +41,12 @@ from .equations import (
     Unsolvable,
 )
 from .field import PresentationError
+from .freebase import FreeRefutation
 from .parser import Document, ParseError, SemanticError, parse_document, print_element
 from .systems import (
     AdditiveEquation,
     NotFoundWithinBounds,
+    SystemModel,
     SystemModelError,
     decompose,
     ff_decompose_bounded,
@@ -301,8 +310,6 @@ def _system_from(doc: Document, need_summands: bool = True):
     block_names = [n for block in doc.blocks for n in block]
     base_names = [n for n in doc.presentation.names() if n not in block_names]
     base = doc.presentation.restrict(base_names)
-    from .systems import SystemModel
-
     assignment = []
     for i, block in enumerate(doc.blocks, start=1):
         for name in block:
@@ -350,17 +357,9 @@ def _registry_for(doc: Document):
 
 
 def certificate_to_dict(cert) -> dict:
-    from .certify import (
-        BaseRefutation,
-        DegreeObstruction,
-        ExtensionSplit,
-        FamilyBaseRefutation,
-        RegistryHit,
-    )
-
-    from .freebase import FreeRefutation
-
     def node(n) -> dict:
+        if isinstance(n, BaseRefutation):
+            n = n.refutation
         if isinstance(n, FreeRefutation):
             data = n.summary()
             data["equation_kind"] = data.pop("kind")
@@ -382,10 +381,6 @@ def certificate_to_dict(cert) -> dict:
             }
         if isinstance(n, RegistryHit):
             return {"kind": "registry", "index": n.index, "family": n.description}
-        if isinstance(n, BaseRefutation):
-            data = n.refutation.summary()
-            data["equation_kind"] = data.pop("kind")
-            return {"kind": "free-base", **data}
         if isinstance(n, FamilyBaseRefutation):
             return {
                 "kind": "family-free-base",

@@ -42,8 +42,8 @@ from .equations import (
     UnsupportedCoefficientShape,
 )
 from .field import Element, Presentation
-from .linalg import Q0
-from .params import Infeasible, LinComb, ParamContext
+from .linalg import Q0, Infeasible
+from .params import LinComb, ParamContext
 from .poly import MPoly, VarId, divexact, poly_gcd, poly_lcm
 from .ratfunc import RatFunc
 
@@ -236,25 +236,19 @@ def _multiplicative_kernel(
         contribution = mono.shift(1) * lhs_pos - mono * lhs_neg
         for mkey, c in contribution.terms.items():
             rows.setdefault(mkey, {})[p] = c
-    try:
-        for mkey in sorted(rows, key=str):
-            ctx.add_row(rows[mkey], Q0)
-        solved = ctx.solve()
-    except Infeasible:
-        solved = None
+    for mkey in sorted(rows, key=str):
+        ctx.add_row(rows[mkey], Q0)  # homogeneous: never Infeasible
     basis: list[Element] = []
-    if solved is not None:
-        _, kernel = solved
-        for direction in kernel:
-            y = pres.zero()
-            for p, mono in zip(params, monos):
-                q = direction.get(p, Q0)
-                if q:
-                    y = y + Element(pres, RatFunc.from_poly(mono.scale(q)))
-            if not y.is_zero():
-                x = y / a_elem
-                if not any(x == b for b in basis):
-                    basis.append(x)
+    for direction in ctx.kernel():
+        y = pres.zero()
+        for p, mono in zip(params, monos):
+            q = direction.get(p, Q0)
+            if q:
+                y = y + Element(pres, RatFunc.from_poly(mono.scale(q)))
+        if not y.is_zero():
+            x = y / a_elem
+            if not any(x == b for b in basis):
+                basis.append(x)
     if basis:
         return basis, None
     cert = FreeRefutation(
@@ -362,21 +356,14 @@ def decide_twisted(pres: Presentation, eq: TwistedEquation) -> SolveResult:
     _require_free(pres)
     ctx = ParamContext()
     trace: dict = {}
-    infeasible = False
-    family = LinComb.zero(pres)
     try:
         family = twisted_family(pres, eq.e1, LinComb.constant(pres, eq.e2), ctx, trace=trace)
     except Infeasible:
-        infeasible = True
-    solved = None if infeasible else ctx.solve()
-    if solved is not None:
-        particular, _ = solved
-        x = family.evaluate(particular)
-        if not eq.holds_for(x):
-            raise AssertionError("internal error: candidate failed verification")
-        return Solution(x)
-    cert = _twisted_refutation(pres, eq, trace)
-    return Unsolvable(cert)
+        return Unsolvable(_twisted_refutation(pres, eq, trace))
+    x = family.evaluate(ctx.solve())
+    if not eq.holds_for(x):
+        raise AssertionError("internal error: candidate failed verification")
+    return Solution(x)
 
 
 def _twisted_refutation(pres: Presentation, eq: TwistedEquation, trace: dict) -> FreeRefutation:

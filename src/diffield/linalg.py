@@ -1,19 +1,26 @@
 """Exact linear algebra over the rationals.
 
-Everything here works on small dense matrices of ``Fraction`` entries; the
-scale is a few hundred rows at most, so plain Gaussian elimination is fine.
-The one less-standard routine is :func:`integer_kernel`, which returns a
-basis of the *saturated* integer kernel lattice (all integer vectors in the
-rational kernel), computed by unimodular column reduction.  Rational kernel
-bases are not enough for character-consistency questions: integer relations
-outside the lattice spanned by rescaled basis vectors would go unchecked.
+:class:`Echelon` is the package's one row reduction over Q: an incremental
+sparse row echelon.  Rows are dicts from integer columns to ``Fraction``
+coefficients; each new row is reduced against the stored pivots on arrival,
+so an inconsistent row raises :class:`Infeasible` at once and span growth is
+known row by row.  The parameter systems of the solvers
+(:class:`~diffield.params.ParamContext`), span membership
+(:class:`~diffield.ratfunc.SpanTracker`) and dense systems
+(:func:`solve_affine`) all go through it.
+
+The one other routine is :func:`integer_kernel`, which returns a basis of
+the *saturated* integer kernel lattice (all integer vectors in the rational
+kernel), computed by unimodular column reduction.  Rational kernel bases are
+not enough for character-consistency questions: integer relations outside
+the lattice spanned by rescaled basis vectors would go unchecked.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as int_gcd, lcm
-from typing import Sequence
+from typing import Mapping, Sequence
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -21,71 +28,113 @@ Q1 = Fraction(1)
 Row = list[Fraction]
 
 
-def rref(matrix: list[Row]) -> tuple[list[Row], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = [list(r) for r in matrix]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                piv = i
+class Infeasible(Exception):
+    """A constraint row is unsatisfiable regardless of parameters."""
+
+
+class Echelon:
+    """Exact linear constraints over integer-indexed columns.
+
+    Rows mean const + sum(coeff * x_col) = 0.  The echelon invariant: for
+    every stored pivot column c, ``pivots[c]`` is a row with coefficient 1
+    at c and no other pivot column of the time it was inserted; stored rows
+    are never mutated, so copies may share them.  Hence a stored row only
+    mentions pivots inserted after it, and back-substitution in reverse
+    insertion order needs no recursion.
+
+    The pivot of a row is its least column left after reduction, so the
+    pivot set is the set of leading columns of the row space: the pivots of
+    the reduced row echelon form, whatever order the rows arrive in.
+    ``ncols`` is the number of columns :meth:`kernel` ranges over.
+    """
+
+    __slots__ = ("ncols", "pivots", "order")
+
+    def __init__(self, ncols: int = 0) -> None:
+        self.ncols = ncols
+        self.pivots: dict[int, tuple[dict[int, Fraction], Fraction]] = {}
+        self.order: list[int] = []  # pivot columns in insertion order
+
+    def add_row(self, coeffs: Mapping[int, Fraction], const: Fraction) -> bool:
+        """Require const + sum(coeff * x_col) = 0.
+
+        Returns True when the row was independent of the stored ones (a new
+        pivot), False when it reduced to 0 = 0; raises :class:`Infeasible`
+        when it reduced to a nonzero constant.
+        """
+        coeffs = dict(coeffs)
+        while True:
+            hit = None
+            for col in coeffs:
+                if col in self.pivots:
+                    hit = col
+                    break
+            if hit is None:
                 break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = Q1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+            prow, pconst = self.pivots[hit]
+            factor = coeffs.pop(hit)
+            for c, v in prow.items():
+                if c == hit:
+                    continue
+                nv = coeffs.get(c, Q0) - factor * v
+                if nv:
+                    coeffs[c] = nv
+                else:
+                    coeffs.pop(c, None)
+            const = const - factor * pconst
+        if not coeffs:
+            if const:
+                raise Infeasible(f"constant residue {const} cannot vanish")
+            return False
+        col = min(coeffs)
+        lead = coeffs[col]
+        row = {c: v / lead for c, v in coeffs.items()}
+        self.pivots[col] = (row, const / lead)
+        self.order.append(col)
+        return True
+
+    def _back_substitute(self, values: dict[int, Fraction], affine: bool) -> dict[int, Fraction]:
+        """Fill in the pivot columns from ``values`` on the free ones.
+
+        ``affine`` keeps the row constants (a solution); without them the
+        result is a kernel direction.  Zero entries are left out.
+        """
+        for col in reversed(self.order):
+            row, const = self.pivots[col]
+            total = -const if affine else Q0
+            for c, v in row.items():
+                if c != col and c in values:
+                    total -= v * values[c]
+            if total:
+                values[col] = total
+        return values
+
+    def solve(self) -> dict[int, Fraction]:
+        """The solution with every free column zero (absent entries are zero)."""
+        return self._back_substitute({}, True)
+
+    def kernel(self) -> list[dict[int, Fraction]]:
+        """One kernel direction per free column below ``ncols``, in column order."""
+        return [self._back_substitute({f: Q1}, False) for f in range(self.ncols) if f not in self.pivots]
 
 
-def kernel_basis(matrix: list[Row], ncols: int) -> list[Row]:
-    """Basis of the rational kernel {x : M x = 0} in free-variable form."""
-    if not matrix:
-        return [[Q1 if i == j else Q0 for i in range(ncols)] for j in range(ncols)]
-    red, pivots = rref(matrix)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        vec = [Q0] * ncols
-        vec[f] = Q1
-        for r, p in enumerate(pivots):
-            vec[p] = -red[r][f]
-        basis.append(vec)
-    return basis
-
-
-def solve_affine(matrix: list[Row], rhs: list[Fraction]) -> tuple[Row, list[Row]] | None:
+def solve_affine(matrix: list[Row], rhs: list[Fraction]) -> Row | None:
     """Solve M x = b exactly.
 
-    Returns (particular solution with free variables set to zero, kernel
-    basis), or None when the system is infeasible.
+    Returns the solution with every free variable set to zero, or None when
+    the system is infeasible.  The pivots of :class:`Echelon` are those of
+    the reduced row echelon form, so this is the solution read off the RREF.
     """
     if not matrix:
-        return [], []
-    ncols = len(matrix[0])
-    aug = [list(r) + [b] for r, b in zip(matrix, rhs)]
-    red, pivots = rref(aug)
-    for r, p in zip(red, pivots):
-        if p == ncols:
-            return None  # pivot in the constants column
-    part = [Q0] * ncols
-    for r, p in zip(red, pivots):
-        part[p] = r[ncols]
-    return part, kernel_basis([row[:ncols] for row in red], ncols)
+        return []
+    echelon = Echelon()
+    try:
+        for row, b in zip(matrix, rhs):
+            echelon.add_row({j: x for j, x in enumerate(row) if x}, -b)
+    except Infeasible:
+        return None
+    values = echelon.solve()
+    return [values.get(j, Q0) for j in range(len(matrix[0]))]
 
 
 def _row_lcm_scale(row: Sequence[Fraction]) -> list[int]:

@@ -2,10 +2,10 @@
 
 Equation solving decomposes every unknown into an affine combination of
 rational parameters with field-element coefficients (:class:`LinComb`).
-Constraints accumulate in a :class:`ParamContext`, which maintains an
-incremental sparse row echelon over the parameters: each new row is reduced
-against the existing pivots on arrival, so infeasibility surfaces
-immediately (as :class:`Infeasible`) and structural case splits can fork
+Constraints accumulate in a :class:`ParamContext`, the row echelon of
+:mod:`diffield.linalg` over the parameters: each new row is reduced against
+the existing pivots on arrival, so infeasibility surfaces immediately (as
+:class:`~diffield.linalg.Infeasible`) and structural case splits can fork
 the context cheaply (pivot rows are immutable once stored).  Equation rows
 come from expanding field-element identities over the monomial basis after
 clearing denominators.
@@ -17,10 +17,10 @@ from fractions import Fraction
 from typing import Mapping
 
 from .field import Element, Presentation
+from .linalg import Echelon
 from .ratfunc import clear_denominators
 
 Q0 = Fraction(0)
-Q1 = Fraction(1)
 
 
 class LinComb:
@@ -83,18 +83,15 @@ class LinComb:
         )
 
     def evaluate(self, values: Mapping[int, Fraction]) -> Element:
-        total = self.const
-        for k, v in self.coeffs.items():
-            q = values.get(k, Q0)
-            if q:
-                total = total + v * self.pres.const(q)
-        return total
+        return self._accumulate(self.const, values)
 
     def direction(self, direction: Mapping[int, Fraction]) -> Element:
         """Linear part evaluated along a parameter direction."""
-        total = self.pres.zero()
+        return self._accumulate(self.pres.zero(), direction)
+
+    def _accumulate(self, total: Element, values: Mapping[int, Fraction]) -> Element:
         for k, v in self.coeffs.items():
-            q = direction.get(k, Q0)
+            q = values.get(k, Q0)
             if q:
                 total = total + v * self.pres.const(q)
         return total
@@ -109,78 +106,27 @@ class LinComb:
         return " + ".join(parts)
 
 
-class Infeasible(Exception):
-    """A constraint row is unsatisfiable regardless of parameters."""
-
-
-class ParamContext:
+class ParamContext(Echelon):
     """Exact linear constraints over integer-indexed parameters.
 
-    Rows mean const + sum(coeff * param) = 0.  The echelon invariant: for
-    every stored pivot column c, ``pivots[c]`` is a row with coefficient 1
-    at c and no other pivot column of the time it was inserted; stored rows
-    are never mutated, so forks share them.
+    The echelon's columns are the parameters allocated so far.
     """
 
-    __slots__ = ("n_params", "pivots", "order")
-
-    def __init__(self) -> None:
-        self.n_params = 0
-        self.pivots: dict[int, tuple[dict[int, Fraction], Fraction]] = {}
-        self.order: list[int] = []  # pivot columns in insertion order
+    __slots__ = ()
 
     def fork(self) -> "ParamContext":
-        c = ParamContext.__new__(ParamContext)
-        c.n_params = self.n_params
-        c.pivots = dict(self.pivots)
-        c.order = list(self.order)
+        c = ParamContext(self.ncols)
+        c.pivots.update(self.pivots)
+        c.order.extend(self.order)
         return c
 
     def new_param(self) -> int:
-        i = self.n_params
-        self.n_params += 1
+        i = self.ncols
+        self.ncols += 1
         return i
 
     def new_params(self, count: int) -> list[int]:
         return [self.new_param() for _ in range(count)]
-
-    def _insert_row(self, coeffs: dict[int, Fraction], const: Fraction) -> None:
-        while True:
-            hit = None
-            for col in coeffs:
-                if col in self.pivots:
-                    hit = col
-                    break
-            if hit is None:
-                break
-            prow, pconst = self.pivots[hit]
-            factor = coeffs.pop(hit)
-            for c, v in prow.items():
-                if c == hit:
-                    continue
-                nv = coeffs.get(c, Q0) - factor * v
-                if nv:
-                    coeffs[c] = nv
-                else:
-                    coeffs.pop(c, None)
-            const = const - factor * pconst
-        if not coeffs:
-            if const:
-                raise Infeasible(f"constant residue {const} cannot vanish")
-            return
-        col = min(coeffs)
-        lead = coeffs[col]
-        row = {c: v / lead for c, v in coeffs.items()}
-        self.pivots[col] = (row, const / lead)
-        self.order.append(col)
-
-    def add_row(self, coeffs: dict[int, Fraction], const: Fraction) -> None:
-        """Require const + sum(coeff * param) = 0 for one prepared row."""
-        if not coeffs:
-            if const:
-                raise Infeasible(f"constant residue {const} cannot vanish")
-            return
-        self._insert_row(dict(coeffs), const)
 
     def add_zero(self, lc: LinComb) -> None:
         """Require lc == 0; expands into one row per monomial."""
@@ -188,66 +134,9 @@ class ParamContext:
         keys = list(lc.coeffs.keys())
         monos = {m for p in cleared for m in p.terms}
         for m in monos:
-            const = cleared[0].terms.get(m, Q0)
             coeffs = {}
             for k, p in zip(keys, cleared[1:]):
                 c = p.terms.get(m, Q0)
                 if c:
                     coeffs[k] = c
-            if not coeffs:
-                if const:
-                    raise Infeasible(f"constant residue {const} cannot vanish")
-                continue
-            self._insert_row(coeffs, const)
-
-    def solve(self) -> tuple[dict[int, Fraction], list[dict[int, Fraction]]]:
-        """Particular solution (free parameters zero) and kernel directions."""
-        value_cache: dict[int, Fraction] = {}
-
-        def value(col: int) -> Fraction:
-            got = value_cache.get(col)
-            if got is not None:
-                return got
-            entry = self.pivots.get(col)
-            if entry is None:
-                value_cache[col] = Q0
-                return Q0
-            row, const = entry
-            total = -const
-            value_cache[col] = Q0  # provisional; DAG order makes this safe
-            for c, v in row.items():
-                if c != col:
-                    total -= v * value(c)
-            value_cache[col] = total
-            return total
-
-        particular = {col: value(col) for col in self.order}
-        kernel: list[dict[int, Fraction]] = []
-        free = [i for i in range(self.n_params) if i not in self.pivots]
-        for f in free:
-            dir_cache: dict[int, Fraction] = {f: Q1}
-
-            def dvalue(col: int) -> Fraction:
-                got = dir_cache.get(col)
-                if got is not None:
-                    return got
-                entry = self.pivots.get(col)
-                if entry is None:
-                    dir_cache[col] = Q0
-                    return Q0
-                row, _ = entry
-                total = Q0
-                dir_cache[col] = Q0
-                for c, v in row.items():
-                    if c != col:
-                        total -= v * dvalue(c)
-                dir_cache[col] = total
-                return total
-
-            direction = {f: Q1}
-            for col in self.order:
-                v = dvalue(col)
-                if v:
-                    direction[col] = v
-            kernel.append(direction)
-        return particular, kernel
+            self.add_row(coeffs, cleared[0].terms.get(m, Q0))

@@ -12,8 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .linalg import integer_kernel, solve_affine
-from .poly import MONO_KEY, MPoly, VarId, as_rational, divexact, poly_gcd, poly_lcm
+from .linalg import Echelon, integer_kernel, solve_affine
+from .poly import MPoly, VarId, as_rational, divexact, poly_gcd, poly_lcm
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -188,14 +188,6 @@ class RatFunc:
         return f"{num}/{den}"
 
 
-def normalize(num: MPoly, den: MPoly) -> RatFunc:
-    """The canonical representative of num/den.
-
-    normalize(num*h, den*h) == normalize(num, den) for any nonzero h.
-    """
-    return RatFunc(num, den)
-
-
 def _coerce(x) -> RatFunc:
     if isinstance(x, RatFunc):
         return x
@@ -295,62 +287,33 @@ def express_in_span(basis: Sequence[RatFunc], target: RatFunc) -> list[Fraction]
     """Rational coordinates of target over the basis values, if any."""
     matrix = _coefficient_matrix([*basis, target])
     rhs = [row.pop() for row in matrix]
-    solved = solve_affine(matrix, rhs)
-    if solved is None:
-        return None
-    return solved[0]
+    return solve_affine(matrix, rhs)
 
 
 class SpanTracker:
     """Incremental Q-span membership for rational functions.
 
-    Keeps a common denominator and an echelonized set of cleared numerator
-    vectors; adding an element whose denominator does not divide the current
-    one triggers a re-clearing of the stored vectors.  Candidates should be
-    grouped by denominator where possible to keep rebuilds rare.
+    Keeps a common denominator and feeds the cleared numerators, one row per
+    element with one column per monomial, to an :class:`Echelon`; adding an
+    element whose denominator does not divide the current one triggers a
+    re-clearing of the stored elements.  Candidates should be grouped by
+    denominator where possible to keep rebuilds rare.
     """
 
     def __init__(self) -> None:
         self.values: list[RatFunc] = []
         self.den: MPoly = MPoly.const(1)
-        self._pivots: dict = {}
+        self._columns: dict = {}
+        self._echelon = Echelon()
 
     def __len__(self) -> int:
         return len(self.values)
 
-    def _clear(self, f: RatFunc) -> dict:
-        if f.den == self.den:
-            poly = f.num
-        else:
-            poly = f.num * divexact(self.den, f.den)
-        return dict(poly.terms)
-
-    def _reduce(self, vec: dict) -> dict:
-        while vec:
-            lead = max(vec, key=MONO_KEY)
-            pivot = self._pivots.get(lead)
-            if pivot is None:
-                return vec
-            factor = vec[lead]
-            for m, c in pivot.items():
-                nv = vec.get(m, Q0) - factor * c
-                if nv:
-                    vec[m] = nv
-                else:
-                    vec.pop(m, None)
-        return vec
-
-    def _insert(self, vec: dict) -> None:
-        lead = max(vec, key=MONO_KEY)
-        inv = Q1 / vec[lead]
-        self._pivots[lead] = {m: c * inv for m, c in vec.items()}
-
-    def _rebuild(self) -> None:
-        self._pivots = {}
-        for v in self.values:
-            vec = self._reduce(self._clear(v))
-            if vec:
-                self._insert(vec)
+    def _add_row(self, f: RatFunc) -> bool:
+        poly = f.num if f.den == self.den else f.num * divexact(self.den, f.den)
+        columns = self._columns
+        row = {columns.setdefault(m, len(columns)): c for m, c in poly.terms.items()}
+        return self._echelon.add_row(row, Q0)
 
     def add(self, f: RatFunc) -> bool:
         """Add if independent; returns True when the span grew."""
@@ -359,11 +322,12 @@ class SpanTracker:
         new_den = poly_lcm(self.den, f.den)
         if new_den != self.den:
             self.den = new_den
-            self._rebuild()
-        vec = self._reduce(self._clear(f))
-        if not vec:
+            self._columns = {}
+            self._echelon = Echelon()
+            for v in self.values:
+                self._add_row(v)
+        if not self._add_row(f):
             return False
-        self._insert(vec)
         self.values.append(f)
         return True
 

@@ -27,7 +27,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .equations import SearchBounds, Solution, TwistedEquation
 from .field import Element, Presentation
-from .params import Infeasible, LinComb, ParamContext
+from .linalg import Infeasible
+from .params import LinComb, ParamContext
 from .poly import VarId
 from .ratfunc import PoleError
 from .tower import fixed_space, solve_twisted_bounded
@@ -616,7 +617,7 @@ def ff_decompose_bounded(
             ctx.add_zero(total - LinComb.constant(pres, smap[i]))
     except Infeasible:
         return NotFoundWithinBounds(bounds)
-    particular, _ = ctx.solve()
+    particular = ctx.solve()
     dec = {key: lc.evaluate(particular) for key, lc in entries.items()}
     ok, problems = validate_decomposition(model, eq, dec)
     if not ok:

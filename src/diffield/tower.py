@@ -24,7 +24,7 @@ unsolvability (certificates are a separate mechanism).
 from __future__ import annotations
 
 from math import comb
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .equations import (
     MultiplicativeEquation,
@@ -37,7 +37,8 @@ from .equations import (
 )
 from .field import Element, GeneratorSpec, Presentation
 from .freebase import decide_free_base, twisted_family
-from .params import Infeasible, LinComb, ParamContext
+from .linalg import Infeasible
+from .params import LinComb, ParamContext
 from .poly import to_univar
 from .ratfunc import RatFunc, SpanTracker
 
@@ -188,7 +189,7 @@ def _denominator_candidates(
     out = []
     base = ParamContext()
     for ctx, solved in extend(m - 1, {m: LinComb.constant(sub, one)}, base):
-        particular, _ = ctx.solve()
+        particular = ctx.solve()
         concrete = [solved[k].evaluate(particular) if k in solved else sub.zero() for k in range(m + 1)]
         dedup = tuple(repr(c) for c in concrete)
         if dedup in seen:
@@ -260,7 +261,7 @@ def solve_twisted_bounded(pres: Presentation, eq: TwistedEquation, bounds: Searc
     ctx = ParamContext()
     rhs = LinComb.constant(pres, eq.e2)
     for branch_ctx, family in iter_twisted_branches(pres, eq.e1, rhs, ctx, bounds.degree, bounds.window):
-        particular, _ = branch_ctx.solve()
+        particular = branch_ctx.solve()
         x = family.evaluate(particular)
         if eq.holds_for(x):
             return Solution(x)
@@ -278,9 +279,8 @@ def solve_multiplicative_bounded(
     ctx = ParamContext()
     rhs = LinComb.zero(pres)
     for branch_ctx, family in iter_twisted_branches(pres, ratio, rhs, ctx, bounds.degree, bounds.window):
-        particular, kernel = branch_ctx.solve()
-        candidates = [family.evaluate(particular)]
-        for direction in kernel:
+        candidates = [family.evaluate(branch_ctx.solve())]
+        for direction in branch_ctx.kernel():
             candidates.append(candidates[0] + family.direction(direction))
         for x in candidates:
             if not x.is_zero():
@@ -315,9 +315,8 @@ def _fixed_space(pres: Presentation, bounds: SearchBounds) -> list[Element]:
     rhs = LinComb.zero(pres)
     candidates: list[Element] = []
     for branch_ctx, family in iter_twisted_branches(pres, pres.one(), rhs, ctx, bounds.degree, bounds.window):
-        particular, kernel = branch_ctx.solve()
-        batch = [family.evaluate(particular)]
-        for direction in kernel:
+        batch = [family.evaluate(branch_ctx.solve())]
+        for direction in branch_ctx.kernel():
             batch.append(family.direction(direction))
         for x in batch:
             if x.is_zero():
@@ -325,12 +324,18 @@ def _fixed_space(pres: Presentation, bounds: SearchBounds) -> list[Element]:
             if not x.is_fixed():
                 raise AssertionError("internal error: fixed-space candidate not fixed")
             candidates.append(x)
-    # group by denominator so the span tracker rarely re-clears
-    candidates.sort(key=lambda e: (repr(e.value.den), repr(e.value)))
+    return span_basis(candidates, first=pres.one())
+
+
+def span_basis(elems: Iterable[Element], first: Element | None = None) -> list[Element]:
+    """The members of elems that grow the Q-span of those kept before them.
+
+    ``first`` is tried before all the others, which are tried grouped by
+    denominator (so the span tracker rarely re-clears) in ``repr`` order;
+    that order fixes which members are kept.
+    """
+    ordered = sorted(elems, key=lambda e: (repr(e.value.den), repr(e.value)))
+    if first is not None:
+        ordered.insert(0, first)
     tracker = SpanTracker()
-    basis = [pres.one()]
-    tracker.add(basis[0].value)
-    for x in candidates:
-        if tracker.add(x.value):
-            basis.append(x)
-    return basis
+    return [e for e in ordered if tracker.add(e.value)]

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffield.field import Presentation
+from diffield.linalg import solve_affine
 from diffield.poly import MPoly, VarId, divexact, poly_gcd
-from diffield.ratfunc import CircleValue, PoleError, RatFunc, express_in_span, linear_relations
+from diffield.ratfunc import CircleValue, PoleError, RatFunc, SpanTracker, express_in_span, linear_relations
 
 X = VarId(0, "x")
 Y = VarId(1, "y")
@@ -190,7 +191,7 @@ def test_linear_relations_match_construction():
             elems.append(e)
         rels = linear_relations(elems)
         # kernel dimension matches the planted construction
-        rank = _int_rank(coeffs)
+        rank = len(_rref(coeffs)[1])
         assert len(rels) == k - rank
         # every returned tuple satisfies the relation exactly
         for tpl in rels:
@@ -200,26 +201,80 @@ def test_linear_relations_match_construction():
             assert acc.is_zero()
 
 
-def _int_rank(rows):
+def _rref(rows):
+    """Dense reduced row echelon form: (nonzero rows, pivot columns)."""
     m = [[Fraction(v) for v in row] for row in rows]
-    rank = 0
-    ncols = len(m[0])
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                piv = i
-                break
+    pivots = []
+    for c in range(len(m[0])):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
+        lead = m[r][c]
+        m[r] = [a / lead for a in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c]:
-                f = m[i][c] / m[r][c]
+                f = m[i][c]
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-    return r
+        pivots.append(c)
+    return m[: len(pivots)], pivots
+
+
+def _rref_solution(matrix, rhs):
+    """Solution of M x = b with every free variable zero, read off the RREF."""
+    ncols = len(matrix[0])
+    red, pivots = _rref([row + [b] for row, b in zip(matrix, rhs)])
+    if ncols in pivots:
+        return None
+    out = [Fraction(0)] * ncols
+    for row, p in zip(red, pivots):
+        out[p] = row[ncols]
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6))
+def test_solve_affine_matches_dense_rref(seed):
+    # the sparse echelon's pivots are the RREF's, so both pick the same
+    # solution; half the right-hand sides are planted, the others make most
+    # systems with dependent rows infeasible
+    rng = random.Random(seed)
+    ncols = rng.randint(1, 4)
+    matrix = [[Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(ncols)] for _ in range(rng.randint(1, 4))]
+    for _ in range(rng.randint(0, 2)):
+        i, j = rng.randrange(len(matrix)), rng.randrange(len(matrix))
+        q = Fraction(rng.randint(-2, 2))
+        matrix.append([a + q * b for a, b in zip(matrix[i], matrix[j])])
+    rng.shuffle(matrix)
+    if rng.random() < 0.5:
+        planted = [Fraction(rng.randint(-2, 2)) for _ in range(ncols)]
+        rhs = [sum(a * v for a, v in zip(row, planted)) for row in matrix]
+    else:
+        rhs = [Fraction(rng.randint(-2, 2)) for _ in matrix]
+    got = solve_affine(matrix, rhs)
+    assert got == _rref_solution(matrix, rhs)
+    if got is not None:
+        assert all(sum(a * v for a, v in zip(row, got)) == b for row, b in zip(matrix, rhs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_span_tracker_agrees_with_express_in_span(seed):
+    # denominators drawn from a small pool force common-denominator
+    # rebuilds; combinations of earlier members force rejections
+    rng = random.Random(seed)
+    dens = [MPoly.const(1), px + MPoly.const(1), py, px * py - MPoly.const(2)]
+    tracker = SpanTracker()
+    for _ in range(rng.randint(1, 8)):
+        if tracker.values and rng.random() < 0.4:
+            f = RatFunc.zero()
+            for v in rng.sample(tracker.values, rng.randint(1, len(tracker.values))):
+                f = f + RatFunc.const(Fraction(rng.randint(-2, 2), rng.randint(1, 2))) * v
+        else:
+            f = RatFunc(rand_poly(rng, [X, Y], max_deg=1), rng.choice(dens))
+        expected = not f.is_zero() and express_in_span(tracker.values, f) is None
+        assert tracker.add(f) == expected
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,6 @@
 """Free-base decisions, the bounded tower solver, and descent transformations."""
 
+import gc
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from diffield.equations import (
 )
 from diffield.field import Presentation
 from diffield.freebase import decide_free_base, replay_refutation
+from diffield.params import ParamContext
 from diffield.tower import fixed_space, solve_multiplicative_bounded, solve_twisted_bounded
 
 
@@ -329,8 +331,28 @@ def test_integer_relation_lattice_is_saturated():
             matrix = [[basis[j][i] for j in range(len(basis))] for i in range(k)]
             got = solve_affine(matrix, [Fraction(c) for c in z])
             assert got is not None
-            combo, _ = got
+            combo = got
             assert all(q.denominator == 1 for q in combo), (z, basis)
+
+
+def test_param_context_solve_leaves_no_cyclic_garbage():
+    ctx = ParamContext()
+    p0, p1, p2 = ctx.new_params(3)
+    rows = [({p0: Fraction(1), p1: Fraction(2)}, Fraction(-1)), ({p1: Fraction(1), p2: Fraction(-3)}, Fraction(2))]
+    for coeffs, const in rows:
+        ctx.add_row(coeffs, const)
+    gc.collect()
+    gc.disable()
+    try:
+        particular = ctx.solve()
+        kernel = ctx.kernel()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert len(kernel) == 1 and kernel[0][p2] == 1
+    for coeffs, const in rows:
+        assert const + sum(c * particular.get(k, 0) for k, c in coeffs.items()) == 0
+        assert sum(c * kernel[0].get(k, 0) for k, c in coeffs.items()) == 0
 
 
 def test_fixed_space_of_closed_base_is_rational():
