@@ -29,7 +29,7 @@ from .equations import (
 )
 from .field import Element, Presentation
 from .freebase import FreeRefutation, decide_free_base, multiplicative_kernel
-from .tower import coefficients_in, last_affine
+from .tower import coefficients_in, last_affine, peel, require_level_free
 
 
 # -- query forms ----------------------------------------------------------------
@@ -278,9 +278,7 @@ def _certify(pres: Presentation, query: Query, registry: AvoidedRegistry | None)
     if pres.is_free_only():
         return _certify_free(pres, query)
     gen = last_affine(pres)
-    sub = pres.restrict([n for n in pres.names() if n != gen.name])
-    alpha = Element(sub, gen.kind.linear)
-    beta = Element(sub, gen.kind.constant)
+    sub, alpha, beta = peel(pres, gen)
     rule = f"sigma({gen.name}) = ({alpha})*{gen.name} + ({beta})"
 
     if isinstance(query, (TwistedEquation, TwistedShiftFamily)):
@@ -371,12 +369,9 @@ def _close_case(pres, sub, gen, rule, query, labeled: list[tuple[str, Query | De
 
 def _level_free(elem: Element, pres: Presentation, sub: Presentation, gen) -> Element | None:
     try:
-        coeffs = coefficients_in(elem, pres, gen)
+        return require_level_free(elem, pres, sub, gen)
     except UnsupportedCoefficientShape:
         return None
-    if set(coeffs) - {0}:
-        return None
-    return coeffs.get(0, pres.zero()).in_presentation(sub)
 
 
 def _certify_free(pres: Presentation, query: Query) -> CertNode | None:
@@ -460,8 +455,7 @@ def reduce_over_affine_extension(
     gen = pres.spec(gen_name)
     if gen.is_free:
         raise UnsupportedCoefficientShape(f"{gen_name!r} is a free generator")
-    sub = pres.restrict([nm for nm in pres.names() if nm != gen_name])
-    alpha = Element(sub, gen.kind.linear)
+    sub, alpha, _ = peel(pres, gen)
     if isinstance(eq, MultiplicativeEquation):
         u = _level_free(eq.ratio(), pres, sub, gen)
         if u is None:

@@ -26,7 +26,7 @@ from .certify import AvoidedRegistry, certify_unsolvable
 from .equations import SearchBounds, TwistedEquation, Unsolvable
 from .field import Element, Presentation
 from .ratfunc import CircleValue, express_in_span, linear_relations
-from .systems import AdditiveEquation, Decomposition, SystemModel
+from .systems import AdditiveEquation, Decomposition, SystemModel, pairwise_fixed_polynomials
 from .tower import fixed_space, span_basis
 
 
@@ -285,14 +285,9 @@ def build_failing_instance(
     if k not in smap:
         raise CharacterError(f"no summand {k}")
     idx = sorted(smap)
-    span: list[Element] = []
     pres = model.pres
-    for pos, i in enumerate(idx):
-        for j in idx[pos + 1 :]:
-            corner = model.corner(model.complement(i, j))
-            for s in fixed_space(corner, bounds):
-                if s.value.is_polynomial():
-                    span.append(pres.element(s.value))
+    pairs = pairwise_fixed_polynomials(model, idx, bounds)
+    span = [s for members in pairs.values() for s in members]
     combo = express_in_span([s.value for s in span], smap[k].value)
     if combo is not None:
         return {

@@ -118,8 +118,12 @@ def _load_document(args) -> Document | None:
         return None
     if not args.input:
         raise SemanticError(f"command {args.command!r} needs an input document")
-    with open(args.input, "r", encoding="utf-8") as handle:
-        return parse_document(handle.read())
+    try:
+        with open(args.input, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise SemanticError(f"cannot read {args.input!r}: {exc.strerror}") from exc
+    return parse_document(text)
 
 
 def _dispatch(command: str, doc: Document | None, bounds: SearchBounds, seed: int):

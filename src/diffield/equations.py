@@ -84,7 +84,6 @@ class SearchBounds:
 @dataclass(frozen=True)
 class Solution:
     witness: Element
-    verified: bool = True
 
     def __repr__(self) -> str:
         return f"Solution({self.witness})"

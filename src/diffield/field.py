@@ -16,7 +16,6 @@ canonical forms comparable.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -309,7 +308,6 @@ class Element:
 # -- the sigma action ----------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
 def _var_image(pres: Presentation, var: VarId, direction: int) -> RatFunc:
     """Image of a single variable under sigma^{+1} or sigma^{-1}."""
     g = pres.spec_by_index(var.index)

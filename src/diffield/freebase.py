@@ -146,7 +146,6 @@ def _monomials(vars_: Sequence[VarId], max_deg: int) -> list[MPoly]:
     """All monomials of total degree <= max_deg, deterministically ordered."""
     if max_deg < 0:
         return []
-    count = 1
     k = len(vars_)
     # quick size estimate: C(max_deg + k, k)
     est = 1
@@ -167,9 +166,6 @@ def _monomials(vars_: Sequence[VarId], max_deg: int) -> list[MPoly]:
     return monos
 
 
-_mult_kernel_cache: dict[tuple, tuple[list[Element], "FreeRefutation | None"]] = {}
-
-
 def multiplicative_kernel(
     pres: Presentation,
     ratio: Element,
@@ -182,21 +178,6 @@ def multiplicative_kernel(
     The space has dimension at most one over Q since the fixed field of a
     free presentation is Q.
     """
-    cache_key = (pres, ratio.value, deg_cap, window_cap)
-    hit = _mult_kernel_cache.get(cache_key)
-    if hit is not None:
-        return hit
-    out = _multiplicative_kernel(pres, ratio, deg_cap, window_cap)
-    _mult_kernel_cache[cache_key] = out
-    return out
-
-
-def _multiplicative_kernel(
-    pres: Presentation,
-    ratio: Element,
-    deg_cap: int | None = None,
-    window_cap: int | None = None,
-) -> tuple[list[Element], FreeRefutation | None]:
     _require_free(pres)
     u = ratio.value
     eqrepr = f"sigma(x) = ({ratio})*x"

@@ -45,10 +45,6 @@ class LinComb:
     def zero(pres: Presentation) -> "LinComb":
         return LinComb(pres, pres.zero())
 
-    @staticmethod
-    def parameter(pres: Presentation, param: int) -> "LinComb":
-        return LinComb(pres, pres.zero(), {param: pres.one()})
-
     def __add__(self, other: "LinComb") -> "LinComb":
         coeffs = dict(self.coeffs)
         for k, v in other.coeffs.items():
@@ -60,9 +56,6 @@ class LinComb:
 
     def __sub__(self, other: "LinComb") -> "LinComb":
         return self + (-other)
-
-    def scale(self, q) -> "LinComb":
-        return self.mul_known(self.pres.const(q))
 
     def mul_known(self, e: Element) -> "LinComb":
         if e.is_zero():
@@ -95,9 +88,6 @@ class LinComb:
             if q:
                 total = total + v * self.pres.const(q)
         return total
-
-    def params(self) -> set[int]:
-        return set(self.coeffs)
 
     def __repr__(self) -> str:
         parts = [repr(self.const)]

@@ -206,7 +206,6 @@ def _atom(cur: _Cursor, pres: Presentation) -> Element:
             raise SemanticError(f"unknown generator {name!r}")
         if cur.accept("punct", "["):
             shift = _signed_int(cur)
-            closing = cur.peek()
             cur.expect("punct", "]")
             if not pres.spec(name).is_free:
                 raise SemanticError(f"generator {name!r} is not free; shifts need s(...)")

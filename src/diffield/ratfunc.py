@@ -361,9 +361,6 @@ class CircleValue:
     def is_identity(self) -> bool:
         return self.angle == 0
 
-    def order(self) -> int:
-        return self.angle.denominator
-
     def __eq__(self, other) -> bool:
         return isinstance(other, CircleValue) and self.angle == other.angle
 

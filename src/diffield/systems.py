@@ -577,6 +577,26 @@ class NotFoundWithinBounds:
     bounds: SearchBounds
 
 
+def pairwise_fixed_polynomials(
+    model: SystemModel, idx: Sequence[int], bounds: SearchBounds
+) -> dict[tuple[int, int], list[Element]]:
+    """Polynomial members of each pairwise corner's fixed space, over model.pres.
+
+    Pairs (i, j) with i before j in idx come in idx order, and members in
+    fixed_space order; callers number their parameters by that order.
+    """
+    out: dict[tuple[int, int], list[Element]] = {}
+    for pos, i in enumerate(idx):
+        for j in idx[pos + 1 :]:
+            corner = model.corner(model.complement(i, j))
+            out[(i, j)] = [
+                model.pres.element(s.value)
+                for s in fixed_space(corner, bounds)
+                if s.value.is_polynomial()
+            ]
+    return out
+
+
 def ff_decompose_bounded(
     model: SystemModel, eq: AdditiveEquation, bounds: SearchBounds = SearchBounds(4, 3)
 ) -> Decomposition | NotFoundWithinBounds:
@@ -598,16 +618,13 @@ def ff_decompose_bounded(
     ctx = ParamContext()
     entries: dict[tuple[int, int], LinComb] = {}
     pres = model.pres
-    for pos, i in enumerate(idx):
-        for j in idx[pos + 1 :]:
-            corner = model.corner(model.complement(i, j))
-            span = [s for s in fixed_space(corner, bounds) if s.value.is_polynomial()]
-            comb = LinComb.zero(pres)
-            for basis_elem in span:
-                p = ctx.new_param()
-                comb = comb + LinComb(pres, pres.zero(), {p: pres.element(basis_elem.value)})
-            entries[(i, j)] = comb
-            entries[(j, i)] = -comb
+    for (i, j), span in pairwise_fixed_polynomials(model, idx, bounds).items():
+        comb = LinComb.zero(pres)
+        for basis_elem in span:
+            p = ctx.new_param()
+            comb = comb + LinComb(pres, pres.zero(), {p: basis_elem})
+        entries[(i, j)] = comb
+        entries[(j, i)] = -comb
     try:
         for i in idx:
             total = LinComb.zero(pres)

@@ -23,6 +23,7 @@ unsolvability (certificates are a separate mechanism).
 
 from __future__ import annotations
 
+import functools
 from math import comb
 from typing import Iterable, Iterator
 
@@ -103,10 +104,8 @@ def iter_twisted_branches(
         return
     gen = last_affine(pres)
     assert gen is not None
-    sub = pres.restrict([n for n in pres.names() if n != gen.name])
-    alpha = Element(sub, gen.kind.linear)
-    beta = Element(sub, gen.kind.constant)
-    e1_sub = _require_level_free(e1, pres, sub, gen)
+    sub, alpha, beta = peel(pres, gen)
+    e1_sub = require_level_free(e1, pres, sub, gen)
     rhs_by_deg = _lincomb_coefficients(rhs, pres, gen, sub)
     d2 = max(rhs_by_deg.keys(), default=0)
     a_var = pres.gen(gen.name)
@@ -118,7 +117,14 @@ def iter_twisted_branches(
             )
 
 
-def _require_level_free(e1: Element, pres: Presentation, sub: Presentation, gen: GeneratorSpec) -> Element:
+def peel(pres: Presentation, gen: GeneratorSpec) -> tuple[Presentation, Element, Element]:
+    """(sub, alpha, beta): pres without gen, and gen's rule sigma(gen) = alpha*gen + beta over sub."""
+    sub = pres.restrict([n for n in pres.names() if n != gen.name])
+    return sub, Element(sub, gen.kind.linear), Element(sub, gen.kind.constant)
+
+
+def require_level_free(e1: Element, pres: Presentation, sub: Presentation, gen: GeneratorSpec) -> Element:
+    """e1 as an element of sub; UnsupportedCoefficientShape when it involves gen."""
     coeffs = coefficients_in(e1, pres, gen)
     if set(coeffs) - {0}:
         raise UnsupportedCoefficientShape(
@@ -144,9 +150,11 @@ def _lincomb_coefficients(lc: LinComb, pres: Presentation, gen: GeneratorSpec, s
     return out
 
 
-_denominator_cache: dict[tuple, list[list[Element]]] = {}
-
-
+# The memo outlives a search because decide job streams repeat presentations.
+# Working sets: 245 entries for run_pipeline() at default bounds, 192 at the
+# benchmark's (2, 2) bounds, 9 for a stream of 504 decide jobs; 1024 bounds a
+# long-lived process without evicting within any of these.
+@functools.lru_cache(maxsize=1024)
 def _denominator_candidates(
     sub: Presentation,
     alpha: Element,
@@ -154,22 +162,18 @@ def _denominator_candidates(
     m: int,
     deg_budget: int,
     window: int,
-) -> list[list[Element]]:
-    """Concrete monic denominators: coefficient lists [c_0..c_m], c_m = 1.
+) -> tuple[tuple[Element, ...], ...]:
+    """Concrete monic denominators: coefficient tuples (c_0..c_m), c_m = 1.
 
     The tower sigma(c_k) - alpha^(m-k)*c_k = -(binomial terms of higher
     coefficients) is solved recursively in an isolated parameter context;
-    each branch is materialized at its particular point.  Results are cached
-    per exact budget, so enumeration order never depends on call history.
+    each branch is materialized at its particular point.  Results are
+    memoized per exact budget, so enumeration order never depends on call
+    history.
     """
-    key = (sub, alpha.value, beta.value, m, window, deg_budget)
-    cached = _denominator_cache.get(key)
-    if cached is not None:
-        return cached
     one = sub.one()
     if m == 0:
-        _denominator_cache[key] = [[one]]
-        return [[one]]
+        return ((one,),)
 
     def extend(k: int, solved: dict[int, LinComb], ctx: ParamContext) -> Iterator[tuple[ParamContext, dict[int, LinComb]]]:
         if k < 0:
@@ -190,14 +194,13 @@ def _denominator_candidates(
     base = ParamContext()
     for ctx, solved in extend(m - 1, {m: LinComb.constant(sub, one)}, base):
         particular = ctx.solve()
-        concrete = [solved[k].evaluate(particular) if k in solved else sub.zero() for k in range(m + 1)]
+        concrete = tuple(solved[k].evaluate(particular) if k in solved else sub.zero() for k in range(m + 1))
         dedup = tuple(repr(c) for c in concrete)
         if dedup in seen:
             continue
         seen.add(dedup)
         out.append(concrete)
-    _denominator_cache[key] = out
-    return out
+    return tuple(out)
 
 
 def _numerator_branches(
@@ -290,25 +293,12 @@ def solve_multiplicative_bounded(
     return NoSolutionWithinBounds(bounds)
 
 
-_fixed_space_cache: dict[tuple, list[Element]] = {}
-
-
 def fixed_space(pres: Presentation, bounds: SearchBounds = SearchBounds()) -> list[Element]:
     """Spanning set of fixed elements found within the bounded class.
 
     Complete for the documented class; used as the honest bounded proxy for
     the fixed subfield of a generated difference field.
     """
-    key = (pres, bounds)
-    hit = _fixed_space_cache.get(key)
-    if hit is not None:
-        return list(hit)
-    out = _fixed_space(pres, bounds)
-    _fixed_space_cache[key] = out
-    return list(out)
-
-
-def _fixed_space(pres: Presentation, bounds: SearchBounds) -> list[Element]:
     if pres.is_free_only():
         return [pres.one()]  # the fixed field of a free presentation is Q
     ctx = ParamContext()

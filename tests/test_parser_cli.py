@@ -98,6 +98,14 @@ def test_cli_solution_exit_zero(tmp_path):
     assert report["result"]["witness"] == "t"
 
 
+def test_cli_unreadable_input_exit_two(tmp_path):
+    for path in (tmp_path / "missing.df", tmp_path):
+        proc = _run_cli(["solve-sas", str(path)], tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "input error: cannot read" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 def test_cli_input_error_exit_two(tmp_path):
     doc = tmp_path / "bad.df"
     doc.write_text("gen g[ free;\n")

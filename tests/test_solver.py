@@ -18,7 +18,12 @@ from diffield.equations import (
 from diffield.field import Presentation
 from diffield.freebase import decide_free_base, replay_refutation
 from diffield.params import ParamContext
-from diffield.tower import fixed_space, solve_multiplicative_bounded, solve_twisted_bounded
+from diffield.tower import (
+    _denominator_candidates,
+    fixed_space,
+    solve_multiplicative_bounded,
+    solve_twisted_bounded,
+)
 
 
 def free_base():
@@ -371,6 +376,24 @@ def test_fixed_space_sees_torsor_differences():
 
     rels = linear_relations([e.value for e in span] + [(u - v).value])
     assert any(rel[-1] for rel in rels)  # u - v lies in the computed span
+
+
+def test_fixed_space_does_not_depend_on_the_denominator_memo():
+    p, g, t = closed_base()
+    p, _ = p.with_affine("a1", g, g)  # Q(g)(t)(a1), sigma(a1) = g*a1 + g
+    t = t.in_presentation(p)
+    bounds = SearchBounds(2, 1)
+    _denominator_candidates.cache_clear()
+    cold = repr(fixed_space(p, bounds))
+    cold_misses = _denominator_candidates.cache_info().misses
+    _denominator_candidates.cache_clear()
+    solve_twisted_bounded(p, TwistedEquation(p.one(), t), bounds)
+    misses = _denominator_candidates.cache_info().misses
+    warm = repr(fixed_space(p, bounds))
+    info = _denominator_candidates.cache_info()
+    assert info.misses - misses < cold_misses  # it reused the other search's entries
+    assert warm == cold
+    assert info.maxsize is not None
 
 
 # -- descent ---------------------------------------------------------------------
