@@ -274,8 +274,9 @@ def build_failing_instance(
     """Character tables on the pairwise corners that no solution can join.
 
     Requires (and re-checks) that the distinguished summand is outside the
-    rational span of the pairwise-corner fixed elements within bounds; if a
-    combination exists the instance is refused and the combination returned.
+    rational span of the polynomial fixed elements of the pairwise corners
+    within bounds (pairwise_fixed_polynomials); if a combination exists the
+    instance is refused and the combination returned.
     Otherwise the summand can be valued freely, and choosing its angle to
     break the zero-sum relation exhibits the obstruction.
     """

@@ -4,8 +4,8 @@ One command per exported capability; no interactive mode.  Every run prints
 a one-line human summary to stdout and writes (or prints) a single JSON
 report with ``schema_version`` 1 and a stable field order, so byte-identical
 reruns are a testable property.  Exit codes: 0 = analysis completed
-(whatever the mathematical verdict), 2 = input error, 3 = bounds exhausted
-where a definite answer was requested with --require-decision.
+(whatever the mathematical verdict), 2 = input or output error, 3 = bounds
+exhausted where a definite answer was requested with --require-decision.
 """
 
 from __future__ import annotations
@@ -103,8 +103,12 @@ def main(argv: list[str] | None = None) -> int:
     }
     payload = json.dumps(report, indent=2, sort_keys=False) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(payload)
+        except OSError as exc:
+            print(f"output error: cannot write {args.out!r}: {exc.strerror}", file=sys.stderr)
+            return EXIT_INPUT
     else:
         sys.stdout.write(payload)
     print(summary)

@@ -580,7 +580,12 @@ class NotFoundWithinBounds:
 def pairwise_fixed_polynomials(
     model: SystemModel, idx: Sequence[int], bounds: SearchBounds
 ) -> dict[tuple[int, int], list[Element]]:
-    """Polynomial members of each pairwise corner's fixed space, over model.pres.
+    """Polynomial fixed elements of each pairwise corner, over model.pres.
+
+    A polynomial has no affine generator in any denominator, so the
+    polynomial-only search fixed_space(corner, bounds, polynomial=True)
+    reaches every polynomial fixed element of the corner within the bounds
+    (see fixed_space); its members with free-base denominators are dropped.
 
     Pairs (i, j) with i before j in idx come in idx order, and members in
     fixed_space order; callers number their parameters by that order.
@@ -591,7 +596,7 @@ def pairwise_fixed_polynomials(
             corner = model.corner(model.complement(i, j))
             out[(i, j)] = [
                 model.pres.element(s.value)
-                for s in fixed_space(corner, bounds)
+                for s in fixed_space(corner, bounds, polynomial=True)
                 if s.value.is_polynomial()
             ]
     return out
@@ -603,10 +608,11 @@ def ff_decompose_bounded(
     """Direct search for a fixed-field decomposition.
 
     Candidates for each pairwise entry are Q-combinations of the polynomial
-    members of a fixed-element spanning set of the corresponding corner
-    computed within the bounds; the recovery constraints are one exact
-    linear system.  Complete relative to those spanning sets, which are the
-    bounded proxy for the corner fixed fields.
+    fixed elements of the corresponding corner found within the bounds by
+    pairwise_fixed_polynomials; the recovery constraints are one exact
+    linear system.  Complete for entries that are polynomial fixed elements
+    within the bounds, the bounded proxy for the corner fixed fields; a
+    NotFoundWithinBounds says nothing beyond them.
     """
     problems = eq.validate()
     if problems:

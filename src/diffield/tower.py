@@ -69,7 +69,7 @@ def coefficients_in(elem: Element, pres: Presentation, gen: GeneratorSpec) -> di
     }
 
 
-def _safe_branches(*args) -> Iterator[tuple[ParamContext, LinComb]]:
+def _safe_branches(*args, polynomial: bool = False) -> Iterator[tuple[ParamContext, LinComb]]:
     """Recursive branch iteration; prunes shapes outside the search class.
 
     A lower-level solution family can carry extension-generator denominators
@@ -78,7 +78,7 @@ def _safe_branches(*args) -> Iterator[tuple[ParamContext, LinComb]]:
     outside the documented class and their branches simply end here.
     """
     try:
-        yield from iter_twisted_branches(*args)
+        yield from iter_twisted_branches(*args, polynomial=polynomial)
     except UnsupportedCoefficientShape:
         return
 
@@ -90,8 +90,14 @@ def iter_twisted_branches(
     ctx: ParamContext,
     deg_budget: int,
     window: int,
+    *,
+    polynomial: bool = False,
 ) -> Iterator[tuple[ParamContext, LinComb]]:
-    """Yield (ctx, family) branches covering the search class."""
+    """Yield (ctx, family) branches covering the search class.
+
+    With ``polynomial`` every level searches denominator degree m = 0 only
+    (see fixed_space).
+    """
     if deg_budget < 0:
         return
     if pres.is_free_only():
@@ -109,11 +115,11 @@ def iter_twisted_branches(
     rhs_by_deg = _lincomb_coefficients(rhs, pres, gen, sub)
     d2 = max(rhs_by_deg.keys(), default=0)
     a_var = pres.gen(gen.name)
-    for m in range(0, deg_budget + 1):
+    for m in range(0, 1 if polynomial else deg_budget + 1):
         for delta in _denominator_candidates(sub, alpha, beta, m, deg_budget, window):
             yield from _numerator_branches(
                 pres, sub, gen, alpha, beta, e1_sub, rhs_by_deg, d2,
-                m, delta, ctx, deg_budget, window, a_var,
+                m, delta, ctx, deg_budget, window, a_var, polynomial,
             )
 
 
@@ -151,7 +157,7 @@ def _lincomb_coefficients(lc: LinComb, pres: Presentation, gen: GeneratorSpec, s
 
 
 # The memo outlives a search because decide job streams repeat presentations.
-# Working sets: 245 entries for run_pipeline() at default bounds, 192 at the
+# Working sets: 122 entries for run_pipeline() at default bounds, 112 at the
 # benchmark's (2, 2) bounds, 9 for a stream of 504 decide jobs; 1024 bounds a
 # long-lived process without evicting within any of these.
 @functools.lru_cache(maxsize=1024)
@@ -205,7 +211,7 @@ def _denominator_candidates(
 
 def _numerator_branches(
     pres, sub, gen, alpha, beta, e1_sub, rhs_by_deg, d2,
-    m, delta, ctx, deg_budget, window, a_var,
+    m, delta, ctx, deg_budget, window, a_var, polynomial,
 ) -> Iterator[tuple[ParamContext, LinComb]]:
     n_max = deg_budget
     k_top = max(n_max, m + d2)
@@ -237,7 +243,9 @@ def _numerator_branches(
             term = solved[i].sigma(1).mul_known(sub.const(comb(i, k)) * beta ** (i - k))
             rhs = rhs - term
         e1_level = e1_sub * alpha ** (m - k)
-        for ctx2, fam in _safe_branches(sub, e1_level, rhs, cur, deg_budget - k, window):
+        for ctx2, fam in _safe_branches(
+            sub, e1_level, rhs, cur, deg_budget - k, window, polynomial=polynomial
+        ):
             yield from descend(k - 1, {**solved, k: fam}, ctx2)
 
     denominator = pres.zero()
@@ -293,18 +301,34 @@ def solve_multiplicative_bounded(
     return NoSolutionWithinBounds(bounds)
 
 
-def fixed_space(pres: Presentation, bounds: SearchBounds = SearchBounds()) -> list[Element]:
+def fixed_space(
+    pres: Presentation, bounds: SearchBounds = SearchBounds(), *, polynomial: bool = False
+) -> list[Element]:
     """Spanning set of fixed elements found within the bounded class.
 
     Complete for the documented class; used as the honest bounded proxy for
     the fixed subfield of a generated difference field.
+
+    With ``polynomial`` the search covers only elements with no affine
+    generator in a denominator, which is all that callers wanting the
+    polynomial fixed elements need: a polynomial x = sum_k y_k a^k in the
+    last affine generator a has coefficients y_k that are again polynomials
+    one level down, so its denominator in a has degree m = 0, and the same
+    holds for each y_k at every lower level.  Every m >= 1 denominator branch
+    is therefore skipped, at every level.  This is the degree-bounding
+    argument of Karr's summation in PiSigma-fields (M. Karr, "Summation in
+    Finite Terms", JACM 28(2), 1981).  Members may still have free-base
+    denominators; callers keep the polynomial ones.
     """
     if pres.is_free_only():
         return [pres.one()]  # the fixed field of a free presentation is Q
     ctx = ParamContext()
     rhs = LinComb.zero(pres)
     candidates: list[Element] = []
-    for branch_ctx, family in iter_twisted_branches(pres, pres.one(), rhs, ctx, bounds.degree, bounds.window):
+    branches = iter_twisted_branches(
+        pres, pres.one(), rhs, ctx, bounds.degree, bounds.window, polynomial=polynomial
+    )
+    for branch_ctx, family in branches:
         batch = [family.evaluate(branch_ctx.solve())]
         for direction in branch_ctx.kernel():
             batch.append(family.direction(direction))

@@ -1,12 +1,15 @@
 """Byte-identical CLI reports for the sample jobs, across code changes.
 
 ``tests/golden/<job>.json`` holds the report of each ``jobs/<job>.df`` run
-with the command and flags listed below (the README's commands).  The
+with the command and flags listed below (the README's commands), and
+``tests/golden/verify_counterexample.json`` holds the report of
+``diffield verify-counterexample`` at its default bounds.  The
 reports print canonical forms (``repr`` of polynomials and rational
 functions, lattice bases, witnesses), so any drift in the exact substrate's
 canonical forms shows up here.  Regenerate a file only for an intended
 change of output, with ``diffield COMMAND jobs/JOB.df FLAGS --out
-tests/golden/JOB.json``.
+tests/golden/JOB.json`` (or ``diffield verify-counterexample --out
+tests/golden/verify_counterexample.json``).
 """
 
 from pathlib import Path
@@ -31,17 +34,22 @@ JOBS = {
 }
 
 
+def _assert_golden(args, name, tmp_path):
+    out = tmp_path / "report.json"
+    proc = run_cli([*args, "--out", str(out)], cwd=tmp_path, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == (ROOT / "tests" / "golden" / f"{name}.json").read_bytes()
+
+
 @pytest.mark.parametrize("job", sorted(JOBS))
 def test_golden_report(job, tmp_path):
     command, *flags = JOBS[job]
-    out = tmp_path / "report.json"
-    proc = run_cli(
-        [command, str(ROOT / "jobs" / f"{job}.df"), *flags, "--out", str(out)],
-        cwd=tmp_path,
-        timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert out.read_bytes() == (ROOT / "tests" / "golden" / f"{job}.json").read_bytes()
+    _assert_golden([command, str(ROOT / "jobs" / f"{job}.df"), *flags], job, tmp_path)
+
+
+def test_golden_verify_counterexample(tmp_path):
+    # the paper's counterexample at default bounds: refuted, control flips
+    _assert_golden(["verify-counterexample"], "verify_counterexample", tmp_path)
 
 
 def test_golden_covers_every_job():

@@ -1,6 +1,7 @@
 """Grammar round-trips, error positions, CLI exit codes, reproducibility."""
 
 import json
+from pathlib import Path
 
 import pytest
 from conftest import run_cli
@@ -103,6 +104,15 @@ def test_cli_unreadable_input_exit_two(tmp_path):
         proc = _run_cli(["solve-sas", str(path)], tmp_path)
         assert proc.returncode == 2, proc.stderr
         assert "input error: cannot read" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+def test_cli_unwritable_output_exit_two(tmp_path):
+    job = Path(__file__).resolve().parents[1] / "jobs" / "torsor_over_closed_base.df"
+    for out in (tmp_path / "missing" / "report.json", tmp_path):
+        proc = _run_cli(["solve-sas", str(job), "--out", str(out)], tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert f"output error: cannot write {str(out)!r}" in proc.stderr
         assert "Traceback" not in proc.stderr
 
 

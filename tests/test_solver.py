@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffield.descent import DescentHypothesisViolated, descent_linear, descent_multiplicative
 from diffield.equations import (
@@ -18,6 +20,7 @@ from diffield.equations import (
 from diffield.field import Presentation
 from diffield.freebase import decide_free_base, replay_refutation
 from diffield.params import ParamContext
+from diffield.ratfunc import express_in_span
 from diffield.tower import (
     _denominator_candidates,
     fixed_space,
@@ -394,6 +397,55 @@ def test_fixed_space_does_not_depend_on_the_denominator_memo():
     assert info.misses - misses < cold_misses  # it reused the other search's entries
     assert warm == cold
     assert info.maxsize is not None
+
+
+# Rules sigma(a) = linear*a + constant for random towers over Q(g); ``a`` in a
+# constant is the previous affine generator (1 for the first one).
+LINEAR = (
+    lambda g: g.pres.one(),
+    lambda g: g,
+    lambda g: g.pres.one() / g,
+    lambda g: g.sigma(1) / g,
+    lambda g: g.pres.const(-1),
+)
+CONSTANT = (
+    lambda g, a: g.pres.zero(),
+    lambda g, a: g.pres.one(),
+    lambda g, a: g,
+    lambda g, a: g.sigma(1) - g,
+    lambda g, a: g.pres.one() / g,
+    lambda g, a: a,
+    lambda g, a: g * a,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, len(LINEAR) - 1), st.integers(0, len(CONSTANT) - 1)),
+        min_size=1,
+        max_size=2,
+    ),
+    st.sampled_from([SearchBounds(1, 0), SearchBounds(1, 1), SearchBounds(2, 0), SearchBounds(2, 1)]),
+)
+def test_polynomial_fixed_space_agrees_with_full_search(rules, bounds):
+    p, g = free_base()
+    a = p.one()
+    for n, (lin, con) in enumerate(rules):
+        g, a = g.in_presentation(p), a.in_presentation(p)
+        p, a = p.with_affine(f"a{n}", LINEAR[lin](g), CONSTANT[con](g, a))
+    full = fixed_space(p, bounds)
+    poly = fixed_space(p, bounds, polynomial=True)
+    # (a) the polynomial mode loses no polynomial member of the full space
+    poly_values = [e.value for e in poly if e.value.is_polynomial()]
+    for e in full:
+        if e.value.is_polynomial():
+            assert express_in_span(poly_values, e.value) is not None, (p, e)
+    # (b) and finds nothing outside it
+    full_values = [e.value for e in full]
+    for e in poly:
+        assert e.is_fixed(), (p, e)
+        assert express_in_span(full_values, e.value) is not None, (p, e)
 
 
 # -- descent ---------------------------------------------------------------------
