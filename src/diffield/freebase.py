@@ -15,7 +15,9 @@ sigma(x) - e1*x = e2 (written in lowest terms as N/D):
   D chains out of the window through the coefficients in both directions;
   D divides the product over i = 1..S of gcd(sigma^'-i'(q1*q2),
   prod_j sigma^j(q2*p1)), a two-sided candidate that stays close to what
-  can actually chain.
+  can actually chain.  Each gcd is computed shift by shift with
+  gcd(a, b*c) = gcd(a, b) * gcd(a/gcd(a, b), c), so the product over j is
+  never formed.
 * numerator degree: the degree at infinity v(x) = deg N - deg D is capped by
   max(v(e2), v(e2) - v(e1), d0), where the extra candidate d0 exists only if
   the top homogeneous forms admit a multiplicative relation sigma(T) =
@@ -118,17 +120,35 @@ def _denominator_bound(up: MPoly, down: MPoly, span: int) -> MPoly:
     downward through ``down`` (D | sigma(D) * down), so D divides the
     product over i of gcd(sigma^'-i'(up), prod_j sigma^j(down)); taking the
     gcd per shifted piece keeps the bound close to what can actually chain.
+
+    The product over j is never formed.  In a UFD
+    gcd(a, b*c) = gcd(a, b) * gcd(a/gcd(a, b), c): at a prime with
+    valuations x, y, z in a, b, c,
+    min(x, y+z) = min(x, y) + min(x - min(x, y), z).
+    So each sigma^j(down) in turn contributes its gcd with what is left of
+    sigma^'-i'(up), that gcd is divided out, and the walk stops once the
+    rest is constant.  A nonzero factor that shares no variable with the
+    rest has gcd 1 and is skipped: on the free base a factor's shifts show
+    in its variables, which is the free-base form of Abramov's dispersion
+    bound (S. A. Abramov, USSR Comput. Math. Math. Phys. 29(6), 1989;
+    ISSAC 1995).  Every gcd is monic, so the result is the same monic
+    polynomial as the product form.
     """
     if up.is_constant():
         return MPoly.const(1)
-    down_all = MPoly.const(1)
-    for j in range(0, span + 1):
-        down_all = down_all * down.shift(j)
+    downs = [down.shift(j) for j in range(span + 1)]
     out = MPoly.const(1)
     for i in range(1, span + 1):
-        piece = poly_gcd(up.shift(-i), down_all)
-        if not piece.is_constant():
-            out = out * piece
+        rest = up.shift(-i)
+        for f in downs:
+            if rest.variables().isdisjoint(f.variables()) and not f.is_zero():
+                continue
+            g = poly_gcd(rest, f)
+            if not g.is_constant():
+                out = out * g
+                rest = divexact(rest, g)
+                if rest.is_constant():
+                    break
     return out
 
 

@@ -141,19 +141,18 @@ def require_level_free(e1: Element, pres: Presentation, sub: Presentation, gen: 
 
 def _lincomb_coefficients(lc: LinComb, pres: Presentation, gen: GeneratorSpec, sub: Presentation) -> dict[int, LinComb]:
     """Split a LinComb into per-degree LinCombs over the sub-presentation."""
-    out: dict[int, LinComb] = {}
-
-    def put(deg: int, param: int | None, value: Element):
-        cur = out.get(deg, LinComb.zero(sub))
-        add = LinComb(sub, value) if param is None else LinComb(sub, sub.zero(), {param: value})
-        out[deg] = cur + add
-
+    consts: dict[int, Element] = {}
+    coeffs: dict[int, dict[int, Element]] = {}
     for deg, val in coefficients_in(lc.const, pres, gen).items():
-        put(deg, None, val.in_presentation(sub))
+        consts[deg] = val.in_presentation(sub)
+        coeffs[deg] = {}
     for param, coeff in lc.coeffs.items():
         for deg, val in coefficients_in(coeff, pres, gen).items():
-            put(deg, param, val.in_presentation(sub))
-    return out
+            coeffs.setdefault(deg, {})[param] = val.in_presentation(sub)
+    return {
+        deg: LinComb(sub, consts[deg] if deg in consts else sub.zero(), by_param)
+        for deg, by_param in coeffs.items()
+    }
 
 
 # The memo outlives a search because decide job streams repeat presentations.

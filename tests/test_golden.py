@@ -23,6 +23,7 @@ ROOT = Path(__file__).resolve().parents[1]
 JOBS = {
     "torsor_over_closed_base": ["solve-sas"],
     "twisted_avoided": ["solve-sas"],
+    "chained_denominator": ["solve-sas"],
     "multiplicative_family": ["solve-mult"],
     "cocycle": ["decompose", "--seed", "7"],
     "ff_planted": ["ff-decompose", "--bounds-degree", "2", "--bounds-window", "1"],

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diffield.descent import DescentHypothesisViolated, descent_linear, descent_multiplicative
@@ -18,8 +18,9 @@ from diffield.equations import (
     Unsolvable,
 )
 from diffield.field import Presentation
-from diffield.freebase import decide_free_base, replay_refutation
+from diffield.freebase import _denominator_bound, decide_free_base, replay_refutation
 from diffield.params import ParamContext
+from diffield.poly import MPoly, VarId, poly_gcd
 from diffield.ratfunc import express_in_span
 from diffield.tower import (
     _denominator_candidates,
@@ -284,6 +285,83 @@ def test_free_base_planted_with_denominators():
         assert res.witness.sigma(1) - e1 * res.witness == e2
         found += 1
     assert found == 30
+
+
+def _product_form_bound(up, down, span):
+    """The denominator bound as gcd(sigma^-i(up), prod_j sigma^j(down)), product formed."""
+    if up.is_constant():
+        return MPoly.const(1)
+    down_all = MPoly.const(1)
+    for j in range(0, span + 1):
+        down_all = down_all * down.shift(j)
+    out = MPoly.const(1)
+    for i in range(1, span + 1):
+        piece = poly_gcd(up.shift(-i), down_all)
+        if not piece.is_constant():
+            out = out * piece
+    return out
+
+
+def _shift_factor(kind, k, c):
+    g = MPoly.var(VarId(0, "g", k))
+    if kind == "linear":
+        return g + MPoly.const(c)
+    if kind == "square":
+        return (g + MPoly.const(c)) ** 2
+    return g * MPoly.var(VarId(0, "g", k + 1)) + MPoly.const(c)  # "quadratic"
+
+
+def _bound_operand(kinds, lo, hi, max_size):
+    """c * (a product of up to max_size small factors in shifts lo..hi of g).
+
+    sigma^-i(up) meets sigma^j(down) where up's shifts exceed down's by
+    i + j, so up draws higher shifts than down.  Repeats and shifts of one
+    factor are common, so one prime of sigma^-i(up) often sits in several
+    shifts of down and the divide-out step decides its multiplicity.  down
+    stays small (two factors, no squares): the product form's gcd against
+    prod_j sigma^j(down) takes seconds once that product passes degree 16.
+    """
+    return st.tuples(
+        st.sampled_from([1, -3, 2]),
+        st.lists(
+            st.tuples(st.sampled_from(kinds), st.integers(lo, hi), st.integers(0, 2)),
+            max_size=max_size,
+        ),
+    )
+
+
+def _operand(drawn):
+    scalar, factors = drawn
+    out = MPoly.const(scalar)
+    for kind, k, c in factors:
+        out = out * _shift_factor(kind, k, c)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _bound_operand(["linear", "linear", "square", "quadratic"], 0, 3, 3),
+    _bound_operand(["linear", "linear", "quadratic"], -1, 1, 2),
+    st.integers(0, 3),
+)
+@example((0, []), (1, [("linear", 0, 1)]), 2)  # zero up
+@example((2, []), (1, [("linear", 0, 1)]), 2)  # constant up
+@example((1, [("linear", 0, 1)]), (-3, []), 2)  # constant down
+@example((1, [("square", 1, 1)]), (0, []), 2)  # zero down: gcd(a, 0) = a
+def test_denominator_bound_agrees_with_product_form(up, down, span):
+    up, down = _operand(up), _operand(down)
+    got = _denominator_bound(up, down, span)
+    want = _product_form_bound(up, down, span)
+    assert repr(got) == repr(want), (up, down, span)
+    assert got.terms == want.terms
+
+
+def test_denominator_bound_divides_out_repeated_factors():
+    g = [_shift_factor("linear", k, 1) for k in range(-1, 3)]  # g[-1]+1 .. g[2]+1
+    # (g+1)^2 against (g+1)(g[-1]+1) and its shift: multiplicity 2, not 1 or 3
+    assert _denominator_bound(g[2] ** 2, g[1] * g[0], 1) == g[1] ** 2
+    # g+1 once against the same: the second shift must not count it again
+    assert _denominator_bound(g[2], g[1] * g[0], 1) == g[1]
 
 
 def test_tower_planted_with_free_denominators():
