@@ -70,7 +70,6 @@ from .systems import (
     SolverOracle,
     SystemModel,
     SystemModelError,
-    TableOracle,
     TorsorWitnessOracle,
     WitnessUnavailable,
     build_system,

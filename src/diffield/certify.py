@@ -321,10 +321,7 @@ def _certify_twisted_over_extension(pres, sub, gen, alpha, rule, query, registry
     e1 = _level_free(query.e1, pres, sub, gen)
     if e1 is None:
         return None
-    coeffs = {
-        deg: val.in_presentation(sub)
-        for deg, val in coefficients_in(query.e2, pres, gen).items()
-    }
+    coeffs = coefficients_in(query.e2, pres, gen, sub)
     d2 = max(coeffs.keys(), default=0)
     top = coeffs.get(d2, sub.zero())
     if d2 == 0:
@@ -464,10 +461,7 @@ def reduce_over_affine_extension(
     e1 = _level_free(eq.e1, pres, sub, gen)
     if e1 is None:
         raise UnsupportedCoefficientShape("twist coefficient mentions the extension generator")
-    coeffs = {
-        deg: val.in_presentation(sub)
-        for deg, val in coefficients_in(eq.e2, pres, gen).items()
-    }
+    coeffs = coefficients_in(eq.e2, pres, gen, sub)
     d2 = max(coeffs.keys(), default=0)
     top = coeffs.get(d2, sub.zero())
     if n > m + d2:

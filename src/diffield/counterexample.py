@@ -156,12 +156,19 @@ def verify_product_identity(pres: Presentation) -> dict:
     perturbed_pres, b2 = perturbed_pres.with_affine("a2", inv, 0)  # constant term dropped
     perturbed = (b1.in_presentation(perturbed_pres) * b2).wp() == b1 + b2 + 1
     out = {"identity": identity, "perturbed_identity_fails": not perturbed}
-    t_name = next((n for n in pres.names() if n.startswith("t")), None)
+    t_name = closure_witness(pres)
     if t_name is not None:
         t = pres.gen(t_name)
-        if t.wp() == 1:
-            out["torsor_of_pair_sum_realized"] = (a1 * a2 - t).wp() == a1 + a2
+        out["torsor_of_pair_sum_realized"] = (a1 * a2 - t).wp() == a1 + a2
     return out
+
+
+def closure_witness(pres: Presentation) -> str | None:
+    """Name of the first affine generator t with wp(t) = 1 (a witness for T_1), if any."""
+    return next(
+        (n for n in pres.names() if not pres.spec(n).is_free and pres.gen(n).wp() == 1),
+        None,
+    )
 
 
 @dataclass
@@ -186,10 +193,7 @@ def build_height4_instance(
     adjoins h_i with sigma(h_i) = h_i + a_i, making every T_{a_i} realized
     per corner.
     """
-    t_name = next(
-        (n for n in base.names() if not base.spec(n).is_free and base.gen(n).wp() == 1),
-        None,
-    )
+    t_name = closure_witness(base)
     if t_name is None:
         raise ReconstructionError("the base must contain a closure witness for T_1")
     g = base.gen("g")

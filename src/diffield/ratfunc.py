@@ -306,9 +306,6 @@ class SpanTracker:
         self._columns: dict = {}
         self._echelon = Echelon()
 
-    def __len__(self) -> int:
-        return len(self.values)
-
     def _add_row(self, f: RatFunc) -> bool:
         poly = f.num if f.den == self.den else f.num * divexact(self.den, f.den)
         columns = self._columns

@@ -411,21 +411,6 @@ class ClosureOracle(SolverOracle):
         return gen, model2
 
 
-class TableOracle(TorsorWitnessOracle):
-    """Fixed table of (target, corner) -> witness; entries verify on use."""
-
-    def __init__(self, entries: Sequence[tuple[Element, frozenset[int], Element]]):
-        self.entries = list(entries)
-
-    def find(self, model, target, w):
-        for tgt, corner, wit in self.entries:
-            if corner == w and tgt == target:
-                if wit.wp() != target or not model.member_of(wit, w):
-                    raise SystemModelError("table oracle entry fails verification")
-                return wit, model
-        return None
-
-
 # -- witness-driven decompositions ----------------------------------------------------
 
 

@@ -4,11 +4,13 @@ The solver peels the last affine generator a (rule sigma(a) = alpha*a +
 beta) and writes a candidate x = N(a)/D(a) with coefficients one level
 down.  For coefficients of the equation polynomial in a, coprimality forces
 the reduced monic denominator to satisfy sigma(D) = alpha^m * D, and the
-numerator identity sigma(N) = alpha^m * (e1*N + e2*D) splits into a
-triangular tower of twisted equations for the coefficients, solved
-recursively; the recursion bottoms out in the complete free-base solver.
-Everything stays jointly linear in the bookkeeping parameters, so each
-structural branch is one exact linear system.
+numerator to satisfy sigma(N) = alpha^m * (e1*N + e2*D).  Both identities
+split degree by degree into the same triangular tower of twisted equations
+for the coefficients one level down (the coefficient of a^k in
+sigma(sum_i y_i a^i) is alpha^k * sum_{i>=k} C(i,k) beta^(i-k) sigma(y_i)),
+solved recursively; the recursion bottoms out in the complete free-base
+solver.  Everything stays jointly linear in the bookkeeping parameters, so
+each structural branch is one exact linear system.
 
 Search class (what "within bounds" means here): numerator and denominator
 degree at most ``bounds.degree`` in every affine generator, coefficient
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import functools
 from math import comb
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .equations import (
     MultiplicativeEquation,
@@ -51,8 +53,10 @@ def last_affine(pres: Presentation) -> GeneratorSpec | None:
     return None
 
 
-def coefficients_in(elem: Element, pres: Presentation, gen: GeneratorSpec) -> dict[int, Element]:
-    """Write an element as a polynomial in gen with lower-level coefficients.
+def coefficients_in(
+    elem: Element, pres: Presentation, gen: GeneratorSpec, sub: Presentation
+) -> dict[int, Element]:
+    """Write an element as a polynomial in gen with coefficients in sub.
 
     Raises UnsupportedCoefficientShape when the denominator involves gen.
     """
@@ -64,23 +68,9 @@ def coefficients_in(elem: Element, pres: Presentation, gen: GeneratorSpec) -> di
         )
     den = RatFunc.from_poly(value.den)
     return {
-        deg: Element(elem.pres, RatFunc.from_poly(coeff) / den)
+        deg: Element(sub, RatFunc.from_poly(coeff) / den)
         for deg, coeff in to_univar(value.num, var).items()
     }
-
-
-def _safe_branches(*args, polynomial: bool = False) -> Iterator[tuple[ParamContext, LinComb]]:
-    """Recursive branch iteration; prunes shapes outside the search class.
-
-    A lower-level solution family can carry extension-generator denominators
-    (an m >= 1 denominator branch); feeding it into the next coefficient
-    equation would need a non-polynomial split, so such combinations are
-    outside the documented class and their branches simply end here.
-    """
-    try:
-        yield from iter_twisted_branches(*args, polynomial=polynomial)
-    except UnsupportedCoefficientShape:
-        return
 
 
 def iter_twisted_branches(
@@ -113,14 +103,33 @@ def iter_twisted_branches(
     sub, alpha, beta = peel(pres, gen)
     e1_sub = require_level_free(e1, pres, sub, gen)
     rhs_by_deg = _lincomb_coefficients(rhs, pres, gen, sub)
-    d2 = max(rhs_by_deg.keys(), default=0)
     a_var = pres.gen(gen.name)
     for m in range(0, 1 if polynomial else deg_budget + 1):
         for delta in _denominator_candidates(sub, alpha, beta, m, deg_budget, window):
-            yield from _numerator_branches(
-                pres, sub, gen, alpha, beta, e1_sub, rhs_by_deg, d2,
-                m, delta, ctx, deg_budget, window, a_var, polynomial,
-            )
+            # sigma(N) = alpha^m * (e1*N + rhs*D), with N of degree at most
+            # deg_budget: the coefficients of rhs*D above it must vanish
+            rhs_delta = _product_by_degree(rhs_by_deg, delta)
+            top = ctx.fork()
+            try:
+                for k, row in rhs_delta.items():
+                    if k > deg_budget:
+                        top.add_zero(row)
+            except Infeasible:
+                continue
+
+            def level(k: int) -> tuple[Element, LinComb, int]:
+                scale = alpha ** (m - k)
+                base = rhs_delta[k].mul_known(scale) if k in rhs_delta else LinComb.zero(sub)
+                return e1_sub * scale, base, deg_budget - k
+
+            denominator = pres.zero()
+            for k, c in enumerate(delta):
+                denominator = denominator + c.in_presentation(pres) * a_var**k
+            for final_ctx, ys in _coefficient_tower(sub, beta, level, deg_budget, {}, top, window, polynomial):
+                family = LinComb.zero(pres)
+                for k in range(deg_budget + 1):
+                    family = family + ys[k].lift(pres).mul_known(a_var**k / denominator)
+                yield final_ctx, family
 
 
 def peel(pres: Presentation, gen: GeneratorSpec) -> tuple[Presentation, Element, Element]:
@@ -131,24 +140,21 @@ def peel(pres: Presentation, gen: GeneratorSpec) -> tuple[Presentation, Element,
 
 def require_level_free(e1: Element, pres: Presentation, sub: Presentation, gen: GeneratorSpec) -> Element:
     """e1 as an element of sub; UnsupportedCoefficientShape when it involves gen."""
-    coeffs = coefficients_in(e1, pres, gen)
+    coeffs = coefficients_in(e1, pres, gen, sub)
     if set(coeffs) - {0}:
         raise UnsupportedCoefficientShape(
             f"twist coefficient mentions the extension generator {gen.name!r}"
         )
-    return coeffs.get(0, pres.zero()).in_presentation(sub)
+    return coeffs[0] if 0 in coeffs else sub.zero()
 
 
 def _lincomb_coefficients(lc: LinComb, pres: Presentation, gen: GeneratorSpec, sub: Presentation) -> dict[int, LinComb]:
     """Split a LinComb into per-degree LinCombs over the sub-presentation."""
-    consts: dict[int, Element] = {}
-    coeffs: dict[int, dict[int, Element]] = {}
-    for deg, val in coefficients_in(lc.const, pres, gen).items():
-        consts[deg] = val.in_presentation(sub)
-        coeffs[deg] = {}
+    consts = coefficients_in(lc.const, pres, gen, sub)
+    coeffs: dict[int, dict[int, Element]] = {deg: {} for deg in consts}
     for param, coeff in lc.coeffs.items():
-        for deg, val in coefficients_in(coeff, pres, gen).items():
-            coeffs.setdefault(deg, {})[param] = val.in_presentation(sub)
+        for deg, val in coefficients_in(coeff, pres, gen, sub).items():
+            coeffs.setdefault(deg, {})[param] = val
     return {
         deg: LinComb(sub, consts[deg] if deg in consts else sub.zero(), by_param)
         for deg, by_param in coeffs.items()
@@ -168,38 +174,25 @@ def _denominator_candidates(
     deg_budget: int,
     window: int,
 ) -> tuple[tuple[Element, ...], ...]:
-    """Concrete monic denominators: coefficient tuples (c_0..c_m), c_m = 1.
+    """Concrete monic denominators D = sum_k c_k a^k: tuples (c_0..c_m), c_m = 1.
 
-    The tower sigma(c_k) - alpha^(m-k)*c_k = -(binomial terms of higher
-    coefficients) is solved recursively in an isolated parameter context;
-    each branch is materialized at its particular point.  Results are
-    memoized per exact budget, so enumeration order never depends on call
-    history.
+    sigma(D) = alpha^m * D is the coefficient tower with twist 1 and base 0,
+    solved in an isolated parameter context; each branch is materialized at
+    its particular point.  Results are memoized per exact budget, so
+    enumeration order never depends on call history.
     """
     one = sub.one()
     if m == 0:
         return ((one,),)
 
-    def extend(k: int, solved: dict[int, LinComb], ctx: ParamContext) -> Iterator[tuple[ParamContext, dict[int, LinComb]]]:
-        if k < 0:
-            yield ctx, solved
-            return
-        rhs = LinComb.zero(sub)
-        for i in range(k + 1, m + 1):
-            term = solved[i].sigma(1).mul_known(
-                sub.const(comb(i, k)) * beta ** (i - k)
-            )
-            rhs = rhs - term
-        e1_level = alpha ** (m - k)
-        for ctx2, fam in _safe_branches(sub, e1_level, rhs, ctx, deg_budget, window):
-            yield from extend(k - 1, {**solved, k: fam}, ctx2)
+    def level(k: int) -> tuple[Element, LinComb, int]:
+        return alpha ** (m - k), LinComb.zero(sub), deg_budget
 
     seen: set[tuple] = set()
     out = []
-    base = ParamContext()
-    for ctx, solved in extend(m - 1, {m: LinComb.constant(sub, one)}, base):
+    for ctx, solved in _coefficient_tower(sub, beta, level, m - 1, {m: LinComb.constant(sub, one)}, ParamContext(), window):
         particular = ctx.solve()
-        concrete = tuple(solved[k].evaluate(particular) if k in solved else sub.zero() for k in range(m + 1))
+        concrete = tuple(solved[k].evaluate(particular) for k in range(m + 1))
         dedup = tuple(repr(c) for c in concrete)
         if dedup in seen:
             continue
@@ -208,56 +201,59 @@ def _denominator_candidates(
     return tuple(out)
 
 
-def _numerator_branches(
-    pres, sub, gen, alpha, beta, e1_sub, rhs_by_deg, d2,
-    m, delta, ctx, deg_budget, window, a_var, polynomial,
-) -> Iterator[tuple[ParamContext, LinComb]]:
-    n_max = deg_budget
-    k_top = max(n_max, m + d2)
+def _coefficient_tower(
+    sub: Presentation,
+    beta: Element,
+    level: Callable[[int], tuple[Element, LinComb, int]],
+    k: int,
+    solved: dict[int, LinComb],
+    ctx: ParamContext,
+    window: int,
+    polynomial: bool = False,
+) -> Iterator[tuple[ParamContext, dict[int, LinComb]]]:
+    """Branches solving the coefficient levels k, k-1, .., 0 below ``solved``.
 
-    def rhs_delta_coeff(k: int) -> LinComb:
-        total = LinComb.zero(sub)
-        for j, part in rhs_by_deg.items():
-            idx = k - j
-            if 0 <= idx <= m:
-                c = delta[idx]
-                if not c.is_zero():
-                    total = total + part.mul_known(c)
-        return total
+    With ``level(k) = (twist, base, budget)``, level k is the twisted equation
 
-    def descend(k: int, solved: dict[int, LinComb], cur: ParamContext) -> Iterator[tuple[ParamContext, dict[int, LinComb]]]:
-        if k < 0:
-            yield cur, solved
-            return
-        if k > n_max:
-            forked = cur.fork()
-            try:
-                forked.add_zero(rhs_delta_coeff(k))
-            except Infeasible:
-                return
-            yield from descend(k - 1, solved, forked)
-            return
-        rhs = rhs_delta_coeff(k).mul_known(alpha ** (m - k))
-        for i in range(k + 1, n_max + 1):
-            term = solved[i].sigma(1).mul_known(sub.const(comb(i, k)) * beta ** (i - k))
-            rhs = rhs - term
-        e1_level = e1_sub * alpha ** (m - k)
-        for ctx2, fam in _safe_branches(
-            sub, e1_level, rhs, cur, deg_budget - k, window, polynomial=polynomial
-        ):
-            yield from descend(k - 1, {**solved, k: fam}, ctx2)
+        sigma(y_k) - twist * y_k = base - sum_{i>k} C(i,k) beta^(i-k) sigma(y_i)
 
-    denominator = pres.zero()
-    for k, c in enumerate(delta):
-        denominator = denominator + c.in_presentation(pres) * a_var**k
-    if denominator.is_zero():
+    over the coefficients y_i already solved, searched within ``budget``
+    (Karr's degree-by-degree split; see fixed_space).  A lower-level family
+    can carry extension-generator denominators (an m >= 1 denominator
+    branch); feeding it into the next level would need a non-polynomial
+    split, so such combinations are outside the documented class and their
+    branches simply end there.
+    """
+    if k < 0:
+        yield ctx, solved
         return
-    for final_ctx, ys in descend(k_top, {}, ctx):
-        family = LinComb.zero(pres)
-        for k in range(0, n_max + 1):
-            if k in ys:
-                family = family + ys[k].lift(pres).mul_known(a_var**k / denominator)
-        yield final_ctx, family
+    twist, rhs, budget = level(k)
+    for i in sorted(solved):
+        rhs = rhs - solved[i].sigma(1).mul_known(sub.const(comb(i, k)) * beta ** (i - k))
+    branches = iter_twisted_branches(sub, twist, rhs, ctx, budget, window, polynomial=polynomial)
+    while True:
+        try:
+            ctx2, fam = next(branches)
+        except (StopIteration, UnsupportedCoefficientShape):
+            return
+        yield from _coefficient_tower(sub, beta, level, k - 1, {**solved, k: fam}, ctx2, window, polynomial)
+
+
+def _product_by_degree(by_deg: dict[int, LinComb], delta: tuple[Element, ...]) -> dict[int, LinComb]:
+    """Coefficients of (sum_j by_deg[j] a^j) * (sum_i delta[i] a^i), highest degree first.
+
+    Degrees that no nonzero product reaches are left out (they are 0).
+    """
+    out = {}
+    for k in range(max(by_deg, default=0) + len(delta) - 1, -1, -1):
+        terms = [
+            part.mul_known(delta[k - j])
+            for j, part in by_deg.items()
+            if 0 <= k - j < len(delta) and not delta[k - j].is_zero()
+        ]
+        if terms:
+            out[k] = functools.reduce(LinComb.__add__, terms)
+    return out
 
 
 def solve_twisted_bounded(pres: Presentation, eq: TwistedEquation, bounds: SearchBounds = SearchBounds()) -> SolveResult:
@@ -285,19 +281,29 @@ def solve_multiplicative_bounded(
     """Nonzero solutions of sigma(x) = e^z * x within the bounded class."""
     if pres.is_free_only():
         return decide_free_base(pres, eq)
-    ratio = eq.ratio()
-    ctx = ParamContext()
-    rhs = LinComb.zero(pres)
-    for branch_ctx, family in iter_twisted_branches(pres, ratio, rhs, ctx, bounds.degree, bounds.window):
-        candidates = [family.evaluate(branch_ctx.solve())]
-        for direction in branch_ctx.kernel():
-            candidates.append(candidates[0] + family.direction(direction))
-        for x in candidates:
-            if not x.is_zero():
-                if eq.holds_for(x):
-                    return Solution(x)
-                raise AssertionError("internal error: branch solution failed verification")
+    for x in _homogeneous_solutions(pres, eq.ratio(), bounds.degree, bounds.window):
+        if eq.holds_for(x):
+            return Solution(x)
+        raise AssertionError("internal error: branch solution failed verification")
     return NoSolutionWithinBounds(bounds)
+
+
+def _homogeneous_solutions(
+    pres: Presentation, e1: Element, deg_budget: int, window: int, *, polynomial: bool = False
+) -> Iterator[Element]:
+    """Nonzero kernel directions of each branch solving sigma(x) = e1*x.
+
+    With rhs = 0 every row of a branch is homogeneous, so its particular
+    point is 0 and its solutions are spanned by its kernel directions.
+    """
+    branches = iter_twisted_branches(
+        pres, e1, LinComb.zero(pres), ParamContext(), deg_budget, window, polynomial=polynomial
+    )
+    for ctx, family in branches:
+        for direction in ctx.kernel():
+            x = family.direction(direction)
+            if not x.is_zero():
+                yield x
 
 
 def fixed_space(
@@ -321,22 +327,11 @@ def fixed_space(
     """
     if pres.is_free_only():
         return [pres.one()]  # the fixed field of a free presentation is Q
-    ctx = ParamContext()
-    rhs = LinComb.zero(pres)
     candidates: list[Element] = []
-    branches = iter_twisted_branches(
-        pres, pres.one(), rhs, ctx, bounds.degree, bounds.window, polynomial=polynomial
-    )
-    for branch_ctx, family in branches:
-        batch = [family.evaluate(branch_ctx.solve())]
-        for direction in branch_ctx.kernel():
-            batch.append(family.direction(direction))
-        for x in batch:
-            if x.is_zero():
-                continue
-            if not x.is_fixed():
-                raise AssertionError("internal error: fixed-space candidate not fixed")
-            candidates.append(x)
+    for x in _homogeneous_solutions(pres, pres.one(), bounds.degree, bounds.window, polynomial=polynomial):
+        if not x.is_fixed():
+            raise AssertionError("internal error: fixed-space candidate not fixed")
+        candidates.append(x)
     return span_basis(candidates, first=pres.one())
 
 

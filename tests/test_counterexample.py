@@ -19,6 +19,7 @@ from diffield.equations import (
     Unsolvable,
 )
 from diffield.freebase import decide_free_base
+from diffield.parser import parse_document
 from diffield.systems import NotFoundWithinBounds
 
 
@@ -86,6 +87,16 @@ def test_product_identity_and_controls():
     out = verify_product_identity(pair)
     assert out["identity"] and out["perturbed_identity_fails"]
     assert out["torsor_of_pair_sum_realized"]
+
+
+def test_product_identity_finds_the_witness_by_its_rule_not_its_name():
+    # tau comes first and starts with "t" but is no witness for T_1; t1 is
+    doc = parse_document(
+        "gen g free; gen tau affine linear=g const=0; gen t1 affine linear=1 const=1;"
+        "gen a1 affine linear=g const=g; gen a2 affine linear=1/g const=1/g;"
+    )
+    out = verify_product_identity(doc.presentation)
+    assert out["torsor_of_pair_sum_realized"] is True
 
 
 def test_no_torsor_over_twisted_both_sides():

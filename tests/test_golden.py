@@ -25,6 +25,7 @@ JOBS = {
     "twisted_avoided": ["solve-sas"],
     "chained_denominator": ["solve-sas"],
     "multiplicative_family": ["solve-mult"],
+    "denominator_branch": ["solve-mult"],
     "cocycle": ["decompose", "--seed", "7"],
     "ff_planted": ["ff-decompose", "--bounds-degree", "2", "--bounds-window", "1"],
     "character": ["character"],

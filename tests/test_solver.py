@@ -477,6 +477,52 @@ def test_fixed_space_does_not_depend_on_the_denominator_memo():
     assert info.maxsize is not None
 
 
+# The three tests below reach denominators of degree m >= 1 in an affine
+# generator, where sigma(D) = alpha^m * D is solved by the coefficient tower.
+
+
+def test_denominator_branch_fixed_space_of_two_scalings():
+    # sigma(a) = 2a, sigma(b) = 4b: a^2/b is fixed and has b in its
+    # denominator, so the polynomial-only search leaves it out
+    p, g = free_base()
+    p, _ = p.with_affine("a", 2, 0)
+    p, _ = p.with_affine("b", 4, 0)
+    assert [repr(e) for e in fixed_space(p, SearchBounds(2, 1))] == ["1", "a^2/b"]
+    assert [repr(e) for e in fixed_space(p, SearchBounds(2, 1), polynomial=True)] == ["1"]
+
+
+def test_denominator_branch_fixed_space_of_a_shared_twist():
+    # sigma(a) = g*a, sigma(b) = g*b: every a^i*b^j with i + j = 0 is fixed
+    p, g = free_base()
+    p, _ = p.with_affine("a", g, 0)
+    p, _ = p.with_affine("b", g.in_presentation(p), 0)
+    assert [repr(e) for e in fixed_space(p, SearchBounds(2, 1))] == ["1", "b/a", "a/b", "a^2/b^2"]
+
+
+def test_denominator_branch_multiplicative_solution():
+    # sigma(x) = x/2 with sigma(a) = 2a is solved by 1/a
+    p, g = free_base()
+    p, a = p.with_affine("a", 2, 0)
+    res = solve_multiplicative_bounded(p, MultiplicativeEquation(p.const(2), -1), SearchBounds(2, 1))
+    assert repr(res) == "Solution(1/a)"
+    assert res.witness == p.one() / a
+
+
+def test_denominator_branch_with_a_shift():
+    # sigma(a) = 2a + 1, sigma(b) = 4b + 3: the denominators a + 1 and b + 1
+    # need the binomial terms of the tower, and (a + 1)^2/(b + 1) is fixed
+    p, g = free_base()
+    p, a = p.with_affine("a", 2, 1)
+    res = solve_multiplicative_bounded(p, MultiplicativeEquation(p.const(2), -1), SearchBounds(2, 1))
+    assert repr(res) == "Solution(1/(a + 1))"
+    p, _ = p.with_affine("b", 4, 3)
+    assert [repr(e) for e in fixed_space(p, SearchBounds(2, 1))] == [
+        "1",
+        "(-b - 1)/(a^2 + 2*a - b)",
+        "(1/2*a^2 + a - 1/2*b)/(b + 1)",
+    ]
+
+
 # Rules sigma(a) = linear*a + constant for random towers over Q(g); ``a`` in a
 # constant is the previous affine generator (1 for the first one).
 LINEAR = (
