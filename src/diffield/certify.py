@@ -49,7 +49,7 @@ class RatioQuery:
 class IntSet:
     """Symbolic set of integer exponents."""
 
-    kind: str  # "all" | "nonzero" | "le" | "ge"
+    kind: str  # "all" | "nonzero" | "le"
     bound: int = 0
 
     def excludes_zero(self) -> bool:
@@ -57,8 +57,6 @@ class IntSet:
             return True
         if self.kind == "le":
             return self.bound <= -1
-        if self.kind == "ge":
-            return self.bound >= 1
         return False
 
     def samples(self) -> tuple[int, ...]:
@@ -66,15 +64,11 @@ class IntSet:
             return (1, 2, 3, -1, -2, -3)
         if self.kind == "le":
             return (self.bound, self.bound - 1, self.bound - 2)
-        if self.kind == "ge":
-            return (self.bound, self.bound + 1, self.bound + 2)
         return (0, 1, -1, 2, -2)
 
     def __repr__(self) -> str:
         if self.kind == "le":
             return f"z <= {self.bound}"
-        if self.kind == "ge":
-            return f"z >= {self.bound}"
         return {"all": "z in Z", "nonzero": "z != 0"}[self.kind]
 
 
@@ -218,9 +212,7 @@ def _exp_subset(a: IntSet, b: IntSet) -> bool:
         return True
     if b.kind == "nonzero":
         return a.excludes_zero()
-    if b.kind == a.kind:
-        return a.bound <= b.bound if b.kind == "le" else a.bound >= b.bound
-    return False
+    return b.kind == a.kind and a.bound <= b.bound
 
 
 def _power_of(u: Element, base: Element, limit: int = 8) -> int | None:

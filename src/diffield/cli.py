@@ -331,9 +331,7 @@ def _system_from(doc: Document, need_summands: bool = True):
     if not doc.summands:
         raise SemanticError("missing 'summand i = ...;' statements")
     eq = AdditiveEquation.of(model, doc.summands)
-    problems = eq.validate()
-    if problems:
-        raise SemanticError("; ".join(problems))
+    eq.require_valid(ff=False)
     return model, eq
 
 

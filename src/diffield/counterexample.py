@@ -42,13 +42,13 @@ from .equations import (
 )
 from .field import Element, Presentation
 from .freebase import decide_free_base
-from .ratfunc import PoleError
 from .systems import (
     AdditiveEquation,
     NotFoundWithinBounds,
     SystemModel,
+    build_system,
     ff_decompose_bounded,
-    generic_points,
+    generic_evaluation,
     validate_decomposition,
 )
 from .tower import solve_twisted_bounded
@@ -58,13 +58,21 @@ class ReconstructionError(RuntimeError):
     """A check that the construction requires came out false."""
 
 
-def registry_queries(pres: Presentation) -> tuple:
+def pair_rules(pres: Presentation) -> tuple[tuple[Element, Element], tuple[Element, Element]]:
+    """The (linear, constant) rules sigma(a1) = g*a1 + g, sigma(a2) = a2/g + 1/g
+    over pres: the one place the twist g is written (registry, pair, perturbed
+    copy and height-4 blocks all read it here)."""
     g = pres.gen("g")
     inv = pres.one() / g
+    return (g, g), (inv, inv)
+
+
+def registry_queries(pres: Presentation) -> tuple:
+    rule1, rule2 = pair_rules(pres)
     return (
-        MultFamilyQuery(pres.one(), g, IntSet("nonzero")),
-        TwistedEquation(inv, inv),
-        TwistedEquation(g, g),
+        MultFamilyQuery(pres.one(), rule1[0], IntSet("nonzero")),
+        TwistedEquation(*rule2),
+        TwistedEquation(*rule1),
     )
 
 
@@ -133,11 +141,10 @@ def closure_step(
 
 
 def adjoin_twisted_pair(pres: Presentation, registry: AvoidedRegistry) -> tuple[Presentation, Element, Element]:
-    """sigma(a1) = g*a1 + g and sigma(a2) = (1/g)*a2 + (1/g), independently."""
-    g = pres.gen("g")
-    p1, a1 = pres.with_affine("a1", g, g)
-    inv = p1.one() / p1.gen("g")
-    p2, a2 = p1.with_affine("a2", inv, inv)
+    """Adjoin a1 and a2 with the rules of pair_rules, independently."""
+    rule1, rule2 = pair_rules(pres)
+    p1, a1 = pres.with_affine("a1", *rule1)
+    p2, a2 = p1.with_affine("a2", *rule2)
     return p2, a1.in_presentation(p2), a2
 
 
@@ -150,9 +157,8 @@ def verify_product_identity(pres: Presentation) -> dict:
     a1, a2 = pres.gen("a1"), pres.gen("a2")
     identity = (a1 * a2).wp() == a1 + a2 + 1
     perturbed_pres, _ = Presentation.empty().with_free("g")
-    g = perturbed_pres.gen("g")
-    perturbed_pres, b1 = perturbed_pres.with_affine("a1", g, g)
-    inv = perturbed_pres.one() / perturbed_pres.gen("g")
+    rule1, (inv, _) = pair_rules(perturbed_pres)
+    perturbed_pres, b1 = perturbed_pres.with_affine("a1", *rule1)
     perturbed_pres, b2 = perturbed_pres.with_affine("a2", inv, 0)  # constant term dropped
     perturbed = (b1.in_presentation(perturbed_pres) * b2).wp() == b1 + b2 + 1
     out = {"identity": identity, "perturbed_identity_fails": not perturbed}
@@ -196,16 +202,8 @@ def build_height4_instance(
     t_name = closure_witness(base)
     if t_name is None:
         raise ReconstructionError("the base must contain a closure witness for T_1")
-    g = base.gen("g")
-    pres = base
-    pres, a1 = pres.with_affine("a1", g, g)
-    assignment = [("a1", frozenset({1}))]
-    for j in (2, 3, 4):
-        inv = pres.one() / pres.gen("g")
-        pres, _ = pres.with_affine(f"a{j}", inv, inv)
-        assignment.append((f"a{j}", frozenset({j})))
-    model = SystemModel(pres, 4, base.names(), tuple(assignment))
-    model.validate()
+    rule1, rule2 = pair_rules(base)
+    model = build_system(base, [[("a1", rule1)], [("a2", rule2)], [("a3", rule2)], [("a4", rule2)]])
     a = {j: model.pres.gen(f"a{j}") for j in range(1, 5)}
     for (i, j) in ((2, 3), (2, 4), (3, 4)):
         model, _ = model.adjoin({i, j}, f"c{i}{j}", 1, a[i] - a[j])
@@ -354,18 +352,7 @@ def refute_ff_decomposition(
     # specialise block 3: the identity d12 = d13 + d23 evaluated at a generic
     # rational point for block 3 leaves d12 unchanged and splits it as
     # g1 + g2 with g1 in corner({1}), g2 in corner({2}).
-    kill = model.block_vars(3, [c13, c23])
-    point = None
-    for candidate in generic_points(seed, kill):
-        try:
-            g1_known = model.pres.element(c13.value.evaluate(candidate))
-            g2_known = model.pres.element(c23.value.evaluate(candidate))
-            point = candidate
-            break
-        except PoleError:
-            continue
-    if point is None:
-        raise ReconstructionError("no generic point for the block-3 specialisation")
+    point, (g1_known, g2_known) = generic_evaluation(model, 3, [c13, c23], seed)
     if not (model.member_of(g1_known, model.complement(2, 3, 4)) and model.member_of(g2_known, model.complement(1, 3, 4))):
         raise ReconstructionError("specialised known parts escaped their corners")
     steps.append(
@@ -433,7 +420,7 @@ class CounterexampleReport:
     torsor_refutations: dict[str, dict]
     instance_checks: dict
     refutation: RefutationReport
-    control: RefutationReport | None
+    control: RefutationReport
     verdict: str
 
     def to_dict(self) -> dict:
@@ -459,9 +446,7 @@ class CounterexampleReport:
                     {"title": s.title, "detail": s.detail} for s in self.refutation.steps
                 ],
             },
-            "control": None
-            if self.control is None
-            else {
+            "control": {
                 "verdict": self.control.verdict,
                 "bounded_found": not isinstance(self.control.bounded, NotFoundWithinBounds),
             },
@@ -472,7 +457,6 @@ class CounterexampleReport:
 def run_pipeline(
     bounds: SearchBounds = SearchBounds(4, 3),
     torsor_bounds: SearchBounds = SearchBounds(6, 4),
-    with_control: bool = True,
     control_bounds: SearchBounds = SearchBounds(2, 1),
     seed: int = 0,
 ) -> CounterexampleReport:
@@ -500,18 +484,14 @@ def run_pipeline(
         "memberships": instance.equation.validate() == [],
     }
     refutation = refute_ff_decomposition(instance, registry, bounds, seed)
-    control_report = None
-    if with_control:
-        control_instance = build_height4_instance(base, registry, control=True)
-        control_report = refute_ff_decomposition(control_instance, registry, control_bounds, seed)
+    control_instance = build_height4_instance(base, registry, control=True)
+    control_report = refute_ff_decomposition(control_instance, registry, control_bounds, seed)
     verdict = "refuted with certificate chain" if refutation.completed() else refutation.verdict
-    if with_control and control_report is not None:
-        opposite = refutation.completed() and not control_report.completed()
-        if not opposite:
-            raise ReconstructionError(
-                "control variant did not produce the opposite verdict: "
-                f"{refutation.verdict!r} vs {control_report.verdict!r}"
-            )
+    if not (refutation.completed() and not control_report.completed()):
+        raise ReconstructionError(
+            "control variant did not produce the opposite verdict: "
+            f"{refutation.verdict!r} vs {control_report.verdict!r}"
+        )
     return CounterexampleReport(
         base.names(),
         closure_steps,

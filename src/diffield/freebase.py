@@ -46,8 +46,8 @@ from .equations import (
 from .field import Element, Presentation
 from .linalg import Q0, Infeasible
 from .params import LinComb, ParamContext
-from .poly import MPoly, VarId, divexact, poly_gcd, poly_lcm
-from .ratfunc import RatFunc
+from .poly import MPoly, VarId, divexact, poly_gcd
+from .ratfunc import RatFunc, common_denominator, over_denominator
 
 _ANSATZ_LIMIT = 20000
 
@@ -281,9 +281,7 @@ def twisted_family(
     parts = [e1.value] + [p.value for p in rhs_parts]
     window = _clip_window(_support_window(parts), window_cap)
     q1 = e1.value.den
-    q2 = MPoly.const(1)
-    for p in rhs_parts:
-        q2 = poly_lcm(q2, p.value.den)
+    q2 = common_denominator([p.value for p in rhs_parts])
     span = window.span() if window is not None else 0
     a_poly = _denominator_bound(q1 * q2, q2 * e1.value.num, span)
     v_candidates: list[int] = []
@@ -334,14 +332,10 @@ def twisted_family(
         contribution = mono.shift(1) * lhs_pos - mono * lhs_neg
         for mkey, c in contribution.terms.items():
             rows.setdefault(mkey, ({}, [Q0]))[0][p] = c
-    const_cleared = (rhs.const.value.num * divexact(q2, rhs.const.value.den)) * rhs_scale
-    for mkey, c in const_cleared.terms.items():
+    for mkey, c in (over_denominator(rhs.const.value, q2) * rhs_scale).terms.items():
         rows.setdefault(mkey, ({}, [Q0]))[1][0] -= c
-    lam_cleared = {}
     for lam, part in rhs.coeffs.items():
-        lam_cleared[lam] = (part.value.num * divexact(q2, part.value.den)) * rhs_scale
-    for lam, poly in lam_cleared.items():
-        for mkey, c in poly.terms.items():
+        for mkey, c in (over_denominator(part.value, q2) * rhs_scale).terms.items():
             entry = rows.setdefault(mkey, ({}, [Q0]))
             entry[0][lam] = entry[0].get(lam, Q0) - c
     for mkey in sorted(rows, key=str):

@@ -251,10 +251,15 @@ def common_denominator(elems: Sequence[RatFunc]) -> MPoly:
     return den
 
 
+def over_denominator(f: RatFunc, den: MPoly) -> MPoly:
+    """The numerator of f over den, a multiple of f.den: f == out / den."""
+    return f.num if f.den == den else f.num * divexact(den, f.den)
+
+
 def clear_denominators(elems: Sequence[RatFunc]) -> list[MPoly]:
     """Numerators over the common denominator D: elems[i] == out[i] / D."""
     den = common_denominator(elems)
-    return [e.num if e.den == den else e.num * divexact(den, e.den) for e in elems]
+    return [over_denominator(e, den) for e in elems]
 
 
 def _coefficient_matrix(elems: Sequence[RatFunc]) -> list[list[Fraction]]:
@@ -307,7 +312,7 @@ class SpanTracker:
         self._echelon = Echelon()
 
     def _add_row(self, f: RatFunc) -> bool:
-        poly = f.num if f.den == self.den else f.num * divexact(self.den, f.den)
+        poly = over_denominator(f, self.den)
         columns = self._columns
         row = {columns.setdefault(m, len(columns)): c for m, c in poly.terms.items()}
         return self._echelon.add_row(row, Q0)

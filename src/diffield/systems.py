@@ -228,11 +228,22 @@ class AdditiveEquation:
     def is_ff(self) -> bool:
         return all(b.is_fixed() for _, b in self.summands)
 
+    def require_valid(self, *, ff: bool) -> None:
+        """Raise SystemModelError unless valid and, with ff, fixed-field."""
+        problems = self.validate()
+        if problems:
+            raise SystemModelError("; ".join(problems))
+        if ff and not self.is_ff():
+            raise SystemModelError("equation is not fixed-field")
+
 
 Decomposition = dict[tuple[int, int], Element]
 
 
-def generic_points(seed: int, variables: Sequence[VarId], retries: int = 32):
+GENERIC_ATTEMPTS = 32
+
+
+def generic_points(seed: int, variables: Sequence[VarId], retries: int = GENERIC_ATTEMPTS):
     """Deterministic evaluation points drawn from growing integer boxes."""
     rng = random.Random(seed)
     for attempt in range(retries):
@@ -240,12 +251,25 @@ def generic_points(seed: int, variables: Sequence[VarId], retries: int = 32):
         yield {v: Fraction(rng.randint(-box, box)) for v in variables}
 
 
+def generic_evaluation(
+    model: SystemModel, i: int, elems: Sequence[Element], seed: int
+) -> tuple[dict[VarId, Fraction], list[Element]]:
+    """The first point of generic_points for block i's variables at which no
+    element of elems has a pole, and the elements of model.pres they become
+    there: the one specialisation loop (step 1 and the refutation chain)."""
+    last_error: Exception | None = None
+    for point in generic_points(seed, model.block_vars(i, elems)):
+        try:
+            values = [e.value.evaluate(point) for e in elems]
+        except PoleError as exc:
+            last_error = exc
+            continue
+        return point, [model.pres.element(v) for v in values]
+    raise NoGenericPoint(f"no generic point found after {GENERIC_ATTEMPTS} attempts ({last_error})")
+
+
 def specialise_step1(
-    model: SystemModel,
-    summands: Mapping[int, Element],
-    i: int,
-    seed: int = 0,
-    retries: int = 32,
+    model: SystemModel, summands: Mapping[int, Element], i: int, seed: int = 0
 ) -> dict[int, Element]:
     """Split b_i into per-pair summands by evaluating block i generically.
 
@@ -255,32 +279,21 @@ def specialise_step1(
     true by construction and are still verified.
     """
     others = [j for j in summands if j != i]
-    elems = [summands[j] for j in others]
-    to_kill = model.block_vars(i, elems)
-    last_error: Exception | None = None
-    for point in generic_points(seed, to_kill, retries):
-        try:
-            out = {j: -(summands[j].value.evaluate(point)) for j in others}
-        except PoleError as exc:
-            last_error = exc
-            continue
-        result = {j: model.pres.element(v) for j, v in out.items()}
-        total = model.pres.zero()
-        for j, d in result.items():
-            if not model.member_of(d, model.complement(i, j)):
-                raise SystemModelError("specialised summand escaped its corner")
-            total = total + d
-        if total != summands[i]:
-            raise SystemModelError("specialised summands do not recover b_i")
-        return result
-    raise NoGenericPoint(f"no generic point found after {retries} attempts ({last_error})")
+    _, values = generic_evaluation(model, i, [summands[j] for j in others], seed)
+    result = {j: -v for j, v in zip(others, values)}
+    total = model.pres.zero()
+    for j, d in result.items():
+        if not model.member_of(d, model.complement(i, j)):
+            raise SystemModelError("specialised summand escaped its corner")
+        total = total + d
+    if total != summands[i]:
+        raise SystemModelError("specialised summands do not recover b_i")
+    return result
 
 
 def decompose(model: SystemModel, eq: AdditiveEquation, seed: int = 0) -> Decomposition:
     """Antisymmetric pairwise decomposition of an additive equation (height >= 3)."""
-    problems = eq.validate()
-    if problems:
-        raise SystemModelError("; ".join(problems))
+    eq.require_valid(ff=False)
     if eq.height < 3:
         raise SystemModelError("decomposition requires height at least 3")
     active = sorted(eq.summand_map())
@@ -453,6 +466,11 @@ def wp_decompose_with_witnesses(
 
 
 def _wp_rec(model, d, active, universe, oracle, seed):
+    """Realize row `last` of a wp-split with oracle witnesses, then recurse.
+
+    Only row `last` of a decomposition of the wp(d_i) is read, and
+    _decompose_rec fills that row from one specialise_step1 at block `last`;
+    so that specialisation is all that is computed."""
     e: dict[tuple[int, int], Element] = {}
     wit: dict[tuple[int, int], Element] = {}
     if len(active) == 1:
@@ -472,13 +490,12 @@ def _wp_rec(model, d, active, universe, oracle, seed):
         witness, model = found
         wit[(i, j)], wit[(j, i)] = witness, -witness
         return model, e, wit
-    wp_eq = {i: d[i].wp() for i in active}
-    f = _decompose_rec(model, wp_eq, active, seed)
     last = active[-1]
     rest = active[:-1]
+    f = specialise_step1(model, {i: d[i].wp() for i in active}, last, seed=seed + 17 * last)
     shifted: dict[int, Element] = {}
     for i in rest:
-        target = f[(last, i)]
+        target = f[i]
         corner = universe - {i, last}
         found = oracle.find(model, target, corner)
         if found is None:
@@ -507,11 +524,7 @@ def ff_decompose_with_witnesses(
     whole map is a valid decomposition; a blocked torsor query raises
     WitnessUnavailable with the offending target.
     """
-    problems = eq.validate()
-    if problems:
-        raise SystemModelError("; ".join(problems))
-    if not eq.is_ff():
-        raise SystemModelError("equation is not fixed-field")
+    eq.require_valid(ff=True)
     active = sorted(eq.summand_map())
     model, dec = _ff_rec(model, eq.summand_map(), active, model.indices(), oracle, seed)
     return model, dec
@@ -599,11 +612,7 @@ def ff_decompose_bounded(
     within the bounds, the bounded proxy for the corner fixed fields; a
     NotFoundWithinBounds says nothing beyond them.
     """
-    problems = eq.validate()
-    if problems:
-        raise SystemModelError("; ".join(problems))
-    if not eq.is_ff():
-        raise SystemModelError("equation is not fixed-field")
+    eq.require_valid(ff=True)
     smap = eq.summand_map()
     idx = sorted(smap)
     ctx = ParamContext()

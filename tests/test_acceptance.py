@@ -171,9 +171,7 @@ def test_criterion_5_twisted_pair_torsor_refutation(closed_base):
 
 def test_criterion_6_counterexample_pipeline():
     start = time.time()
-    report = run_pipeline(
-        bounds=SearchBounds(4, 3), torsor_bounds=SearchBounds(6, 4), with_control=True
-    )
+    report = run_pipeline(bounds=SearchBounds(4, 3), torsor_bounds=SearchBounds(6, 4))
     ok = report.verdict == "refuted with certificate chain"
     ok = ok and report.registry_replayed
     ok = ok and report.product_identity["identity"]

@@ -124,6 +124,20 @@ def test_cli_input_error_exit_two(tmp_path):
     assert "syntax error" in proc.stderr
 
 
+def test_cli_decompose_invalid_equation_exit_two(tmp_path):
+    doc = tmp_path / "bad_eq.df"
+    doc.write_text(
+        "gen x1 free; gen x2 free; gen x3 free;\n"
+        "system blocks x1 | x2 | x3;\n"
+        "summand 1 = x1 - x3;\n"
+        "summand 2 = x3 - x1;\n"
+        "summand 3 = 0;\n"
+    )
+    proc = _run_cli(["decompose", str(doc)], tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "input error: summand 1 mentions block 1\n"
+
+
 def test_cli_require_decision_exit_three(tmp_path):
     doc = tmp_path / "job.df"
     doc.write_text(

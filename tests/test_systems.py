@@ -1,5 +1,6 @@
 """Independent systems: decomposition, witnesses, bounded ff search."""
 
+import itertools
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from diffield.field import Presentation
 from diffield.systems import (
     AdditiveEquation,
     ClosureOracle,
+    NoGenericPoint,
     NotFoundWithinBounds,
     SolverOracle,
     SystemModelError,
@@ -17,6 +19,8 @@ from diffield.systems import (
     decompose,
     ff_decompose_bounded,
     ff_decompose_with_witnesses,
+    generic_evaluation,
+    generic_points,
     restrict_over_corner,
     specialise_step1,
     validate_decomposition,
@@ -106,6 +110,28 @@ def test_specialise_zero_equation():
     summands = {i: m.pres.zero() for i in (1, 2, 3)}
     d = specialise_step1(m, summands, 2, seed=0)
     assert all(v.is_zero() for v in d.values())
+
+
+def test_generic_evaluation_skips_a_pole():
+    m = free_blocks(2)
+    x1 = m.pres.gen("x1")
+    (v,) = m.block_vars(1, [x1])
+    first, second = itertools.islice(generic_points(5, [v]), 2)
+    c = first[v]
+    assert second[v] != c
+    point, (value,) = generic_evaluation(m, 1, [m.pres.one() / (x1 - c)], 5)
+    assert point == second
+    assert value == m.pres.const(1 / (second[v] - c))
+
+
+def test_generic_evaluation_all_poles_raises():
+    m = free_blocks(2)
+    x1 = m.pres.gen("x1")
+    den = m.pres.one()
+    for c in range(-33, 34):  # every integer of the largest box, [-33, 33]
+        den = den * (x1 - c)
+    with pytest.raises(NoGenericPoint, match="no generic point found after 32 attempts"):
+        generic_evaluation(m, 1, [x1 / den, m.pres.gen("x2")], 0)
 
 
 def test_decompose_heights_3_to_5_planted():
@@ -222,3 +248,66 @@ def test_witness_unavailable_names_the_query():
     with pytest.raises(WitnessUnavailable) as err:
         wp_decompose_with_witnesses(m, d, oracle, seed=2)
     assert "witness unavailable at T_" in str(err.value)
+
+
+# Exact outputs of the witness-driven decompositions.  Both reach _wp_rec with
+# three or more active indices; the values depend on the generic points drawn
+# for each specialisation, so any change in which point is used shows here.
+
+
+def test_ff_decompose_with_witnesses_pinned_height4():
+    m = torsor_blocks(4)
+    eq = planted_equation(m, random.Random(31), fixed=True)
+    oracle = ClosureOracle(SearchBounds(3, 2))
+    _, dec = ff_decompose_with_witnesses(m, eq, oracle, seed=4)
+    assert {k: repr(v) for k, v in dec.items()} == {
+        (1, 2): "0",
+        (1, 3): "-3*u4 + 3*v4 - 12",
+        (1, 4): "-u2 + v2 + 14",
+        (2, 1): "0",
+        (2, 3): "u4 - v4 + 4",
+        (2, 4): "u1 - v1 - 2*u3 + 2*v3 - 2",
+        (3, 1): "3*u4 - 3*v4 + 12",
+        (3, 2): "-u4 + v4 - 4",
+        (3, 4): "-4*u1 + 4*v1 - 3*u2 + 3*v2 - 6",
+        (4, 1): "u2 - v2 - 14",
+        (4, 2): "-u1 + v1 + 2*u3 - 2*v3 + 2",
+        (4, 3): "4*u1 - 4*v1 + 3*u2 - 3*v2 + 6",
+    }
+    assert oracle.closures == []
+
+
+def test_wp_decompose_with_witnesses_pinned_height4():
+    m = torsor_blocks(4)
+    u = {k: m.pres.gen(f"u{k}") for k in range(1, 5)}
+    v = {k: m.pres.gen(f"v{k}") for k in range(1, 5)}
+    e = {}
+    for i in range(1, 5):
+        for k in range(i + 1, 5):
+            a, c = sorted(m.complement(i, k))
+            e[(i, k)] = u[a] * v[c] + (i + k) * u[c]
+            e[(k, i)] = -e[(i, k)]
+    # an antisymmetric family's row sums: their total is 0, hence fixed
+    d = {i: sum((e[(i, k)] for k in range(1, 5) if k != i), m.pres.zero()) for i in range(1, 5)}
+    oracle = ClosureOracle(SearchBounds(1, 1))
+    _, ew, wit = wp_decompose_with_witnesses(m, d, oracle, seed=3)
+    assert {k: (repr(ew[k]), repr(wit[k])) for k in ew} == {
+        (1, 2): ("0", "0"),
+        (1, 3): ("2*g*v4", "-w4"),
+        (1, 4): ("3*g^2 + 2*g*u2 + g*u3 + g*v3 + 12*g", "-w1"),
+        (2, 1): ("0", "0"),
+        (2, 3): ("0", "0"),
+        (2, 4): ("g^2 + 2*g*u1 - g*u3 + g*v3 + 8*g", "-w2"),
+        (3, 1): ("-2*g*v4", "w4"),
+        (3, 2): ("0", "0"),
+        (3, 4): ("-g^2 - g*u2 + g*v2 - 2*g", "-w3"),
+        (4, 1): ("-3*g^2 - 2*g*u2 - g*u3 - g*v3 - 12*g", "w1"),
+        (4, 2): ("-g^2 - 2*g*u1 + g*u3 - g*v3 - 8*g", "w2"),
+        (4, 3): ("g^2 + g*u2 - g*v2 + 2*g", "w3"),
+    }
+    assert [(n, sorted(w), repr(t)) for n, w, t in oracle.closures] == [
+        ("w1", [2, 3], "-3*g^2 - 2*g*u2 - g*u3 - g*v3 - 12*g"),
+        ("w2", [1, 3], "-g^2 - 2*g*u1 + g*u3 - g*v3 - 8*g"),
+        ("w3", [1, 2], "g^2 + g*u2 - g*v2 + 2*g"),
+        ("w4", [2, 4], "-2*g*v4"),
+    ]
