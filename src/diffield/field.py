@@ -302,7 +302,27 @@ class Element:
         return self.sigma(1) - self
 
     def is_fixed(self) -> bool:
-        return sigma_value(self.pres, self.value, 1) == self.value
+        """sigma(x) == x, tested on x = num/den without forming sigma(x).
+
+        When every image of sigma is a polynomial, sigma(num) and sigma(den)
+        are polynomials, and num/den == sigma(num)/sigma(den) is the
+        polynomial identity sigma(num)*den == num*sigma(den).  Two fractions
+        with nonzero denominators are equal exactly when their cross products
+        are, whether or not they are in lowest terms, so sigma(num) and
+        sigma(den) need no gcd and sigma(x) is never normalized.  den is
+        nonzero, and so is sigma(den), since sigma is an automorphism.
+        """
+        value = self.value
+        if value.is_constant():
+            return True
+        images = _sigma_images(self.pres, value, 1)
+        if images is None:
+            return value.shift(1) == value
+        parts = value.substitute_parts(images)
+        if parts is None:
+            return value.substitute(images) == value
+        num, den = parts
+        return num * value.den == value.num * den
 
 
 # -- the sigma action ----------------------------------------------------------
@@ -322,19 +342,25 @@ def _var_image(pres: Presentation, var: VarId, direction: int) -> RatFunc:
     return (a - beta_inv) / alpha_inv
 
 
+def _sigma_images(pres: Presentation, value: RatFunc, direction: int) -> dict[VarId, RatFunc] | None:
+    """The images of value's variables under sigma^direction.
+
+    None when every variable is free: sigma is then a plain shift.
+    """
+    vars_ = value.variables()
+    if all(pres.spec_by_index(v.index).is_free for v in vars_):
+        return None
+    return {v: _var_image(pres, v, direction) for v in vars_}
+
+
 def sigma_value(pres: Presentation, value: RatFunc, k: int) -> RatFunc:
     """Apply sigma^k to a rational function over the presentation."""
     if k == 0 or value.is_constant():
         return value
     direction = 1 if k > 0 else -1
-    by_index = {g.index: g for g in pres.gens}
     for _ in range(abs(k)):
-        vars_ = value.variables()
-        if all(by_index[v.index].is_free for v in vars_):
-            value = value.shift(direction)  # purely free variables: fast path
-        else:
-            images = {v: _var_image(pres, v, direction) for v in vars_}
-            value = value.substitute(images)
+        images = _sigma_images(pres, value, direction)
+        value = value.shift(direction) if images is None else value.substitute(images)
     return value
 
 

@@ -141,7 +141,7 @@ def _row_lcm_scale(row: Sequence[Fraction]) -> list[int]:
     den = 1
     for x in row:
         den = lcm(den, x.denominator)
-    return [int(x * den) for x in row]
+    return [x.numerator * (den // x.denominator) for x in row]
 
 
 def integer_kernel(matrix: list[Row], ncols: int) -> list[list[int]]:

@@ -14,9 +14,9 @@ with every exponent positive.  The zero polynomial has no terms.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Collection, Mapping
 
 Q0 = Fraction(0)
@@ -36,29 +36,39 @@ def as_rational(c) -> Fraction:
     raise TypeError(f"expected an int or a Fraction, got {type(c).__name__} {c!r}")
 
 
-@dataclass(frozen=True)
-class VarId:
-    """A generator at a given shift: ``(index, name, shift)``.
+class VarId(tuple):
+    """A generator at a given shift, built as ``VarId(index, name, shift)``.
 
     ``index`` is the generator's declaration position; it drives the variable
     order, so canonical forms agree between a presentation and its
-    sub-presentations (which keep the ambient indices).
+    sub-presentations (which keep the ambient indices).  The value is stored
+    as the tuple ``(index, shift, name)``: tuple hashing, equality and
+    ordering then give the variable order directly, and run in C.
     """
 
-    index: int
-    name: str
-    shift: int = 0
+    __slots__ = ()
 
-    def key(self) -> tuple[int, int, str]:
-        return (self.index, self.shift, self.name)
+    def __new__(cls, index: int, name: str, shift: int = 0) -> "VarId":
+        return tuple.__new__(cls, (index, shift, name))
+
+    def __getnewargs__(self) -> tuple[int, str, int]:
+        # pickle and copy rebuild through __new__, which takes (index, name, shift)
+        return (self[0], self[2], self[1])
+
+    index = property(itemgetter(0))
+    shift = property(itemgetter(1))
+    name = property(itemgetter(2))
+
+    def key(self) -> "VarId":
+        return self
 
     def shifted(self, k: int) -> "VarId":
-        return VarId(self.index, self.name, self.shift + k)
+        return tuple.__new__(VarId, (self[0], self[1] + k, self[2]))
 
     def __repr__(self) -> str:
-        if self.shift == 0:
-            return self.name
-        return f"{self.name}[{self.shift}]"
+        if self[1] == 0:
+            return self[2]
+        return f"{self[2]}[{self[1]}]"
 
 
 Monomial = tuple[tuple[VarId, int], ...]
@@ -74,7 +84,7 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     out: dict[VarId, int] = dict(a)
     for v, e in b:
         out[v] = out.get(v, 0) + e
-    return tuple(sorted(out.items(), key=lambda p: p[0].key()))
+    return tuple(sorted(out.items()))
 
 
 def mono_degree(m: Monomial) -> int:
@@ -96,7 +106,7 @@ def mono_div(a: Monomial, b: Monomial) -> Monomial:
             out[v] = r
         else:
             del out[v]
-    return tuple(sorted(out.items(), key=lambda p: p[0].key()))
+    return tuple(sorted(out.items()))
 
 
 def mono_cmp(a: Monomial, b: Monomial) -> int:
@@ -108,14 +118,13 @@ def mono_cmp(a: Monomial, b: Monomial) -> int:
     while ia < len(a) and ib < len(b):
         va, ea = a[ia]
         vb, eb = b[ib]
-        ka, kb = va.key(), vb.key()
-        if ka == kb:
+        if va == vb:
             if ea != eb:
                 # Same leading variable: larger exponent is lex-larger.
                 return 1 if ea > eb else -1
             ia += 1
             ib += 1
-        elif ka < kb:
+        elif va < vb:
             return 1  # a has the earlier variable with positive exponent
         else:
             return -1
@@ -554,7 +563,7 @@ def _strip_int_content_univar(coeffs: dict[int, MPoly]) -> dict[int, MPoly]:
 def _main_variable(a: MPoly, b: MPoly, candidates: set[VarId]) -> VarId:
     # Prefer the variable with the smallest combined degree: fewer
     # pseudo-division rounds and smaller coefficient growth.
-    return min(candidates, key=lambda v: (a.degree_in(v) + b.degree_in(v), v.key()))
+    return min(candidates, key=lambda v: (a.degree_in(v) + b.degree_in(v), v))
 
 
 def poly_lcm(a: MPoly, b: MPoly) -> MPoly:

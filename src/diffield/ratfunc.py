@@ -89,18 +89,49 @@ class RatFunc:
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
+        """Henrici's sum of canonical fractions a/b + c/d (Knuth, TAOCP 4.5.1).
+
+        With g = gcd(b, d), b = b'g and d = d'g, the sum is t / (b'd'g) with
+        t = a d' + c b'.  A prime factor of b' divides b, hence not a, and
+        not d' (g takes all that b and d share); so it does not divide t.
+        The same holds for d'.  Hence gcd(t, b'd'g) = gcd(t, g) = g2, and
+        (t/g2) / (b' (d/g2)) is coprime.  When b or d is constant, or g = 1,
+        nothing cancels.  So the gcds see b, d and the smaller g, never the
+        whole numerator against b*d.  Canonical denominators are monic, and
+        under the graded order so are their products and exact quotients by
+        monic gcds: the result needs no rescaling.  When b and d are both
+        constant they are 1, so a zero sum a + c already has denominator 1;
+        t = 0 can only happen in the gcd branch.
+        """
         other = _coerce(other)
-        if self.den == other.den:
-            return RatFunc(self.num + other.num, self.den)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if not a.terms:
+            return other
+        if not c.terms:
+            return self
+        b_const, d_const = b.is_constant(), d.is_constant()
+        if b_const and d_const:
+            return _canonical(a + c, b)
+        if b_const:
+            return _canonical(a * d + c, d)
+        if d_const:
+            return _canonical(a + c * b, b)
+        g = b if b == d else poly_gcd(b, d)
+        if g.is_constant():
+            return _canonical(a * d + c * b, b * d)
+        b1, d1 = divexact(b, g), divexact(d, g)
+        t = a * d1 + c * b1
+        if not t.terms:
+            return RatFunc.zero()
+        g2 = poly_gcd(t, g)
+        if g2.is_constant():
+            return _canonical(t, b1 * d)
+        return _canonical(divexact(t, g2), b1 * divexact(d, g2))
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatFunc":
-        r = RatFunc.__new__(RatFunc)
-        r.num, r.den = -self.num, self.den
-        r._hash = None
-        return r
+        return _canonical(-self.num, self.den)
 
     def __sub__(self, other) -> "RatFunc":
         return self + (-_coerce(other))
@@ -139,10 +170,7 @@ class RatFunc:
         """Shift all variables by k; canonicalization is preserved."""
         if k == 0:
             return self
-        r = RatFunc.__new__(RatFunc)
-        r.num, r.den = self.num.shift(k), self.den.shift(k)
-        r._hash = None
-        return r
+        return _canonical(self.num.shift(k), self.den.shift(k))
 
     # -- substitution / evaluation ---------------------------------------------
 
@@ -158,11 +186,27 @@ class RatFunc:
         """Substitute rational functions for variables (used by the sigma action)."""
         if not images:
             return self
-        num = _subst_poly(self.num, images)
-        den = _subst_poly(self.den, images)
+        parts = self.substitute_parts(images)
+        if parts is None:
+            num, den = _subst_poly(self.num, images), _subst_poly(self.den, images)
+        else:
+            num, den = parts
         if den.is_zero():
             raise PoleError("pole hit: denominator vanished under substitution")
-        return num / den
+        return num / den if parts is None else RatFunc(num, den)
+
+    def substitute_parts(self, images: Mapping[VarId, "RatFunc"]) -> tuple[MPoly, MPoly] | None:
+        """The substituted numerator and denominator, when every image is a polynomial.
+
+        Both are then polynomials, computed with ``MPoly`` arithmetic and not
+        reduced against each other; None when some image has a denominator.
+        """
+        polys = {}
+        for v, f in images.items():
+            if not f.den.is_constant():
+                return None
+            polys[v] = f.num
+        return _subst_mpoly(self.num, polys), _subst_mpoly(self.den, polys)
 
     # -- equality / printing -----------------------------------------------------
 
@@ -214,6 +258,41 @@ def _normalize(num: MPoly, den: MPoly) -> tuple[MPoly, MPoly]:
         num = num.scale(inv)
         den = den.scale(inv)
     return num, den
+
+
+def _canonical(num: MPoly, den: MPoly) -> RatFunc:
+    """A RatFunc from a pair that is already canonical: no gcd, no scaling."""
+    r = RatFunc.__new__(RatFunc)
+    r.num, r.den = num, den
+    r._hash = None
+    return r
+
+
+def _subst_mpoly(p: MPoly, images: Mapping[VarId, MPoly]) -> MPoly:
+    """p with polynomials substituted for some of its variables."""
+    powers: dict[tuple[VarId, int], MPoly] = {}
+    out: dict = {}
+    for m, c in p.terms.items():
+        rest = []
+        term = None
+        for v, e in m:
+            image = images.get(v)
+            if image is None:
+                rest.append((v, e))
+                continue
+            power = powers.get((v, e))
+            if power is None:
+                power = powers[(v, e)] = image if e == 1 else image**e
+            term = power if term is None else term * power
+        head = MPoly({tuple(rest): c})
+        term = head if term is None else head * term
+        for mm, cc in term.terms.items():
+            s = out.get(mm, Q0) + cc
+            if s:
+                out[mm] = s
+            else:
+                del out[mm]
+    return MPoly(out)
 
 
 def _subst_poly(p: MPoly, images: Mapping[VarId, RatFunc]) -> RatFunc:

@@ -243,10 +243,10 @@ Decomposition = dict[tuple[int, int], Element]
 GENERIC_ATTEMPTS = 32
 
 
-def generic_points(seed: int, variables: Sequence[VarId], retries: int = GENERIC_ATTEMPTS):
-    """Deterministic evaluation points drawn from growing integer boxes."""
+def generic_points(seed: int, variables: Sequence[VarId]):
+    """GENERIC_ATTEMPTS deterministic evaluation points from growing integer boxes."""
     rng = random.Random(seed)
-    for attempt in range(retries):
+    for attempt in range(GENERIC_ATTEMPTS):
         box = 2 + attempt
         yield {v: Fraction(rng.randint(-box, box)) for v in variables}
 

@@ -1,5 +1,7 @@
 """Exact arithmetic substrate: canonical forms, gcd cancellation, evaluation."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -7,10 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffield.field import Presentation
+from diffield.field import Presentation, sigma_value
 from diffield.linalg import solve_affine
-from diffield.poly import MPoly, VarId, divexact, poly_gcd
-from diffield.ratfunc import CircleValue, PoleError, RatFunc, SpanTracker, express_in_span, linear_relations
+from diffield.poly import MPoly, VarId, divexact, mono_mul, poly_gcd
+from diffield.ratfunc import (
+    CircleValue,
+    PoleError,
+    RatFunc,
+    SpanTracker,
+    _subst_poly,
+    express_in_span,
+    linear_relations,
+)
 
 X = VarId(0, "x")
 Y = VarId(1, "y")
@@ -159,6 +169,148 @@ def test_gcd_random_products():
         assert divexact(b, g) is not None
         # the planted common factor divides the gcd
         assert poly_gcd(g, common).total_degree() == common.total_degree()
+
+
+# -- variables -----------------------------------------------------------------
+
+
+def test_varid_contract():
+    v = VarId(3, "g", -2)
+    assert (v.index, v.name, v.shift) == (3, "g", -2)
+    assert VarId(0, "x").shift == 0
+    assert repr(v) == "g[-2]" and repr(X) == "x"
+    assert v.shifted(2) == VarId(3, "g") and v.key() == v
+    rng = random.Random(17)
+    vs = [VarId(rng.randint(0, 3), rng.choice("abc"), rng.randint(-2, 2)) for _ in range(80)]
+    assert sorted(vs) == sorted(vs, key=lambda w: (w.index, w.shift, w.name))
+    for w in vs[:10]:
+        for back in (pickle.loads(pickle.dumps(w)), copy.deepcopy(w), copy.copy(w)):
+            assert back == w and type(back) is VarId and repr(back) == repr(w)
+            assert (back.index, back.name, back.shift) == (w.index, w.name, w.shift)
+    f = RatFunc(px * py + MPoly.const(1), pz - MPoly.const(2))
+    assert copy.deepcopy(f) == f and pickle.loads(pickle.dumps(f)) == f
+    for _ in range(100):
+        a, b = (tuple(sorted({rng.choice(vs): rng.randint(1, 3) for _ in range(rng.randint(0, 3))}.items()))
+                for _ in range(2))
+        m = mono_mul(a, b)
+        assert [w for w, _ in m] == sorted({w for w, _ in a + b})
+        assert dict(m) == {w: dict(a).get(w, 0) + dict(b).get(w, 0) for w, _ in a + b}
+
+
+# -- canonical arithmetic: fast paths against the paths they replace ---------------
+
+# Denominators are drawn from products of a small pool of factors, so that two
+# of them often share a factor (the gcd branch of the Henrici sum) and often
+# do not (the coprime branch).
+FACTORS = [px + MPoly.const(1), py, px * py - MPoly.const(2), px - py + MPoly.const(3), pz + px * px]
+
+
+def shared_factor_ratfunc(rng, vars_=(X, Y, Z)):
+    den = MPoly.const(Fraction(rng.randint(1, 3), rng.randint(1, 2)))
+    for _ in range(rng.randint(0, 3)):
+        den = den * rng.choice(FACTORS)
+    num = rand_poly(rng, list(vars_), max_deg=2, max_terms=3)
+    if rng.random() < 0.3:
+        num = num * rng.choice(FACTORS)
+    return RatFunc(num, den)
+
+
+def assert_canonical(f):
+    assert not f.den.is_zero()
+    if f.num.is_zero():
+        assert f.den == MPoly.const(1)
+        return
+    assert f.den.leading_coefficient() == 1
+    assert poly_gcd(f.num, f.den) == MPoly.const(1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6))
+def test_canonical_results_contract(seed):
+    rng = random.Random(seed)
+    f, g = shared_factor_ratfunc(rng), shared_factor_ratfunc(rng)
+    h = g - f  # f + h shares denominator factors with f, and often cancels
+    results = [f + g, f - g, f * g, f + h, h + f, f + f, f - f, f.shift(rng.randint(-2, 2))]
+    if not g.is_zero():
+        results.append(f / g)
+    images = {
+        X: RatFunc.from_poly(rand_poly(rng, [X, Y], max_deg=1)),
+        Y: RatFunc(rand_poly(rng, [X, Z], max_deg=1), rng.choice(FACTORS)),
+    }
+    try:
+        results.append(f.substitute(images))
+        results.append(f.substitute({X: images[X]}))
+    except PoleError:
+        pass
+    for r in results:
+        assert_canonical(r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6))
+def test_differential_henrici_sum(seed):
+    rng = random.Random(seed)
+    f = shared_factor_ratfunc(rng)
+    g = shared_factor_ratfunc(rng) if rng.random() < 0.7 else RatFunc(shared_factor_ratfunc(rng).num, f.den)
+    for a, b in ((f, g), (g, f), (f, g - f)):
+        assert a + b == RatFunc(a.num * b.den + b.num * a.den, a.den * b.den)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6))
+def test_differential_polynomial_substitute(seed):
+    rng = random.Random(seed)
+    f = shared_factor_ratfunc(rng)
+    images = {v: RatFunc.from_poly(rand_poly(rng, [X, Y, Z], max_deg=2, max_terms=3)) for v in rng.sample([X, Y, Z], 2)}
+    try:
+        expected = _subst_poly(f.num, images) / _subst_poly(f.den, images)
+    except ZeroDivisionError:
+        with pytest.raises(PoleError):
+            f.substitute(images)
+        return
+    assert f.substitute(images) == expected
+
+
+def _fixed_field_presentation():
+    pres, g = Presentation.empty().with_free("g")
+    pres, _ = pres.with_affine("t", 1, 1)
+    pres, _ = pres.with_affine("s", 1, 1)
+    g = g.in_presentation(pres)
+    pres, _ = pres.with_affine("a", g, g - 1)
+    pres, _ = pres.with_affine("b", g, g - 1)
+    return pres
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6))
+def test_differential_is_fixed(seed):
+    # every sigma image is a polynomial here.  w = s - t and q = (a+1)/(b+1)
+    # are fixed (sigma(a) + 1 = g*(a+1), and so for b), so rational functions
+    # of w and q are fixed, though their numerators need not be; adding a
+    # perturbation usually breaks that
+    rng = random.Random(seed)
+    pres = _fixed_field_presentation()
+    w = pres.gen("s") - pres.gen("t")
+    q = (pres.gen("a") + 1) / (pres.gen("b") + 1)
+    gens = [pres.gen("g"), pres.gen("g", 1), pres.gen("t"), pres.gen("a"), w]
+
+    def poly_in(elems):
+        total = pres.zero()
+        for _ in range(rng.randint(1, 3)):
+            term = pres.const(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+            for _ in range(rng.randint(0, 2)):
+                term = term * rng.choice(elems)
+            total = total + term
+        return total
+
+    num, den = poly_in([w, q]), poly_in([w, q])
+    if den.is_zero():
+        den = pres.one()
+    x = num / den
+    if rng.random() < 0.5:
+        den2 = poly_in(gens)
+        x = x + poly_in(gens) / (den2 if not den2.is_zero() else pres.one())
+    assert x.is_fixed() == (sigma_value(pres, x.value, 1) == x.value)
 
 
 # -- linear relations ----------------------------------------------------------
