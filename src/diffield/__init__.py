@@ -18,7 +18,6 @@ from .certify import (
     RegistryEntry,
     TwistedShiftFamily,
     certify_unsolvable,
-    reduce_over_affine_extension,
     replay_certificate,
 )
 from .characters import (

@@ -1,7 +1,8 @@
 """Unsolvability certificates over affine extension stacks.
 
 A bounded search can only report exhaustion; certificates refute equations
-outright.  The engine works by leading-coefficient reduction: writing a
+outright.  The engine works by leading-coefficient reduction
+(``leading_cases``, the one place the degree cases are written): writing a
 hypothetical solution over the top affine generator a (rule sigma(a) =
 alpha*a + beta) as N(a)/D(a) in normal position forces, per degree case, a
 twisted or multiplicative equation on the leading coefficient ratio one
@@ -27,7 +28,7 @@ from .equations import (
     Unsolvable,
     UnsupportedCoefficientShape,
 )
-from .field import Element, Presentation
+from .field import Element, GeneratorSpec, Presentation
 from .freebase import FreeRefutation, decide_free_base, multiplicative_kernel
 from .tower import coefficients_in, last_affine, peel, require_level_free
 
@@ -131,7 +132,13 @@ class FamilyBaseRefutation:
 
 @dataclass(frozen=True)
 class DegreeObstruction:
-    """A coefficient position the ansatz cannot reach is forced nonzero."""
+    """A coefficient position the ansatz cannot reach is forced nonzero.
+
+    ``position`` counts above the denominator degree m: the coefficient of
+    a^(m + position) is ``coefficient`` times alpha^m, but the numerator
+    stops below that degree.  Offsets stay uniform in m, so one
+    obstruction covers every (n, m) of its case.
+    """
 
     position: int
     coefficient: Element
@@ -271,81 +278,80 @@ def _certify(pres: Presentation, query: Query, registry: AvoidedRegistry | None)
         return _certify_free(pres, query)
     gen = last_affine(pres)
     sub, alpha, beta = peel(pres, gen)
+    cases = leading_cases(pres, sub, gen, alpha, query)
+    if cases is None:
+        return None
     rule = f"sigma({gen.name}) = ({alpha})*{gen.name} + ({beta})"
+    return _close_case(sub, gen, rule, query, cases, registry)
 
+
+def leading_cases(
+    pres: Presentation, sub: Presentation, gen: GeneratorSpec, alpha: Element, query: Query
+) -> list[tuple[str, Query | DegreeObstruction]] | None:
+    """Labelled degree cases of one leading-coefficient reduction, or None.
+
+    A solution x = N(a)/D(a) over the top generator a (sigma(a) = alpha*a +
+    beta over sub), with deg N = n, deg D = m in normal position, forces a
+    condition on the leading coefficient ratio one level down (Karr 1981,
+    "Summation in finite terms", JACM 28(2)).
+
+    - A twisted equation or shift family with e2 of degree d2 in a splits
+      by comparing n with m + d2: below is a DegreeObstruction (labelled
+      ``n < m`` when d2 = 0), equal is a twisted equation, and above is a
+      ratio query when alpha = 1, else the family alpha^z, z <= -(d2 + 1).
+    - A ratio or multiplicative family has the single case ``any degrees
+      n, m``: the ratio picks up alpha^(m - n) with m - n arbitrary.
+
+    None when e1 or a ratio mentions a, and on the three refusals of the
+    twisted split: d2 = 0 with e2 = 0 (x = 0 solves it), d2 = 0 for a shift
+    family (the arbitrary shift swallows the only coefficient), and alpha =
+    1 with e1 = 1 (the leading coefficients may be constant).  A family with
+    a base over alpha != 1 is refused too: its exponents would smear over Z.
+    """
     if isinstance(query, (TwistedEquation, TwistedShiftFamily)):
-        return _certify_twisted_over_extension(pres, sub, gen, alpha, rule, query, registry)
-    if isinstance(query, RatioQuery):
-        u = _level_free(query.ratio, pres, sub, gen)
-        if u is None:
+        e1 = _level_free(query.e1, pres, sub, gen)
+        if e1 is None:
             return None
-        derived = _mult_family_over_extension(MultFamilyQuery(u, sub.one(), IntSet("all")), alpha, sub)
-        return _close_case(pres, sub, gen, rule, query, [("any degrees n, m", derived)], registry)
-    if isinstance(query, MultFamilyQuery):
+        coeffs = coefficients_in(query.e2, pres, gen, sub)
+        d2 = max(coeffs.keys(), default=0)
+        top = coeffs.get(d2, sub.zero())
+        if d2 == 0 and (isinstance(query, TwistedShiftFamily) or top.is_zero()):
+            return None
+        if alpha == 1 and e1 == 1:
+            return None
+        if alpha == 1:
+            high: Query = RatioQuery(e1)
+        else:
+            high = MultFamilyQuery(e1, alpha, IntSet("le", -(d2 + 1)))
+        shift = alpha ** (-d2)
+        return [
+            (f"n < m + {d2}" if d2 else "n < m", DegreeObstruction(d2, top)),
+            (f"n = m + {d2}", TwistedEquation(e1 * shift, top * shift)),
+            (f"n > m + {d2}", high),
+        ]
+    if isinstance(query, RatioQuery):
+        twist = _level_free(query.ratio, pres, sub, gen)
+        base, exponents = sub.one(), IntSet("all")
+    elif isinstance(query, MultFamilyQuery):
         twist = _level_free(query.twist, pres, sub, gen)
         base = _level_free(query.base, pres, sub, gen)
-        if twist is None or base is None:
-            return None
-        derived = _mult_family_over_extension(
-            MultFamilyQuery(twist, base, query.exponents), alpha, sub
-        )
-        return _close_case(pres, sub, gen, rule, query, [("any degrees n, m", derived)], registry)
-    return None
-
-
-def _mult_family_over_extension(fam: MultFamilyQuery, alpha: Element, sub: Presentation) -> Query | None:
-    """Reduce a multiplicative family over one extension.
-
-    The leading-coefficient identity multiplies the ratio by alpha^(m-n)
-    with m - n arbitrary; only a trivial alpha keeps the family closed.
-    """
-    if alpha == 1:
-        if fam.base == 1:
-            return RatioQuery(fam.twist)
-        return fam
-    if fam.base == 1:
-        return MultFamilyQuery(fam.twist, alpha, IntSet("all"))
-    return None  # exponent sets would smear over all of Z
-
-
-def _certify_twisted_over_extension(pres, sub, gen, alpha, rule, query, registry) -> CertNode | None:
-    opaque = isinstance(query, TwistedShiftFamily)
-    e1 = _level_free(query.e1, pres, sub, gen)
-    if e1 is None:
+        exponents = query.exponents
+    else:
         return None
-    coeffs = coefficients_in(query.e2, pres, gen, sub)
-    d2 = max(coeffs.keys(), default=0)
-    top = coeffs.get(d2, sub.zero())
-    if d2 == 0:
-        if opaque:
-            return None  # the arbitrary shift swallows the only coefficient
-        if top.is_zero():
-            return None  # e2 = 0 is solved by x = 0; nothing to refute
-    cases: list[tuple[str, Query | None]] = []
-    # n < m + d2: the coefficient of a^(m+d2) is alpha^m * top * 1 != 0 but the
-    # numerator cannot reach that degree.
-    if d2 >= 1:
-        cases.append((f"n < m + {d2}", DegreeObstruction(d2, top)))
-    else:
-        cases.append(("n < m", DegreeObstruction(0, top)))
-    shift = alpha ** (-d2)
-    derived_twisted: Query = TwistedEquation(e1 * shift, top * shift)
-    cases.append((f"n = m + {d2}", derived_twisted))
+    if twist is None or base is None:
+        return None
     if alpha == 1:
-        if e1 == 1:
-            return None  # leading coefficients may be constant; inconclusive
-        high: Query = RatioQuery(e1)
+        derived: Query = RatioQuery(twist) if base == 1 else MultFamilyQuery(twist, base, exponents)
+    elif base == 1:
+        derived = MultFamilyQuery(twist, alpha, IntSet("all"))
     else:
-        high = MultFamilyQuery(e1, alpha, IntSet("le", -(d2 + 1)))
-    cases.append((f"n > m + {d2}", high))
-    return _close_case(pres, sub, gen, rule, query, cases, registry)
+        return None
+    return [("any degrees n, m", derived)]
 
 
-def _close_case(pres, sub, gen, rule, query, labeled: list[tuple[str, Query | DegreeObstruction | None]], registry) -> CertNode | None:
+def _close_case(sub, gen, rule, query, cases: list[tuple[str, Query | DegreeObstruction]], registry) -> CertNode | None:
     out: list[Case] = []
-    for label, derived in labeled:
-        if derived is None:
-            return None
+    for label, derived in cases:
         if isinstance(derived, DegreeObstruction):
             out.append(Case(label, None, derived))
             continue
@@ -405,66 +411,3 @@ def _certify_free_family(pres: Presentation, fam: MultFamilyQuery) -> CertNode |
         "base never allows"
     )
     return FamilyBaseRefutation(description, tuple(checks))
-
-
-# -- explicit-degree leading-coefficient reduction ----------------------------------
-
-
-@dataclass(frozen=True)
-class DerivedCondition:
-    """Necessary condition on the leading coefficient ratio, one level down.
-
-    Any solution x = N/D with deg N = n, deg D = m in normal position over the
-    extension yields an element of the lower level satisfying ``equation``
-    (the monic-denominator normalization carries y = (leading coefficient of
-    N) / (leading coefficient of D)).
-    """
-
-    label: str
-    equation: Query | None  # None when the degree pair is outright impossible
-    obstruction: DegreeObstruction | None = None
-
-
-def reduce_over_affine_extension(
-    pres: Presentation,
-    gen_name: str,
-    eq: TwistedEquation | MultiplicativeEquation,
-    n: int,
-    m: int,
-) -> list[DerivedCondition]:
-    """Leading-coefficient conditions for ansatz degrees (n, m) over one extension.
-
-    The equation's coefficients must live one level down (polynomially in the
-    extension generator for the right-hand side); degenerate leading
-    coefficients are the caller's concern ("not in normal position" means the
-    caller should decrement degrees and retry).
-    """
-    if n < 0 or m < 0:
-        raise ValueError("ansatz degrees must be nonnegative")
-    gen = pres.spec(gen_name)
-    if gen.is_free:
-        raise UnsupportedCoefficientShape(f"{gen_name!r} is a free generator")
-    sub, alpha, _ = peel(pres, gen)
-    if isinstance(eq, MultiplicativeEquation):
-        u = _level_free(eq.ratio(), pres, sub, gen)
-        if u is None:
-            raise UnsupportedCoefficientShape("ratio mentions the extension generator")
-        return [DerivedCondition(f"n = {n}, m = {m}", RatioQuery(u * alpha ** (m - n)))]
-    e1 = _level_free(eq.e1, pres, sub, gen)
-    if e1 is None:
-        raise UnsupportedCoefficientShape("twist coefficient mentions the extension generator")
-    coeffs = coefficients_in(eq.e2, pres, gen, sub)
-    d2 = max(coeffs.keys(), default=0)
-    top = coeffs.get(d2, sub.zero())
-    if n > m + d2:
-        return [DerivedCondition(f"n > m + {d2}", RatioQuery(e1 * alpha ** (m - n)))]
-    if n == m + d2:
-        shift = alpha ** (m - n)
-        return [DerivedCondition(f"n = m + {d2}", TwistedEquation(e1 * shift, top * shift))]
-    return [
-        DerivedCondition(
-            f"n < m + {d2}",
-            None,
-            DegreeObstruction(m + d2, top),
-        )
-    ]

@@ -14,14 +14,6 @@ import argparse
 import json
 import sys
 
-from .certify import (
-    BaseRefutation,
-    Certificate,
-    DegreeObstruction,
-    ExtensionSplit,
-    FamilyBaseRefutation,
-    RegistryHit,
-)
 from .characters import (
     CharacterTable,
     Obstruction,
@@ -362,52 +354,15 @@ def _registry_for(doc: Document):
     return current, reg
 
 
-def certificate_to_dict(cert) -> dict:
-    def node(n) -> dict:
-        if isinstance(n, BaseRefutation):
-            n = n.refutation
-        if isinstance(n, FreeRefutation):
-            data = n.summary()
-            data["equation_kind"] = data.pop("kind")
-            return {"kind": "free-base", **data}
-        if isinstance(n, ExtensionSplit):
-            return {
-                "kind": "extension-split",
-                "generator": n.generator,
-                "rule": n.rule,
-                "query": n.query,
-                "cases": [
-                    {
-                        "label": c.label,
-                        "derived": None if c.derived is None else repr(c.derived),
-                        "node": node(c.node),
-                    }
-                    for c in n.cases
-                ],
-            }
-        if isinstance(n, RegistryHit):
-            return {"kind": "registry", "index": n.index, "family": n.description}
-        if isinstance(n, FamilyBaseRefutation):
-            return {
-                "kind": "family-free-base",
-                "description": n.description,
-                "spot_checks": list(n.spot_checks),
-            }
-        if isinstance(n, DegreeObstruction):
-            return {
-                "kind": "degree-obstruction",
-                "position": n.position,
-                "coefficient": repr(n.coefficient),
-            }
-        return {"kind": type(n).__name__}
+def certificate_to_dict(cert: FreeRefutation) -> dict:
+    """The report record of a solver certificate.
 
-    if isinstance(cert, Certificate):
-        return {
-            "presentation": list(cert.presentation),
-            "query": cert.query,
-            "node": node(cert.node),
-        }
-    return node(cert)
+    The bounded solvers return Unsolvable only through decide_free_base, so
+    the certificate is always a free-base refutation.
+    """
+    data = cert.summary()
+    data["equation_kind"] = data.pop("kind")
+    return {"kind": "free-base", **data}
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ canonical forms comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable
 
@@ -116,6 +117,15 @@ class Presentation:
     def subsumes(self, other: "Presentation") -> bool:
         mine = {g.index: g for g in self.gens}
         return all(mine.get(g.index) == g for g in other.gens)
+
+    @cached_property
+    def _affine_images(self) -> dict[tuple[VarId, int], RatFunc]:
+        """Memo of _var_image for affine generators, keyed (variable, direction).
+
+        It lives in the instance's __dict__, outside the dataclass fields, so
+        equality, hashing and repr do not see it.
+        """
+        return {}
 
     # -- validation ------------------------------------------------------------
 
@@ -329,17 +339,26 @@ class Element:
 
 
 def _var_image(pres: Presentation, var: VarId, direction: int) -> RatFunc:
-    """Image of a single variable under sigma^{+1} or sigma^{-1}."""
+    """Image of a single variable under sigma^{+1} or sigma^{-1}.
+
+    An affine generator's image is computed once per presentation.
+    """
     g = pres.spec_by_index(var.index)
     if g.is_free:
         return RatFunc.var(var.shifted(direction))
-    kind = g.kind
-    a = RatFunc.var(var)
-    if direction == 1:
-        return kind.linear * a + kind.constant
-    alpha_inv = sigma_value(pres, kind.linear, -1)
-    beta_inv = sigma_value(pres, kind.constant, -1)
-    return (a - beta_inv) / alpha_inv
+    table = pres._affine_images
+    image = table.get((var, direction))
+    if image is None:
+        kind = g.kind
+        a = RatFunc.var(var)
+        if direction == 1:
+            image = kind.linear * a + kind.constant
+        else:
+            alpha_inv = sigma_value(pres, kind.linear, -1)
+            beta_inv = sigma_value(pres, kind.constant, -1)
+            image = (a - beta_inv) / alpha_inv
+        table[(var, direction)] = image
+    return image
 
 
 def _sigma_images(pres: Presentation, value: RatFunc, direction: int) -> dict[VarId, RatFunc] | None:

@@ -1,20 +1,27 @@
 """Certificates: case analyses, registry matching, replay, reductions."""
 
-import pytest
-
 from diffield.certify import (
     AvoidedRegistry,
+    DegreeObstruction,
     IntSet,
     MultFamilyQuery,
     RatioQuery,
     RegistryEntry,
     TwistedShiftFamily,
     certify_unsolvable,
-    reduce_over_affine_extension,
+    leading_cases,
     replay_certificate,
 )
-from diffield.equations import MultiplicativeEquation, TwistedEquation, Unknown, Unsolvable
+from diffield.equations import (
+    MultiplicativeEquation,
+    SearchBounds,
+    Solution,
+    TwistedEquation,
+    Unknown,
+    Unsolvable,
+)
 from diffield.field import Presentation
+from diffield.tower import peel, solve_multiplicative_bounded, solve_twisted_bounded
 
 
 def base_with_registry():
@@ -106,20 +113,53 @@ def test_certifier_never_contradicts_solver():
     solvable = TwistedEquation(p.one(), p.gen("g", 1) - g)
     res = certify_unsolvable(p, solvable, registry)
     assert isinstance(res, Unknown)
+    # over the torsor closure Q(g)(t1), sigma(t1) = t1 + 1: solvable queries
+    # that reach the refusals of the twisted split (alpha = 1 with e1 = 1,
+    # d2 = 0 with e2 = 0, d2 = 0 for a shift family); a shift family is
+    # solved through one member, given as (family, member)
+    p1, _, _ = closed(p, g, registry)
+    one, g1, t1 = p1.one(), p1.gen("g"), p1.gen("t1")
+    queries = [
+        (TwistedEquation(one, one), None),
+        (TwistedEquation(one, t1), None),
+        (TwistedEquation(one, t1 * t1 + t1), None),
+        (TwistedShiftFamily(one, t1), TwistedEquation(one, t1)),
+        (TwistedEquation(g1, p1.zero()), None),
+        (TwistedShiftFamily(g1, g1), TwistedEquation(g1, g1 + (1 - 2 * g1))),
+    ]
+    for query, member in queries:
+        found = solve_twisted_bounded(p1, member or query, SearchBounds(3, 1))
+        assert isinstance(found, Solution), query
+        assert isinstance(certify_unsolvable(p1, query, registry), Unknown), query
+    # sigma(h) = g*h: y = h solves the family at z = 1, so the base g must not
+    # pass through a nontrivial alpha unchanged
+    ph, h = p.with_affine("h", g, 0)
+    gh = ph.gen("g")
+    found = solve_multiplicative_bounded(ph, MultiplicativeEquation(gh, 1), SearchBounds(1, 1))
+    assert isinstance(found, Solution) and found.witness == h
+    family = MultFamilyQuery(ph.one(), gh, IntSet("nonzero"))
+    assert isinstance(certify_unsolvable(ph, family, registry), Unknown)
+
+
+def split(pres, name, query):
+    """The labelled cases of the reduction of query over generator name."""
+    gen = pres.spec(name)
+    sub, alpha, _ = peel(pres, gen)
+    return dict(leading_cases(pres, sub, gen, alpha, query))
 
 
 def test_reduce_cases_match_hand_calculation():
     p, g, registry = base_with_registry()
     p2, a1 = p.with_affine("a1", g, g)
-    eq = TwistedEquation(p2.one(), a1)
-    (high,) = reduce_over_affine_extension(p2, "a1", eq, 3, 0)
-    assert isinstance(high.equation, RatioQuery)
-    assert repr(high.equation.ratio) == "1/g^3"
-    (edge,) = reduce_over_affine_extension(p2, "a1", eq, 1, 0)
-    assert isinstance(edge.equation, TwistedEquation)
-    assert edge.equation.e1 == p.one() / g and edge.equation.e2 == p.one() / g
-    (low,) = reduce_over_affine_extension(p2, "a1", eq, 0, 2)
-    assert low.equation is None and low.obstruction is not None
+    cases = split(p2, "a1", TwistedEquation(p2.one(), a1))
+    # (n, m) = (3, 0) lies in the n > m + 1 family at z = m - n = -3
+    high = cases["n > m + 1"]
+    assert high == MultFamilyQuery(p.one(), g, IntSet("le", -2))
+    assert repr(high.twist * high.base ** -3) == "1/g^3"
+    edge = cases["n = m + 1"]
+    assert isinstance(edge, TwistedEquation)
+    assert edge.e1 == p.one() / g and edge.e2 == p.one() / g
+    assert cases["n < m + 1"] == DegreeObstruction(1, p.one())
 
 
 def test_reduce_torsor_extension_cases():
@@ -128,15 +168,11 @@ def test_reduce_torsor_extension_cases():
     p, g, registry = base_with_registry()
     p1, t = p.with_affine("t", 1, 1)
     g1 = g.in_presentation(p1)
-    eq = TwistedEquation(g1, g1)
-    (same,) = reduce_over_affine_extension(p1, "t", eq, 2, 2)
-    assert isinstance(same.equation, TwistedEquation)
-    assert same.equation.e1 == g and same.equation.e2 == g
-    (ratio,) = reduce_over_affine_extension(p1, "t", eq, 3, 1)
-    assert isinstance(ratio.equation, RatioQuery) and ratio.equation.ratio == g
-
-
-def test_reduce_rejects_free_generator():
-    p, g, registry = base_with_registry()
-    with pytest.raises(Exception):
-        reduce_over_affine_extension(p, "g", TwistedEquation(p.one(), g), 1, 0)
+    cases = split(p1, "t", TwistedEquation(g1, g1))
+    assert list(cases) == ["n < m", "n = m + 0", "n > m + 0"]
+    assert cases["n < m"] == DegreeObstruction(0, g)
+    same = cases["n = m + 0"]
+    assert isinstance(same, TwistedEquation)
+    assert same.e1 == g and same.e2 == g
+    ratio = cases["n > m + 0"]
+    assert isinstance(ratio, RatioQuery) and ratio.ratio == g
