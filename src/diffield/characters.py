@@ -77,9 +77,6 @@ class CharacterTable:
                 return Obstruction(tuple(elems), rel, s)
         return None
 
-    def is_consistent(self) -> bool:
-        return self.consistency() is None
-
 
 def extend_character(
     table: CharacterTable, assignments: Sequence[tuple[Element, CircleValue]]
@@ -301,7 +298,6 @@ def build_failing_instance(
     # whole point of the obstruction is that these one-at-a-time extensions
     # are consistent while a joint one would violate the zero-sum relation.
     values: dict[int, CircleValue] = {}
-    per_corner_ok = True
     for i in idx:
         if i == k:
             continue
@@ -317,7 +313,6 @@ def build_failing_instance(
     solo = extend_character(table, [(smap[k], vk)])
     if not isinstance(solo, CharacterTable):
         raise AssertionError("internal error: distinguished summand was not free")
-    per_corner_ok = per_corner_ok and solo.is_consistent()
     values[k] = vk
     total = CircleValue(sum((v.angle for v in values.values()), Fraction(0)))
     if total.is_identity():
@@ -327,7 +322,8 @@ def build_failing_instance(
         "summand_angles": values,
         "angle_sum": total,
         "forced_relation": "summands sum to zero, so their angles must too",
-        "per_corner_tables_consistent": per_corner_ok,
+        # extend_character returns a table only when it is consistent
+        "per_corner_tables_consistent": True,
     }
 
 

@@ -314,13 +314,14 @@ class Element:
     def is_fixed(self) -> bool:
         """sigma(x) == x, tested on x = num/den without forming sigma(x).
 
-        When every image of sigma is a polynomial, sigma(num) and sigma(den)
-        are polynomials, and num/den == sigma(num)/sigma(den) is the
-        polynomial identity sigma(num)*den == num*sigma(den).  Two fractions
-        with nonzero denominators are equal exactly when their cross products
-        are, whether or not they are in lowest terms, so sigma(num) and
-        sigma(den) need no gcd and sigma(x) is never normalized.  den is
-        nonzero, and so is sigma(den), since sigma is an automorphism.
+        substitute_parts gives polynomials num' and den' with
+        num'/den' == sigma(x); with rational images of sigma both carry the
+        same cleared factor.  Two fractions with nonzero denominators are
+        equal exactly when their cross products are, whether or not they are
+        in lowest terms, so x is fixed exactly when num'*den == num*den', and
+        sigma(x) is never normalized.  den' is sigma(den) times the nonzero
+        cleared factor, and sigma(den) is nonzero since sigma is an
+        automorphism.
         """
         value = self.value
         if value.is_constant():
@@ -328,10 +329,7 @@ class Element:
         images = _sigma_images(self.pres, value, 1)
         if images is None:
             return value.shift(1) == value
-        parts = value.substitute_parts(images)
-        if parts is None:
-            return value.substitute(images) == value
-        num, den = parts
+        num, den = value.substitute_parts(images)
         return num * value.den == value.num * den
 
 

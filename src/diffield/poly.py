@@ -337,31 +337,6 @@ class MPoly:
             out += " - " + part[1:] if part.startswith("-") else " + " + part
         return out
 
-    # -- evaluation ----------------------------------------------------------
-
-    def eval_partial(self, assignment: Mapping[VarId, Fraction]) -> "MPoly":
-        """Substitute rational values for some variables."""
-        if not assignment:
-            return self
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
-            coef = c
-            rest: list[tuple[VarId, int]] = []
-            for v, e in m:
-                if v in assignment:
-                    coef *= as_rational(assignment[v]) ** e
-                else:
-                    rest.append((v, e))
-            if not coef:
-                continue
-            key = tuple(rest)
-            s = out.get(key, Q0) + coef
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return MPoly(out)
-
 
 # -- division and gcd ---------------------------------------------------------
 

@@ -176,37 +176,37 @@ class RatFunc:
 
     def evaluate(self, assignment: Mapping[VarId, Fraction]) -> "RatFunc":
         """Substitute rational values for some variables and renormalize."""
-        num = self.num.eval_partial(assignment)
-        den = self.den.eval_partial(assignment)
+        return self.substitute({v: RatFunc.const(c) for v, c in assignment.items()})
+
+    def substitute(self, images: Mapping[VarId, "RatFunc"]) -> "RatFunc":
+        """Substitute rational functions for variables (the sigma action, evaluation)."""
+        if not images:
+            return self
+        num, den = self.substitute_parts(images)
         if den.is_zero():
             raise PoleError("pole hit: denominator vanished under substitution")
         return RatFunc(num, den)
 
-    def substitute(self, images: Mapping[VarId, "RatFunc"]) -> "RatFunc":
-        """Substitute rational functions for variables (used by the sigma action)."""
-        if not images:
-            return self
-        parts = self.substitute_parts(images)
-        if parts is None:
-            num, den = _subst_poly(self.num, images), _subst_poly(self.den, images)
-        else:
-            num, den = parts
-        if den.is_zero():
-            raise PoleError("pole hit: denominator vanished under substitution")
-        return num / den if parts is None else RatFunc(num, den)
+    def substitute_parts(self, images: Mapping[VarId, "RatFunc"]) -> tuple[MPoly, MPoly]:
+        """Polynomials num', den' with num'/den' == self(images), not reduced.
 
-    def substitute_parts(self, images: Mapping[VarId, "RatFunc"]) -> tuple[MPoly, MPoly] | None:
-        """The substituted numerator and denominator, when every image is a polynomial.
-
-        Both are then polynomials, computed with ``MPoly`` arithmetic and not
-        reduced against each other; None when some image has a denominator.
+        An image P_v/Q_v with nonconstant Q_v is cleared with
+        d_v = max(deg_v num, deg_v den): a monomial c * prod v^e of num or
+        den becomes c * prod P_v^e * Q_v^(d_v - e), with e = 0 for a
+        variable the monomial lacks.  Both parts then carry the same factor
+        prod Q_v^d_v, which cancels in num'/den'.  With polynomial images
+        this is plain substitution.  den' is zero exactly when den vanishes
+        at the images.
         """
-        polys = {}
+        polys: dict[VarId, MPoly] = {}
+        dens: dict[VarId, tuple[MPoly, int]] = {}
         for v, f in images.items():
-            if not f.den.is_constant():
-                return None
             polys[v] = f.num
-        return _subst_mpoly(self.num, polys), _subst_mpoly(self.den, polys)
+            if not f.den.is_constant():
+                d = max(self.num.degree_in(v), self.den.degree_in(v))
+                if d:
+                    dens[v] = (f.den, d)
+        return _subst_mpoly(self.num, polys, dens), _subst_mpoly(self.den, polys, dens)
 
     # -- equality / printing -----------------------------------------------------
 
@@ -268,9 +268,16 @@ def _canonical(num: MPoly, den: MPoly) -> RatFunc:
     return r
 
 
-def _subst_mpoly(p: MPoly, images: Mapping[VarId, MPoly]) -> MPoly:
-    """p with polynomials substituted for some of its variables."""
-    powers: dict[tuple[VarId, int], MPoly] = {}
+def _subst_mpoly(p: MPoly, images: Mapping[VarId, MPoly], dens: Mapping[VarId, tuple[MPoly, int]]) -> MPoly:
+    """p with images[v] substituted for v, each monomial times prod Q^(d - e) over dens[v] = (Q, d)."""
+    powers: dict[tuple[VarId, int], MPoly] = {}  # (v, e): image^e; (v, -k): Q^k
+
+    def power(key: tuple[VarId, int], base: MPoly, e: int) -> MPoly:
+        got = powers.get(key)
+        if got is None:
+            got = powers[key] = base if e == 1 else base**e
+        return got
+
     out: dict = {}
     for m, c in p.terms.items():
         rest = []
@@ -280,10 +287,15 @@ def _subst_mpoly(p: MPoly, images: Mapping[VarId, MPoly]) -> MPoly:
             if image is None:
                 rest.append((v, e))
                 continue
-            power = powers.get((v, e))
-            if power is None:
-                power = powers[(v, e)] = image if e == 1 else image**e
-            term = power if term is None else term * power
+            factor = power((v, e), image, e)
+            term = factor if term is None else term * factor
+        if dens:
+            exps = dict(m)
+            for v, (q, d) in dens.items():
+                k = d - exps.get(v, 0)
+                if k:
+                    factor = power((v, -k), q, k)
+                    term = factor if term is None else term * factor
         head = MPoly({tuple(rest): c})
         term = head if term is None else head * term
         for mm, cc in term.terms.items():
@@ -293,29 +305,6 @@ def _subst_mpoly(p: MPoly, images: Mapping[VarId, MPoly]) -> MPoly:
             else:
                 del out[mm]
     return MPoly(out)
-
-
-def _subst_poly(p: MPoly, images: Mapping[VarId, RatFunc]) -> RatFunc:
-    power_cache: dict[tuple[VarId, int], RatFunc] = {}
-
-    def power(v: VarId, e: int) -> RatFunc:
-        key = (v, e)
-        got = power_cache.get(key)
-        if got is None:
-            got = images[v] ** e
-            power_cache[key] = got
-        return got
-
-    total = RatFunc.zero()
-    for m, c in p.terms.items():
-        term = RatFunc.const(c)
-        for v, e in m:
-            if v in images:
-                term = term * power(v, e)
-            else:
-                term = term * RatFunc(MPoly({((v, e),): Q1}), MPoly.const(1))
-        total = total + term
-    return total
 
 
 def common_denominator(elems: Sequence[RatFunc]) -> MPoly:

@@ -167,6 +167,7 @@ def build_system(base: Presentation, blocks: Sequence[Sequence[tuple]]) -> Syste
     pres = base
     assignment: list[tuple[str, frozenset[int]]] = []
     base_names = base.names()
+    base_indices = {g.index for g in base.gens}
     for i, block in enumerate(blocks, start=1):
         if not block:
             raise SystemModelError(f"block {i} is empty")
@@ -180,7 +181,7 @@ def build_system(base: Presentation, blocks: Sequence[Sequence[tuple]]) -> Syste
                 for part in (linear, constant):
                     if isinstance(part, Element):
                         for v in part.value.variables():
-                            if v.index >= len(base_names):
+                            if v.index not in base_indices:
                                 raise SystemModelError(
                                     f"rule of {name!r} must mention base generators only"
                                 )

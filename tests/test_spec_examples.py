@@ -1,6 +1,9 @@
 """Remaining contract examples that cut across modules."""
 
+import ast
 import random
+import re
+from pathlib import Path
 
 from diffield.certify import certify_unsolvable
 from diffield.counterexample import adjoin_twisted_pair, build_base, closure_step
@@ -17,6 +20,8 @@ from diffield.freebase import decide_free_base
 from diffield.characters import check_n_sas_witness
 from diffield.systems import SystemModel
 from diffield.tower import solve_twisted_bounded
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_rational_only_presentation_multiplicative():
@@ -98,3 +103,33 @@ def test_no_false_refutation_battery():
         assert not isinstance(cert, Unsolvable)
         checked += 1
     assert checked == 100
+
+
+def _commented_repr(lines, node):
+    """The repr a tour comment gives for an expression statement.
+
+    It is the comment after the expression, or on the next line after
+    "# ->", up to a run of two spaces that starts a remark.
+    """
+    comment = lines[node.end_lineno - 1][node.end_col_offset :].strip() or lines[node.end_lineno].strip()
+    assert comment.startswith("#"), f"no repr given for line {node.lineno}"
+    return re.split(r"\s{2,}", comment.lstrip("# ").removeprefix("-> "))[0]
+
+
+def test_readme_library_tour():
+    # runs every python block of the README's library tour; each expression
+    # statement's repr must be the one its comment gives
+    text = README.read_text(encoding="utf-8")
+    tour = text[text.index("## Library tour") : text.index("## Command line")]
+    namespace: dict = {}
+    checked = 0
+    for block in re.findall(r"```python\n(.*?)```", tour, re.S):
+        lines = block.splitlines()
+        for node in ast.parse(block).body:
+            if not isinstance(node, ast.Expr):
+                exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+                continue
+            value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+            assert repr(value) == _commented_repr(lines, node), ast.unparse(node)
+            checked += 1
+    assert checked == 8

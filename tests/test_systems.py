@@ -74,6 +74,23 @@ def test_build_system_duplicate_rejected():
         build_system(Presentation.empty(), [[("x", "free")], [("x", "free")]])
 
 
+def test_build_system_base_keeps_ambient_indices():
+    # a restricted base keeps the ambient indices: t sits at index 2 in a base of two
+    p, g = Presentation.empty().with_free("g")
+    p, _ = p.with_free("h")
+    p, t = p.with_affine("t", 1, 1)
+    base = p.restrict(["g", "t"])
+    t = t.in_presentation(base)
+    m = build_system(base, [[("a1", (1, t))], [("a2", "free")]])
+    assert m.pres.gen("a1").sigma(1) == m.pres.gen("a1") + m.pres.gen("t")
+    # a1 gets index 3 in both presentations below, so a rule may name it
+    _, a1 = base.with_free("a1")
+    with pytest.raises(SystemModelError, match="base generators only"):
+        build_system(base, [[("a1", "free")], [("a2", (1, a1))]])
+    with pytest.raises(SystemModelError, match="base generators only"):
+        build_system(base, [[("a1", "free"), ("a2", (1, a1))], [("a3", "free")]])
+
+
 def test_three_free_singleton_blocks_valid():
     m = free_blocks(3)
     assert m.diagnostics() == []
