@@ -6,7 +6,9 @@ coefficients; each new row is reduced against the stored pivots on arrival,
 so an inconsistent row raises :class:`Infeasible` at once and span growth is
 known row by row.  The parameter systems of the solvers
 (:class:`~diffield.params.ParamContext`), span membership
-(:class:`~diffield.ratfunc.SpanTracker`) and dense systems
+(:class:`~diffield.ratfunc.SpanTracker`), the value matrices of relation
+lattices (:func:`~diffield.ratfunc.linear_relations` and
+:func:`~diffield.ratfunc.express_in_span`) and dense systems
 (:func:`solve_affine`) all go through it.
 
 The one other routine is :func:`integer_kernel`, which returns a basis of
@@ -14,6 +16,9 @@ the *saturated* integer kernel lattice (all integer vectors in the rational
 kernel), computed by unimodular column reduction.  Rational kernel bases are
 not enough for character-consistency questions: integer relations outside
 the lattice spanned by rescaled basis vectors would go unchecked.
+``linear_relations`` feeds it the rows of :meth:`Echelon.rref`, which depend
+only on the kernel, so the basis does too; raw value rows would let the
+integer entries swell.
 """
 
 from __future__ import annotations
@@ -116,6 +121,21 @@ class Echelon:
     def kernel(self) -> list[dict[int, Fraction]]:
         """One kernel direction per free column below ``ncols``, in column order."""
         return [self._back_substitute({f: Q1}, False) for f in range(self.ncols) if f not in self.pivots]
+
+    def rref(self) -> list[Row]:
+        """The nonzero rows of the reduced row echelon form, constants left out.
+
+        Row p has 1 at pivot p, 0 at the other pivots and -z[p] at each free
+        column f, where z is the kernel direction of f.  Every pivot must be
+        below ``ncols``.
+        """
+        rows = {p: [Q1 if j == p else Q0 for j in range(self.ncols)] for p in self.pivots}
+        free = [f for f in range(self.ncols) if f not in self.pivots]
+        for f, z in zip(free, self.kernel()):
+            for p, v in z.items():
+                if p != f:
+                    rows[p][f] = -v
+        return [rows[p] for p in sorted(rows)]
 
 
 def solve_affine(matrix: list[Row], rhs: list[Fraction]) -> Row | None:

@@ -5,12 +5,23 @@ denominator is monic under the graded-lex order, so equality of values is
 equality of representations.  This is the universal element type: everything
 the engine manipulates (generators, twisted-equation coefficients, character
 arguments) is one of these.
+
+Relation lattices are computed by evaluation: :func:`linear_relations` and
+:func:`express_in_span` build an :class:`~diffield.linalg.Echelon` over the
+values of the elements at fixed integer points, check every kernel vector
+exactly, and hand its reduced row echelon form to
+:func:`~diffield.linalg.integer_kernel` or
+:func:`~diffield.linalg.solve_affine`.  :class:`SpanTracker` keeps cleared
+monomial rows, since it grows one element at a time.
 """
 
 from __future__ import annotations
 
+import itertools
+import random
 from fractions import Fraction
-from typing import Mapping, Sequence
+from math import lcm
+from typing import Iterator, Mapping, Sequence
 
 from .linalg import Echelon, integer_kernel, solve_affine
 from .poly import MPoly, VarId, as_rational, divexact, poly_gcd, poly_lcm
@@ -330,15 +341,103 @@ def clear_denominators(elems: Sequence[RatFunc]) -> list[MPoly]:
     return [over_denominator(e, den) for e in elems]
 
 
-def _coefficient_matrix(elems: Sequence[RatFunc]) -> list[list[Fraction]]:
-    """Cleared coefficients: one row per monomial, one column per element.
+def _points(nvars: int) -> Iterator[list[int]]:
+    """The fixed sequence of integer evaluation points, in a growing box.
 
-    Rows are in ``str`` order of the monomials, which fixes the lattice bases
-    and the witnesses that reports print.
+    Point k draws its coordinates from [-B, B] with B = 2^(8 + k // 64), from
+    a generator of its own seeded with 0, so the sequence is the same in
+    every call and every process.
     """
-    cleared = clear_denominators(elems)
-    monomials = sorted({m for p in cleared for m in p.terms}, key=str)
-    return [[p.terms.get(m, Q0) for p in cleared] for m in monomials]
+    rng = random.Random(0)
+    for k in itertools.count():
+        box = 1 << (8 + k // 64)
+        yield [rng.randrange(-box, box + 1) for _ in range(nvars)]
+
+
+def _integer_terms(p: MPoly, index: Mapping[VarId, int]) -> tuple[int, list[tuple[int, tuple]]]:
+    """(L, terms) with L * p == sum of c * prod x_i^e over (c, ((i, e), ...)) in terms, all ints.
+
+    Variables become their positions in ``index``, so a point is a list.
+    """
+    den = 1
+    for c in p.terms.values():
+        den = lcm(den, c.denominator)
+    return den, [
+        (c.numerator * (den // c.denominator), tuple((index[v], e) for v, e in m)) for m, c in p.terms.items()
+    ]
+
+
+def _integer_value(terms: list[tuple[int, tuple]], point: list[int]) -> int:
+    """The value of :func:`_integer_terms` terms at an integer point."""
+    total = 0
+    for c, mono in terms:
+        for i, e in mono:
+            c *= point[i] ** e
+        total += c
+    return total
+
+
+def _vanishes(elems: Sequence[RatFunc], z: Mapping[int, Fraction]) -> bool:
+    """Exactly whether sum z_i * elems[i] is zero.
+
+    Numerators are summed per denominator, and the sums S_D are cleared
+    with the product of the distinct denominators: the sum is zero exactly
+    when sum_D S_D * prod_{D' != D} D' is.  No gcd or exact division is
+    needed.
+    """
+    sums: dict[MPoly, MPoly] = {}
+    for i, c in z.items():
+        e = elems[i]
+        part = e.num.scale(c)
+        sums[e.den] = sums[e.den] + part if e.den in sums else part
+    num, den = MPoly(), MPoly.const(1)
+    for d, s in sums.items():
+        if s.terms:
+            num, den = num * d + s * den, den * d
+    return num.is_zero()
+
+
+def _relation_rref(elems: Sequence[RatFunc]) -> list[list[Fraction]]:
+    """The reduced row echelon form of the values of elems at integer
+    points, whose kernel is exactly {z : sum z_i * elems[i] = 0}.
+
+    Rows are the values at the points of :func:`_points`, one coordinate per
+    variable in sorted ``VarId`` order; a point where a denominator vanishes
+    is skipped.  Every relation vanishes at every point, so the kernel of
+    the value rows contains the relation space; values that are independent
+    prove the elements independent.  Rows are added until the rank is n or
+    n rows are in, then every kernel vector is checked exactly with
+    :func:`_vanishes`; if one fails, n more rows go in.  Once all pass, the
+    row space is the orthogonal complement of the relation space, the same
+    as that of any exact coefficient matrix, so the reduced row echelon
+    form is too.  A nonzero function of degree d vanishes at a random point
+    of [-B, B]^m with probability at most d/(2B + 1) (Schwartz 1980), so a
+    failed check is rare.
+    """
+    n = len(elems)
+    variables = sorted(set().union(*(e.variables() for e in elems)))
+    index = {v: i for i, v in enumerate(variables)}
+    forms = [(_integer_terms(e.num, index), _integer_terms(e.den, index)) for e in elems]
+    echelon = Echelon(n)
+    points = _points(len(variables))
+    rows, budget = 0, n
+    while True:
+        while rows < budget and len(echelon.pivots) < n:
+            point = next(points)
+            row = {}
+            for j, ((num_scale, num), (den_scale, den)) in enumerate(forms):
+                d = _integer_value(den, point)
+                if not d:
+                    break
+                v = _integer_value(num, point)
+                if v:
+                    row[j] = Fraction(v * den_scale, d * num_scale)
+            else:
+                echelon.add_row(row, Q0)
+                rows += 1
+        if all(_vanishes(elems, z) for z in echelon.kernel()):
+            return echelon.rref()
+        budget = rows + n
 
 
 def linear_relations(elements: Sequence[RatFunc]) -> list[tuple[Fraction, ...]]:
@@ -348,17 +447,23 @@ def linear_relations(elements: Sequence[RatFunc]) -> list[tuple[Fraction, ...]]:
     rational relation space, and generate *all* integer relations (the lattice
     is saturated).  Downstream character checks rely on the last point:
     a circle-valued homomorphism extends exactly when it vanishes on every
-    integer relation, and a rescaled rational basis could miss some.
+    integer relation, and a rescaled rational basis could miss some.  The
+    lattice is computed from the reduced row echelon form of the values, so
+    its basis depends only on the relation space.
     """
     if not elements:
         raise ValueError("empty element list")
-    basis = integer_kernel(_coefficient_matrix(elements), len(elements))
+    basis = integer_kernel(_relation_rref(elements), len(elements))
     return [tuple(Fraction(z) for z in vec) for vec in basis]
 
 
 def express_in_span(basis: Sequence[RatFunc], target: RatFunc) -> list[Fraction] | None:
-    """Rational coordinates of target over the basis values, if any."""
-    matrix = _coefficient_matrix([*basis, target])
+    """Rational coordinates of target over the basis values, if any.
+
+    With a dependent basis, the coordinates of the free columns of the
+    reduced row echelon form are zero.
+    """
+    matrix = _relation_rref([*basis, target])
     rhs = [row.pop() for row in matrix]
     return solve_affine(matrix, rhs)
 

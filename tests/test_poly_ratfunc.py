@@ -1,6 +1,7 @@
 """Exact arithmetic substrate: canonical forms, gcd cancellation, evaluation."""
 
 import copy
+import itertools
 import pickle
 import random
 from fractions import Fraction
@@ -10,13 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffield.field import Presentation, _var_image
-from diffield.linalg import solve_affine
+from diffield.linalg import integer_kernel, solve_affine
 from diffield.poly import MPoly, VarId, divexact, mono_mul, poly_gcd
 from diffield.ratfunc import (
     CircleValue,
     PoleError,
     RatFunc,
     SpanTracker,
+    _points,
+    clear_denominators,
     express_in_span,
     linear_relations,
 )
@@ -458,9 +461,9 @@ def test_span_tracker_agrees_with_express_in_span(seed):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6))
 def test_express_in_span_agrees_with_linear_relations(seed):
-    # express_in_span and linear_relations share one coefficient matrix; over
-    # an independent basis, t has coordinates exactly when some relation of
-    # basis + [t] involves t
+    # express_in_span and linear_relations reduce the same values at the
+    # same points; over an independent basis, t has coordinates exactly when
+    # some relation of basis + [t] involves t
     rng = random.Random(seed)
     basis = []
     for _ in range(rng.randint(1, 4)):
@@ -484,6 +487,112 @@ def test_express_in_span_agrees_with_linear_relations(seed):
         for q, b in zip(coords, basis):
             total = total + RatFunc.const(q) * b
         assert total == target
+
+
+# -- relation lattices by evaluation, against the cleared-monomial matrix ------
+
+
+def monomial_matrix(elems):
+    """Cleared coefficients: one row per monomial in str order, one column per element."""
+    cleared = clear_denominators(elems)
+    monomials = sorted({m for p in cleared for m in p.terms}, key=str)
+    return [[p.terms.get(m, Fraction(0)) for p in cleared] for m in monomials]
+
+
+def reference_relations(elems):
+    """The cleared-monomial path: integer_kernel over the monomial matrix."""
+    return [tuple(Fraction(z) for z in vec) for vec in integer_kernel(monomial_matrix(elems), len(elems))]
+
+
+def reference_express(basis, target):
+    """The cleared-monomial path: solve_affine over the monomial matrix."""
+    matrix = monomial_matrix([*basis, target])
+    rhs = [row.pop() for row in matrix]
+    return solve_affine(matrix, rhs)
+
+
+def in_integer_span(vec, basis):
+    """Whether vec is an integer combination of the (independent) basis vectors."""
+    if not basis:
+        return not any(vec)
+    coords = solve_affine([list(row) for row in zip(*basis)], list(vec))
+    return coords is not None and all(q.denominator == 1 for q in coords)
+
+
+RENAMED = {X: VarId(0, "r"), Y: VarId(1, "q"), Z: VarId(2, "p")}
+
+
+def renamed(f):
+    """f over generators with the same indices, named in reverse str order."""
+    return f.substitute({v: RatFunc.var(w) for v, w in RENAMED.items()})
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 10**6))
+def test_differential_relation_lattices(seed):
+    # atoms over Q(x, y, z) with denominators from FACTORS; each planted
+    # element is a rational combination of atoms, so the relation lattice
+    # has rank at least the number planted (0 to 3)
+    rng = random.Random(seed)
+    atoms = [shared_factor_ratfunc(rng) for _ in range(rng.randint(1, 4))]
+    elems = list(atoms)
+    for _ in range(rng.randint(0, 3)):
+        combo = RatFunc.zero()
+        for a in rng.sample(atoms, rng.randint(1, len(atoms))):
+            combo = combo + RatFunc.const(Fraction(rng.randint(-3, 3), rng.randint(1, 2))) * a
+        elems.append(combo)
+    rng.shuffle(elems)
+    ref = reference_relations(elems)
+    got = linear_relations(elems)
+    assert len(got) == len(ref) >= len(elems) - len(atoms)
+    if len(ref) <= 1:
+        assert got == ref
+    matrix = monomial_matrix(elems)
+    rows = _rref(matrix)[0] if matrix else []
+    assert got == [tuple(Fraction(z) for z in vec) for vec in integer_kernel(rows, len(elems))]
+    assert all(in_integer_span(v, got) for v in ref)
+    assert all(in_integer_span(v, ref) for v in got)
+    assert linear_relations([renamed(e) for e in elems]) == got
+    # the last element as target over a basis that may be dependent, and a
+    # planted target in the span of all of them
+    planted = RatFunc.zero()
+    for e in elems:
+        planted = planted + RatFunc.const(rng.randint(-2, 2)) * e
+    for basis, target in ((elems[:-1], elems[-1]), (elems, planted)):
+        coords = express_in_span(basis, target)
+        assert coords == reference_express(basis, target)
+        assert express_in_span([renamed(b) for b in basis], renamed(target)) == coords
+    assert express_in_span(elems, planted) is not None
+
+
+def test_relations_check_elements_that_vanish_at_the_first_points():
+    # f vanishes at the first two points, the whole first round (one point
+    # per element) for up to two elements, so the values alone would report
+    # the relation f = 0
+    for nvars in (1, 2):
+        first = list(itertools.islice(_points(nvars), 2))
+        f = RatFunc.zero()
+        for i, gen in enumerate([x, y][:nvars]):
+            term = RatFunc.one()
+            for point in first:
+                term = term * (gen - RatFunc.const(point[i]))
+            f = f + term
+        assert linear_relations([f]) == []
+        assert linear_relations([RatFunc.one(), f]) == []
+        assert linear_relations([f, f + 1, RatFunc.one()]) == [(Fraction(1), Fraction(-1), Fraction(1))]
+        assert express_in_span([RatFunc.one()], f) is None
+        assert express_in_span([f], RatFunc.one()) is None
+        assert express_in_span([RatFunc.one(), f], f + 3) == [Fraction(3), Fraction(1)]
+
+
+def test_relations_skip_a_pole_at_the_first_point():
+    a = next(_points(1))[0]
+    pole = RatFunc.one() / (x - RatFunc.const(a))
+    elems = [pole, x * pole, RatFunc.one()]  # x/(x - a) = 1 + a/(x - a)
+    assert linear_relations(elems) == reference_relations(elems)
+    assert len(linear_relations(elems)) == 1
+    assert express_in_span([pole, RatFunc.one()], x * pole) == [Fraction(a), Fraction(1)]
+    assert express_in_span([pole], x * pole) is None
 
 
 # -- exact numbers only ------------------------------------------------------
