@@ -64,19 +64,22 @@ COMMANDS = (
 )
 
 
+# Built once: parse_args does not change the parser.
+_PARSER = argparse.ArgumentParser(
+    prog="diffield",
+    description="exact solver and checker for finitely presented difference fields",
+)
+_PARSER.add_argument("command", choices=COMMANDS)
+_PARSER.add_argument("input", nargs="?", help="job document (UTF-8 text)")
+_PARSER.add_argument("--bounds-degree", type=int, default=6, metavar="N")
+_PARSER.add_argument("--bounds-window", type=int, default=4, metavar="W")
+_PARSER.add_argument("--seed", type=int, default=0, metavar="S")
+_PARSER.add_argument("--require-decision", action="store_true")
+_PARSER.add_argument("--out", metavar="PATH", help="write the JSON report here")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="diffield",
-        description="exact solver and checker for finitely presented difference fields",
-    )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("input", nargs="?", help="job document (UTF-8 text)")
-    parser.add_argument("--bounds-degree", type=int, default=6, metavar="N")
-    parser.add_argument("--bounds-window", type=int, default=4, metavar="W")
-    parser.add_argument("--seed", type=int, default=0, metavar="S")
-    parser.add_argument("--require-decision", action="store_true")
-    parser.add_argument("--out", metavar="PATH", help="write the JSON report here")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         doc = _load_document(args)

@@ -175,7 +175,7 @@ def _monomials(vars_: Sequence[VarId], max_deg: int) -> list[MPoly]:
         raise UnsupportedCoefficientShape(
             f"ansatz of ~{est} monomials exceeds the supported search size"
         )
-    ordered = sorted(vars_, key=VarId.key)
+    ordered = sorted(vars_)
     monos: list[MPoly] = []
     for deg in range(max_deg + 1):
         for combo in itertools.combinations_with_replacement(ordered, deg):
@@ -224,7 +224,7 @@ def multiplicative_kernel(
     cap = a_num.total_degree() + a_den.total_degree()
     if deg_cap is not None:
         cap = min(cap, deg_cap + a_den.total_degree())
-    vars_ = sorted(set(_window_vars(pres, window)) | a_den.variables(), key=VarId.key)
+    vars_ = sorted(set(_window_vars(pres, window)) | a_den.variables())
     monos = _monomials(vars_, cap)
     ctx = ParamContext()
     params = ctx.new_params(len(monos))
@@ -232,13 +232,9 @@ def multiplicative_kernel(
     # cleared identity: sigma(Y)*q*A_den - p*Y*sigma(A_den) = 0
     lhs_pos = u.den * a_den
     lhs_neg = u.num * a_den.shift(1)
-    rows: dict = {}
-    for p, mono in zip(params, monos):
-        contribution = mono.shift(1) * lhs_pos - mono * lhs_neg
-        for mkey, c in contribution.terms.items():
-            rows.setdefault(mkey, {})[p] = c
-    for mkey in sorted(rows, key=str):
-        ctx.add_row(rows[mkey], Q0)  # homogeneous: never Infeasible
+    ctx.add_identity(  # homogeneous: never Infeasible
+        MPoly(), {p: mono.shift(1) * lhs_pos - mono * lhs_neg for p, mono in zip(params, monos)}
+    )
     basis: list[Element] = []
     for direction in ctx.kernel():
         y = pres.zero()
@@ -313,7 +309,7 @@ def twisted_family(
             trace["ansatz_size"] = 0
         ctx.add_zero(-rhs)  # only y = 0 remains possible
         return LinComb.zero(pres)
-    vars_ = sorted(set(_window_vars(pres, window)) | a_poly.variables(), key=VarId.key)
+    vars_ = sorted(set(_window_vars(pres, window)) | a_poly.variables())
     monos = _monomials(vars_, cap)
     if trace is not None:
         trace["degree_cap"] = cap
@@ -327,20 +323,10 @@ def twisted_family(
     lhs_pos = a_poly * q1 * q2
     lhs_neg = p1 * a_shifted * q2
     rhs_scale = a_shifted * a_poly * q1
-    rows: dict = {}
-    for p, mono in zip(params, monos):
-        contribution = mono.shift(1) * lhs_pos - mono * lhs_neg
-        for mkey, c in contribution.terms.items():
-            rows.setdefault(mkey, ({}, [Q0]))[0][p] = c
-    for mkey, c in (over_denominator(rhs.const.value, q2) * rhs_scale).terms.items():
-        rows.setdefault(mkey, ({}, [Q0]))[1][0] -= c
-    for lam, part in rhs.coeffs.items():
-        for mkey, c in (over_denominator(part.value, q2) * rhs_scale).terms.items():
-            entry = rows.setdefault(mkey, ({}, [Q0]))
-            entry[0][lam] = entry[0].get(lam, Q0) - c
-    for mkey in sorted(rows, key=str):
-        coeffs, const = rows[mkey]
-        ctx.add_row(coeffs, const[0])
+    coeffs = {p: mono.shift(1) * lhs_pos - mono * lhs_neg for p, mono in zip(params, monos)}
+    for lam, part in rhs.coeffs.items():  # outer parameters: never fresh ones
+        coeffs[lam] = -(over_denominator(part.value, q2) * rhs_scale)
+    ctx.add_identity(-(over_denominator(rhs.const.value, q2) * rhs_scale), coeffs)
     a_elem = Element(pres, RatFunc.from_poly(a_poly))
     family = {p: Element(pres, RatFunc.from_poly(mono)) / a_elem for p, mono in zip(params, monos)}
     return LinComb(pres, pres.zero(), family)

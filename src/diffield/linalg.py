@@ -4,12 +4,16 @@
 sparse row echelon.  Rows are dicts from integer columns to ``Fraction``
 coefficients; each new row is reduced against the stored pivots on arrival,
 so an inconsistent row raises :class:`Infeasible` at once and span growth is
-known row by row.  The parameter systems of the solvers
-(:class:`~diffield.params.ParamContext`), span membership
-(:class:`~diffield.ratfunc.SpanTracker`), the value matrices of relation
-lattices (:func:`~diffield.ratfunc.linear_relations` and
-:func:`~diffield.ratfunc.express_in_span`) and dense systems
-(:func:`solve_affine`) all go through it.
+known row by row.  Three routines feed it rows:
+
+* :meth:`~diffield.params.ParamContext.add_identity`, the polynomial
+  identities of the solvers' parameter systems, one row per monomial;
+* ``ratfunc._relation_rref``, the values of elements at integer points,
+  behind relation lattices and span membership
+  (:func:`~diffield.ratfunc.linear_relations`,
+  :func:`~diffield.ratfunc.express_in_span`,
+  :class:`~diffield.ratfunc.SpanTracker`);
+* :func:`solve_affine`, dense systems.
 
 The one other routine is :func:`integer_kernel`, which returns a basis of
 the *saturated* integer kernel lattice (all integer vectors in the rational

@@ -6,9 +6,10 @@ Constraints accumulate in a :class:`ParamContext`, the row echelon of
 :mod:`diffield.linalg` over the parameters: each new row is reduced against
 the existing pivots on arrival, so infeasibility surfaces immediately (as
 :class:`~diffield.linalg.Infeasible`) and structural case splits can fork
-the context cheaply (pivot rows are immutable once stored).  Equation rows
-come from expanding field-element identities over the monomial basis after
-clearing denominators.
+the context cheaply (pivot rows are immutable once stored).
+:meth:`ParamContext.add_identity` is the one place a polynomial identity
+becomes rows, one per monomial; :meth:`ParamContext.add_zero` clears the
+denominators of a field-element identity and hands it there.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Mapping
 
 from .field import Element, Presentation
 from .linalg import Echelon
+from .poly import MPoly
 from .ratfunc import clear_denominators
 
 Q0 = Fraction(0)
@@ -119,14 +121,19 @@ class ParamContext(Echelon):
         return [self.new_param() for _ in range(count)]
 
     def add_zero(self, lc: LinComb) -> None:
-        """Require lc == 0; expands into one row per monomial."""
+        """Require lc == 0: its cleared numerators must vanish identically."""
         cleared = clear_denominators([lc.const.value] + [v.value for v in lc.coeffs.values()])
-        keys = list(lc.coeffs.keys())
-        monos = {m for p in cleared for m in p.terms}
-        for m in monos:
-            coeffs = {}
-            for k, p in zip(keys, cleared[1:]):
-                c = p.terms.get(m, Q0)
-                if c:
-                    coeffs[k] = c
-            self.add_row(coeffs, cleared[0].terms.get(m, Q0))
+        self.add_identity(cleared[0], dict(zip(lc.coeffs, cleared[1:])))
+
+    def add_identity(self, const: MPoly, coeffs: Mapping[int, MPoly]) -> None:
+        """Require const + sum(coeffs[k] * x_k) == 0 as a polynomial identity.
+
+        Adds one row per monomial, in ``str`` order of the monomials; a row
+        lists its parameters in the order of ``coeffs``.
+        """
+        rows: dict = {m: ({}, c) for m, c in const.terms.items()}
+        for k, p in coeffs.items():
+            for m, c in p.terms.items():
+                rows.setdefault(m, ({}, Q0))[0][k] = c
+        for m in sorted(rows, key=str):
+            self.add_row(*rows[m])

@@ -59,9 +59,6 @@ class VarId(tuple):
     shift = property(itemgetter(1))
     name = property(itemgetter(2))
 
-    def key(self) -> "VarId":
-        return self
-
     def shifted(self, k: int) -> "VarId":
         return tuple.__new__(VarId, (self[0], self[1] + k, self[2]))
 

@@ -6,13 +6,13 @@ equality of representations.  This is the universal element type: everything
 the engine manipulates (generators, twisted-equation coefficients, character
 arguments) is one of these.
 
-Relation lattices are computed by evaluation: :func:`linear_relations` and
-:func:`express_in_span` build an :class:`~diffield.linalg.Echelon` over the
-values of the elements at fixed integer points, check every kernel vector
-exactly, and hand its reduced row echelon form to
-:func:`~diffield.linalg.integer_kernel` or
-:func:`~diffield.linalg.solve_affine`.  :class:`SpanTracker` keeps cleared
-monomial rows, since it grows one element at a time.
+Q-linear dependence is decided in one place, by evaluation:
+:func:`linear_relations` and :func:`express_in_span` build an
+:class:`~diffield.linalg.Echelon` over the values of the elements at fixed
+integer points, check every kernel vector exactly, and hand its reduced row
+echelon form to :func:`~diffield.linalg.integer_kernel` or
+:func:`~diffield.linalg.solve_affine`.  :class:`SpanTracker`, which grows a
+span one element at a time, asks :func:`express_in_span` about each one.
 """
 
 from __future__ import annotations
@@ -471,37 +471,16 @@ def express_in_span(basis: Sequence[RatFunc], target: RatFunc) -> list[Fraction]
 class SpanTracker:
     """Incremental Q-span membership for rational functions.
 
-    Keeps a common denominator and feeds the cleared numerators, one row per
-    element with one column per monomial, to an :class:`Echelon`; adding an
-    element whose denominator does not divide the current one triggers a
-    re-clearing of the stored elements.  Candidates should be grouped by
-    denominator where possible to keep rebuilds rare.
+    Membership is decided by :func:`express_in_span` over the members kept
+    so far, so the tracker holds nothing but them.
     """
 
     def __init__(self) -> None:
         self.values: list[RatFunc] = []
-        self.den: MPoly = MPoly.const(1)
-        self._columns: dict = {}
-        self._echelon = Echelon()
-
-    def _add_row(self, f: RatFunc) -> bool:
-        poly = over_denominator(f, self.den)
-        columns = self._columns
-        row = {columns.setdefault(m, len(columns)): c for m, c in poly.terms.items()}
-        return self._echelon.add_row(row, Q0)
 
     def add(self, f: RatFunc) -> bool:
         """Add if independent; returns True when the span grew."""
-        if f.is_zero():
-            return False
-        new_den = poly_lcm(self.den, f.den)
-        if new_den != self.den:
-            self.den = new_den
-            self._columns = {}
-            self._echelon = Echelon()
-            for v in self.values:
-                self._add_row(v)
-        if not self._add_row(f):
+        if f.is_zero() or express_in_span(self.values, f) is not None:
             return False
         self.values.append(f)
         return True

@@ -104,7 +104,7 @@ class SystemModel:
                 subset = amap.get(by_index[v.index])
                 if subset is not None and i in subset:
                     out.add(v)
-        return sorted(out, key=VarId.key)
+        return sorted(out)
 
     def adjoin(self, w: Iterable[int], name: str, linear, constant) -> tuple["SystemModel", Element]:
         """Adjoin a fresh affine generator assigned to the index set w.
@@ -406,9 +406,8 @@ class ClosureOracle(SolverOracle):
     step, recorded in ``closures``.
     """
 
-    def __init__(self, bounds: SearchBounds = SearchBounds(4, 2), prefix: str = "w"):
+    def __init__(self, bounds: SearchBounds = SearchBounds(4, 2)):
         super().__init__(bounds)
-        self.prefix = prefix
         self.counter = 0
         self.closures: list[tuple[str, frozenset[int], Element]] = []
 
@@ -419,7 +418,7 @@ class ClosureOracle(SolverOracle):
         if not model.member_of(target, w):
             return None
         self.counter += 1
-        name = f"{self.prefix}{self.counter}"
+        name = f"w{self.counter}"
         model2, gen = model.adjoin(w, name, model.pres.one(), target)
         self.closures.append((name, w, target))
         return gen, model2

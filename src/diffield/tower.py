@@ -339,8 +339,7 @@ def span_basis(elems: Iterable[Element], first: Element | None = None) -> list[E
     """The members of elems that grow the Q-span of those kept before them.
 
     ``first`` is tried before all the others, which are tried grouped by
-    denominator (so the span tracker rarely re-clears) in ``repr`` order;
-    that order fixes which members are kept.
+    denominator in ``repr`` order; that order fixes which members are kept.
     """
     ordered = sorted(elems, key=lambda e: (repr(e.value.den), repr(e.value)))
     if first is not None:

@@ -1,11 +1,13 @@
 """Grammar round-trips, error positions, CLI exit codes, reproducibility."""
 
+import gc
 import json
 from pathlib import Path
 
 import pytest
 from conftest import run_cli
 
+from diffield import cli
 from diffield.parser import (
     ParseError,
     SemanticError,
@@ -97,6 +99,22 @@ def test_cli_solution_exit_zero(tmp_path):
     assert report["schema_version"] == 1
     assert report["result"]["verdict"] == "solution"
     assert report["result"]["witness"] == "t"
+
+
+def test_cli_main_leaves_no_argparse_garbage(tmp_path, capsys):
+    doc = tmp_path / "job.df"
+    doc.write_text("gen g free;\ngen t affine linear=1 const=1;\ntwisted e1 = 1, e2 = 1;\n")
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert cli.main(["solve-sas", str(doc)]) == 0
+        gc.collect()
+        left = [o for o in gc.garbage if type(o).__module__ == "argparse"]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert not left
+    assert "solution" in capsys.readouterr().out
 
 
 def test_cli_unreadable_input_exit_two(tmp_path):

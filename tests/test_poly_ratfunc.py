@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffield.field import Presentation, _var_image
-from diffield.linalg import integer_kernel, solve_affine
-from diffield.poly import MPoly, VarId, divexact, mono_mul, poly_gcd
+from diffield.linalg import Echelon, Infeasible, integer_kernel, solve_affine
+from diffield.params import ParamContext
+from diffield.poly import MPoly, VarId, divexact, mono_mul, poly_gcd, poly_lcm
 from diffield.ratfunc import (
     CircleValue,
     PoleError,
@@ -22,6 +23,7 @@ from diffield.ratfunc import (
     clear_denominators,
     express_in_span,
     linear_relations,
+    over_denominator,
 )
 
 X = VarId(0, "x")
@@ -181,7 +183,7 @@ def test_varid_contract():
     assert (v.index, v.name, v.shift) == (3, "g", -2)
     assert VarId(0, "x").shift == 0
     assert repr(v) == "g[-2]" and repr(X) == "x"
-    assert v.shifted(2) == VarId(3, "g") and v.key() == v
+    assert v.shifted(2) == VarId(3, "g")
     rng = random.Random(17)
     vs = [VarId(rng.randint(0, 3), rng.choice("abc"), rng.randint(-2, 2)) for _ in range(80)]
     assert sorted(vs) == sorted(vs, key=lambda w: (w.index, w.shift, w.name))
@@ -439,14 +441,46 @@ def test_solve_affine_matches_dense_rref(seed):
         assert all(sum(a * v for a, v in zip(row, got)) == b for row, b in zip(matrix, rhs))
 
 
+class ClearedMonomialTracker:
+    """Reference span tracker: cleared numerators as monomial rows of an Echelon.
+
+    Keeps a common denominator of the members; a candidate whose denominator
+    does not divide it re-clears every member.
+    """
+
+    def __init__(self):
+        self.values = []
+        self.den = MPoly.const(1)
+        self.columns = {}
+        self.echelon = Echelon()
+
+    def _add_row(self, f):
+        poly = over_denominator(f, self.den)
+        row = {self.columns.setdefault(m, len(self.columns)): c for m, c in poly.terms.items()}
+        return self.echelon.add_row(row, Fraction(0))
+
+    def add(self, f):
+        if f.is_zero():
+            return False
+        new_den = poly_lcm(self.den, f.den)
+        if new_den != self.den:
+            self.den, self.columns, self.echelon = new_den, {}, Echelon()
+            for v in self.values:
+                self._add_row(v)
+        if not self._add_row(f):
+            return False
+        self.values.append(f)
+        return True
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6))
-def test_span_tracker_agrees_with_express_in_span(seed):
-    # denominators drawn from a small pool force common-denominator
-    # rebuilds; combinations of earlier members force rejections
+def test_span_tracker_agrees_with_cleared_monomial_tracker(seed):
+    # denominators drawn from a small pool force the reference to re-clear;
+    # combinations of earlier members force rejections
     rng = random.Random(seed)
     dens = [MPoly.const(1), px + MPoly.const(1), py, px * py - MPoly.const(2)]
-    tracker = SpanTracker()
+    tracker, reference = SpanTracker(), ClearedMonomialTracker()
     for _ in range(rng.randint(1, 8)):
         if tracker.values and rng.random() < 0.4:
             f = RatFunc.zero()
@@ -454,8 +488,8 @@ def test_span_tracker_agrees_with_express_in_span(seed):
                 f = f + RatFunc.const(Fraction(rng.randint(-2, 2), rng.randint(1, 2))) * v
         else:
             f = RatFunc(rand_poly(rng, [X, Y], max_deg=1), rng.choice(dens))
-        expected = not f.is_zero() and express_in_span(tracker.values, f) is None
-        assert tracker.add(f) == expected
+        assert tracker.add(f) == reference.add(f)
+        assert tracker.values == reference.values
 
 
 @settings(max_examples=60, deadline=None)
@@ -509,6 +543,37 @@ def reference_express(basis, target):
     matrix = monomial_matrix([*basis, target])
     rhs = [row.pop() for row in matrix]
     return solve_affine(matrix, rhs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6))
+def test_add_identity_matches_monomial_matrix(seed):
+    # const + sum coeffs[k] * x_k == 0 holds as an identity exactly when the
+    # str-ordered monomial matrix M x = -const is solvable; half the
+    # constants are planted, the others may reach monomials no coefficient has
+    rng = random.Random(seed)
+    ctx = ParamContext()
+    params = ctx.new_params(rng.randint(1, 4))
+    coeffs = {k: rand_poly(rng, [X, Y]) for k in params}
+    if len(params) > 1 and rng.random() < 0.5:
+        k1, k2 = rng.sample(params, 2)
+        coeffs[k1] = coeffs[k2].scale(Fraction(rng.randint(-2, 2)))
+    const = MPoly()
+    for k in params:
+        const = const - coeffs[k].scale(Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
+    if rng.random() < 0.5:
+        const = const + rand_poly(rng, [X, Y, Z])
+    matrix = monomial_matrix([RatFunc.from_poly(p) for p in [const, *coeffs.values()]])
+    expected = solve_affine([row[1:] for row in matrix], [-row[0] for row in matrix]) if matrix else [0] * len(params)
+    order = list(params)
+    rng.shuffle(order)
+    try:
+        ctx.add_identity(const, {k: coeffs[k] for k in order})
+    except Infeasible:
+        assert expected is None
+        return
+    solution = ctx.solve()
+    assert expected is not None and [solution.get(k, 0) for k in params] == expected
 
 
 def in_integer_span(vec, basis):
