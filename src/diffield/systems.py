@@ -12,16 +12,18 @@ is the sub-presentation of the base plus every generator assigned inside w.
 The decomposition algorithm follows the two-step induction: step 1 realizes
 the specialisation of the defining linear identity by generic rational
 evaluation of one block's variables (over algebraically independent blocks,
-generic evaluation is the co-heir at instance level), and step 2 corrects
-the resulting one-sided splittings into an antisymmetric family, peeling
-the last corner and recursing.  Generic points come from a seeded sequence
-over growing integer boxes, so runs are reproducible bit-exactly.
+generic evaluation is the co-heir at instance level), and step 2 peels the
+last corner until the height-2 remainder telescopes: each peel writes one
+row of the antisymmetric family and adds it to the remaining summands.
+Generic points come from a seeded sequence over growing integer boxes, so
+runs are reproducible bit-exactly.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -81,30 +83,30 @@ class SystemModel:
     def corner(self, w: Iterable[int]) -> Presentation:
         return self.pres.restrict(self.corner_names(w))
 
+    @cached_property
+    def _index_sets(self) -> dict[int, frozenset[int]]:
+        """Generator index -> assigned index set, empty for the base (a memo
+        outside the dataclass fields, unseen by equality, hashing and repr)."""
+        amap = self.assignment_map()
+        return {g.index: amap.get(g.name, frozenset()) for g in self.pres.gens}
+
+    def _indices_of(self, v: VarId) -> frozenset[int] | None:
+        """Index set of v's generator: empty for the base, None if foreign."""
+        return self._index_sets.get(v.index)
+
     def member_of(self, elem: Element, w: Iterable[int]) -> bool:
         wset = frozenset(w)
-        amap = self.assignment_map()
-        by_index = {g.index: g.name for g in self.pres.gens}
         for v in elem.value.variables():
-            name = by_index.get(v.index)
-            if name is None:
-                return False
-            subset = amap.get(name)
-            if subset is not None and not subset <= wset:
+            subset = self._indices_of(v)
+            if subset is None or not subset <= wset:
                 return False
         return True
 
     def block_vars(self, i: int, elems: Sequence[Element]) -> list[VarId]:
         """Materialized variables of generators involving index i."""
-        amap = self.assignment_map()
-        by_index = {g.index: g.name for g in self.pres.gens}
-        out = set()
-        for e in elems:
-            for v in e.value.variables():
-                subset = amap.get(by_index[v.index])
-                if subset is not None and i in subset:
-                    out.add(v)
-        return sorted(out)
+        return sorted(
+            {v for e in elems for v in e.value.variables() if i in (self._indices_of(v) or ())}
+        )
 
     def adjoin(self, w: Iterable[int], name: str, linear, constant) -> tuple["SystemModel", Element]:
         """Adjoin a fresh affine generator assigned to the index set w.
@@ -130,8 +132,7 @@ class SystemModel:
         for b in self.base_names:
             if b not in names:
                 raise SystemModelError(f"base generator {b!r} missing from the presentation")
-        amap = self.assignment_map()
-        if len(amap) != len(self.assignment):
+        if len({name for name, _ in self.assignment}) != len(self.assignment):
             raise SystemModelError("a generator is assigned to two blocks")
         for name, subset in self.assignment:
             if name in self.base_names:
@@ -142,19 +143,11 @@ class SystemModel:
             if not spec.is_free:
                 for part in (spec.kind.linear, spec.kind.constant):
                     for v in part.variables():
-                        vname = self.pres.spec_by_index(v.index).name
-                        vsub = amap.get(vname)
-                        if vsub is not None and not vsub <= subset:
+                        vsub = self._indices_of(v)
+                        if vsub is None or not vsub <= subset:
                             raise SystemModelError(
-                                f"rule of {name!r} mentions {vname!r} outside its corner"
+                                f"rule of {name!r} mentions {v.name!r} outside its corner"
                             )
-
-    def diagnostics(self) -> list[str]:
-        try:
-            self.validate()
-        except SystemModelError as exc:
-            return [str(exc)]
-        return []
 
 
 def build_system(base: Presentation, blocks: Sequence[Sequence[tuple]]) -> SystemModel:
@@ -293,52 +286,34 @@ def specialise_step1(
 
 
 def decompose(model: SystemModel, eq: AdditiveEquation, seed: int = 0) -> Decomposition:
-    """Antisymmetric pairwise decomposition of an additive equation (height >= 3)."""
+    """Antisymmetric pairwise decomposition of an additive equation (height >= 3).
+
+    Peel the last index until the height-2 remainder telescopes: one
+    specialise_step1 at block `last` (seed + 17*last, then seed += 1) gives
+    row `last`, which the remaining summands absorb; n - 2 specialisations.
+    """
     eq.require_valid(ff=False)
     if eq.height < 3:
         raise SystemModelError("decomposition requires height at least 3")
-    active = sorted(eq.summand_map())
-    return _decompose_rec(model, eq.summand_map(), active, seed)
+    b = eq.summand_map()
+    dec: Decomposition = {}
+    while len(b) > 2:
+        last = max(b)
+        row = specialise_step1(model, b, last, seed=seed + 17 * last)
+        del b[last]
+        for j in b:
+            dec[(last, j)], dec[(j, last)] = row[j], -row[j]
+            b[j] = b[j] + row[j]
+        seed += 1
+    dec.update(_telescope(b, *sorted(b)))
+    return dec
 
 
-def _decompose_rec(
-    model: SystemModel, summands: dict[int, Element], active: list[int], seed: int
-) -> Decomposition:
-    n = len(active)
-    if n == 3:
-        i1, i2, i3 = active
-        d = {i: specialise_step1(model, summands, i, seed=seed + 17 * i) for i in active}
-        # delta_i = d[j][k] + d[k][j] for (i, j, k) a cyclic labelling
-        delta = {
-            i1: d[i2][i3] + d[i3][i2],
-            i2: d[i1][i3] + d[i3][i1],
-            i3: d[i1][i2] + d[i2][i1],
-        }
-        if not (delta[i1] + delta[i2] + delta[i3]).is_zero():
-            raise SystemModelError("internal invariant violation: deltas do not sum to zero")
-        for i in active:
-            if not model.member_of(delta[i], model.complement(*active)):
-                raise SystemModelError("internal invariant violation: delta escapes the base")
-        c: Decomposition = {
-            (i3, i1): d[i3][i1],
-            (i3, i2): d[i3][i2],
-            (i2, i3): d[i2][i3] - delta[i1],
-            (i2, i1): d[i2][i1] + delta[i1],
-            (i1, i3): d[i1][i3] - delta[i2],
-            (i1, i2): d[i1][i2] + delta[i2],
-        }
-        return c
-    last = active[-1]
-    rest = active[:-1]
-    d_last = specialise_step1(model, summands, last, seed=seed + 17 * last)
-    c: Decomposition = {}
-    reduced: dict[int, Element] = {}
-    for j in rest:
-        c[(last, j)] = d_last[j]
-        c[(j, last)] = -d_last[j]
-        reduced[j] = summands[j] + d_last[j]
-    c.update(_decompose_rec(model, reduced, rest, seed + 1))
-    return c
+def _telescope(b: Mapping[int, Element], i: int, j: int) -> Decomposition:
+    """The height-2 step: b_i + b_j = 0 is the decomposition (i,j) = b_i."""
+    if b[i] != -b[j]:
+        raise SystemModelError("height-2 equation does not telescope")
+    return {(i, j): b[i], (j, i): b[j]}
 
 
 def validate_decomposition(
@@ -432,25 +407,22 @@ def wp_decompose_with_witnesses(
     d: Mapping[int, Element],
     oracle: TorsorWitnessOracle,
     seed: int = 0,
-    universe: frozenset[int] | None = None,
 ):
     """Split wp(d_i) into an antisymmetric family of realized torsor targets.
 
     Requires sum(d_i) fixed.  Returns (model, e, wit) with
     wp(d_i) = sum_k e[(i,k)], e[(i,k)] = -e[(k,i)], and wp(wit[(i,k)]) =
-    e[(i,k)] with wit[(i,k)] in corner(universe - {i,k}).  The oracle
+    e[(i,k)] with wit[(i,k)] in corner(complement(i,k)).  The oracle
     supplies the torsor realizations the induction needs; a miss raises
     WitnessUnavailable naming the blocked query.
     """
     active = sorted(d)
-    if universe is None:
-        universe = model.indices()
     total = model.pres.zero()
     for i in active:
         total = total + d[i]
     if not total.is_fixed():
         raise SystemModelError("wp-decomposition requires the summand total to be fixed")
-    model, e, wit = _wp_rec(model, dict(d), active, frozenset(universe), oracle, seed)
+    model, e, wit = _wp_rec(model, dict(d), active, model.indices(), oracle, seed)
     for i in active:
         recovered = model.pres.zero()
         for k in active:
@@ -469,7 +441,7 @@ def _wp_rec(model, d, active, universe, oracle, seed):
     """Realize row `last` of a wp-split with oracle witnesses, then recurse.
 
     Only row `last` of a decomposition of the wp(d_i) is read, and
-    _decompose_rec fills that row from one specialise_step1 at block `last`;
+    decompose fills that row from one specialise_step1 at block `last`;
     so that specialisation is all that is computed."""
     e: dict[tuple[int, int], Element] = {}
     wit: dict[tuple[int, int], Element] = {}
@@ -531,13 +503,9 @@ def ff_decompose_with_witnesses(
 
 
 def _ff_rec(model, b, active, universe, oracle, seed):
-    dec: Decomposition = {}
     if len(active) == 2:
-        i, j = active
-        if b[i] != -b[j]:
-            raise SystemModelError("height-2 equation does not telescope")
-        dec[(i, j)], dec[(j, i)] = b[i], b[j]
-        return model, dec
+        return model, _telescope(b, *active)
+    dec: Decomposition = {}
     last = active[-1]
     rest = active[:-1]
     d_last = specialise_step1(model, b, last, seed=seed + 17 * last)
@@ -619,12 +587,8 @@ def ff_decompose_bounded(
     entries: dict[tuple[int, int], LinComb] = {}
     pres = model.pres
     for (i, j), span in pairwise_fixed_polynomials(model, idx, bounds).items():
-        comb = LinComb.zero(pres)
-        for basis_elem in span:
-            p = ctx.new_param()
-            comb = comb + LinComb(pres, pres.zero(), {p: basis_elem})
-        entries[(i, j)] = comb
-        entries[(j, i)] = -comb
+        comb = LinComb(pres, pres.zero(), {ctx.new_param(): e for e in span})
+        entries[(i, j)], entries[(j, i)] = comb, -comb
     try:
         for i in idx:
             total = LinComb.zero(pres)

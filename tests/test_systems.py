@@ -7,6 +7,7 @@ import pytest
 
 from diffield.equations import SearchBounds
 from diffield.field import Presentation
+import diffield.systems as systems
 from diffield.systems import (
     AdditiveEquation,
     ClosureOracle,
@@ -93,14 +94,14 @@ def test_build_system_base_keeps_ambient_indices():
 
 def test_three_free_singleton_blocks_valid():
     m = free_blocks(3)
-    assert m.diagnostics() == []
+    m.validate()
 
 
 def test_twisted_blocks_over_base_valid():
     base, g = Presentation.empty().with_free("g")
     inv_spec = (g, g)
     m = build_system(base, [[("a1", (g, g))], [("a2", (g, g))]])
-    assert m.diagnostics() == []
+    m.validate()
 
 
 def test_equation_validation_flags_bad_membership():
@@ -108,6 +109,48 @@ def test_equation_validation_flags_bad_membership():
     x1 = m.pres.gen("x1")
     eq = AdditiveEquation.of(m, {1: x1, 2: -x1, 3: m.pres.zero()})
     assert any("block 1" in p for p in eq.validate())
+
+
+def test_member_of_rejects_a_foreign_generator():
+    m = free_blocks(3)
+    _, z = m.pres.with_free("z")
+    assert not m.member_of(z, m.indices())
+    assert not m.member_of(z + m.pres.gen("x1").in_presentation(z.pres), m.indices())
+
+
+def test_member_of_accepts_the_base_everywhere():
+    m = torsor_blocks(3)
+    g = m.pres.gen("g")
+    for r in range(4):
+        for w in itertools.combinations(range(1, 4), r):
+            assert m.member_of(g * g + 1, w)
+
+
+def pair_generator_model():
+    """Blocks 1..4 over a free base g, and w adjoined to the pair {1, 2}."""
+    base, g = Presentation.empty().with_free("g")
+    m = build_system(
+        base,
+        [[("x1", "free"), ("u1", (1, g))], [("x2", "free")], [("x3", "free")], [("x4", "free")]],
+    )
+    return m.adjoin({1, 2}, "w", m.pres.one(), m.pres.gen("x1") * m.pres.gen("x2"))
+
+
+def test_adjoined_pair_generator_belongs_to_corners_containing_the_pair():
+    m, w = pair_generator_model()
+    for r in range(5):
+        for corner in itertools.combinations(range(1, 5), r):
+            assert m.member_of(w, corner) == ({1, 2} <= set(corner)), corner
+
+
+def test_block_vars_lists_the_block_and_its_pair_generators():
+    m, w = pair_generator_model()
+    g, x1, u1, x2, x3 = (m.pres.gen(n) for n in ("g", "x1", "u1", "x2", "x3"))
+    e = g * x1.sigma(1) + u1 * w + x2 + x3 * g
+    variables = e.value.variables()
+    for i, names in ((1, {"x1", "u1", "w"}), (2, {"x2", "w"}), (3, {"x3"}), (4, set())):
+        assert m.block_vars(i, [e]) == sorted(v for v in variables if v.name in names)
+    assert any(v.name == "x1" and v.shift == 1 for v in m.block_vars(1, [e]))
 
 
 def test_specialise_step1_cocycle():
@@ -170,6 +213,102 @@ def test_decompose_reproducible_bit_exact():
     d1 = decompose(model, eq, seed=12)
     d2 = decompose(model, eq, seed=12)
     assert {k: repr(v) for k, v in d1.items()} == {k: repr(v) for k, v in d2.items()}
+
+
+def reference_decompose(model, eq, seed=0):
+    """The recursive decomposition with a height-3 base case that decompose's
+    peeling loop replaced: three specialisations and a delta correction at
+    height 3, of which two cancel.  Kept as the reference for the loop."""
+    return _reference_rec(model, eq.summand_map(), sorted(eq.summand_map()), seed)
+
+
+def _reference_rec(model, summands, active, seed):
+    n = len(active)
+    if n == 3:
+        i1, i2, i3 = active
+        d = {i: specialise_step1(model, summands, i, seed=seed + 17 * i) for i in active}
+        # delta_i = d[j][k] + d[k][j] for (i, j, k) a cyclic labelling
+        delta = {
+            i1: d[i2][i3] + d[i3][i2],
+            i2: d[i1][i3] + d[i3][i1],
+            i3: d[i1][i2] + d[i2][i1],
+        }
+        assert (delta[i1] + delta[i2] + delta[i3]).is_zero()
+        for i in active:
+            assert model.member_of(delta[i], model.complement(*active))
+        return {
+            (i3, i1): d[i3][i1],
+            (i3, i2): d[i3][i2],
+            (i2, i3): d[i2][i3] - delta[i1],
+            (i2, i1): d[i2][i1] + delta[i1],
+            (i1, i3): d[i1][i3] - delta[i2],
+            (i1, i2): d[i1][i2] + delta[i2],
+        }
+    last = active[-1]
+    rest = active[:-1]
+    d_last = specialise_step1(model, summands, last, seed=seed + 17 * last)
+    c = {}
+    reduced = {}
+    for j in rest:
+        c[(last, j)] = d_last[j]
+        c[(j, last)] = -d_last[j]
+        reduced[j] = summands[j] + d_last[j]
+    c.update(_reference_rec(model, reduced, rest, seed + 1))
+    return c
+
+
+def rational_planted_equation(model, rng):
+    """A planted equation over free blocks with entries sum_k r*x_l/(x_k + c).
+
+    l is the index after k in the entry's corner, cyclically, so entries mix
+    blocks and later peels see the generic points of earlier ones."""
+    idx = range(1, model.size + 1)
+    dec = {}
+    for a, b in itertools.combinations(idx, 2):
+        e = model.pres.const(rng.randint(-3, 3))
+        corner = sorted(model.complement(a, b))
+        for k, l in zip(corner, corner[1:] + corner[:1]):
+            x_k, x_l = model.pres.gen(f"x{k}"), model.pres.gen(f"x{l}")
+            e = e + x_l * rng.randint(-2, 2) / (x_k + rng.randint(-3, 3))
+        dec[(a, b)], dec[(b, a)] = e, -e
+    return AdditiveEquation.of(
+        model, {a: sum((dec[(a, b)] for b in idx if b != a), model.pres.zero()) for a in idx}
+    )
+
+
+def test_decompose_matches_the_recursive_reference():
+    rng = random.Random(2024)
+    draws = []
+    for n in (3, 4, 5, 6):
+        free, fixed = free_blocks(n), torsor_blocks(n)
+        draws += [(free, planted_equation(free, rng)) for _ in range(3)]
+        draws += [(fixed, planted_equation(fixed, rng, fixed=True)) for _ in range(2)]
+    for n, count in ((3, 3), (4, 3), (5, 1)):
+        free = free_blocks(n)
+        draws += [(free, rational_planted_equation(free, rng)) for _ in range(count)]
+    for seed, (model, eq) in enumerate(draws):
+        got = decompose(model, eq, seed=seed)
+        want = reference_decompose(model, eq, seed=seed)
+        assert sorted(got) == sorted(want)
+        assert {k: repr(v) for k, v in got.items()} == {k: repr(v) for k, v in want.items()}, (
+            model.size,
+            seed,
+        )
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_decompose_specialises_n_minus_2_times(monkeypatch, n):
+    calls = []
+    real = systems.specialise_step1
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(systems, "specialise_step1", counting)
+    model = free_blocks(n)
+    decompose(model, planted_equation(model, random.Random(n)), seed=1)
+    assert calls == list(range(n, 2, -1))
 
 
 def test_validate_decomposition_detects_perturbation():
