@@ -128,12 +128,14 @@ class ParamContext(Echelon):
     def add_identity(self, const: MPoly, coeffs: Mapping[int, MPoly]) -> None:
         """Require const + sum(coeffs[k] * x_k) == 0 as a polynomial identity.
 
-        Adds one row per monomial, in ``str`` order of the monomials; a row
-        lists its parameters in the order of ``coeffs``.
+        Adds one row per monomial, in structural order of the monomials
+        (``VarId`` compares by index and shift); a row lists its parameters in
+        the order of ``coeffs``.  The echelon's pivots, and so what it solves
+        and whether it is infeasible, do not depend on the row order.
         """
         rows: dict = {m: ({}, c) for m, c in const.terms.items()}
         for k, p in coeffs.items():
             for m, c in p.terms.items():
                 rows.setdefault(m, ({}, Q0))[0][k] = c
-        for m in sorted(rows, key=str):
+        for m in sorted(rows):
             self.add_row(*rows[m])

@@ -14,7 +14,9 @@ the specialisation of the defining linear identity by generic rational
 evaluation of one block's variables (over algebraically independent blocks,
 generic evaluation is the co-heir at instance level), and step 2 peels the
 last corner until the height-2 remainder telescopes: each peel writes one
-row of the antisymmetric family and adds it to the remaining summands.
+row of the antisymmetric family and adds it to the remaining summands.  The
+witness-driven decompositions peel the same way, one oracle query per torsor
+target of a peeled row.
 Generic points come from a seeded sequence over growing integer boxes, so
 runs are reproducible bit-exactly.
 """
@@ -363,9 +365,9 @@ class SolverOracle(TorsorWitnessOracle):
         self.bounds = bounds
 
     def find(self, model, target, w):
-        corner = model.corner(w)
         if not model.member_of(target, w):
             return None
+        corner = model.corner(w)
         local = corner.element(target.value)
         res = solve_twisted_bounded(corner, TwistedEquation(corner.one(), local), self.bounds)
         if isinstance(res, Solution):
@@ -377,7 +379,7 @@ class ClosureOracle(SolverOracle):
     """Solver-backed oracle that adjoins a fresh torsor witness on a miss.
 
     This is how a base "extended by closure steps for all torsors the
-    recursion queries" is realized: every miss becomes an explicit closure
+    induction queries" is realized: every miss becomes an explicit closure
     step, recorded in ``closures``.
     """
 
@@ -414,15 +416,13 @@ def wp_decompose_with_witnesses(
     wp(d_i) = sum_k e[(i,k)], e[(i,k)] = -e[(k,i)], and wp(wit[(i,k)]) =
     e[(i,k)] with wit[(i,k)] in corner(complement(i,k)).  The oracle
     supplies the torsor realizations the induction needs; a miss raises
-    WitnessUnavailable naming the blocked query.
+    WitnessUnavailable naming the blocked query.  An empty d gives empty
+    families.
     """
     active = sorted(d)
-    total = model.pres.zero()
-    for i in active:
-        total = total + d[i]
-    if not total.is_fixed():
+    if not sum(d.values(), model.pres.zero()).is_fixed():
         raise SystemModelError("wp-decomposition requires the summand total to be fixed")
-    model, e, wit = _wp_rec(model, dict(d), active, model.indices(), oracle, seed)
+    model, e, wit = _wp_split(model, d, model.indices(), oracle, seed)
     for i in active:
         recovered = model.pres.zero()
         for k in active:
@@ -437,48 +437,48 @@ def wp_decompose_with_witnesses(
     return model, e, wit
 
 
-def _wp_rec(model, d, active, universe, oracle, seed):
-    """Realize row `last` of a wp-split with oracle witnesses, then recurse.
+def _witness(model: SystemModel, target: Element, corner: frozenset[int], oracle: TorsorWitnessOracle):
+    """The oracle's (x, model) with x in corner and wp(x) = target; a miss
+    raises WitnessUnavailable naming the query."""
+    found = oracle.find(model, target, corner)
+    if found is None:
+        raise WitnessUnavailable(target, corner)
+    return found
 
-    Only row `last` of a decomposition of the wp(d_i) is read, and
-    decompose fills that row from one specialise_step1 at block `last`;
-    so that specialisation is all that is computed."""
-    e: dict[tuple[int, int], Element] = {}
-    wit: dict[tuple[int, int], Element] = {}
-    if len(active) == 1:
-        (i,) = active
-        if not d[i].wp().is_zero():
-            raise SystemModelError("single-summand wp-decomposition needs a fixed summand")
-        return model, e, wit
-    if len(active) == 2:
-        i, j = active
+
+def _wp_split(model, d, universe, oracle, seed):
+    """Peel the last index of the wp(d_i) until two summands are left.
+
+    One specialise_step1 at block `last` (seed + 17*last, then seed += 1)
+    gives the targets e[(last,i)]; in ascending i, _witness realizes each
+    over universe - {i, last} and d_i absorbs its witness.  The last pair
+    asks about wp(d_i) for its smaller index; a single summand must be fixed.
+    """
+    d = dict(sorted(d.items()))
+    e: Decomposition = {}
+    wit: Decomposition = {}
+    while len(d) > 2:
+        last = max(d)
+        f = specialise_step1(model, {i: x.wp() for i, x in d.items()}, last, seed=seed + 17 * last)
+        del d[last]
+        for i in d:
+            h, model = _witness(model, f[i], universe - {i, last}, oracle)
+            e[(last, i)], e[(i, last)] = f[i], -f[i]
+            wit[(last, i)], wit[(i, last)] = h, -h
+            d[i] = d[i] + h
+        seed += 1
+    if len(d) == 2:
+        i, j = d
         target = d[i].wp()
         if not model.member_of(target, universe - {i, j}):
             raise SystemModelError("wp difference escapes the pair corner")
         e[(i, j)], e[(j, i)] = target, -target
-        found = oracle.find(model, target, universe - {i, j})
-        if found is None:
-            raise WitnessUnavailable(target, universe - {i, j})
-        witness, model = found
-        wit[(i, j)], wit[(j, i)] = witness, -witness
-        return model, e, wit
-    last = active[-1]
-    rest = active[:-1]
-    f = specialise_step1(model, {i: d[i].wp() for i in active}, last, seed=seed + 17 * last)
-    shifted: dict[int, Element] = {}
-    for i in rest:
-        target = f[i]
-        corner = universe - {i, last}
-        found = oracle.find(model, target, corner)
-        if found is None:
-            raise WitnessUnavailable(target, corner)
-        h, model = found
-        e[(last, i)], e[(i, last)] = target, -target
-        wit[(last, i)], wit[(i, last)] = h, -h
-        shifted[i] = d[i] + h
-    model, e_rest, wit_rest = _wp_rec(model, shifted, rest, universe, oracle, seed + 1)
-    e.update(e_rest)
-    wit.update(wit_rest)
+        h, model = _witness(model, target, universe - {i, j}, oracle)
+        wit[(i, j)], wit[(j, i)] = h, -h
+    elif len(d) == 1:
+        (x,) = d.values()
+        if not x.wp().is_zero():
+            raise SystemModelError("single-summand wp-decomposition needs a fixed summand")
     return model, e, wit
 
 
@@ -490,51 +490,30 @@ def ff_decompose_with_witnesses(
 ):
     """Fixed-field decomposition via the wp-correction pipeline.
 
-    Decompose, wp-split the last row with oracle-backed torsor witnesses,
-    correct that row into fixed entries, recurse on the corrected equation
-    over the peeled corner, and assemble.  Output entries are fixed and the
-    whole map is a valid decomposition; a blocked torsor query raises
-    WitnessUnavailable with the offending target.
+    Peel the last index as decompose does: specialise at block `last` (seed
+    + 17*last), wp-split that row with oracle witnesses over the corner
+    without `last` (_wp_split at seed + 3), subtract the witnesses so every
+    entry is fixed, and add the row to the remaining summands; seed += 5.
+    The result is a valid decomposition into fixed entries, empty at height
+    1; a blocked torsor query raises WitnessUnavailable naming its target.
     """
     eq.require_valid(ff=True)
-    active = sorted(eq.summand_map())
-    model, dec = _ff_rec(model, eq.summand_map(), active, model.indices(), oracle, seed)
-    return model, dec
-
-
-def _ff_rec(model, b, active, universe, oracle, seed):
-    if len(active) == 2:
-        return model, _telescope(b, *active)
+    b = eq.summand_map()
     dec: Decomposition = {}
-    last = active[-1]
-    rest = active[:-1]
-    d_last = specialise_step1(model, b, last, seed=seed + 17 * last)
-    model, e, wit = _wp_rec(
-        model, d_last, rest, frozenset(universe) - {last}, oracle, seed + 3
-    )
-    row_total = model.pres.zero()
-    for i in rest:
-        correction = model.pres.zero()
-        for k in rest:
-            if k != i:
-                correction = correction + wit[(i, k)]
-        entry = d_last[i] - correction
-        if not entry.is_fixed():
-            raise SystemModelError("corrected row entry is not fixed")
-        dec[(last, i)], dec[(i, last)] = entry, -entry
-        row_total = row_total + entry
-    if row_total != b[last]:
-        raise SystemModelError("corrected row does not recover the last summand")
-    reduced = {i: b[i] + dec[(last, i)] for i in rest}
-    total = model.pres.zero()
-    for i in rest:
-        if not reduced[i].is_fixed():
-            raise SystemModelError("reduced equation entry is not fixed")
-        total = total + reduced[i]
-    if not total.is_zero():
-        raise SystemModelError("reduced equation does not sum to zero")
-    model, inner = _ff_rec(model, reduced, rest, universe, oracle, seed + 5)
-    dec.update(inner)
+    while len(b) > 2:
+        last = max(b)
+        d_last = specialise_step1(model, b, last, seed=seed + 17 * last)
+        del b[last]
+        model, _, wit = _wp_split(model, d_last, model.indices() - {last}, oracle, seed + 3)
+        for i in b:
+            entry = d_last[i] - sum((wit[(i, k)] for k in b if k != i), model.pres.zero())
+            if not entry.is_fixed():
+                raise SystemModelError("corrected row entry is not fixed")
+            dec[(last, i)], dec[(i, last)] = entry, -entry
+            b[i] = b[i] + entry
+        seed += 5
+    if len(b) == 2:
+        dec.update(_telescope(b, *sorted(b)))
     return model, dec
 
 

@@ -66,11 +66,7 @@ def coefficients_in(
         raise UnsupportedCoefficientShape(
             f"coefficient has {gen.name!r} in its denominator"
         )
-    den = RatFunc.from_poly(value.den)
-    return {
-        deg: Element(sub, RatFunc.from_poly(coeff) / den)
-        for deg, coeff in to_univar(value.num, var).items()
-    }
+    return {deg: Element(sub, RatFunc(coeff, value.den)) for deg, coeff in to_univar(value.num, var).items()}
 
 
 def iter_twisted_branches(
@@ -178,7 +174,8 @@ def _denominator_candidates(
 
     sigma(D) = alpha^m * D is the coefficient tower with twist 1 and base 0,
     solved in an isolated parameter context; each branch is materialized at
-    its particular point.  Results are memoized per exact budget, so
+    its particular point, and a tuple equal to an earlier branch's (compared
+    as elements) is dropped.  Results are memoized per exact budget, so
     enumeration order never depends on call history.
     """
     one = sub.one()
@@ -188,16 +185,10 @@ def _denominator_candidates(
     def level(k: int) -> tuple[Element, LinComb, int]:
         return alpha ** (m - k), LinComb.zero(sub), deg_budget
 
-    seen: set[tuple] = set()
-    out = []
+    out: dict[tuple[Element, ...], None] = {}  # insertion-ordered set
     for ctx, solved in _coefficient_tower(sub, beta, level, m - 1, {m: LinComb.constant(sub, one)}, ParamContext(), window):
         particular = ctx.solve()
-        concrete = tuple(solved[k].evaluate(particular) for k in range(m + 1))
-        dedup = tuple(repr(c) for c in concrete)
-        if dedup in seen:
-            continue
-        seen.add(dedup)
-        out.append(concrete)
+        out[tuple(solved[k].evaluate(particular) for k in range(m + 1))] = None
     return tuple(out)
 
 

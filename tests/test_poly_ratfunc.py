@@ -533,6 +533,44 @@ def monomial_matrix(elems):
     return [[p.terms.get(m, Fraction(0)) for p in cleared] for m in monomials]
 
 
+def _echelon_outcome(ncols, rows):
+    echelon = Echelon(ncols)
+    try:
+        for coeffs, const in rows:
+            echelon.add_row(coeffs, const)
+    except Infeasible:
+        return None
+    return echelon.solve(), echelon.kernel(), echelon.rref()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6))
+def test_echelon_ignores_row_order(seed):
+    # the pivots are the RREF's whatever order rows arrive in, so solve,
+    # kernel, rref and infeasibility do not see a permutation of the rows;
+    # ParamContext.add_identity relies on this for its monomial order
+    rng = random.Random(seed)
+    ncols = rng.randint(1, 5)
+    rows = []
+    for _ in range(rng.randint(1, 5)):
+        cols = rng.sample(range(ncols), rng.randint(1, ncols))
+        rows.append(({c: Fraction(rng.choice([-2, -1, 1, 2]), rng.randint(1, 2)) for c in cols}, Fraction(0)))
+    for _ in range(rng.randint(0, 2)):
+        (a, _), (b, _) = rng.choice(rows), rng.choice(rows)
+        q = Fraction(rng.randint(-2, 2))
+        combined = {c: a.get(c, 0) + q * b.get(c, 0) for c in set(a) | set(b)}
+        rows.append(({c: x for c, x in combined.items() if x}, Fraction(0)))
+    planted = [Fraction(rng.randint(-2, 2)) for _ in range(ncols)]
+    rows = [
+        (coeffs, -sum(x * planted[c] for c, x in coeffs.items()) + (rng.randint(-1, 1) if rng.random() < 0.3 else 0))
+        for coeffs, _ in rows
+    ]
+    want = _echelon_outcome(ncols, rows)
+    for _ in range(3):
+        rng.shuffle(rows)
+        assert _echelon_outcome(ncols, rows) == want
+
+
 def reference_relations(elems):
     """The cleared-monomial path: integer_kernel over the monomial matrix."""
     return [tuple(Fraction(z) for z in vec) for vec in integer_kernel(monomial_matrix(elems), len(elems))]

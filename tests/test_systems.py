@@ -406,8 +406,151 @@ def test_witness_unavailable_names_the_query():
     assert "witness unavailable at T_" in str(err.value)
 
 
-# Exact outputs of the witness-driven decompositions.  Both reach _wp_rec with
-# three or more active indices; the values depend on the generic points drawn
+def test_ff_decompose_with_witnesses_height1_is_empty():
+    m = torsor_blocks(1)
+    eq = AdditiveEquation.of(m, {1: m.pres.zero()})
+    assert ff_decompose_with_witnesses(m, eq, ClosureOracle(SearchBounds(1, 1))) == (m, {})
+
+
+def test_wp_decompose_with_witnesses_empty_family():
+    m = torsor_blocks(3)
+    assert wp_decompose_with_witnesses(m, {}, ClosureOracle(SearchBounds(1, 1))) == (m, {}, {})
+
+
+def reference_wp_split(model, d, oracle, seed=0):
+    """The recursion that _wp_split's peeling loop replaced, kept as its
+    reference: one level per peeled index, active and universe threaded."""
+    return _reference_wp_rec(model, dict(d), sorted(d), model.indices(), oracle, seed)
+
+
+def _reference_wp_rec(model, d, active, universe, oracle, seed):
+    e, wit = {}, {}
+    if len(active) == 1:
+        (i,) = active
+        if not d[i].wp().is_zero():
+            raise SystemModelError("single-summand wp-decomposition needs a fixed summand")
+        return model, e, wit
+    if len(active) == 2:
+        i, j = active
+        target = d[i].wp()
+        if not model.member_of(target, universe - {i, j}):
+            raise SystemModelError("wp difference escapes the pair corner")
+        e[(i, j)], e[(j, i)] = target, -target
+        found = oracle.find(model, target, universe - {i, j})
+        if found is None:
+            raise WitnessUnavailable(target, universe - {i, j})
+        witness, model = found
+        wit[(i, j)], wit[(j, i)] = witness, -witness
+        return model, e, wit
+    last = active[-1]
+    rest = active[:-1]
+    f = specialise_step1(model, {i: d[i].wp() for i in active}, last, seed=seed + 17 * last)
+    shifted = {}
+    for i in rest:
+        target = f[i]
+        corner = universe - {i, last}
+        found = oracle.find(model, target, corner)
+        if found is None:
+            raise WitnessUnavailable(target, corner)
+        h, model = found
+        e[(last, i)], e[(i, last)] = target, -target
+        wit[(last, i)], wit[(i, last)] = h, -h
+        shifted[i] = d[i] + h
+    model, e_rest, wit_rest = _reference_wp_rec(model, shifted, rest, universe, oracle, seed + 1)
+    e.update(e_rest)
+    wit.update(wit_rest)
+    return model, e, wit
+
+
+def reference_ff_decompose(model, eq, oracle, seed=0):
+    """The recursion that ff_decompose_with_witnesses' peeling loop replaced,
+    with the row-total, reduced-fixedness and reduced-sum checks it dropped."""
+    smap = eq.summand_map()
+    return _reference_ff_rec(model, smap, sorted(smap), model.indices(), oracle, seed)
+
+
+def _reference_ff_rec(model, b, active, universe, oracle, seed):
+    if len(active) == 2:
+        i, j = active
+        assert b[i] == -b[j]
+        return model, {(i, j): b[i], (j, i): b[j]}
+    dec = {}
+    last = active[-1]
+    rest = active[:-1]
+    d_last = specialise_step1(model, b, last, seed=seed + 17 * last)
+    model, _, wit = _reference_wp_rec(model, d_last, rest, frozenset(universe) - {last}, oracle, seed + 3)
+    row_total = model.pres.zero()
+    for i in rest:
+        correction = model.pres.zero()
+        for k in rest:
+            if k != i:
+                correction = correction + wit[(i, k)]
+        entry = d_last[i] - correction
+        assert entry.is_fixed()
+        dec[(last, i)], dec[(i, last)] = entry, -entry
+        row_total = row_total + entry
+    assert row_total == b[last]
+    reduced = {i: b[i] + dec[(last, i)] for i in rest}
+    assert all(reduced[i].is_fixed() for i in rest)
+    assert sum(reduced.values(), model.pres.zero()).is_zero()
+    model, inner = _reference_ff_rec(model, reduced, rest, universe, oracle, seed + 5)
+    dec.update(inner)
+    return model, dec
+
+
+def row_sum_family(model, rng):
+    """Row sums d_i = sum_k e[(i,k)] of a random antisymmetric family with
+    e[(i,k)] in corner(complement(i,k)): their total is 0, hence fixed.
+
+    The cubic terms give wp-values with products across blocks, so every
+    peel's specialisation, not only the first, depends on its point."""
+    u = {k: model.pres.gen(f"u{k}") for k in model.indices()}
+    v = {k: model.pres.gen(f"v{k}") for k in model.indices()}
+    e = {}
+    for i, k in itertools.combinations(sorted(model.indices()), 2):
+        corner = sorted(model.complement(i, k))
+        x = model.pres.const(rng.randint(-2, 2))
+        for a, c in zip(corner, corner[1:] + corner[:1]):
+            x = x + u[a] * rng.randint(-2, 2) + u[a] * v[c] * rng.randint(-1, 1)
+            if rng.random() < 0.5:
+                x = x + u[a] * u[c] * v[c]
+        e[(i, k)], e[(k, i)] = x, -x
+    idx = sorted(model.indices())
+    return {i: sum((e[(i, k)] for k in idx if k != i), model.pres.zero()) for i in idx}
+
+
+def _closures(oracle):
+    return [(name, sorted(w), repr(t)) for name, w, t in oracle.closures]
+
+
+def _reprs(family):
+    return {k: repr(x) for k, x in family.items()}
+
+
+def test_witness_decompositions_match_the_recursive_reference():
+    rng = random.Random(416)
+    for n in (3, 4, 5):
+        m = torsor_blocks(n)
+        for trial in range(3):
+            seed = 10 * n + trial
+            eq = planted_equation(m, rng, fixed=True)
+            got_oracle, want_oracle = ClosureOracle(SearchBounds(1, 1)), ClosureOracle(SearchBounds(1, 1))
+            _, got = ff_decompose_with_witnesses(m, eq, got_oracle, seed=seed)
+            _, want = reference_ff_decompose(m, eq, want_oracle, seed=seed)
+            assert _reprs(got) == _reprs(want), (n, trial)
+            assert _closures(got_oracle) == _closures(want_oracle)
+
+            d = row_sum_family(m, rng)
+            got_oracle, want_oracle = ClosureOracle(SearchBounds(1, 1)), ClosureOracle(SearchBounds(1, 1))
+            _, got_e, got_wit = wp_decompose_with_witnesses(m, d, got_oracle, seed=seed)
+            _, want_e, want_wit = reference_wp_split(m, d, want_oracle, seed=seed)
+            assert _reprs(got_e) == _reprs(want_e), (n, trial)
+            assert _reprs(got_wit) == _reprs(want_wit), (n, trial)
+            assert _closures(got_oracle) == _closures(want_oracle)
+
+
+# Exact outputs of the witness-driven decompositions.  Both reach _wp_split with
+# three or more summands; the values depend on the generic points drawn
 # for each specialisation, so any change in which point is used shows here.
 
 
