@@ -21,7 +21,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterable
 
-from .poly import MPoly, VarId
+from .poly import Coeff, MPoly, VarId
 from .ratfunc import RatFunc
 
 
@@ -298,7 +298,7 @@ class Element:
     def is_constant(self) -> bool:
         return self.value.is_constant()
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Coeff:
         return self.value.constant_value()
 
     def in_presentation(self, pres: Presentation) -> "Element":

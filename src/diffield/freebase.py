@@ -44,7 +44,7 @@ from .equations import (
     UnsupportedCoefficientShape,
 )
 from .field import Element, Presentation
-from .linalg import Q0, Infeasible
+from .linalg import Infeasible
 from .params import LinComb, ParamContext
 from .poly import MPoly, VarId, divexact, poly_gcd
 from .ratfunc import RatFunc, common_denominator, over_denominator
@@ -239,7 +239,7 @@ def multiplicative_kernel(
     for direction in ctx.kernel():
         y = pres.zero()
         for p, mono in zip(params, monos):
-            q = direction.get(p, Q0)
+            q = direction.get(p)
             if q:
                 y = y + Element(pres, RatFunc.from_poly(mono.scale(q)))
         if not y.is_zero():

@@ -1,8 +1,9 @@
 """Exact linear algebra over the rationals.
 
 :class:`Echelon` is the package's one row reduction over Q: an incremental
-sparse row echelon.  Rows are dicts from integer columns to ``Fraction``
-coefficients; each new row is reduced against the stored pivots on arrival,
+sparse row echelon.  Rows are dicts from integer columns to coefficients in
+the form of :data:`~diffield.poly.Coeff`: ``int`` when integral, else
+``Fraction``.  Each new row is reduced against the stored pivots on arrival,
 so an inconsistent row raises :class:`Infeasible` at once and span growth is
 known row by row.  Three routines feed it rows:
 
@@ -27,14 +28,12 @@ integer entries swell.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd as int_gcd, lcm
 from typing import Mapping, Sequence
 
-Q0 = Fraction(0)
-Q1 = Fraction(1)
+from .poly import Q1, Coeff, as_rational
 
-Row = list[Fraction]
+Row = list[Coeff]
 
 
 class Infeasible(Exception):
@@ -61,10 +60,10 @@ class Echelon:
 
     def __init__(self, ncols: int = 0) -> None:
         self.ncols = ncols
-        self.pivots: dict[int, tuple[dict[int, Fraction], Fraction]] = {}
+        self.pivots: dict[int, tuple[dict[int, Coeff], Coeff]] = {}
         self.order: list[int] = []  # pivot columns in insertion order
 
-    def add_row(self, coeffs: Mapping[int, Fraction], const: Fraction) -> bool:
+    def add_row(self, coeffs: Mapping[int, Coeff], const: Coeff) -> bool:
         """Require const + sum(coeff * x_col) = 0.
 
         Returns True when the row was independent of the stored ones (a new
@@ -85,7 +84,7 @@ class Echelon:
             for c, v in prow.items():
                 if c == hit:
                     continue
-                nv = coeffs.get(c, Q0) - factor * v
+                nv = coeffs.get(c, 0) - factor * v
                 if nv:
                     coeffs[c] = nv
                 else:
@@ -97,12 +96,13 @@ class Echelon:
             return False
         col = min(coeffs)
         lead = coeffs[col]
-        row = {c: v / lead for c, v in coeffs.items()}
-        self.pivots[col] = (row, const / lead)
+        inv = 1 if lead == 1 else Q1 / lead  # a Fraction: int / int is a float
+        row = {c: as_rational(v * inv) for c, v in coeffs.items()}
+        self.pivots[col] = (row, as_rational(const * inv))
         self.order.append(col)
         return True
 
-    def _back_substitute(self, values: dict[int, Fraction], affine: bool) -> dict[int, Fraction]:
+    def _back_substitute(self, values: dict[int, Coeff], affine: bool) -> dict[int, Coeff]:
         """Fill in the pivot columns from ``values`` on the free ones.
 
         ``affine`` keeps the row constants (a solution); without them the
@@ -110,21 +110,21 @@ class Echelon:
         """
         for col in reversed(self.order):
             row, const = self.pivots[col]
-            total = -const if affine else Q0
+            total = -const if affine else 0
             for c, v in row.items():
                 if c != col and c in values:
                     total -= v * values[c]
             if total:
-                values[col] = total
+                values[col] = as_rational(total)
         return values
 
-    def solve(self) -> dict[int, Fraction]:
+    def solve(self) -> dict[int, Coeff]:
         """The solution with every free column zero (absent entries are zero)."""
         return self._back_substitute({}, True)
 
-    def kernel(self) -> list[dict[int, Fraction]]:
+    def kernel(self) -> list[dict[int, Coeff]]:
         """One kernel direction per free column below ``ncols``, in column order."""
-        return [self._back_substitute({f: Q1}, False) for f in range(self.ncols) if f not in self.pivots]
+        return [self._back_substitute({f: 1}, False) for f in range(self.ncols) if f not in self.pivots]
 
     def rref(self) -> list[Row]:
         """The nonzero rows of the reduced row echelon form, constants left out.
@@ -133,7 +133,7 @@ class Echelon:
         column f, where z is the kernel direction of f.  Every pivot must be
         below ``ncols``.
         """
-        rows = {p: [Q1 if j == p else Q0 for j in range(self.ncols)] for p in self.pivots}
+        rows = {p: [1 if j == p else 0 for j in range(self.ncols)] for p in self.pivots}
         free = [f for f in range(self.ncols) if f not in self.pivots]
         for f, z in zip(free, self.kernel()):
             for p, v in z.items():
@@ -142,7 +142,7 @@ class Echelon:
         return [rows[p] for p in sorted(rows)]
 
 
-def solve_affine(matrix: list[Row], rhs: list[Fraction]) -> Row | None:
+def solve_affine(matrix: list[Row], rhs: Row) -> Row | None:
     """Solve M x = b exactly.
 
     Returns the solution with every free variable set to zero, or None when
@@ -158,10 +158,10 @@ def solve_affine(matrix: list[Row], rhs: list[Fraction]) -> Row | None:
     except Infeasible:
         return None
     values = echelon.solve()
-    return [values.get(j, Q0) for j in range(len(matrix[0]))]
+    return [values.get(j, 0) for j in range(len(matrix[0]))]
 
 
-def _row_lcm_scale(row: Sequence[Fraction]) -> list[int]:
+def _row_lcm_scale(row: Sequence[Coeff]) -> list[int]:
     den = 1
     for x in row:
         den = lcm(den, x.denominator)

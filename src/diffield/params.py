@@ -14,15 +14,12 @@ denominators of a field-element identity and hands it there.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping
 
 from .field import Element, Presentation
 from .linalg import Echelon
-from .poly import MPoly
+from .poly import Coeff, MPoly
 from .ratfunc import clear_denominators
-
-Q0 = Fraction(0)
 
 
 class LinComb:
@@ -77,16 +74,16 @@ class LinComb:
             {p: v.in_presentation(pres) for p, v in self.coeffs.items()},
         )
 
-    def evaluate(self, values: Mapping[int, Fraction]) -> Element:
+    def evaluate(self, values: Mapping[int, Coeff]) -> Element:
         return self._accumulate(self.const, values)
 
-    def direction(self, direction: Mapping[int, Fraction]) -> Element:
+    def direction(self, direction: Mapping[int, Coeff]) -> Element:
         """Linear part evaluated along a parameter direction."""
         return self._accumulate(self.pres.zero(), direction)
 
-    def _accumulate(self, total: Element, values: Mapping[int, Fraction]) -> Element:
+    def _accumulate(self, total: Element, values: Mapping[int, Coeff]) -> Element:
         for k, v in self.coeffs.items():
-            q = values.get(k, Q0)
+            q = values.get(k)
             if q:
                 total = total + v * self.pres.const(q)
         return total
@@ -136,6 +133,6 @@ class ParamContext(Echelon):
         rows: dict = {m: ({}, c) for m, c in const.terms.items()}
         for k, p in coeffs.items():
             for m, c in p.terms.items():
-                rows.setdefault(m, ({}, Q0))[0][k] = c
+                rows.setdefault(m, ({}, 0))[0][k] = c
         for m in sorted(rows):
             self.add_row(*rows[m])

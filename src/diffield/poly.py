@@ -6,9 +6,14 @@ automorphism).  Variables are totally ordered by generator declaration index,
 then shift; monomials are compared in graded lexicographic order with respect
 to that variable order, which fixes canonical forms everywhere downstream.
 
-A polynomial is a mapping from monomials to nonzero ``Fraction`` coefficients.
-A monomial is a tuple of ``(VarId, exponent)`` pairs, sorted by variable,
-with every exponent positive.  The zero polynomial has no terms.
+A polynomial is a mapping from monomials to nonzero rational coefficients.
+A coefficient is a :data:`Coeff`: an ``int`` when it is integral, otherwise a
+``Fraction`` whose denominator is not 1.  :func:`as_rational` writes that
+form, and every builder of a term dict keeps it, so the common integral case
+runs on Python ints.  ``Fraction(3) == 3``, ``hash(Fraction(3)) == hash(3)``
+and ``str(Fraction(3)) == "3"``, so equality, hashing and printing cannot see
+the type.  A monomial is a tuple of ``(VarId, exponent)`` pairs, sorted by
+variable, with every exponent positive.  The zero polynomial has no terms.
 """
 
 from __future__ import annotations
@@ -19,20 +24,27 @@ from math import gcd, lcm
 from operator import itemgetter
 from typing import Collection, Mapping
 
-Q0 = Fraction(0)
+Coeff = int | Fraction
+"""A coefficient: an ``int`` when integral, else a ``Fraction`` with denominator > 1."""
+
 Q1 = Fraction(1)
 
 
-def as_rational(c) -> Fraction:
-    """An ``int`` or ``Fraction`` as a ``Fraction``; anything else is a TypeError.
+def as_rational(c) -> Coeff:
+    """An ``int`` or ``Fraction`` in coefficient form; anything else is a TypeError.
 
-    Floats, strings and other number types are refused rather than converted,
-    so no inexact value enters the exact arithmetic.
+    An integral value comes back as an ``int`` and any other as a
+    ``Fraction``.  Floats, strings and other number types are refused rather
+    than converted, so no inexact value enters the exact arithmetic.  Since
+    ``int / int`` is a float, a quotient of coefficients must divide a
+    ``Fraction`` (``Q1 / c``, ``Fraction(a) / b``) before it comes here.
     """
-    if isinstance(c, int):
-        return Fraction(c)
-    if isinstance(c, Fraction):
+    if type(c) is int:
         return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):  # bool and other int subclasses
+        return int(c)
     raise TypeError(f"expected an int or a Fraction, got {type(c).__name__} {c!r}")
 
 
@@ -142,17 +154,17 @@ def mono_shift(m: Monomial, k: int) -> Monomial:
 
 
 class MPoly:
-    """Sparse polynomial with ``Fraction`` coefficients, always canonical."""
+    """Sparse polynomial with :data:`Coeff` coefficients, always canonical."""
 
     __slots__ = ("terms", "_hash")
 
-    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
+    def __init__(self, terms: Mapping[Monomial, Coeff] | None = None):
         t = {}
         if terms:
             for m, c in terms.items():
                 if c:
-                    t[m] = c if isinstance(c, Fraction) else as_rational(c)
-        self.terms: dict[Monomial, Fraction] = t
+                    t[m] = c if type(c) is int else as_rational(c)
+        self.terms: dict[Monomial, Coeff] = t
         self._hash: int | None = None
 
     # -- constructors ------------------------------------------------------
@@ -168,7 +180,7 @@ class MPoly:
 
     @staticmethod
     def var(v: VarId) -> "MPoly":
-        return MPoly({((v, 1),): Q1})
+        return MPoly({((v, 1),): 1})
 
     # -- basic queries ------------------------------------------------------
 
@@ -178,9 +190,9 @@ class MPoly:
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and ONE_MONO in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Coeff:
         if self.is_zero():
-            return Q0
+            return 0
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
         return self.terms[ONE_MONO]
@@ -215,7 +227,7 @@ class MPoly:
                 best = m
         return best
 
-    def leading_coefficient(self) -> Fraction:
+    def leading_coefficient(self) -> Coeff:
         return self.terms[self.leading_monomial()]
 
     def top_form(self) -> "MPoly":
@@ -223,10 +235,14 @@ class MPoly:
         d = self.total_degree()
         return MPoly({m: c for m, c in self.terms.items() if mono_degree(m) == d})
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Monomial, Coeff]]:
         return sorted(self.terms.items(), key=lambda p: MONO_KEY(p[0]), reverse=True)
 
     # -- arithmetic ---------------------------------------------------------
+    #
+    # Sums and products start from the int 0 and are put back in coefficient
+    # form only when they come out as a Fraction, so int terms stay on the
+    # int path.
 
     def __add__(self, other: "MPoly") -> "MPoly":
         if not self.terms:
@@ -235,9 +251,9 @@ class MPoly:
             return self
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, Q0) + c
+            s = out.get(m, 0) + c
             if s:
-                out[m] = s
+                out[m] = as_rational(s) if type(s) is Fraction else s
             else:
                 out.pop(m, None)
         p = MPoly.__new__(MPoly)
@@ -257,13 +273,13 @@ class MPoly:
     def __mul__(self, other: "MPoly") -> "MPoly":
         if not self.terms or not other.terms:
             return MPoly()
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Coeff] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 m = mono_mul(ma, mb)
-                s = out.get(m, Q0) + ca * cb
+                s = out.get(m, 0) + ca * cb
                 if s:
-                    out[m] = s
+                    out[m] = as_rational(s) if type(s) is Fraction else s
                 else:
                     out.pop(m, None)
         p = MPoly.__new__(MPoly)
@@ -276,7 +292,7 @@ class MPoly:
         if not c:
             return MPoly()
         p = MPoly.__new__(MPoly)
-        p.terms = {m: cc * c for m, cc in self.terms.items()}
+        p.terms = {m: as_rational(cc * c) for m, cc in self.terms.items()}
         p._hash = None
         return p
 
@@ -346,7 +362,7 @@ def divexact(a: MPoly, b: MPoly) -> MPoly:
         return MPoly()
     if b.is_constant():
         return a.scale(Q1 / b.constant_value())
-    quot: dict[Monomial, Fraction] = {}
+    quot: dict[Monomial, Coeff] = {}
     rem = a
     lm_b = b.leading_monomial()
     lc_b = b.terms[lm_b]
@@ -355,7 +371,7 @@ def divexact(a: MPoly, b: MPoly) -> MPoly:
         if not mono_divides(lm_b, lm_r):
             raise ValueError("inexact polynomial division")
         m = mono_div(lm_r, lm_b)
-        c = rem.terms[lm_r] / lc_b
+        c = as_rational(Fraction(rem.terms[lm_r]) / lc_b)
         quot[m] = c
         rem = rem - MPoly({m: c}) * b
     return MPoly(quot)
@@ -363,7 +379,7 @@ def divexact(a: MPoly, b: MPoly) -> MPoly:
 
 def to_univar(p: MPoly, v: VarId) -> dict[int, MPoly]:
     """View p as a polynomial in v with coefficients free of v."""
-    out: dict[int, dict[Monomial, Fraction]] = {}
+    out: dict[int, dict[Monomial, Coeff]] = {}
     for m, c in p.terms.items():
         deg = 0
         rest: list[tuple[VarId, int]] = []
@@ -427,7 +443,7 @@ def _int_primitive(p: MPoly) -> MPoly:
     return q
 
 
-def _int_content_scale(coeffs: Collection[Fraction]) -> Fraction:
+def _int_content_scale(coeffs: Collection[Coeff]) -> Fraction:
     """Positive s making s*coeffs integers with gcd 1 (1 when all are 0).
 
     s is the lcm of the denominators over the gcd of the cleared numerators.
@@ -522,7 +538,7 @@ def _monomial_gcd(single: MPoly, other: MPoly) -> MPoly:
                 break
         if low > 0:
             out.append((v, low))
-    return MPoly({tuple(out): Q1})
+    return MPoly({tuple(out): 1})
 
 
 def _strip_int_content_univar(coeffs: dict[int, MPoly]) -> dict[int, MPoly]:

@@ -24,10 +24,7 @@ from math import lcm
 from typing import Iterator, Mapping, Sequence
 
 from .linalg import Echelon, integer_kernel, solve_affine
-from .poly import MPoly, VarId, as_rational, divexact, poly_gcd, poly_lcm
-
-Q0 = Fraction(0)
-Q1 = Fraction(1)
+from .poly import Q1, Coeff, MPoly, VarId, as_rational, divexact, poly_gcd, poly_lcm
 
 
 class PoleError(ArithmeticError):
@@ -71,12 +68,11 @@ class RatFunc:
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_constant()
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Coeff:
         if not self.is_constant():
             raise ValueError("not a constant")
-        if self.num.is_zero():
-            return Q0
-        return self.num.constant_value() / self.den.constant_value()
+        # a constant denominator is 1, since canonical denominators are monic
+        return self.num.constant_value()
 
     def is_polynomial(self) -> bool:
         return self.den.is_constant()
@@ -185,7 +181,7 @@ class RatFunc:
 
     # -- substitution / evaluation ---------------------------------------------
 
-    def evaluate(self, assignment: Mapping[VarId, Fraction]) -> "RatFunc":
+    def evaluate(self, assignment: Mapping[VarId, Coeff]) -> "RatFunc":
         """Substitute rational values for some variables and renormalize."""
         return self.substitute({v: RatFunc.const(c) for v, c in assignment.items()})
 
@@ -310,12 +306,12 @@ def _subst_mpoly(p: MPoly, images: Mapping[VarId, MPoly], dens: Mapping[VarId, t
         head = MPoly({tuple(rest): c})
         term = head if term is None else head * term
         for mm, cc in term.terms.items():
-            s = out.get(mm, Q0) + cc
+            s = out.get(mm, 0) + cc
             if s:
                 out[mm] = s
             else:
                 del out[mm]
-    return MPoly(out)
+    return MPoly(out)  # puts Fraction sums back in coefficient form
 
 
 def common_denominator(elems: Sequence[RatFunc]) -> MPoly:
@@ -377,7 +373,7 @@ def _integer_value(terms: list[tuple[int, tuple]], point: list[int]) -> int:
     return total
 
 
-def _vanishes(elems: Sequence[RatFunc], z: Mapping[int, Fraction]) -> bool:
+def _vanishes(elems: Sequence[RatFunc], z: Mapping[int, Coeff]) -> bool:
     """Exactly whether sum z_i * elems[i] is zero.
 
     Numerators are summed per denominator, and the sums S_D are cleared
@@ -397,7 +393,7 @@ def _vanishes(elems: Sequence[RatFunc], z: Mapping[int, Fraction]) -> bool:
     return num.is_zero()
 
 
-def _relation_rref(elems: Sequence[RatFunc]) -> list[list[Fraction]]:
+def _relation_rref(elems: Sequence[RatFunc]) -> list[list[Coeff]]:
     """The reduced row echelon form of the values of elems at integer
     points, whose kernel is exactly {z : sum z_i * elems[i] = 0}.
 
@@ -433,7 +429,7 @@ def _relation_rref(elems: Sequence[RatFunc]) -> list[list[Fraction]]:
                 if v:
                     row[j] = Fraction(v * den_scale, d * num_scale)
             else:
-                echelon.add_row(row, Q0)
+                echelon.add_row(row, 0)
                 rows += 1
         if all(_vanishes(elems, z) for z in echelon.kernel()):
             return echelon.rref()
@@ -465,7 +461,8 @@ def express_in_span(basis: Sequence[RatFunc], target: RatFunc) -> list[Fraction]
     """
     matrix = _relation_rref([*basis, target])
     rhs = [row.pop() for row in matrix]
-    return solve_affine(matrix, rhs)
+    coords = solve_affine(matrix, rhs)
+    return None if coords is None else list(map(Fraction, coords))
 
 
 class SpanTracker:
@@ -491,13 +488,15 @@ class CircleValue:
 
     Angles live in [0, 1); the group law is addition mod 1.  Restricting to
     rational angles keeps every consistency question exact, and all in-scope
-    decisions are Q-linear, so nothing is lost at instance level.
+    decisions are Q-linear, so nothing is lost at instance level.  An angle
+    is not a coefficient: it is always a ``Fraction``, ``Fraction(0)`` for
+    the identity.
     """
 
     __slots__ = ("angle",)
 
     def __init__(self, angle) -> None:
-        a = as_rational(angle)
+        a = Fraction(as_rational(angle))
         self.angle = a - (a.numerator // a.denominator)
 
     def __add__(self, other: "CircleValue") -> "CircleValue":

@@ -13,7 +13,17 @@ from hypothesis import strategies as st
 from diffield.field import Presentation, _var_image
 from diffield.linalg import Echelon, Infeasible, integer_kernel, solve_affine
 from diffield.params import ParamContext
-from diffield.poly import MPoly, VarId, divexact, mono_mul, poly_gcd, poly_lcm
+from diffield.poly import (
+    MONO_KEY,
+    MPoly,
+    VarId,
+    divexact,
+    mono_div,
+    mono_divides,
+    mono_mul,
+    poly_gcd,
+    poly_lcm,
+)
 from diffield.ratfunc import (
     CircleValue,
     PoleError,
@@ -709,6 +719,9 @@ def test_inexact_numbers_rejected():
         lambda: CircleValue(0.25),
         lambda: pres.const("1/3"),
         lambda: MPoly({(): 0.5}),
+        lambda: MPoly({(): 1.5}),
+        lambda: MPoly({(): "1"}),
+        lambda: MPoly.const(1.5),
         lambda: px.scale(0.5),
         lambda: x.evaluate({X: 0.5}),
         lambda: CircleValue(Fraction(1, 3)).scaled(0.5),
@@ -721,3 +734,143 @@ def test_inexact_numbers_rejected():
     assert a.sigma(1) == a + Fraction(1, 2)
     assert CircleValue(Fraction(5, 4)) == CircleValue(Fraction(1, 4))
     assert x.evaluate({X: 2}) == RatFunc.const(2)
+
+
+# -- coefficient form: int when integral, else a Fraction ---------------------
+
+
+def assert_coefficient_form(values):
+    for c in values:
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+
+
+def assert_poly_form(*polys):
+    for p in polys:
+        assert_coefficient_form(p.terms.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6))
+def test_coefficients_are_ints_exactly_when_integral(seed):
+    rng = random.Random(seed)
+    p, q = rand_poly(rng, [X, Y]), rand_poly(rng, [X, Y])
+    factor = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    assert_poly_form(p, q, p + q, p - q, p * q, p.scale(factor), p.scale(rng.randint(-3, 3)))
+    assert_poly_form(p.shift(rng.randint(-2, 2)))
+    assert_poly_form(poly_gcd(p, q), poly_lcm(p, q))
+    if not q.is_zero():
+        assert_poly_form(divexact(p * q, q), divexact(p, MPoly.const(factor or 3)))
+    f, g = shared_factor_ratfunc(rng), shared_factor_ratfunc(rng)
+    results = [f + g, f - g, f * g, f.shift(1)]
+    if not q.is_zero():
+        results.append(RatFunc(p, q))
+    images = {
+        X: RatFunc.from_poly(rand_poly(rng, [X, Y], max_deg=1)),
+        Y: RatFunc(rand_poly(rng, [X, Z], max_deg=1), rng.choice(FACTORS)),
+    }
+    try:
+        results.append(f.substitute(images))
+    except PoleError:
+        pass
+    for r in results:
+        assert_poly_form(r.num, r.den)
+        if r.is_constant():
+            assert_coefficient_form([r.constant_value()])
+    # the rows the parameter echelon stores, and what it solves
+    ctx = ParamContext()
+    params = ctx.new_params(rng.randint(1, 4))
+    coeffs = {k: rand_poly(rng, [X, Y]) for k in params}
+    const = MPoly()
+    for k in params:
+        const = const - coeffs[k].scale(Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
+    ctx.add_identity(const, coeffs)
+    for row, row_const in ctx.pivots.values():
+        assert_coefficient_form([*row.values(), row_const])
+    assert_coefficient_form(ctx.solve().values())
+    for direction in ctx.kernel():
+        assert_coefficient_form(direction.values())
+
+
+def fraction_terms(p):
+    return {m: Fraction(c) for m, c in p.terms.items()}
+
+
+def fraction_poly(terms):
+    """An MPoly holding the Fraction-only terms as they are, for repr and hash."""
+    p = MPoly.__new__(MPoly)
+    p.terms, p._hash = terms, None
+    return p
+
+
+def reference_add(a, b):
+    out = fraction_terms(a)
+    for m, c in b.terms.items():
+        out[m] = out.get(m, Fraction(0)) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def reference_mul(a, b):
+    out = {}
+    for ma, ca in fraction_terms(a).items():
+        for mb, cb in b.terms.items():
+            m = mono_mul(ma, mb)
+            out[m] = out.get(m, Fraction(0)) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+def reference_divexact(a, b):
+    """Schoolbook division on Fraction terms; b must divide a."""
+    rem = fraction_terms(a)
+    lm_b = max(b.terms, key=MONO_KEY)
+    lc_b = Fraction(b.terms[lm_b])
+    quot = {}
+    while rem:
+        lm = max(rem, key=MONO_KEY)
+        assert mono_divides(lm_b, lm)
+        m = mono_div(lm, lm_b)
+        quot[m] = c = rem[lm] / lc_b
+        for mb, cb in b.terms.items():
+            mm = mono_mul(m, mb)
+            rem[mm] = rem.get(mm, Fraction(0)) - c * cb
+            if not rem[mm]:
+                del rem[mm]
+    return quot
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6))
+def test_int_coefficients_match_the_fraction_path(seed):
+    rng = random.Random(seed)
+    p, q = rand_poly(rng, [X, Y, Z]), rand_poly(rng, [X, Y, Z])
+    if rng.random() < 0.5:  # integral inputs, where sums and products stay ints
+        p, q = p.scale(6), q.scale(6)
+    cases = [(p + q, reference_add(p, q)), (p * q, reference_mul(p, q))]
+    if not q.is_zero():
+        cases.append((divexact(p * q, q), reference_divexact(fraction_poly(reference_mul(p, q)), q)))
+        lead = MPoly.const(q.leading_coefficient())
+        cases.append((divexact(p, lead), reference_divexact(p, lead)))
+    for got, ref in cases:
+        assert got.terms == ref
+        assert repr(got) == repr(fraction_poly(ref))
+        assert hash(got) == hash(fraction_poly(ref))
+
+
+def test_public_coefficient_types():
+    p = px.scale(Fraction(6, 2)) + MPoly.const(Fraction(1, 2))
+    assert type(p.leading_coefficient()) is int and p.leading_coefficient() == 3
+    assert [type(c) for _, c in p.sorted_terms()] == [int, Fraction]
+    assert type(MPoly.const(Fraction(4, 2)).constant_value()) is int
+    assert type(MPoly().constant_value()) is int
+    assert type(RatFunc(MPoly.const(4), MPoly.const(2)).constant_value()) is int
+    assert RatFunc(MPoly.const(3), MPoly.const(6)).constant_value() == Fraction(1, 2)
+    # angles are not coefficients: always a Fraction, also a whole one
+    for angle in (0, 1, Fraction(3, 2), Fraction(2, 1)):
+        assert type(CircleValue(angle).angle) is Fraction
+    assert type(CircleValue(Fraction(1, 3)).scaled(3).angle) is Fraction
+    assert type((CircleValue(Fraction(1, 2)) + CircleValue(Fraction(1, 2))).angle) is Fraction
+    # relation lattices and span coordinates are Fractions
+    relations = linear_relations([x, x * 2, RatFunc.one()])
+    assert relations == [(Fraction(2), Fraction(-1), Fraction(0))]
+    assert all(type(z) is Fraction for vec in relations for z in vec)
+    coords = express_in_span([x, RatFunc.one()], x * 2 + 3)
+    assert coords == [2, 3] and all(type(c) is Fraction for c in coords)
