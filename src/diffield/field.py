@@ -21,7 +21,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterable
 
-from .poly import Coeff, MPoly, VarId
+from .poly import MPoly, VarId
 from .ratfunc import RatFunc
 
 
@@ -57,8 +57,9 @@ class GeneratorSpec:
 class Presentation:
     """Immutable generator list; the base field is Q.
 
-    Sub-presentations keep the ambient generator indices so elements stay
-    comparable across restriction (the variable order never changes).
+    Generators are listed in index order.  Sub-presentations keep the
+    ambient generator indices so elements stay comparable across restriction
+    (the variable order never changes).
     """
 
     gens: tuple[GeneratorSpec, ...]
@@ -117,6 +118,20 @@ class Presentation:
     def subsumes(self, other: "Presentation") -> bool:
         mine = {g.index: g for g in self.gens}
         return all(mine.get(g.index) == g for g in other.gens)
+
+    def shape(self) -> tuple[FreeSpec | AffineSpec, ...]:
+        """The generator kinds, with every rule variable renamed by position.
+
+        A variable of a rule becomes ``VarId(position, "", shift)``, where
+        position is its generator's place in ``gens``.  Two presentations have
+        the same shape exactly when matching their generators by position
+        (Element.renamed) maps the rules onto each other.
+        """
+        pos = {g.index: (k, "") for k, g in enumerate(self.gens)}
+        return tuple(
+            g.kind if g.is_free else AffineSpec(g.kind.linear.rename(pos), g.kind.constant.rename(pos))
+            for g in self.gens
+        )
 
     @cached_property
     def _affine_images(self) -> dict[tuple[VarId, int], RatFunc]:
@@ -298,11 +313,24 @@ class Element:
     def is_constant(self) -> bool:
         return self.value.is_constant()
 
-    def constant_value(self) -> Coeff:
-        return self.value.constant_value()
-
     def in_presentation(self, pres: Presentation) -> "Element":
         return Element(pres, self.value)
+
+    def renamed(self, target: Presentation) -> "Element":
+        """This element over target, with the generators matched by position.
+
+        The k-th generator of this element's presentation becomes target's
+        k-th, at the same shifts.  The two presentations must have the same
+        shape() (ValueError otherwise; a free generator never goes to an
+        affine one), so the renaming maps each rule onto its image's rule: it
+        commutes with sigma and takes fixed elements to fixed elements.  It
+        must also be strictly increasing in index (RatFunc.rename raises
+        ValueError otherwise), so canonical forms go to canonical forms.
+        """
+        if self.pres.shape() != target.shape():
+            raise ValueError("presentations of different shapes")
+        gens = {s.index: (d.index, d.name) for s, d in zip(self.pres.gens, target.gens)}
+        return Element._make(target, self.value.rename(gens))
 
     def sigma(self, k: int = 1) -> "Element":
         return Element._make(self.pres, sigma_value(self.pres, self.value, k))

@@ -317,6 +317,23 @@ class MPoly:
         p._hash = None
         return p
 
+    def rename(self, gens: Mapping[int, tuple[int, str]]) -> "MPoly":
+        """Generator ``i`` renamed to ``gens[i] = (index, name)`` in every variable, shifts kept.
+
+        ``gens`` must be strictly increasing in index (ValueError otherwise).
+        The variable order is then kept, so monomials stay sorted and a
+        canonical form renames to a canonical form with no re-sort.  A
+        generator missing from ``gens`` raises KeyError.
+        """
+        targets = [gens[i][0] for i in sorted(gens)]
+        if any(a >= b for a, b in zip(targets, targets[1:])):
+            raise ValueError("a renaming must be strictly increasing in index")
+        new = {v: VarId(*gens[v.index], v.shift) for v in self.variables()}
+        p = MPoly.__new__(MPoly)
+        p.terms = {tuple((new[v], e) for v, e in m): c for m, c in self.terms.items()}
+        p._hash = None
+        return p
+
     # -- equality / hashing / printing --------------------------------------
 
     def __eq__(self, other) -> bool:

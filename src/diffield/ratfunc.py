@@ -179,6 +179,10 @@ class RatFunc:
             return self
         return _canonical(self.num.shift(k), self.den.shift(k))
 
+    def rename(self, gens: Mapping[int, tuple[int, str]]) -> "RatFunc":
+        """Generators renamed as in MPoly.rename; canonicalization is preserved."""
+        return _canonical(self.num.rename(gens), self.den.rename(gens))
+
     # -- substitution / evaluation ---------------------------------------------
 
     def evaluate(self, assignment: Mapping[VarId, Coeff]) -> "RatFunc":

@@ -35,7 +35,7 @@ from .linalg import Infeasible
 from .params import LinComb, ParamContext
 from .poly import VarId
 from .ratfunc import PoleError
-from .tower import fixed_space, solve_twisted_bounded
+from .tower import fixed_candidates, require_fixed, solve_twisted_bounded, span_basis
 
 
 class SystemModelError(ValueError):
@@ -532,16 +532,30 @@ def pairwise_fixed_polynomials(
     reaches every polynomial fixed element of the corner within the bounds
     (see fixed_space); its members with free-base denominators are dropped.
 
+    The search runs once per corner shape (Presentation.shape: the generator
+    kinds in index order, with rules renamed by position).  It reads
+    generators by index and rule only, so a later corner of a known shape
+    gets the first one's candidates renamed into its own generators
+    (Element.renamed), each checked fixed again.  Every corner then takes its
+    own span_basis, whose order reads the corner's own names, so each list
+    is the one fixed_space gives for that corner.
+
     Pairs (i, j) with i before j in idx come in idx order, and members in
     fixed_space order; callers number their parameters by that order.
     """
     out: dict[tuple[int, int], list[Element]] = {}
+    searched: dict[tuple, list[Element]] = {}  # shape -> candidates of its first corner
     for pos, i in enumerate(idx):
         for j in idx[pos + 1 :]:
             corner = model.corner(model.complement(i, j))
+            shape = corner.shape()
+            if shape in searched:
+                candidates = require_fixed(x.renamed(corner) for x in searched[shape])
+            else:
+                candidates = searched[shape] = fixed_candidates(corner, bounds, polynomial=True)
             out[(i, j)] = [
                 model.pres.element(s.value)
-                for s in fixed_space(corner, bounds, polynomial=True)
+                for s in span_basis(candidates, first=corner.one())
                 if s.value.is_polynomial()
             ]
     return out

@@ -158,9 +158,10 @@ def _lincomb_coefficients(lc: LinComb, pres: Presentation, gen: GeneratorSpec, s
 
 
 # The memo outlives a search because decide job streams repeat presentations.
-# Working sets: 122 entries for run_pipeline() at default bounds, 112 at the
-# benchmark's (2, 2) bounds, 9 for a stream of 504 decide jobs; 1024 bounds a
-# long-lived process without evicting within any of these.
+# Working sets: 90 entries for run_pipeline() at default bounds, 82 at the
+# benchmark's (2, 2) bounds (one corner search per shape), 9 for a stream of
+# 504 decide jobs; 1024 bounds a long-lived process without evicting within
+# any of these.
 @functools.lru_cache(maxsize=1024)
 def _denominator_candidates(
     sub: Presentation,
@@ -316,14 +317,29 @@ def fixed_space(
     Finite Terms", JACM 28(2), 1981).  Members may still have free-base
     denominators; callers keep the polynomial ones.
     """
+    return span_basis(fixed_candidates(pres, bounds, polynomial=polynomial), first=pres.one())
+
+
+def fixed_candidates(
+    pres: Presentation, bounds: SearchBounds = SearchBounds(), *, polynomial: bool = False
+) -> list[Element]:
+    """The fixed elements the search of fixed_space finds, before span_basis.
+
+    The search reads generators by index and rule only, never by name.  A
+    free presentation gives none: its fixed field is Q, which fixed_space
+    adds as ``first``.
+    """
     if pres.is_free_only():
-        return [pres.one()]  # the fixed field of a free presentation is Q
-    candidates: list[Element] = []
-    for x in _homogeneous_solutions(pres, pres.one(), bounds.degree, bounds.window, polynomial=polynomial):
-        if not x.is_fixed():
-            raise AssertionError("internal error: fixed-space candidate not fixed")
-        candidates.append(x)
-    return span_basis(candidates, first=pres.one())
+        return []
+    return require_fixed(_homogeneous_solutions(pres, pres.one(), bounds.degree, bounds.window, polynomial=polynomial))
+
+
+def require_fixed(elems: Iterable[Element]) -> list[Element]:
+    """The elements as a list; AssertionError when one of them is not fixed."""
+    out = list(elems)
+    if not all(x.is_fixed() for x in out):
+        raise AssertionError("internal error: fixed-space candidate not fixed")
+    return out
 
 
 def span_basis(elems: Iterable[Element], first: Element | None = None) -> list[Element]:

@@ -147,3 +147,40 @@ def test_affine_shift_materialization_rejected():
     p, g, a1 = twisted_pair_presentation()
     with pytest.raises(PresentationError):
         p.gen("a1", 1)
+
+
+def _laws_presentation_renamed():
+    """_laws_presentation's shape over other names and higher, spread indices."""
+    p, _ = Presentation.empty().with_free("z")
+    p, h = p.with_free("h")
+    p, _ = p.with_free("y")
+    p, _ = p.with_affine("u", 1, 1)
+    p, _ = p.with_affine("b9", h.in_presentation(p), h.in_presentation(p))
+    return p.restrict(["h", "u", "b9"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_renamed_commutes_with_sigma(seed):
+    p, q = _laws_presentation(), _laws_presentation_renamed()
+    assert p.shape() == q.shape()
+    rng = random.Random(seed)
+    x = _random_element(p, rng, list(p.names()))
+    y = x.renamed(q)
+    assert y.pres == q and y.value == x.value.rename({0: (1, "h"), 1: (3, "u"), 2: (4, "b9")})
+    assert y.sigma(1) == x.sigma(1).renamed(q)
+    assert y.is_fixed() == x.is_fixed()
+    assert y.renamed(p) == x and repr(y.renamed(p)) == repr(x)
+    assert p.const(Fraction(-2, 3)).renamed(q) == q.const(Fraction(-2, 3))
+
+
+def test_renamed_refuses_another_shape():
+    p, g = Presentation.empty().with_free("g")
+    free, _ = p.with_free("a")
+    torsor, _ = p.with_affine("a", 1, 1)
+    shifted, _ = p.with_affine("a", 1, g)
+    twisted, _ = p.with_affine("a", g, 1)
+    longer, _ = torsor.with_free("b")
+    for source, target in ((free, torsor), (torsor, free), (torsor, shifted), (torsor, twisted), (torsor, longer)):
+        with pytest.raises(ValueError, match="shapes"):
+            source.gen("g").renamed(target)

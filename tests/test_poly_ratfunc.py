@@ -640,6 +640,44 @@ def renamed(f):
     return f.substitute({v: RatFunc.var(w) for v, w in RENAMED.items()})
 
 
+# strictly increasing in index, with names in reverse str order, and back
+RENAMING = {0: (3, "r"), 1: (5, "q"), 2: (9, "p")}
+UNRENAMING = {3: (0, "x"), 5: (1, "y"), 9: (2, "z")}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6))
+def test_rename_matches_substitution(seed):
+    rng = random.Random(seed)
+    shifted = [X, Y, Z, X.shifted(1), Y.shifted(-1), Z.shifted(2)]
+    f = rand_ratfunc(rng, shifted)
+    g = f.rename(RENAMING)
+    images = {v: RatFunc.var(VarId(*RENAMING[v.index], v.shift)) for v in f.variables()}
+    rebuilt = f.substitute(images)  # through RatFunc(num, den) normalization
+    assert g == rebuilt and repr(g) == repr(rebuilt)
+    assert all(list(m) == sorted(m) for p in (g.num, g.den) for m in p.terms)
+    back = g.rename(UNRENAMING)
+    assert back == f and repr(back) == repr(f)
+
+
+def test_rename_keeps_constants():
+    for c in (0, 1, -3, Fraction(2, 7)):
+        assert RatFunc.const(c).rename(RENAMING) == RatFunc.const(c)
+        assert MPoly.const(c).rename(RENAMING) == MPoly.const(c)
+
+
+def test_rename_refuses_a_map_that_is_not_strictly_increasing():
+    f = x * y + z
+    for gens in (
+        {0: (5, "r"), 1: (3, "q"), 2: (9, "p")},
+        {0: (3, "r"), 1: (3, "q"), 2: (9, "p")},
+    ):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            f.rename(gens)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            RatFunc.one().rename(gens)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 10**6))
 def test_differential_relation_lattices(seed):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from diffield.counterexample import build_base, build_height4_instance, closure_step
 from diffield.equations import SearchBounds
 from diffield.field import Presentation
 import diffield.systems as systems
@@ -22,11 +23,13 @@ from diffield.systems import (
     ff_decompose_with_witnesses,
     generic_evaluation,
     generic_points,
+    pairwise_fixed_polynomials,
     restrict_over_corner,
     specialise_step1,
     validate_decomposition,
     wp_decompose_with_witnesses,
 )
+from diffield.tower import fixed_space
 
 
 def free_blocks(n):
@@ -391,6 +394,64 @@ def test_ff_decompose_bounded_zero_equation():
     res = ff_decompose_bounded(m, eq, SearchBounds(1, 1))
     assert not isinstance(res, NotFoundWithinBounds)
     assert all(v.is_zero() for v in res.values())
+
+
+def fixed_space_per_corner(model, bounds):
+    """pairwise_fixed_polynomials without the shape cache: one fixed_space per corner."""
+    return {
+        (i, j): [
+            model.pres.element(s.value)
+            for s in fixed_space(model.corner(model.complement(i, j)), bounds, polynomial=True)
+            if s.value.is_polynomial()
+        ]
+        for i, j in itertools.combinations(range(1, model.size + 1), 2)
+    }
+
+
+def assert_pairwise_matches_fixed_space(model, bounds):
+    got = pairwise_fixed_polynomials(model, range(1, model.size + 1), bounds)
+    want = fixed_space_per_corner(model, bounds)
+    assert list(got) == list(want)
+    assert {k: [repr(e) for e in v] for k, v in got.items()} == {k: [repr(e) for e in v] for k, v in want.items()}
+    assert got == want
+
+
+def misnamed_blocks():
+    """Blocks a9..a12 with sigma(a) = a + 1 over a free base, and a T_1 witness per pair.
+
+    Index order is a9 < a10 < a11 < a12, but repr order is a10 < a11 < a12
+    < a9.  All six pairwise corners have one shape, and each has fixed
+    members a_i - c and a_j - c, so the repr order of a corner's members
+    depends on its names.
+    """
+    base, _ = Presentation.empty().with_free("g")
+    names = {1: "9", 2: "10", 3: "11", 4: "12"}
+    model = build_system(base, [[(f"a{names[i]}", (1, 1))] for i in range(1, 5)])
+    for i, j in itertools.combinations(range(1, 5), 2):
+        model, _ = model.adjoin({i, j}, f"c{names[i]}_{names[j]}", 1, 1)
+    return model
+
+
+@pytest.mark.parametrize("bounds", [SearchBounds(1, 1), SearchBounds(2, 1)])
+def test_pairwise_fixed_polynomials_do_not_read_names(bounds):
+    model = misnamed_blocks()
+    first = model.corner(model.complement(1, 2))  # a11, a12, c11_12
+    later = model.corner(model.complement(2, 3))  # a9, a12, c9_12
+    assert first.shape() == later.shape()
+    # the test can see a leak: the first corner's span, renamed, is not the
+    # later corner's own span
+    renamed_span = [x.renamed(later) for x in fixed_space(first, bounds, polynomial=True)]
+    assert renamed_span != fixed_space(later, bounds, polynomial=True)
+    assert_pairwise_matches_fixed_space(model, bounds)
+
+
+@pytest.mark.parametrize("control", [False, True])
+@pytest.mark.parametrize("bounds", [SearchBounds(2, 2), SearchBounds(2, 1), SearchBounds(4, 3)])
+def test_pairwise_fixed_polynomials_of_the_pipeline_instances(control, bounds):
+    base0, reg0 = build_base()
+    base, reg, _ = closure_step(base0, reg0, base0.one(), name="t1")
+    instance = build_height4_instance(base, reg, control=control)
+    assert_pairwise_matches_fixed_space(instance.model, bounds)
 
 
 def test_witness_unavailable_names_the_query():
