@@ -1,11 +1,15 @@
 """Exact linear algebra over the rationals.
 
 :class:`Echelon` is the package's one row reduction over Q: an incremental
-sparse row echelon.  Rows are dicts from integer columns to coefficients in
-the form of :data:`~diffield.poly.Coeff`: ``int`` when integral, else
-``Fraction``.  Each new row is reduced against the stored pivots on arrival,
-so an inconsistent row raises :class:`Infeasible` at once and span growth is
-known row by row.  Three routines feed it rows:
+sparse row echelon.  Rows come in as dicts from integer columns to
+coefficients in the form of :data:`~diffield.poly.Coeff` (``int`` when
+integral, else ``Fraction``) and are stored fraction-free: each stored row is
+a primitive integer row, positive at its pivot.  A new row is scaled to
+integers and reduced against the stored pivots on arrival, so an
+inconsistent row raises :class:`Infeasible` at once and span growth is known
+row by row.  Values read back (:meth:`Echelon.solve`, :meth:`Echelon.kernel`,
+:meth:`Echelon.rref`) are rationals in ``Coeff`` form again.  Three routines
+feed it rows:
 
 * :meth:`~diffield.params.ParamContext.add_identity`, the polynomial
   identities of the solvers' parameter systems, one row per monomial;
@@ -28,10 +32,11 @@ integer entries swell.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd as int_gcd, lcm
 from typing import Mapping, Sequence
 
-from .poly import Q1, Coeff, as_rational
+from .poly import Coeff, as_rational
 
 Row = list[Coeff]
 
@@ -44,11 +49,15 @@ class Echelon:
     """Exact linear constraints over integer-indexed columns.
 
     Rows mean const + sum(coeff * x_col) = 0.  The echelon invariant: for
-    every stored pivot column c, ``pivots[c]`` is a row with coefficient 1
-    at c and no other pivot column of the time it was inserted; stored rows
-    are never mutated, so copies may share them.  Hence a stored row only
-    mentions pivots inserted after it, and back-substitution in reverse
-    insertion order needs no recursion.
+    every stored pivot column c, ``pivots[c]`` is ``(row, const)``, a
+    primitive integer row (the gcd of its entries and const is 1), positive
+    at its pivot c, with no other pivot column of the time it was inserted;
+    stored rows are never mutated, so copies may share them.  Hence a stored
+    row only mentions pivots inserted after it, and back-substitution in
+    reverse insertion order needs no recursion.  Back-substitution divides
+    by each pivot's entry, the echelon's only division, so rows are reduced
+    with integer arithmetic alone (fraction-free elimination; Bareiss 1968,
+    Math. Comp. 22(103)).
 
     The pivot of a row is its least column left after reduction, so the
     pivot set is the set of leading columns of the row space: the pivots of
@@ -69,36 +78,57 @@ class Echelon:
         Returns True when the row was independent of the stored ones (a new
         pivot), False when it reduced to 0 = 0; raises :class:`Infeasible`
         when it reduced to a nonzero constant.
+
+        The row is scaled to integers by the lcm of its denominators, then
+        reduced fraction-free: against a pivot row with entry ``lead`` at
+        column c, ``r <- (lead/g)*r - (r[c]/g)*prow`` with
+        ``g = gcd(lead, r[c])``.
         """
-        coeffs = dict(coeffs)
+        den = 1
+        for v in coeffs.values():
+            den = lcm(den, v.denominator)
+        den = lcm(den, const.denominator)
+        row = {c: v.numerator * (den // v.denominator) for c, v in coeffs.items()}
+        const = const.numerator * (den // const.denominator)
         while True:
             hit = None
-            for col in coeffs:
+            for col in row:
                 if col in self.pivots:
                     hit = col
                     break
             if hit is None:
                 break
             prow, pconst = self.pivots[hit]
-            factor = coeffs.pop(hit)
+            lead = prow[hit]
+            factor = row.pop(hit)
+            g = int_gcd(lead, factor)
+            if g != 1:
+                lead //= g
+                factor //= g
+            if lead != 1:
+                row = {c: lead * v for c, v in row.items()}
+                const *= lead
             for c, v in prow.items():
                 if c == hit:
                     continue
-                nv = coeffs.get(c, 0) - factor * v
+                nv = row.get(c, 0) - factor * v
                 if nv:
-                    coeffs[c] = nv
+                    row[c] = nv
                 else:
-                    coeffs.pop(c, None)
-            const = const - factor * pconst
-        if not coeffs:
+                    row.pop(c, None)
+            const -= factor * pconst
+        if not row:
             if const:
                 raise Infeasible(f"constant residue {const} cannot vanish")
             return False
-        col = min(coeffs)
-        lead = coeffs[col]
-        inv = 1 if lead == 1 else Q1 / lead  # a Fraction: int / int is a float
-        row = {c: as_rational(v * inv) for c, v in coeffs.items()}
-        self.pivots[col] = (row, as_rational(const * inv))
+        col = min(row)
+        g = int_gcd(*row.values(), const)
+        if row[col] < 0:
+            g = -g
+        if g != 1:
+            row = {c: v // g for c, v in row.items()}
+            const //= g
+        self.pivots[col] = (row, const)
         self.order.append(col)
         return True
 
@@ -115,7 +145,8 @@ class Echelon:
                 if c != col and c in values:
                     total -= v * values[c]
             if total:
-                values[col] = as_rational(total)
+                lead = row[col]
+                values[col] = as_rational(total if lead == 1 else Fraction(total, lead))
         return values
 
     def solve(self) -> dict[int, Coeff]:

@@ -403,9 +403,14 @@ def _relation_rref(elems: Sequence[RatFunc]) -> list[list[Coeff]]:
 
     Rows are the values at the points of :func:`_points`, one coordinate per
     variable in sorted ``VarId`` order; a point where a denominator vanishes
-    is skipped.  Every relation vanishes at every point, so the kernel of
-    the value rows contains the relation space; values that are independent
-    prove the elements independent.  Rows are added until the rank is n or
+    is skipped.  Each row goes to the echelon as integers, its values scaled
+    by the lcm of their denominators, which leaves its kernel unchanged; the
+    echelon stores it as a primitive integer row, positive at its pivot, and
+    its reduced row echelon form comes back in ``Coeff`` form.
+
+    Every relation vanishes at every point, so the kernel of the value rows
+    contains the relation space; values that are independent prove the
+    elements independent.  Rows are added until the rank is n or
     n rows are in, then every kernel vector is checked exactly with
     :func:`_vanishes`; if one fails, n more rows go in.  Once all pass, the
     row space is the orthogonal complement of the relation space, the same
@@ -424,16 +429,17 @@ def _relation_rref(elems: Sequence[RatFunc]) -> list[list[Coeff]]:
     while True:
         while rows < budget and len(echelon.pivots) < n:
             point = next(points)
-            row = {}
+            values = {}
             for j, ((num_scale, num), (den_scale, den)) in enumerate(forms):
                 d = _integer_value(den, point)
                 if not d:
                     break
                 v = _integer_value(num, point)
                 if v:
-                    row[j] = Fraction(v * den_scale, d * num_scale)
+                    values[j] = (v * den_scale, d * num_scale)
             else:
-                echelon.add_row(row, 0)
+                scale = lcm(*(q for _, q in values.values()))
+                echelon.add_row({j: p * (scale // q) for j, (p, q) in values.items()}, 0)
                 rows += 1
         if all(_vanishes(elems, z) for z in echelon.kernel()):
             return echelon.rref()
@@ -461,9 +467,12 @@ def express_in_span(basis: Sequence[RatFunc], target: RatFunc) -> list[Fraction]
     """Rational coordinates of target over the basis values, if any.
 
     With a dependent basis, the coordinates of the free columns of the
-    reduced row echelon form are zero.
+    reduced row echelon form are zero; so are all of them when every value
+    is zero and the form has no rows.
     """
     matrix = _relation_rref([*basis, target])
+    if not matrix:
+        return [Fraction(0)] * len(basis)
     rhs = [row.pop() for row in matrix]
     coords = solve_affine(matrix, rhs)
     return None if coords is None else list(map(Fraction, coords))

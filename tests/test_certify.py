@@ -1,5 +1,12 @@
 """Certificates: case analyses, registry matching, replay, reductions."""
 
+import dataclasses
+import random
+import re
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from diffield.certify import (
     AvoidedRegistry,
     DegreeObstruction,
@@ -20,7 +27,7 @@ from diffield.equations import (
     Unknown,
     Unsolvable,
 )
-from diffield.field import Presentation
+from diffield.field import Element, Presentation
 from diffield.tower import peel, solve_multiplicative_bounded, solve_twisted_bounded
 
 
@@ -176,3 +183,104 @@ def test_reduce_torsor_extension_cases():
     assert same.e1 == g and same.e2 == g
     ratio = cases["n > m + 0"]
     assert isinstance(ratio, RatioQuery) and ratio.ratio == g
+
+
+# -- order-preserving renamings ------------------------------------------------
+
+# Rules of the first and second affine step, over the generators below them.
+STEP_RULES = (
+    (
+        lambda g: (1, 1),
+        lambda g: (1, g),
+        lambda g: (g, g),
+        lambda g: (g, 0),
+        lambda g: (1 / g, 1 / g),
+        lambda g: (2, g * g),
+    ),
+    (
+        lambda g, a: (1, a),
+        lambda g, a: (1, 1),
+        lambda g, a: (g, a),
+        lambda g, a: (1 / g, 1 / g),
+        lambda g, a: (1, g * a),
+    ),
+)
+
+
+def drawn_tower(names, pads, free, rules):
+    """``free`` free generators, then one affine step per rule drawn from STEP_RULES.
+
+    A rule reads the first free generator and the affine ones before it.
+    pads[k] free generators come before names[k] and are restricted away, so
+    the indices depend on pads while the shape does not.
+    """
+    amb, gens = Presentation.empty(), []
+    for k, name in enumerate(names):
+        for i in range(pads[k]):
+            amb, _ = amb.with_free(f"{name}_pad{i}")
+        if k < free:
+            amb, gen = amb.with_free(name)
+        else:
+            below = [e.in_presentation(amb) for e in (gens[0], *gens[free:])]
+            amb, gen = amb.with_affine(name, *STEP_RULES[k - free][rules[k - free]](*below))
+        gens.append(gen)
+    pres = amb.restrict(names)
+    return pres, [pres.gen(name) for name in names]
+
+
+def renaming(source, target):
+    """Map a verdict, a query or a certificate over source to target.
+
+    Generators are matched by position.  Elements go through Element.renamed
+    (over the matching restriction of target, for one a level down); strings
+    (reprs, labels, reasons) have the generator names replaced as tokens.
+    """
+    names = dict(zip(source.names(), target.names()))
+    token = re.compile(r"\b(" + "|".join(map(re.escape, names)) + r")\b")
+
+    def rename(obj):
+        if isinstance(obj, Element):
+            return obj.renamed(target.restrict(names[n] for n in obj.pres.names()))
+        if isinstance(obj, str):
+            return token.sub(lambda m: names[m.group()], obj)
+        if isinstance(obj, tuple):
+            return tuple(map(rename, obj))
+        if dataclasses.is_dataclass(obj):
+            return type(obj)(**{f.name: rename(getattr(obj, f.name)) for f in dataclasses.fields(obj)})
+        return obj
+
+    return rename
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_solver_and_certifier_commute_with_renamings(seed):
+    # a one- or two-step tower over one or two free generators, under other
+    # names and indices in the same order; half the equations have a planted
+    # solution, which the search bounds reach
+    rng = random.Random(seed)
+    free = rng.randint(1, 2)
+    rules = [rng.randrange(len(step)) for step in STEP_RULES[: rng.randint(1, 2)]]
+    size = free + len(rules)
+    # name order is index order in the source, and the reverse among the
+    # free and among the affine generators in the target
+    source_names = ["gx", "kx"][:free] + ["ax", "bx"][: len(rules)]
+    target_names = ["wy", "hy"][:free] + ["dy", "cy"][: len(rules)]
+    source, gens = drawn_tower(source_names, [rng.randint(0, 2) for _ in range(size)], free, rules)
+    target, _ = drawn_tower(target_names, [rng.randint(0, 2) for _ in range(size)], free, rules)
+    g = gens[0]
+    atoms = [source.one(), g, g.sigma(1), *gens[1:], g * gens[-1]]
+    x = source.zero()
+    for atom in rng.sample(atoms, rng.randint(1, 3)):
+        x = x + rng.choice([-2, -1, 1, 3]) * atom
+    e1 = rng.choice([source.one(), g, 1 / g, 2 * g])
+    planted = rng.random() < 0.5
+    e2 = x.sigma(1) - e1 * x if planted else x
+    rename = renaming(source, target)
+    bounds = SearchBounds(2, 1)
+    equation = TwistedEquation(e1, e2)
+    found = solve_twisted_bounded(source, equation, bounds)
+    assert isinstance(found, Solution) or not planted
+    assert rename(found) == solve_twisted_bounded(target, rename(equation), bounds)
+    for query in (equation, TwistedShiftFamily(e1, e2)):
+        assert rename(certify_unsolvable(source, query)) == certify_unsolvable(target, rename(query))

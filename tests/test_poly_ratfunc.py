@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -581,14 +582,95 @@ def test_echelon_ignores_row_order(seed):
         assert _echelon_outcome(ncols, rows) == want
 
 
+def _mixed_entry(rng):
+    """An int, an integral Fraction or a Fraction with a denominator; some of
+    height 10^30 or more, the size of value rows at points in [-2^9, 2^9]."""
+    num = rng.choice([rng.randint(-3, 3), rng.randint(-(10**34), 10**34)])
+    kind = rng.randrange(3)
+    if kind == 0:
+        return num
+    if kind == 1:
+        return Fraction(num)
+    return Fraction(num, rng.choice([2, 3, 10**30 + 7]))
+
+
+def _dense_reference(ncols, rows):
+    """add_row's returns up to the first Infeasible, then (solve, kernel, rref) or None,
+    all read off the dense Fraction RREF of the rows seen so far."""
+    returns, rank = [], 0
+    for k in range(1, len(rows) + 1):
+        aug = [[coeffs.get(j, 0) for j in range(ncols)] + [-const] for coeffs, const in rows[:k]]
+        red, pivots = _rref(aug)
+        if ncols in pivots:
+            return returns, None
+        returns.append(len(pivots) > rank)
+        rank = len(pivots)
+    solution = {p: row[ncols] for row, p in zip(red, pivots) if row[ncols]}
+    kernel = []
+    for f in range(ncols):
+        if f not in pivots:
+            z = {f: 1}
+            z.update({p: -row[f] for row, p in zip(red, pivots) if row[f]})
+            kernel.append(z)
+    return returns, (solution, kernel, [row[:ncols] for row in red])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6))
+def test_echelon_matches_dense_fraction_rref(seed):
+    # the fraction-free echelon against the Fraction elimination it replaced:
+    # same pivots, same infeasibility, and the same values in int-when-integral
+    # form; half the systems have a planted solution
+    rng = random.Random(seed)
+    ncols = rng.randint(1, 5)
+    rows = []
+    for _ in range(rng.randint(1, 6)):
+        if rows and rng.random() < 0.3:
+            (a, ca), (b, cb) = rng.choice(rows), rng.choice(rows)
+            q = _mixed_entry(rng)
+            combined = {c: a.get(c, 0) + q * b.get(c, 0) for c in set(a) | set(b)}
+            rows.append(({c: v for c, v in combined.items() if v}, ca + q * cb))
+        else:
+            cols = rng.sample(range(ncols), rng.randint(0, ncols))
+            rows.append(({c: _mixed_entry(rng) or 1 for c in cols}, _mixed_entry(rng)))
+    if rng.random() < 0.5:
+        planted = [_mixed_entry(rng) for _ in range(ncols)]
+        rows = [(coeffs, -sum(v * planted[c] for c, v in coeffs.items())) for coeffs, _ in rows]
+    want_returns, want = _dense_reference(ncols, rows)
+    echelon = Echelon(ncols)
+    got_returns = []
+    try:
+        for coeffs, const in rows:
+            got_returns.append(echelon.add_row(coeffs, const))
+    except Infeasible:
+        assert want is None
+    else:
+        assert want is not None
+    assert got_returns == want_returns
+    assert_stored_rows_primitive(echelon)
+    if want is not None:
+        got = echelon.solve(), echelon.kernel(), echelon.rref()
+        assert got == want
+        assert_coefficient_form(got[0].values())
+        for z in got[1]:
+            assert_coefficient_form(z.values())
+        for row in got[2]:
+            assert_coefficient_form(row)
+
+
 def reference_relations(elems):
     """The cleared-monomial path: integer_kernel over the monomial matrix."""
     return [tuple(Fraction(z) for z in vec) for vec in integer_kernel(monomial_matrix(elems), len(elems))]
 
 
 def reference_express(basis, target):
-    """The cleared-monomial path: solve_affine over the monomial matrix."""
+    """The cleared-monomial path: solve_affine over the monomial matrix.
+
+    All elements zero leave no rows, and every coordinate zero.
+    """
     matrix = monomial_matrix([*basis, target])
+    if not matrix:
+        return [0] * len(basis)
     rhs = [row.pop() for row in matrix]
     return solve_affine(matrix, rhs)
 
@@ -736,6 +818,15 @@ def test_relations_check_elements_that_vanish_at_the_first_points():
         assert express_in_span([RatFunc.one(), f], f + 3) == [Fraction(3), Fraction(1)]
 
 
+def test_express_zero_over_zeros_gives_a_coordinate_per_element():
+    # every value is zero, so the reduced row echelon form has no rows
+    zero = RatFunc.const(0)
+    assert express_in_span([zero], zero) == [Fraction(0)]
+    assert express_in_span([zero, zero, zero], zero) == [Fraction(0)] * 3
+    assert express_in_span([], zero) == []
+    assert express_in_span([zero], RatFunc.one()) is None
+
+
 def test_relations_skip_a_pole_at_the_first_point():
     a = next(_points(1))[0]
     pole = RatFunc.one() / (x - RatFunc.const(a))
@@ -822,11 +913,37 @@ def test_coefficients_are_ints_exactly_when_integral(seed):
     for k in params:
         const = const - coeffs[k].scale(Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
     ctx.add_identity(const, coeffs)
-    for row, row_const in ctx.pivots.values():
-        assert_coefficient_form([*row.values(), row_const])
+    assert_stored_rows_primitive(ctx)
     assert_coefficient_form(ctx.solve().values())
     for direction in ctx.kernel():
         assert_coefficient_form(direction.values())
+
+
+def assert_stored_rows_primitive(echelon):
+    """Every stored pivot row and its constant are ints, primitive, positive at the pivot."""
+    for col, (row, row_const) in echelon.pivots.items():
+        assert all(type(v) is int for v in (*row.values(), row_const)), (row, row_const)
+        assert math.gcd(*row.values(), row_const) == 1
+        assert row[col] > 0 and col == min(row)
+
+
+def test_fork_leaves_the_shared_pivot_rows_alone():
+    # the parent's pivots have leads 2 and 3, and each child row reduces
+    # against both with factors that are not multiples of the leads, so a
+    # reduction that scaled a shared row in place would show in the parent
+    parent = ParamContext()
+    a, b, c, d = parent.new_params(4)
+    parent.add_row({a: 2, b: 3, c: 1}, 1)
+    parent.add_row({b: Fraction(3, 2), c: -1, d: Fraction(1, 2)}, Fraction(-5, 2))
+    assert [parent.pivots[p][0][p] for p in parent.order] == [2, 3]
+    before = copy.deepcopy(parent.pivots)
+    child = parent.fork()
+    child.add_row({a: 3, b: 1, d: 4}, 2)
+    child.add_row({a: 5, b: 7, c: Fraction(2, 3)}, 0)
+    assert len(child.pivots) == 4 and child.solve()
+    assert_stored_rows_primitive(child)
+    assert parent.pivots == before
+    assert parent.order == [a, b]
 
 
 def fraction_terms(p):
