@@ -95,10 +95,10 @@ class Presentation:
     # -- lookups -------------------------------------------------------------
 
     def spec(self, name: str) -> GeneratorSpec:
-        for g in self.gens:
-            if g.name == name:
-                return g
-        raise PresentationError(f"unknown generator {name!r}")
+        g = self._by_name.get(name)
+        if g is None:
+            raise PresentationError(f"unknown generator {name!r}")
+        return g
 
     def spec_by_index(self, index: int) -> GeneratorSpec:
         for g in self.gens:
@@ -110,7 +110,7 @@ class Presentation:
         return tuple(g.name for g in self.gens)
 
     def has_gen(self, name: str) -> bool:
-        return any(g.name == name for g in self.gens)
+        return name in self._by_name
 
     def is_free_only(self) -> bool:
         return all(g.is_free for g in self.gens)
@@ -132,6 +132,19 @@ class Presentation:
             g.kind if g.is_free else AffineSpec(g.kind.linear.rename(pos), g.kind.constant.rename(pos))
             for g in self.gens
         )
+
+    @cached_property
+    def _by_name(self) -> dict[str, GeneratorSpec]:
+        """The first generator of each name; like _affine_images, outside the fields."""
+        out: dict[str, GeneratorSpec] = {}
+        for g in self.gens:
+            out.setdefault(g.name, g)
+        return out
+
+    @cached_property
+    def _by_index(self) -> dict[int, GeneratorSpec]:
+        """The generator of each index (the last, should two share one)."""
+        return {g.index: g for g in self.gens}
 
     @cached_property
     def _affine_images(self) -> dict[tuple[VarId, int], RatFunc]:
@@ -198,7 +211,7 @@ class Presentation:
         return Element(self, RatFunc.var(self.varid(name, shift)))
 
     def const(self, c) -> "Element":
-        return Element(self, RatFunc.const(c))
+        return Element._make(self, RatFunc.const(c))  # no variables to check
 
     def zero(self) -> "Element":
         return self.const(0)
@@ -210,7 +223,7 @@ class Presentation:
         return Element(self, value)
 
     def check_value(self, value: RatFunc) -> None:
-        by_index = {g.index: g for g in self.gens}
+        by_index = self._by_index
         for v in value.variables():
             g = by_index.get(v.index)
             if g is None or g.name != v.name:

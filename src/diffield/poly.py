@@ -271,11 +271,21 @@ class MPoly:
         return self + (-other)
 
     def __mul__(self, other: "MPoly") -> "MPoly":
-        if not self.terms or not other.terms:
+        """The product; a constant operand scales the other one.
+
+        A product by the constant 1 is the other operand itself, not a copy,
+        as a sum with zero is: an MPoly is never changed once built.
+        """
+        a, b = self.terms, other.terms
+        if not a or not b:
             return MPoly()
+        if len(b) == 1 and ONE_MONO in b:
+            return self.scale(b[ONE_MONO])
+        if len(a) == 1 and ONE_MONO in a:
+            return other.scale(a[ONE_MONO])
         out: dict[Monomial, Coeff] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
+        for ma, ca in a.items():
+            for mb, cb in b.items():
                 m = mono_mul(ma, mb)
                 s = out.get(m, 0) + ca * cb
                 if s:
@@ -288,9 +298,12 @@ class MPoly:
         return p
 
     def scale(self, c) -> "MPoly":
+        """self * c for a rational c; scaling by 1 returns self."""
         c = as_rational(c)
         if not c:
             return MPoly()
+        if c == 1:
+            return self
         p = MPoly.__new__(MPoly)
         p.terms = {m: as_rational(cc * c) for m, cc in self.terms.items()}
         p._hash = None
@@ -299,14 +312,17 @@ class MPoly:
     def __pow__(self, n: int) -> "MPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = MPoly.const(1)
+        if n == 0:
+            return MPoly.const(1)
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def shift(self, k: int) -> "MPoly":
         """Shift every variable by k (the free-generator action)."""

@@ -6,6 +6,10 @@ equality of representations.  This is the universal element type: everything
 the engine manipulates (generators, twisted-equation coefficients, character
 arguments) is one of these.
 
+Only ``RatFunc(num, den)`` normalizes; constructors, sums, products,
+powers, inverses, shifts and renamings build results that are canonical by
+construction (the :class:`RatFunc` docstring says why).
+
 Q-linear dependence is decided in one place, by evaluation:
 :func:`linear_relations` and :func:`express_in_span` build an
 :class:`~diffield.linalg.Echelon` over the values of the elements at fixed
@@ -27,11 +31,34 @@ from .linalg import Echelon, integer_kernel, solve_affine
 from .poly import Q1, Coeff, MPoly, VarId, as_rational, divexact, poly_gcd, poly_lcm
 
 
+P1 = MPoly.const(1)
+"""The unit polynomial, the denominator of every polynomial value; never changed."""
+
+
 class PoleError(ArithmeticError):
     """A substitution made a denominator identically zero."""
 
 
 class RatFunc:
+    """A canonical pair: coprime num and den, with den monic under graded lex.
+
+    ``RatFunc(num, den)`` normalizes through :func:`_normalize`, the one
+    normalization: a gcd of the whole pair and a rescaling by the
+    denominator's leading coefficient.  Substitution and :meth:`top_form`
+    build through it.  Every other result is canonical by construction and
+    is built as it is:
+
+    - constants, variables and polynomials are ``p / 1``;
+    - a negation, shift or renaming keeps both coprimality and the leading
+      coefficient;
+    - sums and products take Henrici's forms (see :meth:`__add__` and
+      :meth:`__mul__`), which take gcds of parts only;
+    - ``num**n / den**n`` is coprime when ``num / den`` is, and a power of a
+      monic polynomial is monic;
+    - an inverse swaps the coprime pair and divides both by the new
+      denominator's leading coefficient.
+    """
+
     __slots__ = ("num", "den", "_hash")
 
     def __init__(self, num: MPoly, den: MPoly):
@@ -42,11 +69,11 @@ class RatFunc:
 
     @staticmethod
     def const(c) -> "RatFunc":
-        return RatFunc(MPoly.const(c), MPoly.const(1))
+        return _canonical(MPoly.const(c), P1)
 
     @staticmethod
     def zero() -> "RatFunc":
-        return RatFunc(MPoly(), MPoly.const(1))
+        return _canonical(MPoly(), P1)
 
     @staticmethod
     def one() -> "RatFunc":
@@ -54,11 +81,11 @@ class RatFunc:
 
     @staticmethod
     def var(v: VarId) -> "RatFunc":
-        return RatFunc(MPoly.var(v), MPoly.const(1))
+        return _canonical(MPoly.var(v), P1)
 
     @staticmethod
     def from_poly(p: MPoly) -> "RatFunc":
-        return RatFunc(p, MPoly.const(1))
+        return _canonical(p, P1)
 
     # -- queries --------------------------------------------------------------
 
@@ -147,31 +174,47 @@ class RatFunc:
         return _coerce(other) + (-self)
 
     def __mul__(self, other) -> "RatFunc":
+        """Henrici's product of canonical fractions a/b * c/d (Knuth, TAOCP 4.5.1).
+
+        With g1 = gcd(a, d) and g2 = gcd(c, b), the product is
+        (a/g1)(c/g2) / ((b/g2)(d/g1)).  a/g1 is prime to d/g1, and to b/g2
+        since a is prime to b; so for c/g2.  The result is coprime, and its
+        denominator is a product of exact quotients of monic polynomials by
+        monic gcds, hence monic: it needs no rescaling.  A gcd is taken only
+        when both of its arguments are nonconstant, so a product of
+        polynomials takes none.
+        """
         other = _coerce(other)
-        return RatFunc(self.num * other.num, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if not a.terms or not c.terms:
+            return RatFunc.zero()
+        if b.is_constant() and d.is_constant():
+            return _canonical(a * c, P1)
+        a, d = _cancel(a, d)
+        c, b = _cancel(c, b)
+        return _canonical(a * c, b * d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "RatFunc":
-        other = _coerce(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        return self * _coerce(other).inv()
 
     def __rtruediv__(self, other) -> "RatFunc":
         return _coerce(other) / self
 
     def inv(self) -> "RatFunc":
+        """den / num, divided through by the leading coefficient of num; no gcd."""
         if self.is_zero():
             raise ZeroDivisionError("division by zero")
-        return RatFunc(self.den, self.num)
+        s = Q1 / self.num.leading_coefficient()
+        return _canonical(self.den.scale(s), self.num.scale(s))
 
     def __pow__(self, n: int) -> "RatFunc":
         if n == 0:
             return RatFunc.one()
         if n < 0:
             return self.inv() ** (-n)
-        return RatFunc(self.num**n, self.den**n)
+        return _canonical(self.num**n, self.den**n)
 
     def shift(self, k: int) -> "RatFunc":
         """Shift all variables by k; canonicalization is preserved."""
@@ -232,7 +275,7 @@ class RatFunc:
         return self._hash
 
     def __repr__(self) -> str:
-        if self.den == MPoly.const(1):
+        if self.den.is_constant():  # a canonical constant denominator is 1
             return repr(self.num)
         num = repr(self.num)
         if len(self.num.terms) > 1:
@@ -257,18 +300,24 @@ def _normalize(num: MPoly, den: MPoly) -> tuple[MPoly, MPoly]:
     if den.is_zero():
         raise ZeroDivisionError("division by zero")
     if num.is_zero():
-        return MPoly(), MPoly.const(1)
-    if not den.is_constant():
-        g = poly_gcd(num, den)
-        if not (g.is_constant()):
-            num = divexact(num, g)
-            den = divexact(den, g)
+        return MPoly(), P1
+    num, den = _cancel(num, den)
     lc = den.leading_coefficient()
     if lc != 1:
         inv = Q1 / lc
         num = num.scale(inv)
         den = den.scale(inv)
     return num, den
+
+
+def _cancel(p: MPoly, q: MPoly) -> tuple[MPoly, MPoly]:
+    """p and q divided by their monic gcd; taken only when both are nonconstant."""
+    if p.is_constant() or q.is_constant():
+        return p, q
+    g = poly_gcd(p, q)
+    if g.is_constant():
+        return p, q
+    return divexact(p, g), divexact(q, g)
 
 
 def _canonical(num: MPoly, den: MPoly) -> RatFunc:
@@ -320,7 +369,7 @@ def _subst_mpoly(p: MPoly, images: Mapping[VarId, MPoly], dens: Mapping[VarId, t
 
 def common_denominator(elems: Sequence[RatFunc]) -> MPoly:
     seen: set[MPoly] = set()
-    den = MPoly.const(1)
+    den = P1
     for e in elems:
         d = e.den
         if d.is_constant() or d in seen:
@@ -390,7 +439,7 @@ def _vanishes(elems: Sequence[RatFunc], z: Mapping[int, Coeff]) -> bool:
         e = elems[i]
         part = e.num.scale(c)
         sums[e.den] = sums[e.den] + part if e.den in sums else part
-    num, den = MPoly(), MPoly.const(1)
+    num, den = MPoly(), P1
     for d, s in sums.items():
         if s.terms:
             num, den = num * d + s * den, den * d

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffield.field import Presentation, PresentationError
+from diffield.field import FreeSpec, GeneratorSpec, Presentation, PresentationError
 from diffield.poly import MPoly, VarId
 from diffield.ratfunc import RatFunc
 
@@ -184,3 +184,22 @@ def test_renamed_refuses_another_shape():
     for source, target in ((free, torsor), (torsor, free), (torsor, shifted), (torsor, twisted), (torsor, longer)):
         with pytest.raises(ValueError, match="shapes"):
             source.gen("g").renamed(target)
+
+
+def test_lookups_and_value_checks():
+    p, g, a1 = twisted_pair_presentation()
+    assert p.has_gen("a1") and not p.has_gen("zz")
+    assert p.spec("a1").index == 1
+    with pytest.raises(PresentationError, match="unknown generator 'zz'"):
+        p.spec("zz")
+    with pytest.raises(PresentationError, match="unknown generator"):
+        p.gen("zz")
+    # a foreign index, a known index under another name, an affine shift
+    for v in (VarId(7, "g"), VarId(0, "h"), VarId(1, "a1", 1)):
+        with pytest.raises(PresentationError):
+            p.check_value(RatFunc.var(v))
+    p.check_value(RatFunc.var(VarId(0, "g", -3)) / RatFunc.var(VarId(1, "a1")))
+    assert p.const(Fraction(1, 2)).value == RatFunc.const(Fraction(1, 2))
+    # an unvalidated presentation that repeats a name: spec keeps the first
+    first, second = GeneratorSpec(0, "g", FreeSpec()), GeneratorSpec(1, "g", FreeSpec())
+    assert Presentation((first, second)).spec("g") is first

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diffield import ratfunc
 from diffield.field import Presentation, _var_image
 from diffield.linalg import Echelon, Infeasible, integer_kernel, solve_affine
 from diffield.params import ParamContext
@@ -269,6 +270,99 @@ def test_differential_henrici_sum(seed):
     g = shared_factor_ratfunc(rng) if rng.random() < 0.7 else RatFunc(shared_factor_ratfunc(rng).num, f.den)
     for a, b in ((f, g), (g, f), (f, g - f)):
         assert a + b == RatFunc(a.num * b.den + b.num * a.den, a.den * b.den)
+
+
+def product_operand(rng):
+    """Zero, a Fraction constant, a polynomial or a fraction that shares factors with FACTORS."""
+    kind = rng.random()
+    if kind < 0.1:
+        return RatFunc.zero()
+    if kind < 0.25:
+        return RatFunc.const(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+    if kind < 0.4:
+        return RatFunc.from_poly(rand_poly(rng, [X, Y, Z], max_deg=2, max_terms=3) * rng.choice(FACTORS))
+    return shared_factor_ratfunc(rng)
+
+
+def assert_same_canonical(got, ref):
+    assert got.num == ref.num and got.den == ref.den
+    assert repr(got) == repr(ref)
+    assert poly_gcd(got.num, got.den) == MPoly.const(1)
+    assert got.den.leading_coefficient() == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6))
+def test_differential_canonical_products(seed):
+    # products, quotients, inverses and powers against RatFunc(num, den) of the
+    # unreduced pair, the normalizing path they replace
+    rng = random.Random(seed)
+    f, g = product_operand(rng), product_operand(rng)
+    if rng.random() < 0.3 and not f.is_zero():  # g cancels against f across
+        g = RatFunc(f.den * rand_poly(rng, [X, Y], max_deg=1, max_terms=2), f.num)
+    for a, b in ((f, g), (g, f), (f, f)):
+        assert_same_canonical(a * b, RatFunc(a.num * b.num, a.den * b.den))
+        if not b.is_zero():
+            assert_same_canonical(a / b, RatFunc(a.num * b.den, a.den * b.num))
+    for a in (f, g):
+        if a.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                a.inv()
+            continue
+        assert_same_canonical(a.inv(), RatFunc(a.den, a.num))
+    for n in range(-3, 4):
+        for a in (f, g):
+            if n < 0 and a.is_zero():
+                continue
+            ref = RatFunc(a.num**n, a.den**n) if n >= 0 else RatFunc(a.den ** -n, a.num ** -n)
+            assert_same_canonical(a**n, ref)
+
+
+def test_products_powers_and_inverses_take_no_gcd(monkeypatch):
+    rng = random.Random(5)
+    polys = [rand_poly(rng, [X, Y, Z]) for _ in range(6)] + [MPoly(), MPoly.const(Fraction(-3, 2))]
+    fractions = [shared_factor_ratfunc(rng) for _ in range(6)]
+
+    def refuse(*args):
+        raise AssertionError("normalized a result that is canonical by construction")
+
+    monkeypatch.setattr(ratfunc, "poly_gcd", refuse)
+    monkeypatch.setattr(ratfunc, "_normalize", refuse)
+    for c in (0, 1, -4, Fraction(2, 3)):
+        assert RatFunc.const(c).constant_value() == c
+    assert RatFunc.zero().is_zero() and RatFunc.one() == 1 and repr(RatFunc.var(X)) == "x"
+    for p, q in itertools.product(polys, repeat=2):
+        r = RatFunc.from_poly(p) * RatFunc.from_poly(q)
+        assert r.num == p * q and r.den == MPoly.const(1)
+        assert (RatFunc.from_poly(p) * Fraction(5, 3)).num == p.scale(Fraction(5, 3))
+    for f in fractions + [RatFunc.from_poly(p) for p in polys]:
+        for n in range(4):
+            assert (f**n).num == f.num**n and (f**n).den == f.den**n
+        if not f.is_zero():
+            back = f.inv().inv()
+            assert back.num == f.num and back.den == f.den
+            assert all((f**n).den.leading_coefficient() == 1 for n in range(-3, 0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6))
+def test_constant_products_match_the_double_loop(seed):
+    rng = random.Random(seed)
+    p = rand_poly(rng, [X, Y, Z])
+    if rng.random() < 0.5:
+        p = p.scale(6)
+    c = MPoly.const(rng.choice([1, -1, 3, Fraction(1, 2), Fraction(-4, 3), Fraction(6, 3)]))
+    before = (dict(p.terms), dict(c.terms))
+    for got in (p * c, c * p, p.scale(c.constant_value())):
+        assert got.terms == reference_mul(p, c)
+        assert_poly_form(got)
+    assert (dict(p.terms), dict(c.terms)) == before
+    one = MPoly.const(1)
+    if not p.is_zero():  # a product with zero is a new zero
+        assert p * one is p and p.scale(1) is p and p.scale(Fraction(2, 2)) is p
+        assert one * p is p or p.is_constant()  # a constant times a constant scales the left one
+    assert (p * MPoly()).is_zero() and (MPoly() * c).is_zero()
+    assert p**0 == one and p**3 == p * (p * p) and (p * c) ** 2 == (p * p) * (c * c)
 
 
 def naive_substitute(f, images):
