@@ -30,7 +30,8 @@ from .equations import (
 )
 from .field import Element, GeneratorSpec, Presentation
 from .freebase import FreeRefutation, decide_free_base, multiplicative_kernel
-from .tower import coefficients_in, last_affine, peel, require_level_free
+from .params import LinComb
+from .tower import _lincomb_coefficients, last_affine, peel, require_level_free
 
 
 # -- query forms ----------------------------------------------------------------
@@ -312,9 +313,9 @@ def leading_cases(
         e1 = _level_free(query.e1, pres, sub, gen)
         if e1 is None:
             return None
-        coeffs = coefficients_in(query.e2, pres, gen, sub)
+        coeffs = _lincomb_coefficients(LinComb.constant(pres, query.e2), pres, gen, sub)
         d2 = max(coeffs.keys(), default=0)
-        top = coeffs.get(d2, sub.zero())
+        top = coeffs[d2].evaluate({}) if coeffs else sub.zero()
         if d2 == 0 and (isinstance(query, TwistedShiftFamily) or top.is_zero()):
             return None
         if alpha == 1 and e1 == 1:

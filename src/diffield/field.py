@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .poly import MPoly, VarId
-from .ratfunc import RatFunc
+from .ratfunc import RatFunc, substitute_polys
 
 
 class PresentationError(ValueError):
@@ -101,10 +101,10 @@ class Presentation:
         return g
 
     def spec_by_index(self, index: int) -> GeneratorSpec:
-        for g in self.gens:
-            if g.index == index:
-                return g
-        raise PresentationError(f"no generator with index {index}")
+        g = self._by_index.get(index)
+        if g is None:
+            raise PresentationError(f"no generator with index {index}")
+        return g
 
     def names(self) -> tuple[str, ...]:
         return tuple(g.name for g in self.gens)
@@ -143,8 +143,11 @@ class Presentation:
 
     @cached_property
     def _by_index(self) -> dict[int, GeneratorSpec]:
-        """The generator of each index (the last, should two share one)."""
-        return {g.index: g for g in self.gens}
+        """The first generator of each index, as _by_name keeps the first of each name."""
+        out: dict[int, GeneratorSpec] = {}
+        for g in self.gens:
+            out.setdefault(g.index, g)
+        return out
 
     @cached_property
     def _affine_images(self) -> dict[tuple[VarId, int], RatFunc]:
@@ -355,7 +358,7 @@ class Element:
     def is_fixed(self) -> bool:
         """sigma(x) == x, tested on x = num/den without forming sigma(x).
 
-        substitute_parts gives polynomials num' and den' with
+        substitute_polys gives polynomials num' and den' with
         num'/den' == sigma(x); with rational images of sigma both carry the
         same cleared factor.  Two fractions with nonzero denominators are
         equal exactly when their cross products are, whether or not they are
@@ -367,10 +370,10 @@ class Element:
         value = self.value
         if value.is_constant():
             return True
-        images = _sigma_images(self.pres, value, 1)
+        images = sigma_images(self.pres, value.variables(), 1)
         if images is None:
             return value.shift(1) == value
-        num, den = value.substitute_parts(images)
+        num, den = substitute_polys((value.num, value.den), images)
         return num * value.den == value.num * den
 
 
@@ -400,12 +403,11 @@ def _var_image(pres: Presentation, var: VarId, direction: int) -> RatFunc:
     return image
 
 
-def _sigma_images(pres: Presentation, value: RatFunc, direction: int) -> dict[VarId, RatFunc] | None:
-    """The images of value's variables under sigma^direction.
+def sigma_images(pres: Presentation, vars_: set[VarId], direction: int) -> dict[VarId, RatFunc] | None:
+    """The images of the variables under sigma^direction.
 
     None when every variable is free: sigma is then a plain shift.
     """
-    vars_ = value.variables()
     if all(pres.spec_by_index(v.index).is_free for v in vars_):
         return None
     return {v: _var_image(pres, v, direction) for v in vars_}
@@ -417,7 +419,7 @@ def sigma_value(pres: Presentation, value: RatFunc, k: int) -> RatFunc:
         return value
     direction = 1 if k > 0 else -1
     for _ in range(abs(k)):
-        images = _sigma_images(pres, value, direction)
+        images = sigma_images(pres, value.variables(), direction)
         value = value.shift(direction) if images is None else value.substitute(images)
     return value
 

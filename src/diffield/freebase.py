@@ -47,7 +47,7 @@ from .field import Element, Presentation
 from .linalg import Infeasible
 from .params import LinComb, ParamContext
 from .poly import MPoly, VarId, divexact, poly_gcd
-from .ratfunc import RatFunc, common_denominator, over_denominator
+from .ratfunc import RatFunc
 
 _ANSATZ_LIMIT = 20000
 
@@ -97,13 +97,9 @@ def _require_free(pres: Presentation) -> None:
         )
 
 
-def _support_window(parts: Sequence[RatFunc]) -> WindowBound | None:
-    shifts: set[int] = set()
-    for p in parts:
-        shifts |= p.shifts()
-    if not shifts:
-        return None
-    return WindowBound(min(shifts), max(shifts) - 1)
+def _support_window(parts: Sequence[MPoly]) -> WindowBound | None:
+    shifts = {v.shift for p in parts for v in p.variables()}
+    return WindowBound(min(shifts), max(shifts) - 1) if shifts else None
 
 
 def _clip_window(w: WindowBound | None, cap: int | None) -> WindowBound | None:
@@ -179,10 +175,9 @@ def _monomials(vars_: Sequence[VarId], max_deg: int) -> list[MPoly]:
     monos: list[MPoly] = []
     for deg in range(max_deg + 1):
         for combo in itertools.combinations_with_replacement(ordered, deg):
-            p = MPoly.const(1)
-            for v in combo:
-                p = p * MPoly.var(v)
-            monos.append(p)
+            # a sorted combination lists each variable's repeats together
+            mono = tuple((v, len(list(run))) for v, run in itertools.groupby(combo))
+            monos.append(MPoly({mono: 1}))
     return monos
 
 
@@ -209,7 +204,7 @@ def multiplicative_kernel(
             None, f"constant ratio {ratio} != 1 admits no nonzero solution",
         )
         return [], cert
-    window = _clip_window(_support_window([u]), window_cap)
+    window = _clip_window(_support_window([u.num, u.den]), window_cap)
     if window is None or window.is_empty():
         cert = FreeRefutation(
             "multiplicative", eqrepr, window, "1", 0, 0,
@@ -228,24 +223,18 @@ def multiplicative_kernel(
     monos = _monomials(vars_, cap)
     ctx = ParamContext()
     params = ctx.new_params(len(monos))
-    a_elem = Element(pres, RatFunc.from_poly(a_den))
     # cleared identity: sigma(Y)*q*A_den - p*Y*sigma(A_den) = 0
     lhs_pos = u.den * a_den
     lhs_neg = u.num * a_den.shift(1)
     ctx.add_identity(  # homogeneous: never Infeasible
         MPoly(), {p: mono.shift(1) * lhs_pos - mono * lhs_neg for p, mono in zip(params, monos)}
     )
+    family = LinComb(pres, MPoly(), dict(zip(params, monos)), a_den)
     basis: list[Element] = []
     for direction in ctx.kernel():
-        y = pres.zero()
-        for p, mono in zip(params, monos):
-            q = direction.get(p)
-            if q:
-                y = y + Element(pres, RatFunc.from_poly(mono.scale(q)))
-        if not y.is_zero():
-            x = y / a_elem
-            if not any(x == b for b in basis):
-                basis.append(x)
+        x = family.direction(direction)
+        if not x.is_zero() and not any(x == b for b in basis):
+            basis.append(x)
     if basis:
         return basis, None
     cert = FreeRefutation(
@@ -273,19 +262,17 @@ def twisted_family(
     Raises Infeasible when no parameter assignment can work.
     """
     _require_free(pres)
-    rhs_parts = [rhs.const] + list(rhs.coeffs.values())
-    parts = [e1.value] + [p.value for p in rhs_parts]
-    window = _clip_window(_support_window(parts), window_cap)
-    q1 = e1.value.den
-    q2 = common_denominator([p.value for p in rhs_parts])
+    q1, q2 = e1.value.den, rhs.den
+    rhs_nums = [rhs.const, *rhs.coeffs.values()]
+    window = _clip_window(_support_window([e1.value.num, q1, q2, *rhs_nums]), window_cap)
     span = window.span() if window is not None else 0
     a_poly = _denominator_bound(q1 * q2, q2 * e1.value.num, span)
     v_candidates: list[int] = []
     ve1 = e1.value.valuation()
-    for p in rhs_parts:
-        if not p.is_zero():
-            v_candidates.append(p.value.valuation())
-            v_candidates.append(p.value.valuation() - ve1)
+    for n in rhs_nums:
+        if n.terms:  # the valuation of n/q2
+            v = n.total_degree() - q2.total_degree()
+            v_candidates += [v, v - ve1]
     if ve1 == 0:
         top = Element(pres, e1.value.top_form())
         kernel, _ = multiplicative_kernel(pres, top, deg_cap, window_cap)
@@ -325,11 +312,9 @@ def twisted_family(
     rhs_scale = a_shifted * a_poly * q1
     coeffs = {p: mono.shift(1) * lhs_pos - mono * lhs_neg for p, mono in zip(params, monos)}
     for lam, part in rhs.coeffs.items():  # outer parameters: never fresh ones
-        coeffs[lam] = -(over_denominator(part.value, q2) * rhs_scale)
-    ctx.add_identity(-(over_denominator(rhs.const.value, q2) * rhs_scale), coeffs)
-    a_elem = Element(pres, RatFunc.from_poly(a_poly))
-    family = {p: Element(pres, RatFunc.from_poly(mono)) / a_elem for p, mono in zip(params, monos)}
-    return LinComb(pres, pres.zero(), family)
+        coeffs[lam] = -(part * rhs_scale)
+    ctx.add_identity(-(rhs.const * rhs_scale), coeffs)
+    return LinComb(pres, MPoly(), dict(zip(params, monos)), a_poly)
 
 
 def decide_twisted(pres: Presentation, eq: TwistedEquation) -> SolveResult:

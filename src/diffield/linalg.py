@@ -12,7 +12,8 @@ row by row.  Values read back (:meth:`Echelon.solve`, :meth:`Echelon.kernel`,
 feed it rows:
 
 * :meth:`~diffield.params.ParamContext.add_identity`, the polynomial
-  identities of the solvers' parameter systems, one row per monomial;
+  identities of the solvers' parameter systems, one row per monomial: a
+  family's numerators (``add_zero``) and the free-base ansatz identities;
 * ``ratfunc._relation_rref``, the values of elements at integer points,
   behind relation lattices and span membership
   (:func:`~diffield.ratfunc.linear_relations`,

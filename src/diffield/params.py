@@ -1,98 +1,137 @@
 """Affine parameter bookkeeping for the linear solvers.
 
 Equation solving decomposes every unknown into an affine combination of
-rational parameters with field-element coefficients (:class:`LinComb`).
-Constraints accumulate in a :class:`ParamContext`, the row echelon of
-:mod:`diffield.linalg` over the parameters: each new row is reduced against
-the existing pivots on arrival, so infeasibility surfaces immediately (as
+rational parameters (:class:`LinComb`): polynomial numerators, the constant's
+and one per parameter, over one shared denominator, which is exactly the
+form the echelon consumes.  Constraints accumulate in a
+:class:`ParamContext`, the row echelon of :mod:`diffield.linalg` over the
+parameters: each new row is reduced against the existing pivots on arrival,
+so infeasibility surfaces immediately (as
 :class:`~diffield.linalg.Infeasible`) and structural case splits can fork
 the context cheaply (pivot rows are immutable once stored).
 :meth:`ParamContext.add_identity` is the one place a polynomial identity
-becomes rows, one per monomial; :meth:`ParamContext.add_zero` clears the
-denominators of a field-element identity and hands it there.
+becomes rows, one per monomial; :meth:`ParamContext.add_zero` hands it the
+numerators of a family.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from .field import Element, Presentation
+from .field import Element, Presentation, sigma_images
 from .linalg import Echelon
-from .poly import Coeff, MPoly
-from .ratfunc import clear_denominators
+from .poly import Coeff, MPoly, divexact, poly_gcd
+from .ratfunc import P1, RatFunc, _cancel, substitute_polys
 
 
 class LinComb:
-    """const + sum(coeffs[i] * param_i) with Element values."""
+    """(const + sum(coeffs[k] * x_k)) / den, affine in the parameters x_k.
 
-    __slots__ = ("pres", "const", "coeffs")
+    ``const`` and the ``coeffs`` values are polynomial numerators; a zero
+    one is left out.  The invariant: den is monic, and den and all the
+    numerators together have gcd 1.  So den is the lcm of the reduced
+    denominators of the coefficients, each numerator is its coefficient
+    times den, and equal families have equal forms.
 
-    def __init__(self, pres: Presentation, const: Element, coeffs: Mapping[int, Element] | None = None):
-        self.pres = pres
-        self.const = const
-        self.coeffs: dict[int, Element] = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                if not v.is_zero():
-                    self.coeffs[k] = v
+    The constructor is the one reducer: it cancels gcd(den, numerators...)
+    and makes den monic.  The gcd stops at the first constant gcd.  It
+    starts from den, or from ``shared``: an operation that builds a monic
+    den passes a divisor of it that holds every common factor, so sums and
+    products take gcds of parts only, as RatFunc's Henrici forms do.
+    """
+
+    __slots__ = ("pres", "const", "coeffs", "den")
+
+    def __init__(self, pres: Presentation, const: MPoly, coeffs: Mapping[int, MPoly] | None = None,
+                 den: MPoly = P1, *, shared: MPoly | None = None):
+        coeffs = {k: v for k, v in coeffs.items() if v.terms} if coeffs else {}
+        g = den if shared is None else shared
+        if not (const.terms or coeffs):
+            den = g = P1
+        for n in (const, *coeffs.values()):
+            if g.is_constant():
+                break
+            if n.terms:
+                g = poly_gcd(g, n)
+        h = P1 if g.is_constant() else g  # a gcd is monic
+        if shared is None:  # only then may den not be monic
+            h = h.scale(den.leading_coefficient())
+        if h != P1:
+            const, den = divexact(const, h), divexact(den, h)
+            coeffs = {k: divexact(v, h) for k, v in coeffs.items()}
+        self.pres, self.const, self.coeffs, self.den = pres, const, coeffs, den
 
     @staticmethod
     def constant(pres: Presentation, value: Element) -> "LinComb":
-        return LinComb(pres, value)
+        return LinComb(pres, value.value.num, None, value.value.den, shared=P1)
 
     @staticmethod
     def zero(pres: Presentation) -> "LinComb":
-        return LinComb(pres, pres.zero())
+        return LinComb(pres, MPoly())
 
     def __add__(self, other: "LinComb") -> "LinComb":
-        coeffs = dict(self.coeffs)
-        for k, v in other.coeffs.items():
+        """With g = gcd(D, E), D = D'g and E = E'g: N*E' + M*D' over D'E,
+        where a common factor divides g (RatFunc.__add__ says why)."""
+        d, e = self.den, other.den
+        if d == e:
+            mine, theirs, den, g = (self.const, self.coeffs), (other.const, other.coeffs), d, d
+        else:
+            g = P1 if d.is_constant() or e.is_constant() else poly_gcd(d, e)
+            d1, e1 = divexact(d, g), divexact(e, g)
+            den = e if d1.is_constant() else d if e1.is_constant() else d1 * e
+            mine, theirs = self._times(e1), other._times(d1)
+        coeffs = dict(mine[1])
+        for k, v in theirs[1].items():
             coeffs[k] = coeffs[k] + v if k in coeffs else v
-        return LinComb(self.pres, self.const + other.const, coeffs)
+        return LinComb(self.pres, mine[0] + theirs[0], coeffs, den, shared=g)
+
+    def _times(self, f: MPoly) -> tuple[MPoly, dict[int, MPoly]]:
+        """The numerators times the polynomial f; a constant f scales them."""
+        if f.is_constant():
+            c = f.constant_value()
+            return self.const.scale(c), {k: v.scale(c) for k, v in self.coeffs.items()}
+        return self.const * f, {k: v * f for k, v in self.coeffs.items()}
 
     def __neg__(self) -> "LinComb":
-        return LinComb(self.pres, -self.const, {k: -v for k, v in self.coeffs.items()})
+        return LinComb(self.pres, -self.const, {k: -v for k, v in self.coeffs.items()}, self.den, shared=P1)
 
     def __sub__(self, other: "LinComb") -> "LinComb":
         return self + (-other)
 
     def mul_known(self, e: Element) -> "LinComb":
-        if e.is_zero():
-            return LinComb.zero(self.pres)
-        return LinComb(self.pres, self.const * e, {k: v * e for k, v in self.coeffs.items()})
+        """Times e = n/d: n cancels against den, and what is left in common divides d."""
+        n, d = e.value.num, e.value.den
+        n, den = _cancel(n, self.den)
+        const, coeffs = self._times(n)
+        return LinComb(self.pres, const, coeffs, den if d.is_constant() else den * d, shared=d)
 
-    def sigma(self, k: int = 1) -> "LinComb":
-        return LinComb(
-            self.pres, self.const.sigma(k), {p: v.sigma(k) for p, v in self.coeffs.items()}
-        )
+    def sigma(self) -> "LinComb":
+        """All numerators and den in one substitution, or a shift when sigma is one."""
+        polys = [self.const, *self.coeffs.values(), self.den]
+        images = sigma_images(self.pres, set().union(*(p.variables() for p in polys)), 1)
+        if images is None:
+            out, shared = [p.shift(1) for p in polys], P1
+        else:
+            out, shared = substitute_polys(polys, images), None
+        return LinComb(self.pres, out[0], dict(zip(self.coeffs, out[1:-1])), out[-1], shared=shared)
 
     def lift(self, pres: Presentation) -> "LinComb":
         """Reinterpret over a presentation that subsumes the current one."""
-        return LinComb(
-            pres,
-            self.const.in_presentation(pres),
-            {p: v.in_presentation(pres) for p, v in self.coeffs.items()},
-        )
+        return LinComb(pres, self.const, self.coeffs, self.den, shared=P1)
 
     def evaluate(self, values: Mapping[int, Coeff]) -> Element:
         return self._accumulate(self.const, values)
 
     def direction(self, direction: Mapping[int, Coeff]) -> Element:
         """Linear part evaluated along a parameter direction."""
-        return self._accumulate(self.pres.zero(), direction)
+        return self._accumulate(MPoly(), direction)
 
-    def _accumulate(self, total: Element, values: Mapping[int, Coeff]) -> Element:
+    def _accumulate(self, total: MPoly, values: Mapping[int, Coeff]) -> Element:
         for k, v in self.coeffs.items():
             q = values.get(k)
             if q:
-                total = total + v * self.pres.const(q)
-        return total
-
-    def __repr__(self) -> str:
-        parts = [repr(self.const)]
-        for k in sorted(self.coeffs):
-            parts.append(f"p{k}*({self.coeffs[k]})")
-        return " + ".join(parts)
+                total = total + v.scale(q)
+        return self.pres.element(RatFunc(total, self.den))
 
 
 class ParamContext(Echelon):
@@ -118,9 +157,8 @@ class ParamContext(Echelon):
         return [self.new_param() for _ in range(count)]
 
     def add_zero(self, lc: LinComb) -> None:
-        """Require lc == 0: its cleared numerators must vanish identically."""
-        cleared = clear_denominators([lc.const.value] + [v.value for v in lc.coeffs.values()])
-        self.add_identity(cleared[0], dict(zip(lc.coeffs, cleared[1:])))
+        """Require lc == 0: its numerators must vanish identically."""
+        self.add_identity(lc.const, lc.coeffs)
 
     def add_identity(self, const: MPoly, coeffs: Mapping[int, MPoly]) -> None:
         """Require const + sum(coeffs[k] * x_k) == 0 as a polynomial identity.

@@ -326,7 +326,7 @@ class MPoly:
 
     def shift(self, k: int) -> "MPoly":
         """Shift every variable by k (the free-generator action)."""
-        if k == 0 or not self.terms:
+        if k == 0 or self.is_constant():
             return self
         p = MPoly.__new__(MPoly)
         p.terms = {mono_shift(m, k): c for m, c in self.terms.items()}
@@ -500,7 +500,7 @@ def _content(coeffs: dict[int, MPoly]) -> MPoly:
 
 
 def _monic(p: MPoly) -> MPoly:
-    if p.is_zero():
+    if p.is_zero() or p.leading_coefficient() == 1:
         return p
     return p.scale(Q1 / p.leading_coefficient())
 

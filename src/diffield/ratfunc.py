@@ -28,7 +28,7 @@ from math import lcm
 from typing import Iterator, Mapping, Sequence
 
 from .linalg import Echelon, integer_kernel, solve_affine
-from .poly import Q1, Coeff, MPoly, VarId, as_rational, divexact, poly_gcd, poly_lcm
+from .poly import Q1, Coeff, MPoly, VarId, as_rational, divexact, poly_gcd
 
 
 P1 = MPoly.const(1)
@@ -236,31 +236,10 @@ class RatFunc:
         """Substitute rational functions for variables (the sigma action, evaluation)."""
         if not images:
             return self
-        num, den = self.substitute_parts(images)
+        num, den = substitute_polys((self.num, self.den), images)
         if den.is_zero():
             raise PoleError("pole hit: denominator vanished under substitution")
         return RatFunc(num, den)
-
-    def substitute_parts(self, images: Mapping[VarId, "RatFunc"]) -> tuple[MPoly, MPoly]:
-        """Polynomials num', den' with num'/den' == self(images), not reduced.
-
-        An image P_v/Q_v with nonconstant Q_v is cleared with
-        d_v = max(deg_v num, deg_v den): a monomial c * prod v^e of num or
-        den becomes c * prod P_v^e * Q_v^(d_v - e), with e = 0 for a
-        variable the monomial lacks.  Both parts then carry the same factor
-        prod Q_v^d_v, which cancels in num'/den'.  With polynomial images
-        this is plain substitution.  den' is zero exactly when den vanishes
-        at the images.
-        """
-        polys: dict[VarId, MPoly] = {}
-        dens: dict[VarId, tuple[MPoly, int]] = {}
-        for v, f in images.items():
-            polys[v] = f.num
-            if not f.den.is_constant():
-                d = max(self.num.degree_in(v), self.den.degree_in(v))
-                if d:
-                    dens[v] = (f.den, d)
-        return _subst_mpoly(self.num, polys, dens), _subst_mpoly(self.den, polys, dens)
 
     # -- equality / printing -----------------------------------------------------
 
@@ -328,8 +307,23 @@ def _canonical(num: MPoly, den: MPoly) -> RatFunc:
     return r
 
 
-def _subst_mpoly(p: MPoly, images: Mapping[VarId, MPoly], dens: Mapping[VarId, tuple[MPoly, int]]) -> MPoly:
-    """p with images[v] substituted for v, each monomial times prod Q^(d - e) over dens[v] = (Q, d)."""
+def substitute_polys(polys: Sequence[MPoly], images: Mapping[VarId, RatFunc]) -> list[MPoly]:
+    """The polys at the images, all times one shared nonzero factor, not reduced.
+
+    An image P_v/Q_v with nonconstant Q_v is cleared with d_v, the largest
+    degree of v in the polys: a monomial c * prod v^e becomes
+    c * prod P_v^e * Q_v^(d_v - e), e = 0 for a variable it lacks.  So ratios
+    of results are ratios of the polys at the images, and a result is zero
+    exactly when its poly vanishes there.  Image powers are shared by all.
+    """
+    subst: dict[VarId, MPoly] = {}
+    dens: dict[VarId, tuple[MPoly, int]] = {}
+    for v, f in images.items():
+        subst[v] = f.num
+        if not f.den.is_constant():
+            d = max(p.degree_in(v) for p in polys)
+            if d:
+                dens[v] = (f.den, d)
     powers: dict[tuple[VarId, int], MPoly] = {}  # (v, e): image^e; (v, -k): Q^k
 
     def power(key: tuple[VarId, int], base: MPoly, e: int) -> MPoly:
@@ -338,56 +332,36 @@ def _subst_mpoly(p: MPoly, images: Mapping[VarId, MPoly], dens: Mapping[VarId, t
             got = powers[key] = base if e == 1 else base**e
         return got
 
-    out: dict = {}
-    for m, c in p.terms.items():
-        rest = []
-        term = None
-        for v, e in m:
-            image = images.get(v)
-            if image is None:
-                rest.append((v, e))
-                continue
-            factor = power((v, e), image, e)
-            term = factor if term is None else term * factor
-        if dens:
-            exps = dict(m)
-            for v, (q, d) in dens.items():
-                k = d - exps.get(v, 0)
-                if k:
-                    factor = power((v, -k), q, k)
-                    term = factor if term is None else term * factor
-        head = MPoly({tuple(rest): c})
-        term = head if term is None else head * term
-        for mm, cc in term.terms.items():
-            s = out.get(mm, 0) + cc
-            if s:
-                out[mm] = s
-            else:
-                del out[mm]
-    return MPoly(out)  # puts Fraction sums back in coefficient form
-
-
-def common_denominator(elems: Sequence[RatFunc]) -> MPoly:
-    seen: set[MPoly] = set()
-    den = P1
-    for e in elems:
-        d = e.den
-        if d.is_constant() or d in seen:
-            continue
-        seen.add(d)
-        den = poly_lcm(den, d)
-    return den
-
-
-def over_denominator(f: RatFunc, den: MPoly) -> MPoly:
-    """The numerator of f over den, a multiple of f.den: f == out / den."""
-    return f.num if f.den == den else f.num * divexact(den, f.den)
-
-
-def clear_denominators(elems: Sequence[RatFunc]) -> list[MPoly]:
-    """Numerators over the common denominator D: elems[i] == out[i] / D."""
-    den = common_denominator(elems)
-    return [over_denominator(e, den) for e in elems]
+    out = []
+    for p in polys:
+        terms: dict = {}
+        for m, c in p.terms.items():
+            rest = []
+            term = None
+            for v, e in m:
+                image = subst.get(v)
+                if image is None:
+                    rest.append((v, e))
+                    continue
+                factor = power((v, e), image, e)
+                term = factor if term is None else term * factor
+            if dens:
+                exps = dict(m)
+                for v, (q, d) in dens.items():
+                    k = d - exps.get(v, 0)
+                    if k:
+                        factor = power((v, -k), q, k)
+                        term = factor if term is None else term * factor
+            head = MPoly({tuple(rest): c})
+            term = head if term is None else head * term
+            for mm, cc in term.terms.items():
+                s = terms.get(mm, 0) + cc
+                if s:
+                    terms[mm] = s
+                else:
+                    del terms[mm]
+        out.append(MPoly(terms))  # puts Fraction sums back in coefficient form
+    return out
 
 
 def _points(nvars: int) -> Iterator[list[int]]:

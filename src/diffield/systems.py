@@ -33,7 +33,7 @@ from .equations import SearchBounds, Solution, TwistedEquation
 from .field import Element, Presentation
 from .linalg import Infeasible
 from .params import LinComb, ParamContext
-from .poly import VarId
+from .poly import MPoly, VarId
 from .ratfunc import PoleError
 from .tower import fixed_candidates, require_fixed, solve_twisted_bounded, span_basis
 
@@ -451,33 +451,34 @@ def _wp_split(model, d, universe, oracle, seed):
 
     One specialise_step1 at block `last` (seed + 17*last, then seed += 1)
     gives the targets e[(last,i)]; in ascending i, _witness realizes each
-    over universe - {i, last} and d_i absorbs its witness.  The last pair
-    asks about wp(d_i) for its smaller index; a single summand must be fixed.
+    over universe - {i, last} and d_i absorbs its witness, so wp(d_i) gains
+    e[(last,i)].  The last pair asks about wp(d_i) for its smaller index; a
+    single summand must be fixed.
     """
-    d = dict(sorted(d.items()))
+    w = {i: x.wp() for i, x in sorted(d.items())}
     e: Decomposition = {}
     wit: Decomposition = {}
-    while len(d) > 2:
-        last = max(d)
-        f = specialise_step1(model, {i: x.wp() for i, x in d.items()}, last, seed=seed + 17 * last)
-        del d[last]
-        for i in d:
+    while len(w) > 2:
+        last = max(w)
+        f = specialise_step1(model, w, last, seed=seed + 17 * last)
+        del w[last]
+        for i in w:
             h, model = _witness(model, f[i], universe - {i, last}, oracle)
             e[(last, i)], e[(i, last)] = f[i], -f[i]
             wit[(last, i)], wit[(i, last)] = h, -h
-            d[i] = d[i] + h
+            w[i] = w[i] + f[i]
         seed += 1
-    if len(d) == 2:
-        i, j = d
-        target = d[i].wp()
+    if len(w) == 2:
+        i, j = w
+        target = w[i]
         if not model.member_of(target, universe - {i, j}):
             raise SystemModelError("wp difference escapes the pair corner")
         e[(i, j)], e[(j, i)] = target, -target
         h, model = _witness(model, target, universe - {i, j}, oracle)
         wit[(i, j)], wit[(j, i)] = h, -h
-    elif len(d) == 1:
-        (x,) = d.values()
-        if not x.wp().is_zero():
+    elif len(w) == 1:
+        (x,) = w.values()
+        if not x.is_zero():
             raise SystemModelError("single-summand wp-decomposition needs a fixed summand")
     return model, e, wit
 
@@ -580,7 +581,7 @@ def ff_decompose_bounded(
     entries: dict[tuple[int, int], LinComb] = {}
     pres = model.pres
     for (i, j), span in pairwise_fixed_polynomials(model, idx, bounds).items():
-        comb = LinComb(pres, pres.zero(), {ctx.new_param(): e for e in span})
+        comb = LinComb(pres, MPoly(), {ctx.new_param(): e.value.num for e in span})  # members are polynomials
         entries[(i, j)], entries[(j, i)] = comb, -comb
     try:
         for i in idx:

@@ -42,8 +42,8 @@ from .field import Element, GeneratorSpec, Presentation
 from .freebase import decide_free_base, twisted_family
 from .linalg import Infeasible
 from .params import LinComb, ParamContext
-from .poly import to_univar
-from .ratfunc import RatFunc, SpanTracker
+from .poly import MPoly, to_univar
+from .ratfunc import SpanTracker
 
 
 def last_affine(pres: Presentation) -> GeneratorSpec | None:
@@ -51,22 +51,6 @@ def last_affine(pres: Presentation) -> GeneratorSpec | None:
         if not g.is_free:
             return g
     return None
-
-
-def coefficients_in(
-    elem: Element, pres: Presentation, gen: GeneratorSpec, sub: Presentation
-) -> dict[int, Element]:
-    """Write an element as a polynomial in gen with coefficients in sub.
-
-    Raises UnsupportedCoefficientShape when the denominator involves gen.
-    """
-    var = pres.varid(gen.name)
-    value = elem.value
-    if any(v == var for v in value.den.variables()):
-        raise UnsupportedCoefficientShape(
-            f"coefficient has {gen.name!r} in its denominator"
-        )
-    return {deg: Element(sub, RatFunc(coeff, value.den)) for deg, coeff in to_univar(value.num, var).items()}
 
 
 def iter_twisted_branches(
@@ -98,13 +82,14 @@ def iter_twisted_branches(
     assert gen is not None
     sub, alpha, beta = peel(pres, gen)
     e1_sub = require_level_free(e1, pres, sub, gen)
-    rhs_by_deg = _lincomb_coefficients(rhs, pres, gen, sub)
     a_var = pres.gen(gen.name)
     for m in range(0, 1 if polynomial else deg_budget + 1):
         for delta in _denominator_candidates(sub, alpha, beta, m, deg_budget, window):
+            denominator = sum((c.in_presentation(pres) * a_var**k for k, c in enumerate(delta)), pres.zero())
             # sigma(N) = alpha^m * (e1*N + rhs*D), with N of degree at most
-            # deg_budget: the coefficients of rhs*D above it must vanish
-            rhs_delta = _product_by_degree(rhs_by_deg, delta)
+            # deg_budget: the coefficients of rhs*D above it must vanish.  The
+            # first D is 1, so a rhs with gen in its denominator raises at once.
+            rhs_delta = _lincomb_coefficients(rhs.mul_known(denominator), pres, gen, sub)
             top = ctx.fork()
             try:
                 for k, row in rhs_delta.items():
@@ -118,14 +103,9 @@ def iter_twisted_branches(
                 base = rhs_delta[k].mul_known(scale) if k in rhs_delta else LinComb.zero(sub)
                 return e1_sub * scale, base, deg_budget - k
 
-            denominator = pres.zero()
-            for k, c in enumerate(delta):
-                denominator = denominator + c.in_presentation(pres) * a_var**k
             for final_ctx, ys in _coefficient_tower(sub, beta, level, deg_budget, {}, top, window, polynomial):
-                family = LinComb.zero(pres)
-                for k in range(deg_budget + 1):
-                    family = family + ys[k].lift(pres).mul_known(a_var**k / denominator)
-                yield final_ctx, family
+                family = sum((ys[k].lift(pres).mul_known(a_var**k) for k in range(deg_budget + 1)), LinComb.zero(pres))
+                yield final_ctx, family.mul_known(pres.one() / denominator)
 
 
 def peel(pres: Presentation, gen: GeneratorSpec) -> tuple[Presentation, Element, Element]:
@@ -136,25 +116,29 @@ def peel(pres: Presentation, gen: GeneratorSpec) -> tuple[Presentation, Element,
 
 def require_level_free(e1: Element, pres: Presentation, sub: Presentation, gen: GeneratorSpec) -> Element:
     """e1 as an element of sub; UnsupportedCoefficientShape when it involves gen."""
-    coeffs = coefficients_in(e1, pres, gen, sub)
-    if set(coeffs) - {0}:
+    if pres.varid(gen.name) in e1.value.variables():
+        _lincomb_coefficients(LinComb.constant(pres, e1), pres, gen, sub)  # raises when gen is in the denominator
         raise UnsupportedCoefficientShape(
             f"twist coefficient mentions the extension generator {gen.name!r}"
         )
-    return coeffs[0] if 0 in coeffs else sub.zero()
+    return sub.element(e1.value)
 
 
 def _lincomb_coefficients(lc: LinComb, pres: Presentation, gen: GeneratorSpec, sub: Presentation) -> dict[int, LinComb]:
-    """Split a LinComb into per-degree LinCombs over the sub-presentation."""
-    consts = coefficients_in(lc.const, pres, gen, sub)
-    coeffs: dict[int, dict[int, Element]] = {deg: {} for deg in consts}
-    for param, coeff in lc.coeffs.items():
-        for deg, val in coefficients_in(coeff, pres, gen, sub).items():
-            coeffs.setdefault(deg, {})[param] = val
-    return {
-        deg: LinComb(sub, consts[deg] if deg in consts else sub.zero(), by_param)
-        for deg, by_param in coeffs.items()
-    }
+    """Split a LinComb into per-degree LinCombs over the sub-presentation.
+
+    The numerators split over the shared denominator, and each degree's piece
+    is reduced again.  Raises UnsupportedCoefficientShape when the
+    denominator, the lcm of the coefficients' reduced ones, involves gen.
+    """
+    var = pres.varid(gen.name)
+    if var in lc.den.variables():
+        raise UnsupportedCoefficientShape(f"coefficient has {gen.name!r} in its denominator")
+    pieces: dict[int, dict[int | None, MPoly]] = {}  # degree -> parameter (None: const) -> piece
+    for param, num in ((None, lc.const), *lc.coeffs.items()):
+        for deg, part in to_univar(num, var).items():
+            pieces.setdefault(deg, {})[param] = part
+    return {deg: LinComb(sub, p.pop(None, MPoly()), p, lc.den, shared=lc.den) for deg, p in pieces.items()}
 
 
 # The memo outlives a search because decide job streams repeat presentations.
@@ -221,7 +205,7 @@ def _coefficient_tower(
         return
     twist, rhs, budget = level(k)
     for i in sorted(solved):
-        rhs = rhs - solved[i].sigma(1).mul_known(sub.const(comb(i, k)) * beta ** (i - k))
+        rhs = rhs - solved[i].sigma().mul_known(sub.const(comb(i, k)) * beta ** (i - k))
     branches = iter_twisted_branches(sub, twist, rhs, ctx, budget, window, polynomial=polynomial)
     while True:
         try:
@@ -229,23 +213,6 @@ def _coefficient_tower(
         except (StopIteration, UnsupportedCoefficientShape):
             return
         yield from _coefficient_tower(sub, beta, level, k - 1, {**solved, k: fam}, ctx2, window, polynomial)
-
-
-def _product_by_degree(by_deg: dict[int, LinComb], delta: tuple[Element, ...]) -> dict[int, LinComb]:
-    """Coefficients of (sum_j by_deg[j] a^j) * (sum_i delta[i] a^i), highest degree first.
-
-    Degrees that no nonzero product reaches are left out (they are 0).
-    """
-    out = {}
-    for k in range(max(by_deg, default=0) + len(delta) - 1, -1, -1):
-        terms = [
-            part.mul_known(delta[k - j])
-            for j, part in by_deg.items()
-            if 0 <= k - j < len(delta) and not delta[k - j].is_zero()
-        ]
-        if terms:
-            out[k] = functools.reduce(LinComb.__add__, terms)
-    return out
 
 
 def solve_twisted_bounded(pres: Presentation, eq: TwistedEquation, bounds: SearchBounds = SearchBounds()) -> SolveResult:

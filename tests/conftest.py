@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import diffield
+from diffield.poly import divexact, poly_lcm
+from diffield.ratfunc import P1
 
 
 def run_cli(args, *, cwd=None, timeout):
@@ -28,3 +30,27 @@ def run_cli(args, *, cwd=None, timeout):
         timeout=timeout,
         env=env,
     )
+
+
+def common_denominator(elems):
+    """The lcm of the denominators of the rational functions elems."""
+    seen = set()
+    den = P1
+    for e in elems:
+        d = e.den
+        if d.is_constant() or d in seen:
+            continue
+        seen.add(d)
+        den = poly_lcm(den, d)
+    return den
+
+
+def over_denominator(f, den):
+    """The numerator of f over den, a multiple of f.den: f == out / den."""
+    return f.num if f.den == den else f.num * divexact(den, f.den)
+
+
+def clear_denominators(elems):
+    """Numerators over the common denominator D: elems[i] == out[i] / D."""
+    den = common_denominator(elems)
+    return [over_denominator(e, den) for e in elems]

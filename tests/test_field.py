@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffield.field import FreeSpec, GeneratorSpec, Presentation, PresentationError
+from diffield.field import AffineSpec, FreeSpec, GeneratorSpec, Presentation, PresentationError
 from diffield.poly import MPoly, VarId
 from diffield.ratfunc import RatFunc
 
@@ -203,3 +203,13 @@ def test_lookups_and_value_checks():
     # an unvalidated presentation that repeats a name: spec keeps the first
     first, second = GeneratorSpec(0, "g", FreeSpec()), GeneratorSpec(1, "g", FreeSpec())
     assert Presentation((first, second)).spec("g") is first
+    # one that repeats an index: spec_by_index keeps the first too, so validate
+    # reads a's rule against the free g and reports the repeated index
+    rule = AffineSpec(RatFunc.const(1), RatFunc.var(VarId(0, "g", 1)))
+    twin = GeneratorSpec(0, "h", AffineSpec(RatFunc.const(1), RatFunc.const(0)))
+    repeated = Presentation((first, GeneratorSpec(1, "a", rule), twin))
+    assert repeated.spec_by_index(0) is first
+    with pytest.raises(PresentationError, match="duplicate generator index for 'h'"):
+        repeated.validate()
+    with pytest.raises(PresentationError, match="no generator with index 5"):
+        repeated.spec_by_index(5)

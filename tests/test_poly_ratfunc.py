@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import clear_denominators, over_denominator
 from diffield import ratfunc
 from diffield.field import Presentation, _var_image
 from diffield.linalg import Echelon, Infeasible, integer_kernel, solve_affine
@@ -32,10 +33,8 @@ from diffield.ratfunc import (
     RatFunc,
     SpanTracker,
     _points,
-    clear_denominators,
     express_in_span,
     linear_relations,
-    over_denominator,
 )
 
 X = VarId(0, "x")

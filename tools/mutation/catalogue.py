@@ -1,0 +1,175 @@
+"""The mutation catalogue: deliberate faults that named tests must catch.
+
+Each entry replaces one exact snippet of a source file, which must occur
+there exactly once, and names the test node ids of which at least one must
+fail under the mutant.  ``tools/mutation/run.py`` applies the entries one at
+a time to a copy of the checkout; ``tests/test_mutation_catalogue.py``
+checks in Tier-1 that every snippet still occurs exactly once, so a change
+to the code under a snippet has to update its entry.
+
+A mutant that survives is a finding about the tests: record it, and do not
+drop or weaken its entry to make the run pass.
+"""
+
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str  # relative to the root of the checkout
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]
+
+
+RATFUNC = "src/diffield/ratfunc.py"
+TEST_PARAMS = "tests/test_params.py"
+TEST_POLY_RATFUNC = "tests/test_poly_ratfunc.py"
+
+CATALOGUE: tuple[Mutant, ...] = (
+    # -- the exact substrate: Henrici's forms and the substitution
+    Mutant(
+        "product without the g1 cancellation",
+        RATFUNC,
+        "a, d = _cancel(a, d)",
+        "a, d = a, d",
+        (f"{TEST_POLY_RATFUNC}::test_differential_canonical_products",),
+    ),
+    Mutant(
+        "product without the g2 cancellation",
+        RATFUNC,
+        "c, b = _cancel(c, b)",
+        "c, b = c, b",
+        (f"{TEST_POLY_RATFUNC}::test_differential_canonical_products",),
+    ),
+    Mutant(
+        "inverse that never rescales",
+        RATFUNC,
+        "s = Q1 / self.num.leading_coefficient()",
+        "s = Q1",
+        (
+            f"{TEST_POLY_RATFUNC}::test_differential_canonical_products",
+            f"{TEST_POLY_RATFUNC}::test_products_powers_and_inverses_take_no_gcd",
+        ),
+    ),
+    Mutant(
+        "sum without gcd(t, g)",
+        RATFUNC,
+        "g2 = poly_gcd(t, g)",
+        "g2 = MPoly.const(1)",
+        (f"{TEST_POLY_RATFUNC}::test_differential_henrici_sum",),
+    ),
+    Mutant(
+        "sum keeping d where d/g2 belongs",
+        RATFUNC,
+        "return _canonical(divexact(t, g2), b1 * divexact(d, g2))",
+        "return _canonical(divexact(t, g2), b1 * d)",
+        (f"{TEST_POLY_RATFUNC}::test_differential_henrici_sum",),
+    ),
+    Mutant(
+        "substitution without the clearing powers Q^(d - e)",
+        RATFUNC,
+        "k = d - exps.get(v, 0)",
+        "k = 0",
+        (
+            f"{TEST_POLY_RATFUNC}::test_differential_is_fixed",
+            f"{TEST_PARAMS}::test_family_operations_agree_with_the_reference",
+        ),
+    ),
+    Mutant(
+        "clearing degree d_v read off the first polynomial only",
+        RATFUNC,
+        "d = max(p.degree_in(v) for p in polys)",
+        "d = polys[0].degree_in(v)",
+        (
+            f"{TEST_POLY_RATFUNC}::test_differential_is_fixed",
+            f"{TEST_PARAMS}::test_family_operations_agree_with_the_reference",
+        ),
+    ),
+    Mutant(
+        "is_fixed comparing numerators only",
+        "src/diffield/field.py",
+        "return num * value.den == value.num * den",
+        "return num == value.num",
+        (f"{TEST_POLY_RATFUNC}::test_differential_is_fixed",),
+    ),
+    Mutant(
+        "relation lattice without the exact kernel check",
+        RATFUNC,
+        "if all(_vanishes(elems, z) for z in echelon.kernel()):",
+        "if True:",
+        (f"{TEST_POLY_RATFUNC}::test_relations_check_elements_that_vanish_at_the_first_points",),
+    ),
+    # -- lookups, the echelon, the free-base bound, witness peeling
+    Mutant(
+        "spec keeps the last generator of a name",
+        "src/diffield/field.py",
+        "out.setdefault(g.name, g)",
+        "out[g.name] = g",
+        ("tests/test_field.py::test_lookups_and_value_checks",),
+    ),
+    Mutant(
+        "spec_by_index keeps the last generator of an index",
+        "src/diffield/field.py",
+        "out.setdefault(g.index, g)",
+        "out[g.index] = g",
+        ("tests/test_field.py::test_lookups_and_value_checks",),
+    ),
+    Mutant(
+        "echelon pivot at the greatest column",
+        "src/diffield/linalg.py",
+        "col = min(row)",
+        "col = max(row)",
+        (f"{TEST_POLY_RATFUNC}::test_solve_affine_matches_dense_rref",),
+    ),
+    Mutant(
+        "denominator bound that never divides out a gcd",
+        "src/diffield/freebase.py",
+        "rest = divexact(rest, g)",
+        "rest = rest",
+        ("tests/test_solver.py::test_denominator_bound_divides_out_repeated_factors",),
+    ),
+    Mutant(
+        "wp split that does not carry wp(d_i)",
+        "src/diffield/systems.py",
+        "w[i] = w[i] + f[i]",
+        "w[i] = w[i]",
+        (
+            "tests/test_systems.py::test_witness_decompositions_match_the_recursive_reference",
+            "tests/test_systems.py::test_wp_decompose_with_witnesses_pinned_height4",
+        ),
+    ),
+    # -- parameter families over one shared denominator
+    Mutant(
+        "family reducer that skips its gcd",
+        "src/diffield/params.py",
+        "g = den if shared is None else shared",
+        "g = P1",
+        (f"{TEST_PARAMS}::test_family_operations_agree_with_the_reference",),
+    ),
+    Mutant(
+        "family product without cancelling n against den",
+        "src/diffield/params.py",
+        "n, den = _cancel(n, self.den)",
+        "den = self.den",
+        (f"{TEST_PARAMS}::test_family_operations_agree_with_the_reference",),
+    ),
+    Mutant(
+        "family evaluated without normalizing",
+        "src/diffield/params.py",
+        "return self.pres.element(RatFunc(total, self.den))",
+        'return self.pres.element(__import__("diffield.ratfunc", fromlist=["_canonical"])._canonical(total, self.den))',
+        (
+            f"{TEST_PARAMS}::test_evaluate_reduces_the_shared_denominator",
+            f"{TEST_PARAMS}::test_family_operations_agree_with_the_reference",
+        ),
+    ),
+    Mutant(
+        "degree split without the generator check on the denominator",
+        "src/diffield/tower.py",
+        "if var in lc.den.variables():",
+        "if False:",
+        (f"{TEST_PARAMS}::test_degree_split_agrees_with_the_reference",),
+    ),
+)
