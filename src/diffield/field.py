@@ -135,7 +135,7 @@ class Presentation:
 
     @cached_property
     def _by_name(self) -> dict[str, GeneratorSpec]:
-        """The first generator of each name; like _affine_images, outside the fields."""
+        """The first generator of each name, kept outside the dataclass fields."""
         out: dict[str, GeneratorSpec] = {}
         for g in self.gens:
             out.setdefault(g.name, g)
@@ -148,15 +148,6 @@ class Presentation:
         for g in self.gens:
             out.setdefault(g.index, g)
         return out
-
-    @cached_property
-    def _affine_images(self) -> dict[tuple[VarId, int], RatFunc]:
-        """Memo of _var_image for affine generators, keyed (variable, direction).
-
-        It lives in the instance's __dict__, outside the dataclass fields, so
-        equality, hashing and repr do not see it.
-        """
-        return {}
 
     # -- validation ------------------------------------------------------------
 
@@ -381,26 +372,17 @@ class Element:
 
 
 def _var_image(pres: Presentation, var: VarId, direction: int) -> RatFunc:
-    """Image of a single variable under sigma^{+1} or sigma^{-1}.
-
-    An affine generator's image is computed once per presentation.
-    """
+    """Image of a single variable under sigma^{+1} or sigma^{-1}."""
     g = pres.spec_by_index(var.index)
     if g.is_free:
         return RatFunc.var(var.shifted(direction))
-    table = pres._affine_images
-    image = table.get((var, direction))
-    if image is None:
-        kind = g.kind
-        a = RatFunc.var(var)
-        if direction == 1:
-            image = kind.linear * a + kind.constant
-        else:
-            alpha_inv = sigma_value(pres, kind.linear, -1)
-            beta_inv = sigma_value(pres, kind.constant, -1)
-            image = (a - beta_inv) / alpha_inv
-        table[(var, direction)] = image
-    return image
+    kind = g.kind
+    a = RatFunc.var(var)
+    if direction == 1:
+        return kind.linear * a + kind.constant
+    alpha_inv = sigma_value(pres, kind.linear, -1)
+    beta_inv = sigma_value(pres, kind.constant, -1)
+    return (a - beta_inv) / alpha_inv
 
 
 def sigma_images(pres: Presentation, vars_: set[VarId], direction: int) -> dict[VarId, RatFunc] | None:

@@ -26,7 +26,9 @@ sigma(x) - e1*x = e2 (written in lowest terms as N/D):
 Within those bounds the equation is a finite exact linear system in the
 coefficients of Y, where x = Y/A, so solvability is genuinely decided: a
 returned witness verifies by substitution and an infeasible system refutes
-every solution, not just bounded ones.
+every solution, not just bounded ones.  One :class:`Ansatz` holds the
+finite search (window, denominator bound, degree cap and monomials) for
+both equation shapes, and a refutation record reports its fields.
 """
 
 from __future__ import annotations
@@ -97,15 +99,13 @@ def _require_free(pres: Presentation) -> None:
         )
 
 
-def _support_window(parts: Sequence[MPoly]) -> WindowBound | None:
+def _window(parts: Sequence[MPoly], cap: int | None) -> WindowBound | None:
+    """The shift window of the parts' variables, clipped to [-cap, cap]."""
     shifts = {v.shift for p in parts for v in p.variables()}
-    return WindowBound(min(shifts), max(shifts) - 1) if shifts else None
-
-
-def _clip_window(w: WindowBound | None, cap: int | None) -> WindowBound | None:
-    if w is None or cap is None:
-        return w
-    return WindowBound(max(w.lo, -cap), min(w.hi, cap))
+    if not shifts:
+        return None
+    lo, hi = min(shifts), max(shifts) - 1
+    return WindowBound(lo, hi) if cap is None else WindowBound(max(lo, -cap), min(hi, cap))
 
 
 def _denominator_bound(up: MPoly, down: MPoly, span: int) -> MPoly:
@@ -181,6 +181,63 @@ def _monomials(vars_: Sequence[VarId], max_deg: int) -> list[MPoly]:
     return monos
 
 
+@dataclass(frozen=True)
+class Ansatz:
+    """The finite search for x = Y/A: Y a combination of the monomials over A.
+
+    ``degree_cap`` is the total degree of Y, after the ``deg_cap`` clip.
+    """
+
+    window: WindowBound | None
+    denominator: MPoly
+    degree_cap: int
+    monomials: tuple[MPoly, ...]
+
+    @staticmethod
+    def build(pres: Presentation, window: WindowBound | None, denominator: MPoly, cap: int,
+              deg_cap: int | None) -> "Ansatz":
+        """Clip cap to deg_cap + deg A; monomials over the window's and A's variables."""
+        if deg_cap is not None:
+            cap = min(cap, deg_cap + denominator.total_degree())
+        vars_ = sorted(set(_window_vars(pres, window)) | denominator.variables())
+        return Ansatz(window, denominator, cap, tuple(_monomials(vars_, cap)))
+
+    def family(self, pres: Presentation, e1: Element, rhs: LinComb, ctx: ParamContext) -> LinComb:
+        """Rows of sigma(y) - e1*y = rhs for y = Y/A in ctx; returns Y/A.
+
+        The coefficients of Y become fresh parameters of ctx, and the rows
+        come from the cleared polynomial identity (e1 = p1/q1, rhs = R/Q2)
+          sigma(Y)*A*q1*Q2 - p1*Y*sigma(A)*Q2 = R*sigma(A)*A*q1,
+        built with polynomial products only: no gcd normalization in the loop.
+        With no monomials only y = 0 is left, so rhs must vanish.
+        Raises Infeasible when no parameter assignment can work.
+        """
+        if not self.monomials:
+            ctx.add_zero(-rhs)
+            return LinComb.zero(pres)
+        a_poly, q2 = self.denominator, rhs.den
+        p1, q1 = e1.value.num, e1.value.den
+        a_shifted = a_poly.shift(1)
+        lhs_pos = a_poly * q1 * q2
+        lhs_neg = p1 * a_shifted * q2
+        params = ctx.new_params(len(self.monomials))
+        coeffs = {p: mono.shift(1) * lhs_pos - mono * lhs_neg for p, mono in zip(params, self.monomials)}
+        const = MPoly()
+        if rhs.const.terms or rhs.coeffs:  # else the identity is homogeneous
+            rhs_scale = a_shifted * a_poly * q1
+            const = -(rhs.const * rhs_scale)
+            for lam, part in rhs.coeffs.items():  # outer parameters: never fresh ones
+                coeffs[lam] = -(part * rhs_scale)
+        ctx.add_identity(const, coeffs)
+        return LinComb(pres, MPoly(), dict(zip(params, self.monomials)), a_poly)
+
+    def refutation(self, kind: str, equation: str, constant_candidate: str | None, note: str) -> FreeRefutation:
+        return FreeRefutation(
+            kind, equation, self.window, repr(self.denominator), self.degree_cap, len(self.monomials),
+            constant_candidate, note,
+        )
+
+
 def multiplicative_kernel(
     pres: Presentation,
     ratio: Element,
@@ -204,7 +261,7 @@ def multiplicative_kernel(
             None, f"constant ratio {ratio} != 1 admits no nonzero solution",
         )
         return [], cert
-    window = _clip_window(_support_window([u.num, u.den]), window_cap)
+    window = _window([u.num, u.den], window_cap)
     if window is None or window.is_empty():
         cert = FreeRefutation(
             "multiplicative", eqrepr, window, "1", 0, 0,
@@ -216,20 +273,9 @@ def multiplicative_kernel(
     span = window.span()
     a_den = _denominator_bound(u.den, u.num, span)
     a_num = _denominator_bound(u.num, u.den, span)
-    cap = a_num.total_degree() + a_den.total_degree()
-    if deg_cap is not None:
-        cap = min(cap, deg_cap + a_den.total_degree())
-    vars_ = sorted(set(_window_vars(pres, window)) | a_den.variables())
-    monos = _monomials(vars_, cap)
+    ansatz = Ansatz.build(pres, window, a_den, a_num.total_degree() + a_den.total_degree(), deg_cap)
     ctx = ParamContext()
-    params = ctx.new_params(len(monos))
-    # cleared identity: sigma(Y)*q*A_den - p*Y*sigma(A_den) = 0
-    lhs_pos = u.den * a_den
-    lhs_neg = u.num * a_den.shift(1)
-    ctx.add_identity(  # homogeneous: never Infeasible
-        MPoly(), {p: mono.shift(1) * lhs_pos - mono * lhs_neg for p, mono in zip(params, monos)}
-    )
-    family = LinComb(pres, MPoly(), dict(zip(params, monos)), a_den)
+    family = ansatz.family(pres, ratio, LinComb.zero(pres), ctx)  # homogeneous: never Infeasible
     basis: list[Element] = []
     for direction in ctx.kernel():
         x = family.direction(direction)
@@ -237,36 +283,21 @@ def multiplicative_kernel(
             basis.append(x)
     if basis:
         return basis, None
-    cert = FreeRefutation(
-        "multiplicative", eqrepr, window, repr(a_den), cap, len(monos),
-        None, "homogeneous coefficient system has trivial kernel",
-    )
-    return [], cert
+    return [], ansatz.refutation("multiplicative", eqrepr, None, "homogeneous coefficient system has trivial kernel")
 
 
-def twisted_family(
-    pres: Presentation,
-    e1: Element,
-    rhs: LinComb,
-    ctx: ParamContext,
-    deg_cap: int | None = None,
-    window_cap: int | None = None,
-    trace: dict | None = None,
-) -> LinComb:
-    """Complete affine family of solutions of sigma(y) - e1*y = rhs.
+def _twisted_ansatz(
+    pres: Presentation, e1: Element, rhs: LinComb, deg_cap: int | None, window_cap: int | None
+) -> Ansatz | None:
+    """The ansatz for sigma(y) - e1*y = rhs.
 
-    ``rhs`` may mention outer parameters; the ansatz coefficients become
-    fresh parameters of ``ctx`` and the equation becomes exact rows.  Any
-    actual solution (for any admissible parameter values) lies in the
-    returned family; conversely, ctx rows force the family to solve.
-    Raises Infeasible when no parameter assignment can work.
+    None when rhs is identically zero and there is no homogeneous
+    direction: then only y = 0 solves, with no rows to add.
     """
     _require_free(pres)
     q1, q2 = e1.value.den, rhs.den
     rhs_nums = [rhs.const, *rhs.coeffs.values()]
-    window = _clip_window(_support_window([e1.value.num, q1, q2, *rhs_nums]), window_cap)
-    span = window.span() if window is not None else 0
-    a_poly = _denominator_bound(q1 * q2, q2 * e1.value.num, span)
+    window = _window([e1.value.num, q1, q2, *rhs_nums], window_cap)
     v_candidates: list[int] = []
     ve1 = e1.value.valuation()
     for n in rhs_nums:
@@ -278,102 +309,65 @@ def twisted_family(
         kernel, _ = multiplicative_kernel(pres, top, deg_cap, window_cap)
         if kernel:
             v_candidates.append(kernel[0].value.valuation())
-    if trace is not None:
-        trace["window"] = window
-        trace["denominator_bound"] = repr(a_poly)
     if not v_candidates:
-        # rhs identically zero and no homogeneous direction: only y = 0.
-        if trace is not None:
-            trace["degree_cap"] = -1
-            trace["ansatz_size"] = 0
-        return LinComb.zero(pres)
-    cap = max(v_candidates) + a_poly.total_degree()
-    if deg_cap is not None:
-        cap = min(cap, deg_cap + a_poly.total_degree())
-    if cap < 0:
-        if trace is not None:
-            trace["degree_cap"] = cap
-            trace["ansatz_size"] = 0
-        ctx.add_zero(-rhs)  # only y = 0 remains possible
-        return LinComb.zero(pres)
-    vars_ = sorted(set(_window_vars(pres, window)) | a_poly.variables())
-    monos = _monomials(vars_, cap)
-    if trace is not None:
-        trace["degree_cap"] = cap
-        trace["ansatz_size"] = len(monos)
-    params = ctx.new_params(len(monos))
-    # rows come from the cleared polynomial identity
-    #   sigma(Y)*A*q1*Q2 - p1*Y*sigma(A)*Q2 = R(lambda)*sigma(A)*A*q1,
-    # built with polynomial products only: no gcd normalization in the loop.
-    a_shifted = a_poly.shift(1)
-    p1 = e1.value.num
-    lhs_pos = a_poly * q1 * q2
-    lhs_neg = p1 * a_shifted * q2
-    rhs_scale = a_shifted * a_poly * q1
-    coeffs = {p: mono.shift(1) * lhs_pos - mono * lhs_neg for p, mono in zip(params, monos)}
-    for lam, part in rhs.coeffs.items():  # outer parameters: never fresh ones
-        coeffs[lam] = -(part * rhs_scale)
-    ctx.add_identity(-(rhs.const * rhs_scale), coeffs)
-    return LinComb(pres, MPoly(), dict(zip(params, monos)), a_poly)
+        return None
+    span = window.span() if window is not None else 0
+    a_poly = _denominator_bound(q1 * q2, q2 * e1.value.num, span)
+    return Ansatz.build(pres, window, a_poly, max(v_candidates) + a_poly.total_degree(), deg_cap)
 
 
-def decide_twisted(pres: Presentation, eq: TwistedEquation) -> SolveResult:
-    """Genuine decision for a twisted equation over a free presentation."""
-    _require_free(pres)
-    ctx = ParamContext()
-    trace: dict = {}
-    try:
-        family = twisted_family(pres, eq.e1, LinComb.constant(pres, eq.e2), ctx, trace=trace)
-    except Infeasible:
-        return Unsolvable(_twisted_refutation(pres, eq, trace))
-    x = family.evaluate(ctx.solve())
-    if not eq.holds_for(x):
-        raise AssertionError("internal error: candidate failed verification")
-    return Solution(x)
+def twisted_family(
+    pres: Presentation,
+    e1: Element,
+    rhs: LinComb,
+    ctx: ParamContext,
+    deg_cap: int | None = None,
+    window_cap: int | None = None,
+) -> LinComb:
+    """Complete affine family of solutions of sigma(y) - e1*y = rhs.
 
-
-def _twisted_refutation(pres: Presentation, eq: TwistedEquation, trace: dict) -> FreeRefutation:
-    window = trace.get("window")
-    const_cand = None
-    note = "coefficient system infeasible over the derived ansatz"
-    if eq.e1 != 1:
-        cand = eq.e2 / (pres.one() - eq.e1)
-        if not cand.is_constant():
-            const_cand = repr(cand)
-            if window is None or window.is_empty():
-                note = "constant case: the forced candidate is not rational"
-    elif window is None or window.is_empty():
-        note = "torsor over empty window: sigma(x)-x is never a nonzero constant"
-    return FreeRefutation(
-        "twisted",
-        repr(eq),
-        window,
-        trace.get("denominator_bound", "1"),
-        trace.get("degree_cap", -1),
-        trace.get("ansatz_size", 0),
-        const_cand,
-        note,
-    )
-
-
-def decide_multiplicative(pres: Presentation, eq: MultiplicativeEquation) -> SolveResult:
-    _require_free(pres)
-    basis, cert = multiplicative_kernel(pres, eq.ratio())
-    if basis:
-        x = basis[0]
-        if not eq.holds_for(x):
-            raise AssertionError("internal error: candidate failed verification")
-        return Solution(x)
-    return Unsolvable(cert)
+    ``rhs`` may mention outer parameters; the ansatz coefficients become
+    fresh parameters of ``ctx`` and the equation becomes exact rows.  Any
+    actual solution (for any admissible parameter values) lies in the
+    returned family; conversely, ctx rows force the family to solve.
+    Raises Infeasible when no parameter assignment can work.
+    """
+    ansatz = _twisted_ansatz(pres, e1, rhs, deg_cap, window_cap)
+    return LinComb.zero(pres) if ansatz is None else ansatz.family(pres, e1, rhs, ctx)
 
 
 def decide_free_base(pres: Presentation, eq) -> SolveResult:
     """Decision procedure over an all-free presentation (no search bounds)."""
     if isinstance(eq, TwistedEquation):
-        return decide_twisted(pres, eq)
-    if isinstance(eq, MultiplicativeEquation):
-        return decide_multiplicative(pres, eq)
-    raise TypeError(f"unsupported equation type {type(eq).__name__}")
+        rhs = LinComb.constant(pres, eq.e2)
+        ansatz = _twisted_ansatz(pres, eq.e1, rhs, None, None)
+        ctx = ParamContext()
+        try:
+            family = LinComb.zero(pres) if ansatz is None else ansatz.family(pres, eq.e1, rhs, ctx)
+        except Infeasible:
+            window = ansatz.window
+            const_cand = None
+            note = "coefficient system infeasible over the derived ansatz"
+            if eq.e1 != 1:
+                cand = eq.e2 / (pres.one() - eq.e1)
+                if not cand.is_constant():
+                    const_cand = repr(cand)
+                    if window is None or window.is_empty():
+                        note = "constant case: the forced candidate is not rational"
+            elif window is None or window.is_empty():
+                note = "torsor over empty window: sigma(x)-x is never a nonzero constant"
+            return Unsolvable(ansatz.refutation("twisted", repr(eq), const_cand, note))
+        x = family.evaluate(ctx.solve())
+    elif isinstance(eq, MultiplicativeEquation):
+        basis, cert = multiplicative_kernel(pres, eq.ratio())
+        if not basis:
+            return Unsolvable(cert)
+        x = basis[0]
+    else:
+        raise TypeError(f"unsupported equation type {type(eq).__name__}")
+    if not eq.holds_for(x):
+        raise AssertionError("internal error: candidate failed verification")
+    return Solution(x)
 
 
 def replay_refutation(pres: Presentation, eq, cert: FreeRefutation) -> bool:

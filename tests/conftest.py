@@ -6,8 +6,20 @@ import sys
 from pathlib import Path
 
 import diffield
-from diffield.poly import divexact, poly_lcm
-from diffield.ratfunc import P1
+from diffield.equations import MultiplicativeEquation, Solution, TwistedEquation, Unsolvable
+from diffield.field import Element
+from diffield.freebase import (
+    FreeRefutation,
+    WindowBound,
+    _denominator_bound,
+    _monomials,
+    _require_free,
+    _window_vars,
+)
+from diffield.linalg import Infeasible
+from diffield.params import LinComb, ParamContext
+from diffield.poly import MPoly, divexact, poly_lcm
+from diffield.ratfunc import P1, RatFunc
 
 
 def run_cli(args, *, cwd=None, timeout):
@@ -54,3 +66,179 @@ def clear_denominators(elems):
     """Numerators over the common denominator D: elems[i] == out[i] / D."""
     den = common_denominator(elems)
     return [over_denominator(e, den) for e in elems]
+
+
+# -- the free-base decision before its one Ansatz record: the differential
+#    reference of tests/test_solver.py (twisted_family with its trace dict)
+
+
+def _support_window(parts):
+    shifts = {v.shift for p in parts for v in p.variables()}
+    return WindowBound(min(shifts), max(shifts) - 1) if shifts else None
+
+
+def _clip_window(w, cap):
+    if w is None or cap is None:
+        return w
+    return WindowBound(max(w.lo, -cap), min(w.hi, cap))
+
+
+def reference_multiplicative_kernel(pres, ratio, deg_cap=None, window_cap=None):
+    _require_free(pres)
+    u = ratio.value
+    eqrepr = f"sigma(x) = ({ratio})*x"
+    if u.is_constant():
+        if u == RatFunc.one():
+            return [pres.one()], None
+        cert = FreeRefutation(
+            "multiplicative", eqrepr, None, "1", 0, 1,
+            None, f"constant ratio {ratio} != 1 admits no nonzero solution",
+        )
+        return [], cert
+    window = _clip_window(_support_window([u.num, u.den]), window_cap)
+    if window is None or window.is_empty():
+        cert = FreeRefutation(
+            "multiplicative", eqrepr, window, "1", 0, 0,
+            None,
+            "empty shift window: nonconstant solutions impossible, "
+            "constants require ratio = 1",
+        )
+        return [], cert
+    span = window.span()
+    a_den = _denominator_bound(u.den, u.num, span)
+    a_num = _denominator_bound(u.num, u.den, span)
+    cap = a_num.total_degree() + a_den.total_degree()
+    if deg_cap is not None:
+        cap = min(cap, deg_cap + a_den.total_degree())
+    vars_ = sorted(set(_window_vars(pres, window)) | a_den.variables())
+    monos = _monomials(vars_, cap)
+    ctx = ParamContext()
+    params = ctx.new_params(len(monos))
+    lhs_pos = u.den * a_den
+    lhs_neg = u.num * a_den.shift(1)
+    ctx.add_identity(
+        MPoly(), {p: mono.shift(1) * lhs_pos - mono * lhs_neg for p, mono in zip(params, monos)}
+    )
+    family = LinComb(pres, MPoly(), dict(zip(params, monos)), a_den)
+    basis = []
+    for direction in ctx.kernel():
+        x = family.direction(direction)
+        if not x.is_zero() and not any(x == b for b in basis):
+            basis.append(x)
+    if basis:
+        return basis, None
+    cert = FreeRefutation(
+        "multiplicative", eqrepr, window, repr(a_den), cap, len(monos),
+        None, "homogeneous coefficient system has trivial kernel",
+    )
+    return [], cert
+
+
+def reference_twisted_family(pres, e1, rhs, ctx, deg_cap=None, window_cap=None, trace=None):
+    _require_free(pres)
+    q1, q2 = e1.value.den, rhs.den
+    rhs_nums = [rhs.const, *rhs.coeffs.values()]
+    window = _clip_window(_support_window([e1.value.num, q1, q2, *rhs_nums]), window_cap)
+    span = window.span() if window is not None else 0
+    a_poly = _denominator_bound(q1 * q2, q2 * e1.value.num, span)
+    v_candidates = []
+    ve1 = e1.value.valuation()
+    for n in rhs_nums:
+        if n.terms:
+            v = n.total_degree() - q2.total_degree()
+            v_candidates += [v, v - ve1]
+    if ve1 == 0:
+        top = Element(pres, e1.value.top_form())
+        kernel, _ = reference_multiplicative_kernel(pres, top, deg_cap, window_cap)
+        if kernel:
+            v_candidates.append(kernel[0].value.valuation())
+    if trace is not None:
+        trace["window"] = window
+        trace["denominator_bound"] = repr(a_poly)
+    if not v_candidates:
+        if trace is not None:
+            trace["degree_cap"] = -1
+            trace["ansatz_size"] = 0
+        return LinComb.zero(pres)
+    cap = max(v_candidates) + a_poly.total_degree()
+    if deg_cap is not None:
+        cap = min(cap, deg_cap + a_poly.total_degree())
+    if cap < 0:
+        if trace is not None:
+            trace["degree_cap"] = cap
+            trace["ansatz_size"] = 0
+        ctx.add_zero(-rhs)
+        return LinComb.zero(pres)
+    vars_ = sorted(set(_window_vars(pres, window)) | a_poly.variables())
+    monos = _monomials(vars_, cap)
+    if trace is not None:
+        trace["degree_cap"] = cap
+        trace["ansatz_size"] = len(monos)
+    params = ctx.new_params(len(monos))
+    a_shifted = a_poly.shift(1)
+    p1 = e1.value.num
+    lhs_pos = a_poly * q1 * q2
+    lhs_neg = p1 * a_shifted * q2
+    rhs_scale = a_shifted * a_poly * q1
+    coeffs = {p: mono.shift(1) * lhs_pos - mono * lhs_neg for p, mono in zip(params, monos)}
+    for lam, part in rhs.coeffs.items():
+        coeffs[lam] = -(part * rhs_scale)
+    ctx.add_identity(-(rhs.const * rhs_scale), coeffs)
+    return LinComb(pres, MPoly(), dict(zip(params, monos)), a_poly)
+
+
+def _reference_decide_twisted(pres, eq):
+    _require_free(pres)
+    ctx = ParamContext()
+    trace = {}
+    try:
+        family = reference_twisted_family(pres, eq.e1, LinComb.constant(pres, eq.e2), ctx, trace=trace)
+    except Infeasible:
+        return Unsolvable(_reference_twisted_refutation(pres, eq, trace))
+    x = family.evaluate(ctx.solve())
+    if not eq.holds_for(x):
+        raise AssertionError("internal error: candidate failed verification")
+    return Solution(x)
+
+
+def _reference_twisted_refutation(pres, eq, trace):
+    window = trace.get("window")
+    const_cand = None
+    note = "coefficient system infeasible over the derived ansatz"
+    if eq.e1 != 1:
+        cand = eq.e2 / (pres.one() - eq.e1)
+        if not cand.is_constant():
+            const_cand = repr(cand)
+            if window is None or window.is_empty():
+                note = "constant case: the forced candidate is not rational"
+    elif window is None or window.is_empty():
+        note = "torsor over empty window: sigma(x)-x is never a nonzero constant"
+    return FreeRefutation(
+        "twisted",
+        repr(eq),
+        window,
+        trace.get("denominator_bound", "1"),
+        trace.get("degree_cap", -1),
+        trace.get("ansatz_size", 0),
+        const_cand,
+        note,
+    )
+
+
+def _reference_decide_multiplicative(pres, eq):
+    _require_free(pres)
+    basis, cert = reference_multiplicative_kernel(pres, eq.ratio())
+    if basis:
+        x = basis[0]
+        if not eq.holds_for(x):
+            raise AssertionError("internal error: candidate failed verification")
+        return Solution(x)
+    return Unsolvable(cert)
+
+
+def reference_decide_free_base(pres, eq):
+    if isinstance(eq, TwistedEquation):
+        return _reference_decide_twisted(pres, eq)
+    if isinstance(eq, MultiplicativeEquation):
+        return _reference_decide_multiplicative(pres, eq)
+    raise TypeError(f"unsupported equation type {type(eq).__name__}")

@@ -24,8 +24,10 @@ JOBS = {
     "torsor_over_closed_base": ["solve-sas"],
     "twisted_avoided": ["solve-sas"],
     "chained_denominator": ["solve-sas"],
+    "negative_cap": ["solve-sas"],
     "multiplicative_family": ["solve-mult"],
     "denominator_branch": ["solve-mult"],
+    "mult_tower_bounded": ["solve-mult"],
     "cocycle": ["decompose", "--seed", "7"],
     "ff_planted": ["ff-decompose", "--bounds-degree", "2", "--bounds-window", "1"],
     "character": ["character"],

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_decide_free_base, reference_twisted_family
 from diffield.descent import DescentHypothesisViolated, descent_linear, descent_multiplicative
 from diffield.equations import (
     MultiplicativeEquation,
@@ -18,8 +19,9 @@ from diffield.equations import (
     Unsolvable,
 )
 from diffield.field import Presentation
-from diffield.freebase import _denominator_bound, decide_free_base, replay_refutation
-from diffield.params import ParamContext
+from diffield.freebase import _denominator_bound, decide_free_base, replay_refutation, twisted_family
+from diffield.linalg import Infeasible
+from diffield.params import LinComb, ParamContext
 from diffield.poly import MPoly, VarId, poly_gcd
 from diffield.ratfunc import express_in_span
 from diffield.tower import (
@@ -612,3 +614,95 @@ def test_descent_multiplicative_all_zero():
     p, g = free_base()
     with pytest.raises(ValueError):
         descent_multiplicative([p.zero(), p.zero()], g, 1)
+
+
+# -- the free-base decision against its reference before the one Ansatz record
+
+FREE, _ = Presentation.empty().with_free("g")
+
+
+def _g(shift):
+    return FREE.gen("g", shift)
+
+
+NAMED = {
+    "1": FREE.one(),
+    "2": FREE.const(2),
+    "g": _g(0),
+    "g[1]/g": _g(1) / _g(0),
+    "(g[1]+1)/(g+2)": (_g(1) + 1) / (_g(0) + 2),
+    "g/g[1]": _g(0) / _g(1),
+    "1/g": FREE.one() / _g(0),
+}
+# e1 among 1, 2, g, g[1]/g and a rational one (valuation 0, so the top
+# forms add the homogeneous degree candidate d0)
+E1_CHOICES = ("1", "2", "g", "g[1]/g", "(g[1]+1)/(g+2)")
+
+
+# a sum of up to two terms c * g[s]^k, negative k too, over 1 or g[s] + c
+_free_elements = st.tuples(
+    st.lists(st.tuples(st.integers(-3, 3), st.integers(-1, 1), st.integers(-2, 2)), max_size=2),
+    st.none() | st.tuples(st.integers(-1, 1), st.integers(1, 2)),
+)
+
+
+def _free_element(drawn):
+    terms, den = drawn
+    out = FREE.zero()
+    for c, s, k in terms:
+        out = out + c * (_g(s) ** k if k >= 0 else FREE.one() / _g(s) ** -k)
+    return out if den is None else out / (_g(den[0]) + den[1])
+
+
+def _assert_same_decision(eq):
+    # Solution compares the witnesses, Unsolvable all eight record fields
+    assert decide_free_base(FREE, eq) == reference_decide_free_base(FREE, eq), eq
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(E1_CHOICES), _free_elements)
+@example("g", ([(1, 0, 1)], None))  # sigma(x) - g*x = g: the paper's avoided family
+@example("g", ([(1, 0, -2)], None))  # every degree candidate negative
+@example("1", ([(1, 1, 1), (-1, 0, 1)], None))  # sigma(x) - x = g[1] - g: x = g
+def test_twisted_decisions_agree_with_the_reference(e1, e2):
+    _assert_same_decision(TwistedEquation(NAMED[e1], _free_element(e2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(NAMED)), st.sampled_from([-2, -1, 1, 2]))
+def test_multiplicative_decisions_agree_with_the_reference(e, z):
+    _assert_same_decision(MultiplicativeEquation(NAMED[e], z))
+
+
+def _rhs_family(const, parts):
+    """const + sum(parts[k] * lambda_k), lambda_k the outer parameters 0, 1, ..."""
+    rhs = LinComb.constant(FREE, const)
+    for k, part in enumerate(parts):
+        rhs = rhs + LinComb(FREE, MPoly(), {k: MPoly.const(1)}).mul_known(part)
+    return rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(E1_CHOICES),
+    _free_elements,
+    st.lists(_free_elements, max_size=2),
+    st.integers(0, 2),
+    st.none() | st.integers(0, 2),
+)
+# deg_cap 0 against a rhs of degree 2: the degree clip binds
+@example("g[1]/g", ([(1, 0, 2)], None), [([(1, 1, 2)], None)], 0, None)
+@example("(g[1]+1)/(g+2)", ([(2, 0, 2), (1, 1, 1)], (0, 1)), [], 0, 1)
+def test_twisted_family_agrees_with_the_reference(e1, const, parts, deg_cap, window_cap):
+    e1 = NAMED[e1]
+    rhs = _rhs_family(_free_element(const), [_free_element(p) for p in parts])
+    ctx, ref_ctx = ParamContext(len(parts)), ParamContext(len(parts))
+    try:
+        want = reference_twisted_family(FREE, e1, rhs, ref_ctx, deg_cap, window_cap)
+    except Infeasible:
+        with pytest.raises(Infeasible):
+            twisted_family(FREE, e1, rhs, ctx, deg_cap, window_cap)
+        return
+    got = twisted_family(FREE, e1, rhs, ctx, deg_cap, window_cap)
+    assert (got.const, got.coeffs, got.den) == (want.const, want.coeffs, want.den)
+    assert (ctx.ncols, ctx.pivots, ctx.order) == (ref_ctx.ncols, ref_ctx.pivots, ref_ctx.order)

@@ -26,6 +26,8 @@ class Mutant:
 RATFUNC = "src/diffield/ratfunc.py"
 TEST_PARAMS = "tests/test_params.py"
 TEST_POLY_RATFUNC = "tests/test_poly_ratfunc.py"
+TEST_SOLVER = "tests/test_solver.py"
+FREEBASE = "src/diffield/freebase.py"
 
 CATALOGUE: tuple[Mutant, ...] = (
     # -- the exact substrate: Henrici's forms and the substitution
@@ -125,7 +127,7 @@ CATALOGUE: tuple[Mutant, ...] = (
     ),
     Mutant(
         "denominator bound that never divides out a gcd",
-        "src/diffield/freebase.py",
+        FREEBASE,
         "rest = divexact(rest, g)",
         "rest = rest",
         ("tests/test_solver.py::test_denominator_bound_divides_out_repeated_factors",),
@@ -138,6 +140,34 @@ CATALOGUE: tuple[Mutant, ...] = (
         (
             "tests/test_systems.py::test_witness_decompositions_match_the_recursive_reference",
             "tests/test_systems.py::test_wp_decompose_with_witnesses_pinned_height4",
+        ),
+    ),
+    # -- the free-base ansatz: its cleared identity, degree clip and record
+    Mutant(
+        "cleared identity with sigma(Y) unshifted",
+        FREEBASE,
+        "mono.shift(1) * lhs_pos - mono * lhs_neg",
+        "mono * lhs_pos - mono * lhs_neg",
+        (
+            f"{TEST_SOLVER}::test_twisted_decisions_agree_with_the_reference",
+            f"{TEST_SOLVER}::test_free_base_planted_with_denominators",
+        ),
+    ),
+    Mutant(
+        "ansatz without the deg_cap clip",
+        FREEBASE,
+        "cap = min(cap, deg_cap + denominator.total_degree())",
+        "cap = cap",
+        (f"{TEST_SOLVER}::test_twisted_family_agrees_with_the_reference",),
+    ),
+    Mutant(
+        "refutation record with ansatz_size 0",
+        FREEBASE,
+        "self.degree_cap, len(self.monomials)",
+        "self.degree_cap, 0",
+        (
+            f"{TEST_SOLVER}::test_twisted_decisions_agree_with_the_reference",
+            "tests/test_golden.py::test_golden_report[twisted_avoided]",
         ),
     ),
     # -- parameter families over one shared denominator
