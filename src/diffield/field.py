@@ -202,7 +202,7 @@ class Presentation:
         return VarId(g.index, g.name, shift)
 
     def gen(self, name: str, shift: int = 0) -> "Element":
-        return Element(self, RatFunc.var(self.varid(name, shift)))
+        return Element._make(self, RatFunc.var(self.varid(name, shift)))  # varid checks name and shift
 
     def const(self, c) -> "Element":
         return Element._make(self, RatFunc.const(c))  # no variables to check

@@ -10,6 +10,12 @@ generators, ``s(expr, k)`` for the k-th automorphism power, and
     gen a1 affine linear=g const=g;
     twisted e1 = 1, e2 = a1;
 
+``tokenize`` reads the text in one pass into plain tuples
+``(kind, text, line, column)``; kind is "name", "int", "punct" or "end", and
+the list ends with one "end" token.  Columns count characters from 1 (a tab
+is one column), and a comment takes no columns, so an end of input after a
+trailing comment is at its ``#``.  Integers are ASCII digits only.
+
 Errors carry positions: syntax problems report line and column, semantic
 problems name the offending generator.
 """
@@ -34,89 +40,92 @@ class SemanticError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "name", "int", "punct", "end"
-    text: str
-    line: int
-    column: int
+_SPACE = frozenset(" \t\r")
+_PUNCT = frozenset("[](),;=+-*/^|:")
+_DIGITS = frozenset("0123456789")
+# Characters that continue a name; a non-ASCII one continues it when isalnum.
+_WORD = frozenset("_0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 
-_PUNCT = ("[", "]", "(", ")", ",", ";", "=", "+", "-", "*", "/", "^", "|", ":")
-
-
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
+def tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    tokens: list[tuple[str, str, int, int]] = []
+    append = tokens.append
+    line, start = 1, 0  # start: the index of the line's first character
+    i, n = 0, len(text)
     while i < n:
         ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
+        if ch in _SPACE:
             i += 1
-            continue
-        if ch in " \t\r":
+        elif ch in _PUNCT:
+            append(("punct", ch, line, i - start + 1))
             i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isdigit():
-            start = i
-            startcol = col
-            while i < n and text[i].isdigit():
-                i += 1
-                col += 1
-            tokens.append(Token("int", text[start:i], line, startcol))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            startcol = col
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-                col += 1
-            tokens.append(Token("name", text[start:i], line, startcol))
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token("punct", ch, line, col))
+        elif ch == "\n":
             i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("end", "", line, col))
+            line, start = line + 1, i
+        elif ch in _DIGITS:
+            j = i + 1
+            while j < n and text[j] in _DIGITS:
+                j += 1
+            append(("int", text[i:j], line, i - start + 1))
+            i = j
+        elif ch == "_" or ch.isalpha():
+            j = i + 1
+            while j < n and (text[j] in _WORD or text[j].isalnum()):
+                j += 1
+            append(("name", text[i:j], line, i - start + 1))
+            i = j
+        elif ch == "#":
+            j = text.find("\n", i)
+            if j < 0:  # the comment takes no columns: the end is at its '#'
+                append(("end", "", line, i - start + 1))
+                return tokens
+            i = j
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, i - start + 1)
+    append(("end", "", line, i - start + 1))
     return tokens
 
 
 class _Cursor:
-    def __init__(self, tokens: list[Token]):
+    """A position in the tokens of one document, and its atom table.
+
+    ``accept`` and ``expect`` compare token texts only: a punct text is never
+    a name or an int, and the "end" token's empty text is never asked for.
+    ``atoms`` holds the element of each ``(name, shift)`` over the
+    presentation ``atoms_pres``, and is emptied when the presentation changes.
+    """
+
+    __slots__ = ("tokens", "texts", "pos", "atoms", "atoms_pres")
+
+    def __init__(self, tokens: list[tuple[str, str, int, int]]):
         self.tokens = tokens
+        self.texts = [tok[1] for tok in tokens]
         self.pos = 0
+        self.atoms: dict[tuple[str, int], Element] = {}
+        self.atoms_pres: Presentation | None = None
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def error(self, want: str) -> ParseError:
+        _, text, line, column = self.tokens[self.pos]
+        return ParseError(f"expected {want!r}, found {text or 'end of input'!r}", line, column)
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "end":
+    def accept(self, text: str) -> bool:
+        if self.texts[self.pos] == text:
             self.pos += 1
-        return tok
+            return True
+        return False
 
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            raise ParseError(f"expected {want!r}, found {tok.text or 'end of input'!r}", tok.line, tok.column)
-        return self.next()
+    def expect(self, text: str) -> None:
+        if self.texts[self.pos] != text:
+            raise self.error(text)
+        self.pos += 1
 
-    def accept(self, kind: str, text: str | None = None) -> Token | None:
-        tok = self.peek()
-        if tok.kind == kind and (text is None or tok.text == text):
-            return self.next()
-        return None
+    def take(self, kind: str) -> str:
+        """The text of the next token, which must be of this kind."""
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            raise self.error(kind)
+        self.pos += 1
+        return tok[1]
 
 
 _RESERVED = {"s", "wp", "free", "affine", "gen", "linear", "const"}
@@ -124,10 +133,14 @@ _RESERVED = {"s", "wp", "free", "affine", "gen", "linear", "const"}
 
 def _expr(cur: _Cursor, pres: Presentation) -> Element:
     total = _term(cur, pres)
+    texts = cur.texts
     while True:
-        if cur.accept("punct", "+"):
+        op = texts[cur.pos]
+        if op == "+":
+            cur.pos += 1
             total = total + _term(cur, pres)
-        elif cur.accept("punct", "-"):
+        elif op == "-":
+            cur.pos += 1
             total = total - _term(cur, pres)
         else:
             return total
@@ -135,32 +148,32 @@ def _expr(cur: _Cursor, pres: Presentation) -> Element:
 
 def _term(cur: _Cursor, pres: Presentation) -> Element:
     total = _factor(cur, pres)
+    texts = cur.texts
     while True:
-        if cur.accept("punct", "*"):
+        op = texts[cur.pos]
+        if op == "*":
+            cur.pos += 1
             total = total * _factor(cur, pres)
-        elif cur.accept("punct", "/"):
-            tok = cur.peek()
+        elif op == "/":
+            cur.pos += 1
+            _, _, line, column = cur.tokens[cur.pos]
             divisor = _factor(cur, pres)
             if divisor.is_zero():
-                raise ParseError("division by zero", tok.line, tok.column)
+                raise ParseError("division by zero", line, column)
             total = total / divisor
         else:
             return total
 
 
 def _factor(cur: _Cursor, pres: Presentation) -> Element:
-    if cur.accept("punct", "-"):
+    if cur.accept("-"):
         return -_factor(cur, pres)
-    return _power(cur, pres)
-
-
-def _power(cur: _Cursor, pres: Presentation) -> Element:
     base = _atom(cur, pres)
-    if cur.accept("punct", "^"):
+    if cur.accept("^"):
         expo = _signed_int(cur)
         if expo < 0 and base.is_zero():
-            tok = cur.peek()
-            raise ParseError("zero to a negative power", tok.line, tok.column)
+            _, _, line, column = cur.tokens[cur.pos]
+            raise ParseError("zero to a negative power", line, column)
         return base**expo
     return base
 
@@ -168,59 +181,62 @@ def _power(cur: _Cursor, pres: Presentation) -> Element:
 def _signed_int(cur: _Cursor) -> int:
     sign = 1
     while True:
-        if cur.accept("punct", "-"):
+        if cur.accept("-"):
             sign = -sign
-        elif cur.accept("punct", "+"):
-            pass
-        else:
-            break
-    tok = cur.expect("int")
-    return sign * int(tok.text)
+        elif not cur.accept("+"):
+            return sign * int(cur.take("int"))
 
 
 def _atom(cur: _Cursor, pres: Presentation) -> Element:
-    tok = cur.peek()
-    if tok.kind == "int":
-        cur.next()
-        return pres.const(int(tok.text))
-    if cur.accept("punct", "("):
+    kind, text, line, column = cur.tokens[cur.pos]
+    if kind == "int":
+        cur.pos += 1
+        return pres.const(int(text))
+    if text == "(":
+        cur.pos += 1
         inner = _expr(cur, pres)
-        cur.expect("punct", ")")
+        cur.expect(")")
         return inner
-    if tok.kind == "name":
-        cur.next()
-        if tok.text == "s":
-            cur.expect("punct", "(")
-            inner = _expr(cur, pres)
-            cur.expect("punct", ",")
-            k = _signed_int(cur)
-            cur.expect("punct", ")")
-            return inner.sigma(k)
-        if tok.text == "wp":
-            cur.expect("punct", "(")
-            inner = _expr(cur, pres)
-            cur.expect("punct", ")")
-            return inner.wp()
-        name = tok.text
-        if not pres.has_gen(name):
-            raise SemanticError(f"unknown generator {name!r}")
-        if cur.accept("punct", "["):
-            shift = _signed_int(cur)
-            cur.expect("punct", "]")
-            if not pres.spec(name).is_free:
-                raise SemanticError(f"generator {name!r} is not free; shifts need s(...)")
-            return pres.gen(name, shift)
-        return pres.gen(name)
-    raise ParseError(f"expected an expression, found {tok.text or 'end of input'!r}", tok.line, tok.column)
+    if kind != "name":
+        raise ParseError(f"expected an expression, found {text or 'end of input'!r}", line, column)
+    cur.pos += 1
+    if text == "s":
+        cur.expect("(")
+        inner = _expr(cur, pres)
+        cur.expect(",")
+        k = _signed_int(cur)
+        cur.expect(")")
+        return inner.sigma(k)
+    if text == "wp":
+        cur.expect("(")
+        inner = _expr(cur, pres)
+        cur.expect(")")
+        return inner.wp()
+    if not pres.has_gen(text):
+        raise SemanticError(f"unknown generator {text!r}")
+    shift = 0
+    if cur.accept("["):
+        shift = _signed_int(cur)
+        cur.expect("]")
+        if not pres.spec(text).is_free:
+            raise SemanticError(f"generator {text!r} is not free; shifts need s(...)")
+    if cur.atoms_pres is not pres:
+        cur.atoms = {}
+        cur.atoms_pres = pres
+    key = (text, shift)
+    atom = cur.atoms.get(key)
+    if atom is None:
+        atom = cur.atoms[key] = pres.gen(text, shift)
+    return atom
 
 
 def _angle(cur: _Cursor) -> CircleValue:
     num = _signed_int(cur)
-    if cur.accept("punct", "/"):
+    if cur.accept("/"):
         den = _signed_int(cur)
         if den == 0:
-            tok = cur.peek()
-            raise ParseError("zero denominator in angle", tok.line, tok.column)
+            _, _, line, column = cur.tokens[cur.pos]
+            raise ParseError("zero denominator in angle", line, column)
         return CircleValue(Fraction(num, den))
     return CircleValue(Fraction(num))
 
@@ -256,95 +272,95 @@ def parse_document(text: str) -> Document:
     def current() -> Presentation:
         return doc.presentation
 
-    while cur.peek().kind != "end":
-        tok = cur.expect("name")
-        word = tok.text
+    tokens = cur.tokens
+    while tokens[cur.pos][0] != "end":
+        word = cur.take("name")
         if word == "gen":
-            name_tok = cur.expect("name")
-            name = name_tok.text
+            name = cur.take("name")
             if name in _RESERVED:
                 raise SemanticError(f"generator name {name!r} is reserved")
-            kind = cur.expect("name")
-            if kind.text == "free":
+            kind = cur.take("name")
+            if kind == "free":
                 doc.presentation, _ = current().with_free(name)
-            elif kind.text == "affine":
-                cur.expect("name", "linear")
-                cur.expect("punct", "=")
+            elif kind == "affine":
+                cur.expect("linear")
+                cur.expect("=")
                 linear = _expr(cur, current())
-                cur.expect("name", "const")
-                cur.expect("punct", "=")
+                cur.expect("const")
+                cur.expect("=")
                 const = _expr(cur, current())
                 try:
                     doc.presentation, _ = current().with_affine(name, linear, const)
                 except PresentationError as exc:
                     raise SemanticError(str(exc)) from exc
             else:
-                raise ParseError("expected 'free' or 'affine'", kind.line, kind.column)
+                _, _, line, column = tokens[cur.pos - 1]
+                raise ParseError("expected 'free' or 'affine'", line, column)
         elif word == "twisted":
-            cur.expect("name", "e1")
-            cur.expect("punct", "=")
+            cur.expect("e1")
+            cur.expect("=")
             e1 = _expr(cur, current())
-            cur.expect("punct", ",")
-            cur.expect("name", "e2")
-            cur.expect("punct", "=")
+            cur.expect(",")
+            cur.expect("e2")
+            cur.expect("=")
             e2 = _expr(cur, current())
             doc.twisted = (e1, e2)
         elif word == "mult":
-            cur.expect("name", "e")
-            cur.expect("punct", "=")
+            cur.expect("e")
+            cur.expect("=")
             e = _expr(cur, current())
-            cur.expect("punct", ",")
-            cur.expect("name", "z")
-            cur.expect("punct", "=")
+            cur.expect(",")
+            cur.expect("z")
+            cur.expect("=")
             z = _signed_int(cur)
             doc.mult = (e, z)
         elif word == "system":
-            cur.expect("name", "blocks")
-            blocks = [[cur.expect("name").text]]
+            cur.expect("blocks")
+            blocks = [[cur.take("name")]]
             while True:
-                if cur.accept("punct", ","):
-                    blocks[-1].append(cur.expect("name").text)
-                elif cur.accept("punct", "|"):
-                    blocks.append([cur.expect("name").text])
+                if cur.accept(","):
+                    blocks[-1].append(cur.take("name"))
+                elif cur.accept("|"):
+                    blocks.append([cur.take("name")])
                 else:
                     break
             doc.blocks = blocks
         elif word == "summand":
-            idx = int(cur.expect("int").text)
-            cur.expect("punct", "=")
+            idx = int(cur.take("int"))
+            cur.expect("=")
             doc.summands[idx] = _expr(cur, current())
         elif word == "rewrite":
-            idx = int(cur.expect("int").text)
-            cur.expect("punct", "=")
+            idx = int(cur.take("int"))
+            cur.expect("=")
             doc.rewrites[idx] = _expr(cur, current())
         elif word == "witness":
-            idx = int(cur.expect("int").text)
-            cur.expect("punct", "=")
+            idx = int(cur.take("int"))
+            cur.expect("=")
             doc.witnesses[idx] = _expr(cur, current())
         elif word == "target":
             doc.target = _expr(cur, current())
         elif word == "assign":
             elem = _expr(cur, current())
-            cur.expect("punct", "=")
+            cur.expect("=")
             doc.assignments.append((elem, _angle(cur)))
         elif word == "query":
             elem = _expr(cur, current())
-            if cur.accept("name", "free"):
+            if cur.accept("free"):
                 doc.queries.append((elem, None))
             else:
-                cur.expect("punct", "=")
+                cur.expect("=")
                 doc.queries.append((elem, _angle(cur)))
         elif word == "tuple":
             elems = [_expr(cur, current())]
-            while cur.accept("punct", ","):
+            while cur.accept(","):
                 elems.append(_expr(cur, current()))
             doc.tuple_elems = elems
         elif word == "height":
-            doc.height = int(cur.expect("int").text)
+            doc.height = int(cur.take("int"))
         elif word == "subfield":
-            names = [cur.expect("name").text]
-            while cur.accept("punct", ","):
-                names.append(cur.expect("name").text)
+            names = [cur.take("name")]
+            while cur.accept(","):
+                names.append(cur.take("name"))
             for n in names:
                 if not current().has_gen(n):
                     raise SemanticError(f"unknown generator {n!r} in subfield")
@@ -352,13 +368,14 @@ def parse_document(text: str) -> Document:
         elif word == "torsor":
             doc.torsor = _expr(cur, current())
         elif word in ("r12", "r13", "r23"):
-            cur.expect("punct", "=")
+            cur.expect("=")
             doc.r_values[word] = _angle(cur)
         elif word == "closure":
             doc.closure = _expr(cur, current())
         else:
-            raise ParseError(f"unknown statement {word!r}", tok.line, tok.column)
-        cur.expect("punct", ";")
+            _, _, line, column = tokens[cur.pos - 1]
+            raise ParseError(f"unknown statement {word!r}", line, column)
+        cur.expect(";")
     return doc
 
 

@@ -3,11 +3,13 @@
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import diffield
 from diffield.equations import MultiplicativeEquation, Solution, TwistedEquation, Unsolvable
-from diffield.field import Element
+from diffield.field import Element, Presentation, PresentationError
 from diffield.freebase import (
     FreeRefutation,
     WindowBound,
@@ -18,8 +20,9 @@ from diffield.freebase import (
 )
 from diffield.linalg import Infeasible
 from diffield.params import LinComb, ParamContext
+from diffield.parser import Document, ParseError, SemanticError
 from diffield.poly import MPoly, divexact, poly_lcm
-from diffield.ratfunc import P1, RatFunc
+from diffield.ratfunc import P1, CircleValue, RatFunc
 
 
 def run_cli(args, *, cwd=None, timeout):
@@ -242,3 +245,313 @@ def reference_decide_free_base(pres, eq):
     if isinstance(eq, MultiplicativeEquation):
         return _reference_decide_multiplicative(pres, eq)
     raise TypeError(f"unsupported equation type {type(eq).__name__}")
+
+
+# -- the parser before its tuple tokens, text-compare cursor and atom table:
+#    the differential reference of tests/test_parser_cli.py
+
+
+@dataclass(frozen=True)
+class _RefToken:
+    kind: str  # "name", "int", "punct", "end"
+    text: str
+    line: int
+    column: int
+
+
+_REF_PUNCT = ("[", "]", "(", ")", ",", ";", "=", "+", "-", "*", "/", "^", "|", ":")
+
+
+def reference_tokenize(text: str) -> list[_RefToken]:
+    tokens: list[_RefToken] = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch.isdigit():
+            start = i
+            startcol = col
+            while i < n and text[i].isdigit():
+                i += 1
+                col += 1
+            tokens.append(_RefToken("int", text[start:i], line, startcol))
+            continue
+        if ch.isalpha() or ch == "_":
+            start = i
+            startcol = col
+            while i < n and (text[i].isalnum() or text[i] == "_"):
+                i += 1
+                col += 1
+            tokens.append(_RefToken("name", text[start:i], line, startcol))
+            continue
+        if ch in _REF_PUNCT:
+            tokens.append(_RefToken("punct", ch, line, col))
+            i += 1
+            col += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, col)
+    tokens.append(_RefToken("end", "", line, col))
+    return tokens
+
+
+class _RefCursor:
+    def __init__(self, tokens: list[_RefToken]):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self) -> _RefToken:
+        return self.tokens[self.pos]
+
+    def next(self) -> _RefToken:
+        tok = self.tokens[self.pos]
+        if tok.kind != "end":
+            self.pos += 1
+        return tok
+
+    def expect(self, kind: str, text: str | None = None) -> _RefToken:
+        tok = self.peek()
+        if tok.kind != kind or (text is not None and tok.text != text):
+            want = text if text is not None else kind
+            raise ParseError(f"expected {want!r}, found {tok.text or 'end of input'!r}", tok.line, tok.column)
+        return self.next()
+
+    def accept(self, kind: str, text: str | None = None) -> _RefToken | None:
+        tok = self.peek()
+        if tok.kind == kind and (text is None or tok.text == text):
+            return self.next()
+        return None
+
+
+_REF_RESERVED = {"s", "wp", "free", "affine", "gen", "linear", "const"}
+
+
+def _ref_expr(cur: _RefCursor, pres: Presentation) -> Element:
+    total = _ref_term(cur, pres)
+    while True:
+        if cur.accept("punct", "+"):
+            total = total + _ref_term(cur, pres)
+        elif cur.accept("punct", "-"):
+            total = total - _ref_term(cur, pres)
+        else:
+            return total
+
+
+def _ref_term(cur: _RefCursor, pres: Presentation) -> Element:
+    total = _ref_factor(cur, pres)
+    while True:
+        if cur.accept("punct", "*"):
+            total = total * _ref_factor(cur, pres)
+        elif cur.accept("punct", "/"):
+            tok = cur.peek()
+            divisor = _ref_factor(cur, pres)
+            if divisor.is_zero():
+                raise ParseError("division by zero", tok.line, tok.column)
+            total = total / divisor
+        else:
+            return total
+
+
+def _ref_factor(cur: _RefCursor, pres: Presentation) -> Element:
+    if cur.accept("punct", "-"):
+        return -_ref_factor(cur, pres)
+    return _ref_power(cur, pres)
+
+
+def _ref_power(cur: _RefCursor, pres: Presentation) -> Element:
+    base = _ref_atom(cur, pres)
+    if cur.accept("punct", "^"):
+        expo = _ref_signed_int(cur)
+        if expo < 0 and base.is_zero():
+            tok = cur.peek()
+            raise ParseError("zero to a negative power", tok.line, tok.column)
+        return base**expo
+    return base
+
+
+def _ref_signed_int(cur: _RefCursor) -> int:
+    sign = 1
+    while True:
+        if cur.accept("punct", "-"):
+            sign = -sign
+        elif cur.accept("punct", "+"):
+            pass
+        else:
+            break
+    tok = cur.expect("int")
+    return sign * int(tok.text)
+
+
+def _ref_atom(cur: _RefCursor, pres: Presentation) -> Element:
+    tok = cur.peek()
+    if tok.kind == "int":
+        cur.next()
+        return pres.const(int(tok.text))
+    if cur.accept("punct", "("):
+        inner = _ref_expr(cur, pres)
+        cur.expect("punct", ")")
+        return inner
+    if tok.kind == "name":
+        cur.next()
+        if tok.text == "s":
+            cur.expect("punct", "(")
+            inner = _ref_expr(cur, pres)
+            cur.expect("punct", ",")
+            k = _ref_signed_int(cur)
+            cur.expect("punct", ")")
+            return inner.sigma(k)
+        if tok.text == "wp":
+            cur.expect("punct", "(")
+            inner = _ref_expr(cur, pres)
+            cur.expect("punct", ")")
+            return inner.wp()
+        name = tok.text
+        if not pres.has_gen(name):
+            raise SemanticError(f"unknown generator {name!r}")
+        if cur.accept("punct", "["):
+            shift = _ref_signed_int(cur)
+            cur.expect("punct", "]")
+            if not pres.spec(name).is_free:
+                raise SemanticError(f"generator {name!r} is not free; shifts need s(...)")
+            return pres.gen(name, shift)
+        return pres.gen(name)
+    raise ParseError(f"expected an expression, found {tok.text or 'end of input'!r}", tok.line, tok.column)
+
+
+def _ref_angle(cur: _RefCursor) -> CircleValue:
+    num = _ref_signed_int(cur)
+    if cur.accept("punct", "/"):
+        den = _ref_signed_int(cur)
+        if den == 0:
+            tok = cur.peek()
+            raise ParseError("zero denominator in angle", tok.line, tok.column)
+        return CircleValue(Fraction(num, den))
+    return CircleValue(Fraction(num))
+
+
+
+def reference_parse_document(text: str) -> Document:
+    cur = _RefCursor(reference_tokenize(text))
+    pres = Presentation.empty()
+    doc = Document(pres, source=text)
+
+    def current() -> Presentation:
+        return doc.presentation
+
+    while cur.peek().kind != "end":
+        tok = cur.expect("name")
+        word = tok.text
+        if word == "gen":
+            name_tok = cur.expect("name")
+            name = name_tok.text
+            if name in _REF_RESERVED:
+                raise SemanticError(f"generator name {name!r} is reserved")
+            kind = cur.expect("name")
+            if kind.text == "free":
+                doc.presentation, _ = current().with_free(name)
+            elif kind.text == "affine":
+                cur.expect("name", "linear")
+                cur.expect("punct", "=")
+                linear = _ref_expr(cur, current())
+                cur.expect("name", "const")
+                cur.expect("punct", "=")
+                const = _ref_expr(cur, current())
+                try:
+                    doc.presentation, _ = current().with_affine(name, linear, const)
+                except PresentationError as exc:
+                    raise SemanticError(str(exc)) from exc
+            else:
+                raise ParseError("expected 'free' or 'affine'", kind.line, kind.column)
+        elif word == "twisted":
+            cur.expect("name", "e1")
+            cur.expect("punct", "=")
+            e1 = _ref_expr(cur, current())
+            cur.expect("punct", ",")
+            cur.expect("name", "e2")
+            cur.expect("punct", "=")
+            e2 = _ref_expr(cur, current())
+            doc.twisted = (e1, e2)
+        elif word == "mult":
+            cur.expect("name", "e")
+            cur.expect("punct", "=")
+            e = _ref_expr(cur, current())
+            cur.expect("punct", ",")
+            cur.expect("name", "z")
+            cur.expect("punct", "=")
+            z = _ref_signed_int(cur)
+            doc.mult = (e, z)
+        elif word == "system":
+            cur.expect("name", "blocks")
+            blocks = [[cur.expect("name").text]]
+            while True:
+                if cur.accept("punct", ","):
+                    blocks[-1].append(cur.expect("name").text)
+                elif cur.accept("punct", "|"):
+                    blocks.append([cur.expect("name").text])
+                else:
+                    break
+            doc.blocks = blocks
+        elif word == "summand":
+            idx = int(cur.expect("int").text)
+            cur.expect("punct", "=")
+            doc.summands[idx] = _ref_expr(cur, current())
+        elif word == "rewrite":
+            idx = int(cur.expect("int").text)
+            cur.expect("punct", "=")
+            doc.rewrites[idx] = _ref_expr(cur, current())
+        elif word == "witness":
+            idx = int(cur.expect("int").text)
+            cur.expect("punct", "=")
+            doc.witnesses[idx] = _ref_expr(cur, current())
+        elif word == "target":
+            doc.target = _ref_expr(cur, current())
+        elif word == "assign":
+            elem = _ref_expr(cur, current())
+            cur.expect("punct", "=")
+            doc.assignments.append((elem, _ref_angle(cur)))
+        elif word == "query":
+            elem = _ref_expr(cur, current())
+            if cur.accept("name", "free"):
+                doc.queries.append((elem, None))
+            else:
+                cur.expect("punct", "=")
+                doc.queries.append((elem, _ref_angle(cur)))
+        elif word == "tuple":
+            elems = [_ref_expr(cur, current())]
+            while cur.accept("punct", ","):
+                elems.append(_ref_expr(cur, current()))
+            doc.tuple_elems = elems
+        elif word == "height":
+            doc.height = int(cur.expect("int").text)
+        elif word == "subfield":
+            names = [cur.expect("name").text]
+            while cur.accept("punct", ","):
+                names.append(cur.expect("name").text)
+            for n in names:
+                if not current().has_gen(n):
+                    raise SemanticError(f"unknown generator {n!r} in subfield")
+            doc.subfield = names
+        elif word == "torsor":
+            doc.torsor = _ref_expr(cur, current())
+        elif word in ("r12", "r13", "r23"):
+            cur.expect("punct", "=")
+            doc.r_values[word] = _ref_angle(cur)
+        elif word == "closure":
+            doc.closure = _ref_expr(cur, current())
+        else:
+            raise ParseError(f"unknown statement {word!r}", tok.line, tok.column)
+        cur.expect("punct", ";")
+    return doc

@@ -1,20 +1,29 @@
-"""Grammar round-trips, error positions, CLI exit codes, reproducibility."""
+"""Grammar round-trips, error positions, CLI exit codes, reproducibility, and
+the parser against its previous version (tests/conftest.py)."""
 
+import dataclasses
 import gc
+import importlib.util
 import json
 from pathlib import Path
 
 import pytest
-from conftest import run_cli
+from conftest import reference_parse_document, reference_tokenize, run_cli
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffield import cli
+from diffield.field import Element
 from diffield.parser import (
     ParseError,
     SemanticError,
     parse_document,
     print_element,
     print_presentation,
+    tokenize,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 DOC = """
 gen g free;
@@ -126,7 +135,7 @@ def test_cli_unreadable_input_exit_two(tmp_path):
 
 
 def test_cli_unwritable_output_exit_two(tmp_path):
-    job = Path(__file__).resolve().parents[1] / "jobs" / "torsor_over_closed_base.df"
+    job = ROOT / "jobs" / "torsor_over_closed_base.df"
     for out in (tmp_path / "missing" / "report.json", tmp_path):
         proc = _run_cli(["solve-sas", str(job), "--out", str(out)], tmp_path)
         assert proc.returncode == 2, proc.stderr
@@ -290,3 +299,189 @@ def test_cli_nsas_check(tmp_path):
     proc = _run_cli(["nsas-check", str(doc)], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "verified" in proc.stdout
+
+
+# -- the one-pass front end against the parser before it (tests/conftest.py)
+
+
+def _plain(value):
+    """Documents compared field by field; an element by its presentation and value."""
+    if isinstance(value, Element):
+        return ("element", value.pres, value.value)
+    if isinstance(value, (list, tuple)):
+        return type(value)(_plain(v) for v in value)
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    return value
+
+
+def _outcome(parse, text):
+    try:
+        doc = parse(text)
+    except ValueError as exc:  # ParseError, SemanticError and PresentationError alike
+        return (type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None))
+    return {f.name: _plain(getattr(doc, f.name)) for f in dataclasses.fields(doc)}
+
+
+def _tokens(tokenizer, text):
+    try:
+        return [tuple(tok) if isinstance(tok, tuple) else dataclasses.astuple(tok) for tok in tokenizer(text)]
+    except ParseError as exc:
+        return (str(exc), exc.line, exc.column)
+
+
+def assert_parses_like_the_reference(text):
+    assert _tokens(tokenize, text) == _tokens(reference_tokenize, text)
+    assert _outcome(parse_document, text) == _outcome(reference_parse_document, text)
+
+
+@pytest.mark.parametrize("job", sorted(p.name for p in (ROOT / "jobs").glob("*.df")))
+def test_job_documents_parse_like_the_reference(job):
+    assert_parses_like_the_reference((ROOT / "jobs" / job).read_text(encoding="utf-8"))
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("stream", ["decide", "characters"])
+def test_benchmark_documents_parse_like_the_reference(stream, seed):
+    workloads = _workloads()
+    for job in workloads.make_jobs(stream, seed, workloads.JOBS[stream]):
+        assert_parses_like_the_reference(job["doc"])
+
+
+PRELUDE = "gen g free;\ngen h free;\ngen a affine linear=g const=1;\n"
+_SPACES = st.sampled_from(["", " ", "  ", "\t", "\n", "\r\n", " # note\n"])
+_ATOMS = st.sampled_from(["g", "h", "a", "g[1]", "h[-1]", "g[ 0 ]", "g[+2]", "0", "1", "2", "17", "(g + 1)"])
+
+
+def _compound(inner):
+    binary = st.tuples(inner, _SPACES, st.sampled_from("+-*/"), _SPACES, inner).map("".join)
+    power = st.tuples(inner, st.integers(-2, 3)).map(lambda t: f"({t[0]})^{t[1]}")
+    sigma = st.tuples(inner, st.integers(-2, 2)).map(lambda t: f"s({t[0]}, {t[1]})")
+    return st.one_of(
+        binary,
+        power,
+        sigma,
+        inner.map(lambda e: f"-{e}"),
+        inner.map(lambda e: f"wp({e})"),
+        inner.map(lambda e: f"({e})"),
+    )
+
+
+EXPRS = st.recursive(_ATOMS, _compound, max_leaves=5)
+
+
+@st.composite
+def documents(draw):
+    """A prelude, statements over drawn expressions, and a generator added midway.
+
+    The same names occur before and after the added generator, so their
+    elements must move to the new presentation.
+    """
+    e = [draw(EXPRS) for _ in range(4)]
+    statements = [
+        f"summand 1 = {e[0]};",
+        f"target {e[1]};",
+        f"gen b affine linear=1 const={e[2]};",
+        f"assign {e[3]} = -1/3;",
+        f"query {e[0]} free;",
+        f"tuple {e[1]}, b;",
+        f"twisted e1 = {e[2]}, e2 = {e[3]};",
+        "mult e = g, z = -2;",
+    ]
+    picked = draw(st.lists(st.sampled_from(statements), min_size=1, max_size=5))
+    return PRELUDE + "\n".join(picked) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(documents())
+def test_drawn_documents_parse_like_the_reference(text):
+    assert_parses_like_the_reference(text)
+
+
+# Inserted characters: the grammar's own, whitespace, a comment, a letter and
+# a non-letter outside ASCII.  No digit outside ASCII: that is the one place
+# the two parsers differ on purpose (test_non_ascii_digits_are_unexpected).
+_INSERTED = st.sampled_from(list("[](),;=+-*/^|:#_ \t\r\n0123456789gshaw.!{$\\\"'") + ["é", "§", "free", "gen"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(documents(), st.data())
+def test_malformed_documents_fail_like_the_reference(text, data):
+    for _ in range(data.draw(st.integers(1, 3))):
+        # edits from the affine generator on, where the expressions are
+        i = data.draw(st.sampled_from(range(PRELUDE.index("gen a"), len(text) + 1)))
+        edit = data.draw(st.sampled_from(["delete", "insert", "replace", "truncate"]))
+        if edit == "truncate":
+            text = text[:i]
+        elif edit == "insert":
+            text = text[:i] + data.draw(_INSERTED) + text[i:]
+        else:
+            tail = text[i + 1 :]
+            text = text[:i] + (data.draw(_INSERTED) if edit == "replace" else "") + tail
+    assert_parses_like_the_reference(text)
+
+
+@pytest.mark.parametrize(
+    ("text", "line", "column", "message"),
+    [
+        # a comment takes no columns: the end of input is at its '#'
+        ("gen g free # trailing comment", 1, 12, "expected ';', found 'end of input'"),
+        # a tab is one column
+        ("gen g free;\n\ttarget\tg +;", 2, 12, "expected an expression, found ';'"),
+        # CRLF: the '\r' is a column of its line, the '\n' starts the next
+        ("gen g free;\r\ntarget g\r\n", 3, 1, "expected ';', found 'end of input'"),
+        ("gen g free;\r\ntarget g;\r\ntarget g \r", 3, 11, "expected ';', found 'end of input'"),
+        # errors past the second line
+        ("gen g free;\n\n\ngen h fre;", 4, 7, "expected 'free' or 'affine'"),
+        ("gen g free;\n# note\ntarget 1/(g - g);", 3, 10, "division by zero"),
+        ("gen g free;\ntarget g;\nassign g = 1/0;", 3, 15, "zero denominator in angle"),
+        ("gen g free;\ntarget g;\n\ntarget (g - g)^-1 ;", 4, 19, "zero to a negative power"),
+        ("gen g free;\ntarget g;\ntarget g @ 1;", 3, 10, "unexpected character '@'"),
+    ],
+)
+def test_error_positions_are_pinned(text, line, column, message):
+    for parse in (parse_document, reference_parse_document):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.line, err.value.column) == (line, column)
+        assert str(err.value) == f"syntax error at line {line}, column {column}: {message}"
+
+
+@pytest.mark.parametrize(
+    ("text", "line", "column", "char"),
+    [
+        ("gen g free;\ntwisted e1 = 1, e2 = ²;", 2, 22, "²"),
+        ("gen g free;\nmult e = g, z = ³;", 2, 17, "³"),
+        ("gen g free;\nsummand 1 = 1²;", 2, 14, "²"),
+        ("gen g free;\nheight ٣;", 2, 8, "٣"),
+    ],
+)
+def test_non_ascii_digits_are_unexpected(text, line, column, char):
+    with pytest.raises(ParseError) as err:
+        parse_document(text)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value).endswith(f"unexpected character {char!r}")
+
+
+def test_cli_non_ascii_digit_exit_two(tmp_path):
+    doc = tmp_path / "digit.df"
+    doc.write_text("gen g free;\nmult e = g, z = ³;\n", encoding="utf-8")
+    proc = _run_cli(["solve-mult", str(doc)], tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "input error: syntax error at line 2, column 17: unexpected character '³'\n"
+
+
+def test_each_atom_is_its_own_shift_over_the_current_presentation():
+    doc = parse_document("gen g free; target g; gen h free; summand 1 = g[1] - g; summand 2 = g[1] - g[1];")
+    pres = doc.presentation
+    assert doc.summands[1] == pres.gen("g", 1) - pres.gen("g")
+    assert doc.summands[2].is_zero()
+    assert doc.target.pres.names() == ("g",)
+    assert doc.summands[1].pres is pres

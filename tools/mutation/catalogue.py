@@ -27,7 +27,9 @@ RATFUNC = "src/diffield/ratfunc.py"
 TEST_PARAMS = "tests/test_params.py"
 TEST_POLY_RATFUNC = "tests/test_poly_ratfunc.py"
 TEST_SOLVER = "tests/test_solver.py"
+TEST_PARSER_CLI = "tests/test_parser_cli.py"
 FREEBASE = "src/diffield/freebase.py"
+PARSER = "src/diffield/parser.py"
 
 CATALOGUE: tuple[Mutant, ...] = (
     # -- the exact substrate: Henrici's forms and the substitution
@@ -201,5 +203,37 @@ CATALOGUE: tuple[Mutant, ...] = (
         "if var in lc.den.variables():",
         "if False:",
         (f"{TEST_PARAMS}::test_degree_split_agrees_with_the_reference",),
+    ),
+    # -- the parser's cursor and atom table; a quick failure goes first, since
+    #    pytest -x stops there before a cursor that never advances can loop
+    Mutant(
+        "atom table keyed by name only",
+        PARSER,
+        "key = (text, shift)",
+        "key = text",
+        (
+            f"{TEST_PARSER_CLI}::test_each_atom_is_its_own_shift_over_the_current_presentation",
+            f"{TEST_PARSER_CLI}::test_drawn_documents_parse_like_the_reference",
+        ),
+    ),
+    Mutant(
+        "atom table not reset when a gen statement adds a generator",
+        PARSER,
+        "if cur.atoms_pres is not pres:",
+        "if cur.atoms_pres is None:",
+        (
+            f"{TEST_PARSER_CLI}::test_each_atom_is_its_own_shift_over_the_current_presentation",
+            f"{TEST_PARSER_CLI}::test_drawn_documents_parse_like_the_reference",
+        ),
+    ),
+    Mutant(
+        "accept that never advances",
+        PARSER,
+        "if self.texts[self.pos] == text:\n            self.pos += 1\n            return True",
+        "if self.texts[self.pos] == text:\n            return True",
+        (
+            f"{TEST_PARSER_CLI}::test_shift_sugar_and_sigma_powers",
+            f"{TEST_PARSER_CLI}::test_job_documents_parse_like_the_reference",
+        ),
     ),
 )
