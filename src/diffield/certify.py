@@ -18,7 +18,6 @@ semi-decided; only specific families refute unboundedly).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .equations import (
@@ -31,13 +30,14 @@ from .equations import (
 from .field import Element, GeneratorSpec, Presentation
 from .freebase import FreeRefutation, decide_free_base, multiplicative_kernel
 from .params import LinComb
+from .record import record
 from .tower import _lincomb_coefficients, last_affine, peel, require_level_free
 
 
 # -- query forms ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RatioQuery:
     """sigma(y)/y = ratio, y != 0."""
 
@@ -47,7 +47,7 @@ class RatioQuery:
         return f"sigma(y)/y = {self.ratio}"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IntSet:
     """Symbolic set of integer exponents."""
 
@@ -74,7 +74,7 @@ class IntSet:
         return {"all": "z in Z", "nonzero": "z != 0"}[self.kind]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MultFamilyQuery:
     """sigma(y)/y = twist * base^z for every z in the exponent set."""
 
@@ -86,7 +86,7 @@ class MultFamilyQuery:
         return f"sigma(y)/y = ({self.twist})*({self.base})^z, {self.exponents}"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TwistedShiftFamily:
     """sigma(x) - e1*x = e2 + c for every c in the level below the top generator.
 
@@ -107,18 +107,18 @@ Query = Union[TwistedEquation, MultiplicativeEquation, RatioQuery, MultFamilyQue
 # -- certificate nodes -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RegistryHit:
     index: int
     description: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BaseRefutation:
     refutation: FreeRefutation
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FamilyBaseRefutation:
     """Uniform free-base argument for a whole exponent family.
 
@@ -131,7 +131,7 @@ class FamilyBaseRefutation:
     spot_checks: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DegreeObstruction:
     """A coefficient position the ansatz cannot reach is forced nonzero.
 
@@ -145,14 +145,14 @@ class DegreeObstruction:
     coefficient: Element
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Case:
     label: str
     derived: Optional[Query]
     node: "CertNode"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExtensionSplit:
     generator: str
     rule: str
@@ -163,7 +163,7 @@ class ExtensionSplit:
 CertNode = Union[RegistryHit, BaseRefutation, FamilyBaseRefutation, DegreeObstruction, ExtensionSplit]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Certificate:
     presentation: tuple[str, ...]
     query: str
@@ -173,13 +173,13 @@ class Certificate:
 # -- the avoided-family registry ------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RegistryEntry:
     query: Query
     certificate: Certificate
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AvoidedRegistry:
     pres: Presentation
     entries: tuple[RegistryEntry, ...]

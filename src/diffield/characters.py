@@ -18,7 +18,6 @@ relation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -26,6 +25,7 @@ from .certify import AvoidedRegistry, certify_unsolvable
 from .equations import SearchBounds, TwistedEquation, Unsolvable
 from .field import Element, Presentation
 from .ratfunc import CircleValue, express_in_span, linear_relations
+from .record import record
 from .systems import AdditiveEquation, Decomposition, SystemModel, pairwise_fixed_polynomials
 from .tower import fixed_space, span_basis
 
@@ -34,7 +34,7 @@ class CharacterError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Obstruction:
     """An integer relation whose angle sum cannot vanish."""
 
@@ -47,7 +47,7 @@ class Obstruction:
         return f"Obstruction({terms} = 0 but angles sum to {self.angle_sum.angle})"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CharacterTable:
     pres: Presentation
     entries: tuple[tuple[Element, CircleValue], ...]
@@ -168,7 +168,7 @@ def product_condition(
     }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HyperplaneWitness:
     coefficients: tuple[int, ...]
     value: Element  # the subfield element b with sum(z_i x_i) = b

@@ -19,7 +19,6 @@ two variants give opposite verdicts, so the refutation is not vacuous.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 from .certify import (
@@ -42,6 +41,7 @@ from .equations import (
 )
 from .field import Element, Presentation
 from .freebase import decide_free_base
+from .record import record
 from .systems import (
     AdditiveEquation,
     NotFoundWithinBounds,
@@ -105,7 +105,7 @@ def replay_registry(registry: AvoidedRegistry, parent: AvoidedRegistry | None) -
     )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ClosureStep:
     generator: str
     target: str
@@ -176,7 +176,7 @@ def closure_witness(pres: Presentation) -> str | None:
     )
 
 
-@dataclass
+@record
 class Height4Instance:
     model: SystemModel
     equation: AdditiveEquation
@@ -288,13 +288,13 @@ def derived_equations(cert: Certificate) -> list[str]:
 # -- the parametric refutation chain ---------------------------------------------------
 
 
-@dataclass
+@record
 class ChainStep:
     title: str
     detail: str
 
 
-@dataclass
+@record
 class RefutationReport:
     bounded: Any
     steps: list[ChainStep]
@@ -405,7 +405,7 @@ def refute_ff_decomposition(
     return RefutationReport(bounded, steps, side_certs, "refuted")
 
 
-@dataclass
+@record
 class CounterexampleReport:
     """Everything the pipeline established, in verifiable form."""
 

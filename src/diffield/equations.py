@@ -14,17 +14,17 @@ certificate.  Bounded exhaustion is a result, not an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 from .field import Element
+from .record import record
 
 
 class UnsupportedCoefficientShape(ValueError):
     """Equation coefficients fall outside the class the solver covers."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TwistedEquation:
     """sigma(x) - e1*x = e2."""
 
@@ -46,7 +46,7 @@ class TwistedEquation:
         return f"sigma(x) - ({self.e1})*x = {self.e2}"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MultiplicativeEquation:
     """sigma(x) = e^z * x, solutions sought among nonzero elements."""
 
@@ -69,7 +69,7 @@ class MultiplicativeEquation:
         return f"sigma(x) = ({self.e})^{self.z} * x"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SearchBounds:
     """Ansatz size limits: total degree and free-generator shift window."""
 
@@ -81,7 +81,7 @@ class SearchBounds:
             raise ValueError("bounds must be nonnegative")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Solution:
     witness: Element
 
@@ -89,7 +89,7 @@ class Solution:
         return f"Solution({self.witness})"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NoSolutionWithinBounds:
     bounds: SearchBounds
 
@@ -97,7 +97,7 @@ class NoSolutionWithinBounds:
         return f"NoSolutionWithinBounds(degree={self.bounds.degree}, window={self.bounds.window})"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Unsolvable:
     certificate: Any
 
@@ -105,7 +105,7 @@ class Unsolvable:
         return "Unsolvable(certificate)"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Unknown:
     reason: str
 

@@ -16,25 +16,25 @@ canonical forms comparable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterable
 
 from .poly import MPoly, VarId
 from .ratfunc import RatFunc, substitute_polys
+from .record import record
 
 
 class PresentationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FreeSpec:
     """A transformally transcendental generator."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AffineSpec:
     """Rule sigma(a) = linear*a + constant over earlier generators."""
 
@@ -42,7 +42,7 @@ class AffineSpec:
     constant: RatFunc
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GeneratorSpec:
     index: int
     name: str
@@ -53,7 +53,7 @@ class GeneratorSpec:
         return isinstance(self.kind, FreeSpec)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Presentation:
     """Immutable generator list; the base field is Q.
 
@@ -135,7 +135,7 @@ class Presentation:
 
     @cached_property
     def _by_name(self) -> dict[str, GeneratorSpec]:
-        """The first generator of each name, kept outside the dataclass fields."""
+        """The first generator of each name, kept outside the record fields."""
         out: dict[str, GeneratorSpec] = {}
         for g in self.gens:
             out.setdefault(g.name, g)

@@ -34,7 +34,6 @@ both equation shapes, and a refutation record reports its fields.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
 from .equations import (
@@ -50,11 +49,12 @@ from .linalg import Infeasible
 from .params import LinComb, ParamContext
 from .poly import MPoly, VarId, divexact, poly_gcd
 from .ratfunc import RatFunc
+from .record import record
 
 _ANSATZ_LIMIT = 20000
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class WindowBound:
     lo: int
     hi: int
@@ -66,7 +66,7 @@ class WindowBound:
         return 0 if self.is_empty() else self.hi - self.lo + 1
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FreeRefutation:
     """Replayable record of a free-base unsolvability decision."""
 
@@ -181,7 +181,7 @@ def _monomials(vars_: Sequence[VarId], max_deg: int) -> list[MPoly]:
     return monos
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Ansatz:
     """The finite search for x = Y/A: Y a combination of the monomials over A.
 

@@ -17,16 +17,20 @@ is one column), and a comment takes no columns, so an end of input after a
 trailing comment is at its ``#``.  Integers are ASCII digits only.
 
 Errors carry positions: syntax problems report line and column, semantic
-problems name the offending generator.
+problems name the offending generator.  Expressions nest at most
+``MAX_NESTING`` levels, and an integer literal has at most the digits that
+``int`` converts (``sys.get_int_max_str_digits()``); past either limit the
+error is a syntax error at the token that crosses it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import sys
 from fractions import Fraction
 
 from .field import Element, Presentation, PresentationError
 from .ratfunc import CircleValue, RatFunc
+from .record import field, record
 
 
 class ParseError(ValueError):
@@ -45,10 +49,16 @@ _PUNCT = frozenset("[](),;=+-*/^|:")
 _DIGITS = frozenset("0123456789")
 # Characters that continue a name; a non-ASCII one continues it when isalnum.
 _WORD = frozenset("_0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+# The deepest nesting of expressions (parentheses, s(...), wp(...)) and unary
+# minus signs in one expression.  A level of parentheses takes four frames of
+# the recursive descent, so parsing stays well inside the recursion limit.
+MAX_NESTING = 100
 
 
 def tokenize(text: str) -> list[tuple[str, str, int, int]]:
     tokens: list[tuple[str, str, int, int]] = []
+    # int() refuses a literal of more digits (0: no limit, as before Python 3.10.7)
+    max_digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     append = tokens.append
     line, start = 1, 0  # start: the index of the line's first character
     i, n = 0, len(text)
@@ -66,6 +76,8 @@ def tokenize(text: str) -> list[tuple[str, str, int, int]]:
             j = i + 1
             while j < n and text[j] in _DIGITS:
                 j += 1
+            if j - i > max_digits > 0:
+                raise ParseError(f"integer literal of {j - i} digits is too long", line, i - start + 1)
             append(("int", text[i:j], line, i - start + 1))
             i = j
         elif ch == "_" or ch.isalpha():
@@ -93,14 +105,16 @@ class _Cursor:
     a name or an int, and the "end" token's empty text is never asked for.
     ``atoms`` holds the element of each ``(name, shift)`` over the
     presentation ``atoms_pres``, and is emptied when the presentation changes.
+    ``depth`` counts the open levels of nesting, at most ``MAX_NESTING``.
     """
 
-    __slots__ = ("tokens", "texts", "pos", "atoms", "atoms_pres")
+    __slots__ = ("tokens", "texts", "pos", "depth", "atoms", "atoms_pres")
 
     def __init__(self, tokens: list[tuple[str, str, int, int]]):
         self.tokens = tokens
         self.texts = [tok[1] for tok in tokens]
         self.pos = 0
+        self.depth = 0
         self.atoms: dict[tuple[str, int], Element] = {}
         self.atoms_pres: Presentation | None = None
 
@@ -127,11 +141,23 @@ class _Cursor:
         self.pos += 1
         return tok[1]
 
+    def too_deep(self) -> ParseError:
+        """The error for one more level of nesting than ``MAX_NESTING``.
+
+        ``_expr`` and a unary minus check and count ``depth`` inline: a
+        method call per expression would cost parsing a few percent.
+        """
+        _, _, line, column = self.tokens[self.pos]
+        return ParseError(f"expression nested deeper than {MAX_NESTING} levels", line, column)
+
 
 _RESERVED = {"s", "wp", "free", "affine", "gen", "linear", "const"}
 
 
 def _expr(cur: _Cursor, pres: Presentation) -> Element:
+    if cur.depth == MAX_NESTING:
+        raise cur.too_deep()
+    cur.depth += 1
     total = _term(cur, pres)
     texts = cur.texts
     while True:
@@ -143,6 +169,7 @@ def _expr(cur: _Cursor, pres: Presentation) -> Element:
             cur.pos += 1
             total = total - _term(cur, pres)
         else:
+            cur.depth -= 1
             return total
 
 
@@ -167,7 +194,12 @@ def _term(cur: _Cursor, pres: Presentation) -> Element:
 
 def _factor(cur: _Cursor, pres: Presentation) -> Element:
     if cur.accept("-"):
-        return -_factor(cur, pres)
+        if cur.depth == MAX_NESTING:
+            raise cur.too_deep()
+        cur.depth += 1
+        negated = -_factor(cur, pres)
+        cur.depth -= 1
+        return negated
     base = _atom(cur, pres)
     if cur.accept("^"):
         expo = _signed_int(cur)
@@ -241,7 +273,7 @@ def _angle(cur: _Cursor) -> CircleValue:
     return CircleValue(Fraction(num))
 
 
-@dataclass
+@record
 class Document:
     """A parsed job document: a presentation plus typed statements."""
 

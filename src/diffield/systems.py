@@ -24,7 +24,6 @@ runs are reproducible bit-exactly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -35,6 +34,7 @@ from .linalg import Infeasible
 from .params import LinComb, ParamContext
 from .poly import MPoly, VarId
 from .ratfunc import PoleError
+from .record import record
 from .tower import fixed_candidates, require_fixed, solve_twisted_bounded, span_basis
 
 
@@ -56,7 +56,7 @@ class WitnessUnavailable(RuntimeError):
         super().__init__(f"witness unavailable at T_{{{target}}} in corner {names}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SystemModel:
     """Corner fields realized by generator blocks over a base presentation."""
 
@@ -88,7 +88,7 @@ class SystemModel:
     @cached_property
     def _index_sets(self) -> dict[int, frozenset[int]]:
         """Generator index -> assigned index set, empty for the base (a memo
-        outside the dataclass fields, unseen by equality, hashing and repr)."""
+        outside the record fields, unseen by equality, hashing and repr)."""
         amap = self.assignment_map()
         return {g.index: amap.get(g.name, frozenset()) for g in self.pres.gens}
 
@@ -187,7 +187,7 @@ def build_system(base: Presentation, blocks: Sequence[Sequence[tuple]]) -> Syste
     return model
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AdditiveEquation:
     """Zero-sum family b_i, the i-th summand avoiding block i."""
 
@@ -518,7 +518,7 @@ def ff_decompose_with_witnesses(
     return model, dec
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NotFoundWithinBounds:
     bounds: SearchBounds
 

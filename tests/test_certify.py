@@ -1,6 +1,5 @@
 """Certificates: case analyses, registry matching, replay, reductions."""
 
-import dataclasses
 import random
 import re
 
@@ -245,8 +244,9 @@ def renaming(source, target):
             return token.sub(lambda m: names[m.group()], obj)
         if isinstance(obj, tuple):
             return tuple(map(rename, obj))
-        if dataclasses.is_dataclass(obj):
-            return type(obj)(**{f.name: rename(getattr(obj, f.name)) for f in dataclasses.fields(obj)})
+        fields = getattr(type(obj), "__match_args__", None)
+        if fields is not None:  # a record: rebuilt field by field
+            return type(obj)(**{name: rename(getattr(obj, name)) for name in fields})
         return obj
 
     return rename

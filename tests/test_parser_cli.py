@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from diffield import cli
 from diffield.field import Element
 from diffield.parser import (
+    MAX_NESTING,
     ParseError,
     SemanticError,
     parse_document,
@@ -320,7 +322,7 @@ def _outcome(parse, text):
         doc = parse(text)
     except ValueError as exc:  # ParseError, SemanticError and PresentationError alike
         return (type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None))
-    return {f.name: _plain(getattr(doc, f.name)) for f in dataclasses.fields(doc)}
+    return {name: _plain(getattr(doc, name)) for name in type(doc).__match_args__}
 
 
 def _tokens(tokenizer, text):
@@ -477,6 +479,53 @@ def test_cli_non_ascii_digit_exit_two(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == "input error: syntax error at line 2, column 17: unexpected character '³'\n"
 
+
+# Inputs past the parser's limits: nesting deeper than MAX_NESTING, and an
+# integer literal longer than int() converts (no limit before Python 3.10.7).
+DEEP = "gen g free;\ntarget " + "(" * 2000 + "g" + ")" * 2000 + ";\n"
+NEGATED = "gen g free;\ntarget " + "-" * 3000 + "g;\n"
+DIGITS = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+LONG = "1" * (DIGITS + 1)
+TOO_LONG = f"integer literal of {DIGITS + 1} digits is too long"
+NESTED = f"expression nested deeper than {MAX_NESTING} levels"
+needs_digit_limit = pytest.mark.skipif(DIGITS == 0, reason="the interpreter converts integers of any length")
+
+
+@pytest.mark.parametrize(
+    ("text", "line", "column", "message"),
+    [
+        # the (MAX_NESTING + 1)-th opening, after "target " on line 2
+        (DEEP, 2, 8 + MAX_NESTING, NESTED),
+        (NEGATED, 2, 8 + MAX_NESTING, NESTED),
+        ("gen g free;\ntarget g;\ntarget 1 + " + "wp(" * 150 + "g" + ")" * 150 + ";", 3, 12 + 3 * MAX_NESTING, NESTED),
+        pytest.param(f"gen g free;\nheight {LONG};", 2, 8, TOO_LONG, marks=needs_digit_limit),
+        pytest.param(f"gen g free;\ntarget g + {LONG};", 2, 12, TOO_LONG, marks=needs_digit_limit),
+        pytest.param(f"gen g free;\nmult e = g, z = -{LONG};", 2, 18, TOO_LONG, marks=needs_digit_limit),
+    ],
+    ids=["parentheses", "minus", "wp", "height", "term", "exponent"],
+)
+def test_deep_nesting_and_long_literals_are_positioned_parse_errors(text, line, column, message):
+    with pytest.raises(ParseError) as err:
+        parse_document(text)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value) == f"syntax error at line {line}, column {column}: {message}"
+
+
+def test_nesting_up_to_the_limit_parses_like_the_reference():
+    depth = MAX_NESTING - 1  # the statement's expression is the first level
+    assert_parses_like_the_reference("gen g free;\ntarget " + "(" * depth + "g" + ")" * depth + ";\n")
+    assert_parses_like_the_reference("gen g free;\ntarget " + "-" * depth + "g;\n")
+
+
+@needs_digit_limit
+def test_cli_deep_or_long_input_exit_two(tmp_path):
+    for name, text in (("deep", DEEP), ("negated", NEGATED), ("long", f"gen g free;\nheight {LONG};\n")):
+        doc = tmp_path / f"{name}.df"
+        doc.write_text(text)
+        proc = _run_cli(["solve-sas", str(doc)], tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("input error: syntax error at line 2, column "), proc.stderr
+        assert "Traceback" not in proc.stderr
 
 def test_each_atom_is_its_own_shift_over_the_current_presentation():
     doc = parse_document("gen g free; target g; gen h free; summand 1 = g[1] - g; summand 2 = g[1] - g[1];")

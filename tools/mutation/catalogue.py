@@ -30,6 +30,8 @@ TEST_SOLVER = "tests/test_solver.py"
 TEST_PARSER_CLI = "tests/test_parser_cli.py"
 FREEBASE = "src/diffield/freebase.py"
 PARSER = "src/diffield/parser.py"
+RECORD = "src/diffield/record.py"
+TEST_RECORD = "tests/test_record.py"
 
 CATALOGUE: tuple[Mutant, ...] = (
     # -- the exact substrate: Henrici's forms and the substitution
@@ -235,5 +237,20 @@ CATALOGUE: tuple[Mutant, ...] = (
             f"{TEST_PARSER_CLI}::test_shift_sugar_and_sigma_powers",
             f"{TEST_PARSER_CLI}::test_job_documents_parse_like_the_reference",
         ),
+    ),
+    # -- value records against dataclasses.dataclass
+    Mutant(
+        "record equality without its class check",
+        RECORD,
+        "if other.__class__ is self.__class__:",
+        "if True:",
+        (f"{TEST_RECORD}::test_equality_holds_within_one_class_only",),
+    ),
+    Mutant(
+        "record hash over the first field only",
+        RECORD,
+        "return hash(values(self))",
+        "return hash(values(self)[:1])",
+        (f"{TEST_RECORD}::test_construction_repr_and_hash_match_dataclasses",),
     ),
 )
