@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import gcd as int_gcd, lcm
 from typing import Mapping, Sequence
 
-from .poly import Coeff, as_rational
+from .poly import Coeff, as_rational, coeff_str
 
 Row = list[Coeff]
 
@@ -120,7 +120,7 @@ class Echelon:
             const -= factor * pconst
         if not row:
             if const:
-                raise Infeasible(f"constant residue {const} cannot vanish")
+                raise Infeasible(f"constant residue {coeff_str(const)} cannot vanish")
             return False
         col = min(row)
         g = int_gcd(*row.values(), const)

@@ -20,7 +20,9 @@ Errors carry positions: syntax problems report line and column, semantic
 problems name the offending generator.  Expressions nest at most
 ``MAX_NESTING`` levels, and an integer literal has at most the digits that
 ``int`` converts (``sys.get_int_max_str_digits()``); past either limit the
-error is a syntax error at the token that crosses it.
+error is a syntax error at the token that crosses it.  A power whose
+expansion is estimated at more than ``MAX_POWER_TERMS`` terms is a syntax
+error at its ``^``.
 """
 
 from __future__ import annotations
@@ -53,6 +55,9 @@ _WORD = frozenset("_0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWX
 # minus signs in one expression.  A level of parentheses takes four frames of
 # the recursive descent, so parsing stays well inside the recursion limit.
 MAX_NESTING = 100
+# The most terms a power may expand to, estimated before it is taken: a base
+# of t terms to the n-th power has at most C(n + t - 1, t - 1) of them.
+MAX_POWER_TERMS = 2000
 
 
 def tokenize(text: str) -> list[tuple[str, str, int, int]]:
@@ -202,10 +207,18 @@ def _factor(cur: _Cursor, pres: Presentation) -> Element:
         return negated
     base = _atom(cur, pres)
     if cur.accept("^"):
+        hat = cur.pos - 1
         expo = _signed_int(cur)
         if expo < 0 and base.is_zero():
             _, _, line, column = cur.tokens[cur.pos]
             raise ParseError("zero to a negative power", line, column)
+        terms = max(len(base.value.num.terms), len(base.value.den.terms))
+        est = 1
+        for i in range(1, terms):
+            est = est * (abs(expo) + i) // i
+            if est > MAX_POWER_TERMS:
+                _, _, line, column = cur.tokens[hat]
+                raise ParseError(f"power estimated at over {MAX_POWER_TERMS} terms", line, column)
         return base**expo
     return base
 

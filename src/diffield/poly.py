@@ -4,7 +4,8 @@ Variables are shift-indexed: a :class:`VarId` names a generator together with
 an integer shift (the k-th image of the generator under the field
 automorphism).  Variables are totally ordered by generator declaration index,
 then shift; monomials are compared in graded lexicographic order with respect
-to that variable order, which fixes canonical forms everywhere downstream.
+to that variable order (:func:`MONO_KEY`, a sort key of plain tuples compared
+in C), which fixes canonical forms everywhere downstream.
 
 A polynomial is a mapping from monomials to nonzero rational coefficients.
 A coefficient is a :data:`Coeff`: an ``int`` when it is integral, otherwise a
@@ -14,15 +15,19 @@ runs on Python ints.  ``Fraction(3) == 3``, ``hash(Fraction(3)) == hash(3)``
 and ``str(Fraction(3)) == "3"``, so equality, hashing and printing cannot see
 the type.  A monomial is a tuple of ``(VarId, exponent)`` pairs, sorted by
 variable, with every exponent positive.  The zero polynomial has no terms.
+
+:func:`poly_gcd` runs Knuth's primitive PRS (TAOCP vol. 2, 4.6.1) on integer
+term dicts ``{monomial: int}``, cleared of denominators once; it builds one
+MPoly of the result.  :func:`coeff_str` prints a coefficient, also an int past
+Python's digit limit on int-to-str conversion.
 """
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Collection, Mapping
+from typing import Mapping
 
 Coeff = int | Fraction
 """A coefficient: an ``int`` when integral, else a ``Fraction`` with denominator > 1."""
@@ -46,6 +51,20 @@ def as_rational(c) -> Coeff:
     if isinstance(c, int):  # bool and other int subclasses
         return int(c)
     raise TypeError(f"expected an int or a Fraction, got {type(c).__name__} {c!r}")
+
+
+def coeff_str(c: Coeff) -> str:
+    """``str(c)``, also for an int past Python's digit limit on int-to-str conversion."""
+    try:
+        return str(c)
+    except ValueError:
+        if type(c) is not int:
+            return f"{coeff_str(c.numerator)}/{coeff_str(c.denominator)}"
+    chunk, low_digits, n = 10**1000, [], abs(c)
+    while n >= chunk:
+        n, low = divmod(n, chunk)
+        low_digits.append(str(low).zfill(1000))
+    return ("-" if c < 0 else "") + str(n) + "".join(reversed(low_digits))
 
 
 class VarId(tuple):
@@ -118,33 +137,21 @@ def mono_div(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(out.items()))
 
 
-def mono_cmp(a: Monomial, b: Monomial) -> int:
-    """Graded lexicographic comparison (positive when a > b)."""
-    da, db = mono_degree(a), mono_degree(b)
-    if da != db:
-        return 1 if da > db else -1
-    ia, ib = 0, 0
-    while ia < len(a) and ib < len(b):
-        va, ea = a[ia]
-        vb, eb = b[ib]
-        if va == vb:
-            if ea != eb:
-                # Same leading variable: larger exponent is lex-larger.
-                return 1 if ea > eb else -1
-            ia += 1
-            ib += 1
-        elif va < vb:
-            return 1  # a has the earlier variable with positive exponent
-        else:
-            return -1
-    if ia < len(a):
-        return 1
-    if ib < len(b):
-        return -1
-    return 0
+def MONO_KEY(m: Monomial) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """Sort key of the graded lexicographic order: the larger key, the larger monomial.
 
-
-MONO_KEY = functools.cmp_to_key(mono_cmp)
+    The degree, then ``(-index, -shift, exponent)`` per factor in variable
+    order: the earlier variable and, on one variable, the larger exponent
+    win, and a proper prefix loses.  ``(index, shift)`` stands for the whole
+    VarId because one index names one generator: ``Presentation.validate``
+    refuses a duplicate index and ``check_value`` a variable named otherwise.
+    """
+    deg = 0
+    out = []
+    for (i, s, _), e in m:
+        deg += e
+        out.append((-i, -s, e))
+    return deg, tuple(out)
 
 
 def mono_shift(m: Monomial, k: int) -> Monomial:
@@ -219,13 +226,12 @@ class MPoly:
         return d
 
     def leading_monomial(self) -> Monomial:
-        if not self.terms:
+        t = self.terms
+        if len(t) == 1:  # no key to compute
+            return next(iter(t))
+        if not t:
             raise ValueError("zero polynomial has no leading monomial")
-        best = None
-        for m in self.terms:
-            if best is None or mono_cmp(m, best) > 0:
-                best = m
-        return best
+        return max(t, key=MONO_KEY)
 
     def leading_coefficient(self) -> Coeff:
         return self.terms[self.leading_monomial()]
@@ -236,7 +242,8 @@ class MPoly:
         return MPoly({m: c for m, c in self.terms.items() if mono_degree(m) == d})
 
     def sorted_terms(self) -> list[tuple[Monomial, Coeff]]:
-        return sorted(self.terms.items(), key=lambda p: MONO_KEY(p[0]), reverse=True)
+        t = self.terms
+        return [(m, t[m]) for m in sorted(t, key=MONO_KEY, reverse=True)]
 
     # -- arithmetic ---------------------------------------------------------
     #
@@ -283,17 +290,8 @@ class MPoly:
             return self.scale(b[ONE_MONO])
         if len(a) == 1 and ONE_MONO in a:
             return other.scale(a[ONE_MONO])
-        out: dict[Monomial, Coeff] = {}
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                m = mono_mul(ma, mb)
-                s = out.get(m, 0) + ca * cb
-                if s:
-                    out[m] = as_rational(s) if type(s) is Fraction else s
-                else:
-                    out.pop(m, None)
         p = MPoly.__new__(MPoly)
-        p.terms = out
+        p.terms = _mul_into({}, a, b)
         p._hash = None
         return p
 
@@ -365,18 +363,13 @@ class MPoly:
             return "0"
         parts = []
         for m, c in self.sorted_terms():
+            body = "*".join(repr(v) if e == 1 else f"{v!r}^{e}" for v, e in m)
             if m == ONE_MONO:
-                body = str(c)
-            else:
-                factors = []
-                for v, e in m:
-                    factors.append(repr(v) if e == 1 else f"{v!r}^{e}")
-            # coefficient formatting
-                body = "*".join(factors)
-                if c == -1:
-                    body = "-" + body
-                elif c != 1:
-                    body = f"{c}*{body}"
+                body = coeff_str(c)
+            elif c == -1:
+                body = "-" + body
+            elif c != 1:
+                body = f"{coeff_str(c)}*{body}"
             parts.append(body)
         out = parts[0]
         for part in parts[1:]:
@@ -385,6 +378,49 @@ class MPoly:
 
 
 # -- division and gcd ---------------------------------------------------------
+#
+# By Gauss's lemma an exact quotient of an integer polynomial by an
+# integer-primitive one is integral, and a product of integer-primitive
+# polynomials is integer-primitive: the gcd kernel's steps stay in int.
+
+
+def _mul_into(out: dict, a: Mapping[Monomial, Coeff], b: Mapping[Monomial, Coeff]) -> dict:
+    """out + a*b over term dicts, written into out; a Fraction sum is put back in coefficient form."""
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = mono_mul(ma, mb)
+            s = out.get(m, 0) + ca * cb
+            if s:
+                out[m] = as_rational(s) if type(s) is Fraction else s
+            else:
+                out.pop(m, None)
+    return out
+
+
+def _divide(a: dict, b: dict, quo) -> dict:
+    """The exact quotient of term dicts a / b, with ``quo`` dividing coefficients.
+
+    ValueError when a leading monomial of the remainder is not a multiple
+    of b's; an inexact ``quo`` is the caller's to rule out.
+    """
+    lm_b = max(b, key=MONO_KEY)
+    lc_b = b[lm_b]
+    rest = [(m, c) for m, c in b.items() if m != lm_b]
+    rem, out = dict(a), {}
+    while rem:
+        lm = max(rem, key=MONO_KEY)
+        if not mono_divides(lm_b, lm):
+            raise ValueError("inexact polynomial division")
+        m = mono_div(lm, lm_b)
+        c = out[m] = quo(rem.pop(lm), lc_b)
+        for mb, cb in rest:
+            mm = mono_mul(m, mb)
+            s = rem.get(mm, 0) - c * cb
+            if s:
+                rem[mm] = s
+            else:
+                del rem[mm]
+    return out
 
 
 def divexact(a: MPoly, b: MPoly) -> MPoly:
@@ -395,108 +431,25 @@ def divexact(a: MPoly, b: MPoly) -> MPoly:
         return MPoly()
     if b.is_constant():
         return a.scale(Q1 / b.constant_value())
-    quot: dict[Monomial, Coeff] = {}
-    rem = a
-    lm_b = b.leading_monomial()
-    lc_b = b.terms[lm_b]
-    while not rem.is_zero():
-        lm_r = rem.leading_monomial()
-        if not mono_divides(lm_b, lm_r):
-            raise ValueError("inexact polynomial division")
-        m = mono_div(lm_r, lm_b)
-        c = as_rational(Fraction(rem.terms[lm_r]) / lc_b)
-        quot[m] = c
-        rem = rem - MPoly({m: c}) * b
-    return MPoly(quot)
+    return MPoly(_divide(a.terms, b.terms, lambda x, y: as_rational(Fraction(x) / y)))
+
+
+def _univar(t: Mapping[Monomial, Coeff], v: VarId) -> dict[int, dict[Monomial, Coeff]]:
+    """Term dict t as {degree in v: term dict free of v}."""
+    out: dict[int, dict[Monomial, Coeff]] = {}
+    for m, c in t.items():
+        for i, (w, e) in enumerate(m):
+            if w == v:
+                out.setdefault(e, {})[m[:i] + m[i + 1 :]] = c
+                break
+        else:
+            out.setdefault(0, {})[m] = c
+    return out
 
 
 def to_univar(p: MPoly, v: VarId) -> dict[int, MPoly]:
     """View p as a polynomial in v with coefficients free of v."""
-    out: dict[int, dict[Monomial, Coeff]] = {}
-    for m, c in p.terms.items():
-        deg = 0
-        rest: list[tuple[VarId, int]] = []
-        for w, e in m:
-            if w == v:
-                deg = e
-            else:
-                rest.append((w, e))
-        out.setdefault(deg, {})[tuple(rest)] = c
-    return {d: MPoly(t) for d, t in out.items()}
-
-
-def _from_univar(coeffs: dict[int, MPoly], v: VarId) -> MPoly:
-    vp = MPoly.var(v)
-    result = MPoly()
-    for d in sorted(coeffs):
-        result = result + coeffs[d] * vp**d
-    return result
-
-
-def _univar_degree(coeffs: dict[int, MPoly]) -> int:
-    degs = [d for d, c in coeffs.items() if not c.is_zero()]
-    return max(degs) if degs else -1
-
-
-def _prem(a: dict[int, MPoly], b: dict[int, MPoly]) -> dict[int, MPoly]:
-    """Pseudo-remainder of a by b, viewed univariately (b nonzero)."""
-    da, db = _univar_degree(a), _univar_degree(b)
-    lb = b[db]
-    r = dict(a)
-    while True:
-        dr = _univar_degree(r)
-        if dr < db:
-            return r
-        lr = r[dr]
-        # r := lb*r - lr * x^(dr-db) * b
-        new: dict[int, MPoly] = {}
-        for d, c in r.items():
-            new[d] = c * lb
-        for d, c in b.items():
-            t = c * lr
-            nd = d + dr - db
-            new[nd] = new.get(nd, MPoly()) - t
-        r = {d: c for d, c in new.items() if not c.is_zero()}
-        if not r:
-            return r
-
-
-def _int_primitive(p: MPoly) -> MPoly:
-    """Rescale to integer coefficients with gcd 1 and positive leading sign.
-
-    Keeping every intermediate of the PRS integer-primitive is what keeps the
-    integer sizes at subresultant scale instead of exploding through Fraction
-    normalization.
-    """
-    if p.is_zero():
-        return p
-    q = p.scale(_int_content_scale(p.terms.values()))
-    if q.leading_coefficient() < 0:
-        q = q.scale(-1)
-    return q
-
-
-def _int_content_scale(coeffs: Collection[Coeff]) -> Fraction:
-    """Positive s making s*coeffs integers with gcd 1 (1 when all are 0).
-
-    s is the lcm of the denominators over the gcd of the cleared numerators.
-    """
-    den = 1
-    for c in coeffs:
-        den = lcm(den, c.denominator)
-    num = 0
-    for c in coeffs:
-        num = gcd(num, c.numerator * (den // c.denominator))
-    return Fraction(den, num) if num else Q1
-
-
-def _content(coeffs: dict[int, MPoly]) -> MPoly:
-    g = MPoly()
-    for c in coeffs.values():
-        g = _gcd_primitive(g, c)
-        if g.is_constant() and not g.is_zero():
-            break
-    return g if not g.is_zero() else MPoly.const(1)
+    return {d: MPoly(t) for d, t in _univar(p.terms, v).items()}
 
 
 def _monic(p: MPoly) -> MPoly:
@@ -506,60 +459,120 @@ def _monic(p: MPoly) -> MPoly:
 
 
 def poly_gcd(a: MPoly, b: MPoly) -> MPoly:
-    """Monic gcd in Q[variables] via the primitive Euclidean algorithm."""
-    return _monic(_gcd_primitive(a, b))
+    """Monic gcd in Q[variables]: the primitive Euclidean algorithm of ``_gcd_primitive``."""
+    ta, tb = a.terms, b.terms
+    if not ta or not tb:
+        return _monic(b if not ta else a)
+    if len(ta) == 1 or len(tb) == 1:  # a cheap exit: a monomial, already monic
+        return MPoly(_gcd_primitive(ta, tb))
+    return _monic(MPoly(_gcd_primitive(_cleared(ta), _cleared(tb))))
 
 
-def _gcd_primitive(a: MPoly, b: MPoly) -> MPoly:
-    if a.is_zero():
-        return _int_primitive(b)
-    if b.is_zero():
-        return _int_primitive(a)
-    if a.is_constant() or b.is_constant():
-        return MPoly.const(1)
-    if len(a.terms) == 1:
+def _cleared(t: Mapping[Monomial, Coeff]) -> dict[Monomial, int]:
+    """t times the lcm of its denominators: an integer term dict."""
+    den = lcm(*[c.denominator for c in t.values()])
+    return t if den == 1 else {m: c.numerator * (den // c.denominator) for m, c in t.items()}
+
+
+def _stripped(t: dict[Monomial, int]) -> dict[Monomial, int]:
+    """t over the gcd of its coefficients: integer-primitive, sign kept."""
+    k = gcd(*t.values())
+    return t if k == 1 else {m: c // k for m, c in t.items()}
+
+
+def _gcd_primitive(a: dict[Monomial, int], b: dict[Monomial, int]) -> dict[Monomial, int]:
+    """The gcd of nonzero integer term dicts: integer-primitive, positive leading coefficient.
+
+    Knuth's primitive PRS (TAOCP vol. 2, 4.6.1) in the variable of least
+    combined degree, over the contents in the other variables.  A constant
+    or one-term side may have any coefficients: its exit does not read them.
+    """
+    if (len(a) == 1 and ONE_MONO in a) or (len(b) == 1 and ONE_MONO in b):
+        return {ONE_MONO: 1}
+    if len(a) == 1:
         return _monomial_gcd(a, b)
-    if len(b.terms) == 1:
+    if len(b) == 1:
         return _monomial_gcd(b, a)
-    a = _int_primitive(a)
-    b = _int_primitive(b)
-    avars = a.variables()
-    bvars = b.variables()
-    v = _main_variable(a, b, avars | bvars)
-    if v not in avars:
+    a, b = _stripped(a), _stripped(b)
+    da, db = _degrees(a), _degrees(b)
+    # Fewest pseudo-division rounds and least coefficient growth.
+    v = min(da.keys() | db.keys(), key=lambda v: (da.get(v, 0) + db.get(v, 0), v))
+    if v not in da:
         # gcd divides a, which is free of v: reduce b to its v-content.
-        return _gcd_primitive(a, _content(to_univar(b, v)))
-    if v not in bvars:
-        return _gcd_primitive(_content(to_univar(a, v)), b)
-    ua = to_univar(a, v)
-    ub = to_univar(b, v)
-    ca = _content(ua)
-    cb = _content(ub)
+        return _gcd_primitive(a, _content(_univar(b, v)))
+    if v not in db:
+        return _gcd_primitive(_content(_univar(a, v)), b)
+    ua, ub = _univar(a, v), _univar(b, v)
+    ca, cb = _content(ua), _content(ub)
     cont = _gcd_primitive(ca, cb)
-    pa = {d: divexact(c, ca) for d, c in ua.items()}
-    pb = {d: divexact(c, cb) for d, c in ub.items()}
-    if _univar_degree(pa) < _univar_degree(pb):
+    pa, pb = _over(ua, ca), _over(ub, cb)
+    if max(pa) < max(pb):
         pa, pb = pb, pa
-    while True:
-        r = _prem(pa, pb)
-        if not r:
-            break
-        r = _strip_int_content_univar(r)
-        cr = _content(r)
-        pa = pb
-        pb = {d: divexact(c, cr) for d, c in r.items()}
-        pb = _strip_int_content_univar(pb)
-    g = _from_univar(pb, v) * cont
-    return _int_primitive(g)
+    while r := _prem(pa, pb):
+        k = gcd(*[c for t in r.values() for c in t.values()])
+        if k != 1:  # the integer-content strip
+            r = {d: {m: c // k for m, c in t.items()} for d, t in r.items()}
+        # r and its content are integer-primitive, so their quotient is too (Gauss)
+        pa, pb = pb, _over(r, _content(r))
+    g = {}
+    for d in sorted(pb):
+        g.update((mono_mul(m, ((v, d),)) if d else m, c) for m, c in pb[d].items())
+    if cont != {ONE_MONO: 1}:
+        g = _mul_into({}, g, cont)
+    # primitive by Gauss, as pb and cont are; the sign makes it the primitive gcd
+    if g[max(g, key=MONO_KEY)] < 0:
+        g = {m: -c for m, c in g.items()}
+    return g
 
 
-def _monomial_gcd(single: MPoly, other: MPoly) -> MPoly:
+def _degrees(t: dict[Monomial, int]) -> dict[VarId, int]:
+    out: dict[VarId, int] = {}
+    for m in t:
+        for v, e in m:
+            if e > out.get(v, 0):
+                out[v] = e
+    return out
+
+
+def _content(coeffs: dict[int, dict[Monomial, int]]) -> dict[Monomial, int]:
+    """The primitive gcd of the coefficients: constant 1 once it is constant."""
+    g = None
+    for c in coeffs.values():
+        g = _stripped(c) if g is None else _gcd_primitive(g, c)
+        if len(g) == 1 and ONE_MONO in g:
+            return {ONE_MONO: 1}
+    return g
+
+
+def _over(u: dict[int, dict[Monomial, int]], c: dict[Monomial, int]) -> dict[int, dict[Monomial, int]]:
+    """Every coefficient of u over c, which divides each one."""
+    if c == {ONE_MONO: 1}:
+        return u
+    return {d: _divide(t, c, int.__floordiv__) for d, t in u.items()}
+
+
+def _prem(a: dict[int, dict], b: dict[int, dict]) -> dict[int, dict]:
+    """Pseudo-remainder of univariate a by b (b nonzero); zero coefficients dropped."""
+    db = max(b)
+    lb = b[db]
+    r = a
+    while r and (dr := max(r)) >= db:
+        # r := lb*r - lr * v^(dr-db) * b
+        neg_lr = {m: -c for m, c in r[dr].items()}
+        new = {d: _mul_into({}, c, lb) for d, c in r.items()}
+        for d, c in b.items():
+            _mul_into(new.setdefault(d + dr - db, {}), c, neg_lr)
+        r = {d: c for d, c in new.items() if c}
+    return r
+
+
+def _monomial_gcd(single: dict[Monomial, Coeff], other: dict[Monomial, Coeff]) -> dict[Monomial, int]:
     """gcd when one side is a single term: the shared monomial factor."""
-    (mono,) = single.terms
+    (mono,) = single
     out = []
     for v, e in mono:
         low = e
-        for m in other.terms:
+        for m in other:
             dv = 0
             for w, f in m:
                 if w == v:
@@ -571,20 +584,7 @@ def _monomial_gcd(single: MPoly, other: MPoly) -> MPoly:
                 break
         if low > 0:
             out.append((v, low))
-    return MPoly({tuple(out): 1})
-
-
-def _strip_int_content_univar(coeffs: dict[int, MPoly]) -> dict[int, MPoly]:
-    scale = _int_content_scale([coef for c in coeffs.values() for coef in c.terms.values()])
-    if scale == 1:
-        return coeffs
-    return {d: c.scale(scale) for d, c in coeffs.items()}
-
-
-def _main_variable(a: MPoly, b: MPoly, candidates: set[VarId]) -> VarId:
-    # Prefer the variable with the smallest combined degree: fewer
-    # pseudo-division rounds and smaller coefficient growth.
-    return min(candidates, key=lambda v: (a.degree_in(v) + b.degree_in(v), v))
+    return {tuple(out): 1}
 
 
 def poly_lcm(a: MPoly, b: MPoly) -> MPoly:

@@ -1,5 +1,6 @@
 """Shared test helpers."""
 
+import math
 import os
 import subprocess
 import sys
@@ -555,3 +556,198 @@ def reference_parse_document(text: str) -> Document:
             raise ParseError(f"unknown statement {word!r}", tok.line, tok.column)
         cur.expect("punct", ";")
     return doc
+
+
+# -- the gcd before its integer kernel, and the monomial order before its sort
+#    key: Knuth's primitive PRS over Fraction-scaled MPolys, and the graded
+#    lexicographic comparison; the differential reference of
+#    tests/test_poly_ratfunc.py
+
+
+def reference_mono_cmp(a, b) -> int:
+    """Graded lexicographic comparison (positive when a > b)."""
+    da, db = sum(e for _, e in a), sum(e for _, e in b)
+    if da != db:
+        return 1 if da > db else -1
+    ia, ib = 0, 0
+    while ia < len(a) and ib < len(b):
+        va, ea = a[ia]
+        vb, eb = b[ib]
+        if va == vb:
+            if ea != eb:
+                # Same leading variable: larger exponent is lex-larger.
+                return 1 if ea > eb else -1
+            ia += 1
+            ib += 1
+        elif va < vb:
+            return 1  # a has the earlier variable with positive exponent
+        else:
+            return -1
+    if ia < len(a):
+        return 1
+    if ib < len(b):
+        return -1
+    return 0
+
+
+def reference_leading_monomial(p):
+    best = None
+    for m in p.terms:
+        if best is None or reference_mono_cmp(m, best) > 0:
+            best = m
+    return best
+
+
+def _ref_divexact(a, b):
+    if b.is_constant():
+        return a.scale(Fraction(1) / b.constant_value())
+    quot = {}
+    rem = a
+    lm_b = reference_leading_monomial(b)
+    lc_b = b.terms[lm_b]
+    while not rem.is_zero():
+        lm_r = reference_leading_monomial(rem)
+        db = dict(lm_r)
+        assert all(db.get(v, 0) >= e for v, e in lm_b), "inexact polynomial division"
+        for v, e in lm_b:
+            db[v] -= e
+        m = tuple(sorted((v, e) for v, e in db.items() if e))
+        c = Fraction(rem.terms[lm_r]) / lc_b
+        quot[m] = c
+        rem = rem - MPoly({m: c}) * b
+    return MPoly(quot)
+
+
+def _ref_to_univar(p, v):
+    out = {}
+    for m, c in p.terms.items():
+        deg = 0
+        rest = []
+        for w, e in m:
+            if w == v:
+                deg = e
+            else:
+                rest.append((w, e))
+        out.setdefault(deg, {})[tuple(rest)] = c
+    return {d: MPoly(t) for d, t in out.items()}
+
+
+def _ref_univar_degree(coeffs):
+    degs = [d for d, c in coeffs.items() if not c.is_zero()]
+    return max(degs) if degs else -1
+
+
+def _ref_prem(a, b):
+    db = _ref_univar_degree(b)
+    lb = b[db]
+    r = dict(a)
+    while True:
+        dr = _ref_univar_degree(r)
+        if dr < db:
+            return r
+        lr = r[dr]
+        new = {d: c * lb for d, c in r.items()}
+        for d, c in b.items():
+            nd = d + dr - db
+            new[nd] = new.get(nd, MPoly()) - c * lr
+        r = {d: c for d, c in new.items() if not c.is_zero()}
+        if not r:
+            return r
+
+
+def _ref_int_content_scale(coeffs):
+    den = 1
+    for c in coeffs:
+        den = math.lcm(den, c.denominator)
+    num = 0
+    for c in coeffs:
+        num = math.gcd(num, c.numerator * (den // c.denominator))
+    return Fraction(den, num) if num else Fraction(1)
+
+
+def _ref_int_primitive(p):
+    if p.is_zero():
+        return p
+    q = p.scale(_ref_int_content_scale(p.terms.values()))
+    if q.terms[reference_leading_monomial(q)] < 0:
+        q = q.scale(-1)
+    return q
+
+
+def _ref_content(coeffs):
+    g = MPoly()
+    for c in coeffs.values():
+        g = reference_gcd_primitive(g, c)
+        if g.is_constant() and not g.is_zero():
+            break
+    return g if not g.is_zero() else MPoly.const(1)
+
+
+def _ref_strip_int_content_univar(coeffs):
+    scale = _ref_int_content_scale([coef for c in coeffs.values() for coef in c.terms.values()])
+    if scale == 1:
+        return coeffs
+    return {d: c.scale(scale) for d, c in coeffs.items()}
+
+
+def _ref_monomial_gcd(single, other):
+    (mono,) = single.terms
+    out = []
+    for v, e in mono:
+        low = min([e] + [dict(m).get(v, 0) for m in other.terms])
+        if low > 0:
+            out.append((v, low))
+    return MPoly({tuple(out): 1})
+
+
+def reference_gcd_primitive(a, b):
+    """The integer-primitive gcd with a positive leading coefficient."""
+    if a.is_zero():
+        return _ref_int_primitive(b)
+    if b.is_zero():
+        return _ref_int_primitive(a)
+    if a.is_constant() or b.is_constant():
+        return MPoly.const(1)
+    if len(a.terms) == 1:
+        return _ref_monomial_gcd(a, b)
+    if len(b.terms) == 1:
+        return _ref_monomial_gcd(b, a)
+    a = _ref_int_primitive(a)
+    b = _ref_int_primitive(b)
+    avars = a.variables()
+    bvars = b.variables()
+    v = min(avars | bvars, key=lambda v: (a.degree_in(v) + b.degree_in(v), v))
+    if v not in avars:
+        return reference_gcd_primitive(a, _ref_content(_ref_to_univar(b, v)))
+    if v not in bvars:
+        return reference_gcd_primitive(_ref_content(_ref_to_univar(a, v)), b)
+    ua = _ref_to_univar(a, v)
+    ub = _ref_to_univar(b, v)
+    ca = _ref_content(ua)
+    cb = _ref_content(ub)
+    cont = reference_gcd_primitive(ca, cb)
+    pa = {d: _ref_divexact(c, ca) for d, c in ua.items()}
+    pb = {d: _ref_divexact(c, cb) for d, c in ub.items()}
+    if _ref_univar_degree(pa) < _ref_univar_degree(pb):
+        pa, pb = pb, pa
+    while True:
+        r = _ref_prem(pa, pb)
+        if not r:
+            break
+        r = _ref_strip_int_content_univar(r)
+        cr = _ref_content(r)
+        pa = pb
+        pb = {d: _ref_divexact(c, cr) for d, c in r.items()}
+        pb = _ref_strip_int_content_univar(pb)
+    vp = MPoly.var(v)
+    g = MPoly()
+    for d in sorted(pb):
+        g = g + pb[d] * vp**d
+    return _ref_int_primitive(g * cont)
+
+
+def reference_monic(p):
+    """p over its leading coefficient; the monic gcd is the primitive one made monic."""
+    if p.is_zero():
+        return p
+    return p.scale(Fraction(1) / p.terms[reference_leading_monomial(p)])

@@ -17,6 +17,7 @@ from diffield import cli
 from diffield.field import Element
 from diffield.parser import (
     MAX_NESTING,
+    MAX_POWER_TERMS,
     ParseError,
     SemanticError,
     parse_document,
@@ -488,6 +489,9 @@ DIGITS = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") 
 LONG = "1" * (DIGITS + 1)
 TOO_LONG = f"integer literal of {DIGITS + 1} digits is too long"
 NESTED = f"expression nested deeper than {MAX_NESTING} levels"
+# A base of 3 terms to the 200th power: C(202, 2) = 20301 terms by the estimate.
+POWER = "gen g free;\ntarget (g + g[1] + 1)^200;\n"
+TOO_MANY_TERMS = f"power estimated at over {MAX_POWER_TERMS} terms"
 needs_digit_limit = pytest.mark.skipif(DIGITS == 0, reason="the interpreter converts integers of any length")
 
 
@@ -501,14 +505,26 @@ needs_digit_limit = pytest.mark.skipif(DIGITS == 0, reason="the interpreter conv
         pytest.param(f"gen g free;\nheight {LONG};", 2, 8, TOO_LONG, marks=needs_digit_limit),
         pytest.param(f"gen g free;\ntarget g + {LONG};", 2, 12, TOO_LONG, marks=needs_digit_limit),
         pytest.param(f"gen g free;\nmult e = g, z = -{LONG};", 2, 18, TOO_LONG, marks=needs_digit_limit),
+        # at the '^' of the power
+        (POWER, 2, 22, TOO_MANY_TERMS),
+        ("gen g free;\ntarget g;\ntarget 1/(g + g[1] + 1)^-62;", 3, 24, TOO_MANY_TERMS),
     ],
-    ids=["parentheses", "minus", "wp", "height", "term", "exponent"],
+    ids=["parentheses", "minus", "wp", "height", "term", "exponent", "power", "negative power"],
 )
 def test_deep_nesting_and_long_literals_are_positioned_parse_errors(text, line, column, message):
     with pytest.raises(ParseError) as err:
         parse_document(text)
     assert (err.value.line, err.value.column) == (line, column)
     assert str(err.value) == f"syntax error at line {line}, column {column}: {message}"
+
+
+def test_powers_up_to_the_term_estimate_parse():
+    # three independent terms: the estimate C(63, 2) = 1953 is the term count
+    doc = parse_document("gen g free;\ntarget (g + g[1] + 1)^61;\n")
+    assert len(doc.target.value.num.terms) == 1953 <= MAX_POWER_TERMS
+    # a base of one term has one term at any power
+    doc = parse_document("gen g free;\ntarget (2*g[3])^-5000;\n")
+    assert len(doc.target.value.den.terms) == 1
 
 
 def test_nesting_up_to_the_limit_parses_like_the_reference():
@@ -519,13 +535,28 @@ def test_nesting_up_to_the_limit_parses_like_the_reference():
 
 @needs_digit_limit
 def test_cli_deep_or_long_input_exit_two(tmp_path):
-    for name, text in (("deep", DEEP), ("negated", NEGATED), ("long", f"gen g free;\nheight {LONG};\n")):
+    for name, text in (
+        ("deep", DEEP),
+        ("negated", NEGATED),
+        ("long", f"gen g free;\nheight {LONG};\n"),
+        ("power", POWER),
+    ):
         doc = tmp_path / f"{name}.df"
         doc.write_text(text)
         proc = _run_cli(["solve-sas", str(doc)], tmp_path)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("input error: syntax error at line 2, column "), proc.stderr
         assert "Traceback" not in proc.stderr
+
+def test_cli_reports_a_coefficient_past_the_int_to_str_digit_limit(tmp_path):
+    doc = tmp_path / "large.df"
+    doc.write_text("gen g free;\ntwisted e1 = 1, e2 = 10^5000;\n")
+    proc = _run_cli(["solve-sas", str(doc)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout[: proc.stdout.rindex("}") + 1])
+    assert report["result"]["verdict"] == "unsolvable"
+    assert report["result"]["equation"] == "sigma(x) - (1)*x = 1" + "0" * 5000
+
 
 def test_each_atom_is_its_own_shift_over_the_current_presentation():
     doc = parse_document("gen g free; target g; gen h free; summand 1 = g[1] - g; summand 2 = g[1] - g[1];")

@@ -1,6 +1,7 @@
 """Exact arithmetic substrate: canonical forms, gcd cancellation, evaluation."""
 
 import copy
+import functools
 import itertools
 import math
 import pickle
@@ -11,7 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import clear_denominators, over_denominator
+from conftest import (
+    clear_denominators,
+    over_denominator,
+    reference_gcd_primitive,
+    reference_leading_monomial,
+    reference_mono_cmp,
+    reference_monic,
+)
 from diffield import ratfunc
 from diffield.field import Presentation, _var_image
 from diffield.linalg import Echelon, Infeasible, integer_kernel, solve_affine
@@ -20,6 +28,8 @@ from diffield.poly import (
     MONO_KEY,
     MPoly,
     VarId,
+    _cleared,
+    _gcd_primitive,
     divexact,
     mono_div,
     mono_divides,
@@ -1103,6 +1113,14 @@ def test_int_coefficients_match_the_fraction_path(seed):
         assert hash(got) == hash(fraction_poly(ref))
 
 
+def test_coefficients_past_the_int_to_str_digit_limit_print():
+    big = 10**5000 + 7  # past Python's default limit of 4300 digits
+    digits = "1" + "0" * 4999 + "7"
+    p = MPoly({((X, 1),): Fraction(-big, 3), (): big})
+    assert repr(p) == f"-{digits}/3*x + {digits}"
+    assert repr(RatFunc(p, MPoly.const(1))) == f"-{digits}/3*x + {digits}"
+
+
 def test_public_coefficient_types():
     p = px.scale(Fraction(6, 2)) + MPoly.const(Fraction(1, 2))
     assert type(p.leading_coefficient()) is int and p.leading_coefficient() == 3
@@ -1122,3 +1140,104 @@ def test_public_coefficient_types():
     assert all(type(z) is Fraction for vec in relations for z in vec)
     coords = express_in_span([x, RatFunc.one()], x * 2 + 3)
     assert coords == [2, 3] and all(type(c) is Fraction for c in coords)
+
+
+# -- the integer gcd kernel and the order key against the Fraction PRS and the
+#    comparison before them (tests/conftest.py)
+
+
+def _g(k):
+    return MPoly.var(VarId(0, "g", k))
+
+
+def assert_gcd_like_the_reference(a, b):
+    primitive = reference_gcd_primitive(a, b)
+    got, ref = poly_gcd(a, b), reference_monic(primitive)
+    assert got == ref and repr(got) == repr(ref)
+    assert [type(c) for _, c in got.sorted_terms()] == [type(c) for _, c in ref.sorted_terms()]
+    if a.terms and b.terms:  # the primitive gcd under the monic one
+        assert MPoly(_gcd_primitive(_cleared(a.terms), _cleared(b.terms))) == primitive
+
+
+_GCD_VARS = [VarId(0, "g", k) for k in (-1, 0, 1)] + [VarId(1, "h", k) for k in (0, 1)]
+_GCD_COEFFS = st.sampled_from([1, 1, -1, 2, -3, 6, Fraction(1, 2), Fraction(-2, 3)])
+_GCD_MONOS = st.lists(st.sampled_from(_GCD_VARS), max_size=2).map(
+    lambda vs: tuple(sorted((v, vs.count(v)) for v in set(vs)))
+)
+_GCD_FACTORS = st.lists(st.tuples(_GCD_MONOS, _GCD_COEFFS), min_size=2, max_size=3).map(
+    lambda terms: sum((MPoly({m: c}) for m, c in terms), MPoly())
+)
+
+
+@st.composite
+def gcd_operand(draw, pool):
+    kind = draw(st.sampled_from(["product"] * 9 + ["zero", "constant", "term"]))
+    scale = draw(_GCD_COEFFS)
+    if kind == "zero":
+        return MPoly()
+    if kind == "constant":
+        return MPoly.const(scale)
+    if kind == "term":
+        return MPoly({draw(_GCD_MONOS): scale})
+    p = MPoly.const(scale)
+    for _ in range(draw(st.integers(1, 3))):
+        p = p * draw(st.sampled_from(pool)).shift(draw(st.integers(-1, 1)))
+    return p
+
+
+@st.composite
+def gcd_pairs(draw):
+    """Two operands over one pool of factors, so they often share some."""
+    pool = draw(st.lists(_GCD_FACTORS, min_size=1, max_size=3))
+    return draw(gcd_operand(pool)), draw(gcd_operand(pool))
+
+
+@settings(max_examples=200, deadline=None)
+@given(gcd_pairs())
+def test_differential_gcd(pair):
+    assert_gcd_like_the_reference(*pair)
+
+
+_SHAPES = [
+    # recorded from the decide stream: the denominator bound and _cancel
+    lambda c: ((_g(0) + c) * (_g(1) + c), _g(0) * (_g(1) + c) * (_g(2) + c)),
+    lambda c: ((_g(-1) * _g(0) + c) * (_g(0) * _g(1) + c), (_g(0) * _g(1) + c) * (_g(1) * _g(2) + c).scale(2)),
+    lambda c: ((_g(-1) * _g(0) + c) * (_g(0) * _g(1) + c), _g(0) * (_g(0) * _g(1) + c) * (_g(1) * _g(2) + c)),
+    lambda c: ((_g(-1) * _g(0) + c) * (_g(0) * _g(1) + c), (_g(0) * _g(1) + c) * (_g(1) * _g(2) + c)),
+]
+
+
+@pytest.mark.parametrize("shape", range(len(_SHAPES)))
+@pytest.mark.parametrize("c", [1, 2, 5, Fraction(-1, 3)])
+def test_gcd_of_recorded_shapes(shape, c):
+    a, b = _SHAPES[shape](MPoly.const(c))
+    assert_gcd_like_the_reference(a, b)
+    assert_gcd_like_the_reference(b, a.scale(Fraction(-3, 2)))
+
+
+def test_gcd_against_a_degree_16_product_in_6_variables():
+    two = MPoly.const(2)
+    down = (_g(-1) + two) ** 2 * (_g(1) + two) ** 2
+    product = down * down.shift(1) * down.shift(2) * down.shift(3)
+    up = _g(1) * _g(2) * (_g(-1) + two) ** 2 * (_g(1) * _g(2) + two)
+    assert (product.total_degree(), len(product.variables())) == (16, 6)
+    assert_gcd_like_the_reference(product, up)
+
+
+_KEY_VARS = [VarId(i, n, k) for i, n in ((0, "g"), (2, "h")) for k in (-1, 0, 2)]
+_KEY_MONOS = st.lists(st.tuples(st.sampled_from(_KEY_VARS), st.integers(1, 3)), max_size=3).map(
+    lambda pairs: tuple(sorted(dict(pairs).items()))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_KEY_MONOS, min_size=1, max_size=8, unique=True))
+def test_order_key_agrees_with_the_comparison(monos):
+    """Few variables and exponents, so monomials share variables, prefixes and degrees."""
+    for a in monos:
+        for b in monos:
+            assert (MONO_KEY(a) > MONO_KEY(b)) - (MONO_KEY(a) < MONO_KEY(b)) == reference_mono_cmp(a, b)
+    p = MPoly({m: i + 1 for i, m in enumerate(monos)})
+    assert p.leading_monomial() == reference_leading_monomial(p)
+    ordered = sorted(monos, key=functools.cmp_to_key(reference_mono_cmp), reverse=True)
+    assert [m for m, _ in p.sorted_terms()] == ordered

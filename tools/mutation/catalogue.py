@@ -23,6 +23,7 @@ class Mutant:
     tests: tuple[str, ...]
 
 
+POLY = "src/diffield/poly.py"
 RATFUNC = "src/diffield/ratfunc.py"
 TEST_PARAMS = "tests/test_params.py"
 TEST_POLY_RATFUNC = "tests/test_poly_ratfunc.py"
@@ -34,6 +35,28 @@ RECORD = "src/diffield/record.py"
 TEST_RECORD = "tests/test_record.py"
 
 CATALOGUE: tuple[Mutant, ...] = (
+    # -- the polynomial substrate: the integer gcd kernel and the order key
+    Mutant(
+        "gcd kernel without the integer-content strip of its remainders",
+        POLY,
+        "if k != 1:  # the integer-content strip",
+        "if False:",
+        (f"{TEST_POLY_RATFUNC}::test_gcd_of_recorded_shapes", f"{TEST_POLY_RATFUNC}::test_differential_gcd"),
+    ),
+    Mutant(
+        "primitive gcd normalised to a negative leading coefficient",
+        POLY,
+        "if g[max(g, key=MONO_KEY)] < 0:",
+        "if g[max(g, key=MONO_KEY)] > 0:",
+        (f"{TEST_POLY_RATFUNC}::test_gcd_of_recorded_shapes", f"{TEST_POLY_RATFUNC}::test_differential_gcd"),
+    ),
+    Mutant(
+        "order key with the shifts in increasing order",
+        POLY,
+        "out.append((-i, -s, e))",
+        "out.append((-i, s, e))",
+        (f"{TEST_POLY_RATFUNC}::test_order_key_agrees_with_the_comparison", f"{TEST_POLY_RATFUNC}::test_differential_gcd"),
+    ),
     # -- the exact substrate: Henrici's forms and the substitution
     Mutant(
         "product without the g1 cancellation",
