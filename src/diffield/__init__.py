@@ -26,11 +26,9 @@ from .characters import (
     Obstruction,
     build_3amalg_obstruction,
     build_failing_instance,
-    can_value_freely,
     check_n_sas_witness,
     extend_character,
     hyperplane_search,
-    product_condition,
     value_of,
 )
 from .counterexample import (
@@ -56,9 +54,9 @@ from .equations import (
     Unsolvable,
     UnsupportedCoefficientShape,
 )
-from .field import Element, Presentation, PresentationError, is_fixed, sigma, validate, wp
+from .field import Element, Presentation, PresentationError
 from .freebase import decide_free_base
-from .parser import ParseError, SemanticError, parse_document, print_element, print_presentation
+from .parser import ParseError, SemanticError, parse_document, print_element
 from .poly import MPoly, VarId, poly_gcd, poly_lcm
 from .ratfunc import CircleValue, PoleError, RatFunc, linear_relations
 from .systems import (
@@ -75,7 +73,6 @@ from .systems import (
     decompose,
     ff_decompose_bounded,
     ff_decompose_with_witnesses,
-    restrict_over_corner,
     specialise_step1,
     validate_decomposition,
     wp_decompose_with_witnesses,

@@ -26,7 +26,7 @@ from .equations import SearchBounds, TwistedEquation, Unsolvable
 from .field import Element, Presentation
 from .ratfunc import CircleValue, express_in_span, linear_relations
 from .record import record
-from .systems import AdditiveEquation, Decomposition, SystemModel, pairwise_fixed_polynomials
+from .systems import AdditiveEquation, SystemModel, pairwise_fixed_polynomials
 from .tower import fixed_space, span_basis
 
 
@@ -96,26 +96,6 @@ def extend_character(
     return combined
 
 
-def can_value_freely(table: CharacterTable, elements: Sequence[Element]) -> bool:
-    """True when the elements are jointly free over the assigned span.
-
-    Exactly then every choice of values for them extends consistently (the
-    instance form of freeness outside rational hyperplanes).
-    """
-    for elem in elements:
-        if not elem.is_fixed():
-            raise CharacterError(f"element {elem} is not fixed")
-    base = [e.value for e in table.elements()]
-    combined = base + [e.value for e in elements]
-    if not combined:
-        return True
-    k = len(base)
-    for rel in linear_relations(combined):
-        if any(rel[i] for i in range(k, len(combined))):
-            return False
-    return True
-
-
 def value_of(table: CharacterTable, element: Element) -> CircleValue | None:
     """Forced value of an element of the assigned span; None when outside."""
     elems = table.elements()
@@ -128,44 +108,6 @@ def value_of(table: CharacterTable, element: Element) -> CircleValue | None:
     for q, v in zip(combo, table.angles()):
         total += q * v.angle
     return CircleValue(total)
-
-
-def product_condition(
-    table: CharacterTable, eq: AdditiveEquation, dec: Decomposition
-) -> dict:
-    """Angle-sum check for a fixed-field decomposed equation.
-
-    The telescoping justification: each entry cancels its antisymmetric
-    partner, so the summand angles must total zero.  Reports inconsistency
-    of the table before looking at the product.
-    """
-    bad = table.consistency()
-    if bad is not None:
-        return {"verdict": "inconsistent table", "obstruction": bad}
-    smap = eq.summand_map()
-    pairs = []
-    for (i, j), c in dec.items():
-        if i < j:
-            v = value_of(table, c)
-            w = value_of(table, dec[(j, i)])
-            if v is None or w is None:
-                raise CharacterError("insufficient table: decomposition entry outside span")
-            pairs.append({"pair": (i, j), "cancel": (v + w).is_identity()})
-    total = Fraction(0)
-    values = {}
-    for i, b in smap.items():
-        v = value_of(table, b)
-        if v is None:
-            raise CharacterError("insufficient table: summand outside span")
-        values[i] = v
-        total += v.angle
-    ok = CircleValue(total).is_identity()
-    return {
-        "verdict": "product holds" if ok else "product violated",
-        "angle_sum": CircleValue(total),
-        "summand_angles": values,
-        "telescoping": pairs,
-    }
 
 
 @record(frozen=True)

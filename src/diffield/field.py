@@ -186,13 +186,6 @@ class Presentation:
                             "used at a nonzero shift"
                         )
 
-    def diagnostics(self) -> list[str]:
-        try:
-            self.validate()
-        except PresentationError as exc:
-            return [str(exc)]
-        return []
-
     # -- element constructors ----------------------------------------------------
 
     def varid(self, name: str, shift: int = 0) -> VarId:
@@ -405,22 +398,3 @@ def sigma_value(pres: Presentation, value: RatFunc, k: int) -> RatFunc:
         value = value.shift(direction) if images is None else value.substitute(images)
     return value
 
-
-# -- module-level operations matching the public surface ------------------------
-
-
-def validate(pres: Presentation) -> list[str]:
-    """Empty list when the presentation is well formed, else diagnostics."""
-    return pres.diagnostics()
-
-
-def sigma(x: Element, k: int = 1) -> Element:
-    return x.sigma(k)
-
-
-def wp(x: Element) -> Element:
-    return x.wp()
-
-
-def is_fixed(x: Element) -> bool:
-    return x.is_fixed()

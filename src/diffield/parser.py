@@ -21,7 +21,8 @@ problems name the offending generator.  Expressions nest at most
 ``MAX_NESTING`` levels, and an integer literal has at most the digits that
 ``int`` converts (``sys.get_int_max_str_digits()``); past either limit the
 error is a syntax error at the token that crosses it.  A power whose
-expansion is estimated at more than ``MAX_POWER_TERMS`` terms is a syntax
+expansion is estimated at more than ``MAX_POWER_TERMS`` terms, or whose
+largest coefficient at more than ``MAX_POWER_DIGITS`` digits, is a syntax
 error at its ``^``.
 """
 
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from math import lcm
 
 from .field import Element, Presentation, PresentationError
 from .ratfunc import CircleValue, RatFunc
@@ -58,6 +60,9 @@ MAX_NESTING = 100
 # The most terms a power may expand to, estimated before it is taken: a base
 # of t terms to the n-th power has at most C(n + t - 1, t - 1) of them.
 MAX_POWER_TERMS = 2000
+# The most digits a power's largest coefficient may have, estimated before it
+# is taken: printing a coefficient is quadratic in its digits.
+MAX_POWER_DIGITS = 100_000
 
 
 def tokenize(text: str) -> list[tuple[str, str, int, int]]:
@@ -219,8 +224,26 @@ def _factor(cur: _Cursor, pres: Presentation) -> Element:
             if est > MAX_POWER_TERMS:
                 _, _, line, column = cur.tokens[hat]
                 raise ParseError(f"power estimated at over {MAX_POWER_TERMS} terms", line, column)
+        # 30103/100000 digits per bit: log10(2) to five places
+        if abs(expo) * _coefficient_bits(base.value) * 30103 > MAX_POWER_DIGITS * 100000:
+            _, _, line, column = cur.tokens[hat]
+            raise ParseError(f"power estimated at over {MAX_POWER_DIGITS} digits", line, column)
         return base**expo
     return base
+
+
+def _coefficient_bits(value: RatFunc) -> int:
+    """Bits per unit of exponent of the coefficients of a power, estimated.
+
+    With S the sum of the absolute numerators of a polynomial's coefficients
+    and L their common denominator, its n-th power has coefficients of
+    numerator at most (L*S)^n and denominator at most L^n.
+    """
+    return max(
+        max(sum(abs(c.numerator) for c in p.terms.values()) - 1, 0).bit_length()
+        + (lcm(*(c.denominator for c in p.terms.values())) - 1).bit_length()
+        for p in (value.num, value.den)
+    )
 
 
 def _signed_int(cur: _Cursor) -> int:
@@ -425,19 +448,6 @@ def parse_document(text: str) -> Document:
 
 
 # -- printing (round-trip support) ------------------------------------------------
-
-
-def print_presentation(pres: Presentation) -> str:
-    lines = []
-    for g in pres.gens:
-        if g.is_free:
-            lines.append(f"gen {g.name} free;")
-        else:
-            lines.append(
-                f"gen {g.name} affine linear={print_value(g.kind.linear)} "
-                f"const={print_value(g.kind.constant)};"
-            )
-    return "\n".join(lines)
 
 
 def print_element(elem: Element) -> str:

@@ -177,10 +177,6 @@ class MPoly:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero() -> "MPoly":
-        return MPoly()
-
-    @staticmethod
     def const(c) -> "MPoly":
         c = as_rational(c)
         return MPoly({ONE_MONO: c}) if c else MPoly()

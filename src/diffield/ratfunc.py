@@ -170,9 +170,6 @@ class RatFunc:
     def __sub__(self, other) -> "RatFunc":
         return self + (-_coerce(other))
 
-    def __rsub__(self, other) -> "RatFunc":
-        return _coerce(other) + (-self)
-
     def __mul__(self, other) -> "RatFunc":
         """Henrici's product of canonical fractions a/b * c/d (Knuth, TAOCP 4.5.1).
 
@@ -198,9 +195,6 @@ class RatFunc:
 
     def __truediv__(self, other) -> "RatFunc":
         return self * _coerce(other).inv()
-
-    def __rtruediv__(self, other) -> "RatFunc":
-        return _coerce(other) / self
 
     def inv(self) -> "RatFunc":
         """den / num, divided through by the leading coefficient of num; no gcd."""
@@ -537,12 +531,6 @@ class CircleValue:
 
     def __add__(self, other: "CircleValue") -> "CircleValue":
         return CircleValue(self.angle + other.angle)
-
-    def __neg__(self) -> "CircleValue":
-        return CircleValue(-self.angle)
-
-    def __sub__(self, other: "CircleValue") -> "CircleValue":
-        return CircleValue(self.angle - other.angle)
 
     def scaled(self, q) -> "CircleValue":
         return CircleValue(self.angle * as_rational(q))

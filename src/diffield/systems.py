@@ -599,32 +599,3 @@ def ff_decompose_bounded(
         raise SystemModelError("internal error: bounded ff-decomposition invalid: " + "; ".join(problems))
     return dec
 
-
-def restrict_over_corner(model: SystemModel, i: int) -> tuple[SystemModel, dict[int, int]]:
-    """Absorb corner i into the base; remaining indices are re-labelled 1..n-1.
-
-    Returns the smaller system and the old->new index map; corner(w) of the
-    restriction equals corner(w + {i}) of the original.
-    """
-    if not 1 <= i <= model.size:
-        raise SystemModelError(f"no corner {i}")
-    if model.size < 2:
-        raise SystemModelError("cannot restrict a 1-system")
-    mapping = {}
-    new = 0
-    for old in range(1, model.size + 1):
-        if old == i:
-            continue
-        new += 1
-        mapping[old] = new
-    base_names = list(model.base_names)
-    assignment = []
-    for name, subset in model.assignment:
-        reduced = frozenset(mapping[x] for x in subset if x != i)
-        if reduced:
-            assignment.append((name, reduced))
-        else:
-            base_names.append(name)
-    restricted = SystemModel(model.pres, model.size - 1, tuple(base_names), tuple(assignment))
-    restricted.validate()
-    return restricted, mapping

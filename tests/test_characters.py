@@ -11,11 +11,9 @@ from diffield.characters import (
     Obstruction,
     build_3amalg_obstruction,
     build_failing_instance,
-    can_value_freely,
     check_n_sas_witness,
     extend_character,
     hyperplane_search,
-    product_condition,
     value_of,
 )
 from diffield.counterexample import build_base, build_height4_instance, closure_step
@@ -173,7 +171,7 @@ def test_free_valuation_iff_no_hyperplane():
     rng = random.Random(9)
     for x in (b2, b3, b2 + 2 * b3):
         assert hyperplane_search([b1, x], 4, sub) is None
-        assert can_value_freely(table, [x])
+        assert value_of(table, x) is None
         got = extend_character(table, [(x, CircleValue(Fraction(rng.randint(0, 11), 12)))])
         assert isinstance(got, CharacterTable)
     # dependent element: hyperplane exists, and once the table also covers
@@ -182,7 +180,7 @@ def test_free_valuation_iff_no_hyperplane():
     assert w is not None and w.coefficients == (2, -1) and w.value == -3
     table2 = extend_character(table, [(p.one(), CircleValue(Fraction(1, 12)))])
     assert isinstance(table2, CharacterTable)
-    assert not can_value_freely(table2, [2 * b1 + 3])
+    assert value_of(table2, 2 * b1 + 3) is not None
 
 
 def test_hyperplane_trivial_cases():
@@ -191,54 +189,6 @@ def test_hyperplane_trivial_cases():
     w = hyperplane_search([b1, b1], 1, sub)
     assert w.coefficients == (1, -1) and w.value.is_zero()
     assert hyperplane_search([b1, b1 * b1], 5, sub) is None
-
-
-def test_product_condition_on_decomposed_equation():
-    from diffield.systems import validate_decomposition
-
-    base, g = Presentation.empty().with_free("g")
-    m = build_system(base, [[(f"u{i}", (1, g)), (f"v{i}", (1, g))] for i in (1, 2, 3)])
-    rng = random.Random(3)
-    dec = {}
-    for a in (1, 2, 3):
-        for b in (1, 2, 3):
-            if a >= b:
-                continue
-            (k,) = sorted(m.complement(a, b))
-            e = (m.pres.gen(f"u{k}") - m.pres.gen(f"v{k}")) * rng.randint(1, 2)
-            dec[(a, b)] = e
-            dec[(b, a)] = -e
-    summands = {
-        i: sum((dec[(i, j)] for j in (1, 2, 3) if j != i), m.pres.zero()) for i in (1, 2, 3)
-    }
-    eq = AdditiveEquation.of(m, summands)
-    ok, _ = validate_decomposition(m, eq, dec)
-    assert ok
-    diffs = [m.pres.gen(f"u{k}") - m.pres.gen(f"v{k}") for k in (1, 2, 3)]
-    table = extend_character(
-        CharacterTable.empty(m.pres),
-        [(d, CircleValue(Fraction(i, 7))) for i, d in enumerate(diffs)],
-    )
-    report = product_condition(table, eq, dec)
-    assert report["verdict"] == "product holds"
-    assert all(pair["cancel"] for pair in report["telescoping"])
-
-
-def test_product_condition_flags_inconsistent_table():
-    p, (b1, _, _) = fixed_playground()
-    table = CharacterTable(
-        p,
-        (
-            (b1, CircleValue(Fraction(1, 3))),
-            (2 * b1, CircleValue(Fraction(1, 5))),
-        ),
-    )
-    base, g = Presentation.empty().with_free("g")
-    m = build_system(base, [[("u1", (1, g))], [("u2", (1, g))], [("u3", (1, g))]])
-    eq = AdditiveEquation.of(m, {i: m.pres.zero() for i in (1, 2, 3)})
-    dec = {(i, j): m.pres.zero() for i in (1, 2, 3) for j in (1, 2, 3) if i != j}
-    report = product_condition(table, eq, dec)
-    assert report["verdict"] == "inconsistent table"
 
 
 def test_3amalg_instances():

@@ -6,6 +6,7 @@ import gc
 import importlib.util
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -17,12 +18,12 @@ from diffield import cli
 from diffield.field import Element
 from diffield.parser import (
     MAX_NESTING,
+    MAX_POWER_DIGITS,
     MAX_POWER_TERMS,
     ParseError,
     SemanticError,
     parse_document,
     print_element,
-    print_presentation,
     tokenize,
 )
 
@@ -74,13 +75,6 @@ def test_unknown_generator_semantic_error():
 def test_stratification_error_names_generator():
     with pytest.raises(SemanticError):
         parse_document("gen a affine linear=b const=1;")
-
-
-def test_presentation_round_trip():
-    doc = parse_document(DOC)
-    printed = print_presentation(doc.presentation)
-    again = parse_document(printed)
-    assert again.presentation == doc.presentation
 
 
 def test_element_round_trip():
@@ -492,6 +486,9 @@ NESTED = f"expression nested deeper than {MAX_NESTING} levels"
 # A base of 3 terms to the 200th power: C(202, 2) = 20301 terms by the estimate.
 POWER = "gen g free;\ntarget (g + g[1] + 1)^200;\n"
 TOO_MANY_TERMS = f"power estimated at over {MAX_POWER_TERMS} terms"
+# 3^2000000 has 954,243 digits; the estimate is 2 bits per unit of exponent.
+BIG_POWER = "gen g free;\ntwisted e1 = 1, e2 = 3^2000000;\n"
+TOO_MANY_DIGITS = f"power estimated at over {MAX_POWER_DIGITS} digits"
 needs_digit_limit = pytest.mark.skipif(DIGITS == 0, reason="the interpreter converts integers of any length")
 
 
@@ -508,8 +505,10 @@ needs_digit_limit = pytest.mark.skipif(DIGITS == 0, reason="the interpreter conv
         # at the '^' of the power
         (POWER, 2, 22, TOO_MANY_TERMS),
         ("gen g free;\ntarget g;\ntarget 1/(g + g[1] + 1)^-62;", 3, 24, TOO_MANY_TERMS),
+        (BIG_POWER, 2, 23, TOO_MANY_DIGITS),
+        ("gen g free;\ntarget (g/3)^-300000;", 2, 13, TOO_MANY_DIGITS),
     ],
-    ids=["parentheses", "minus", "wp", "height", "term", "exponent", "power", "negative power"],
+    ids=["parentheses", "minus", "wp", "height", "term", "exponent", "power", "negative power", "digits", "rational digits"],
 )
 def test_deep_nesting_and_long_literals_are_positioned_parse_errors(text, line, column, message):
     with pytest.raises(ParseError) as err:
@@ -527,6 +526,21 @@ def test_powers_up_to_the_term_estimate_parse():
     assert len(doc.target.value.den.terms) == 1
 
 
+def test_powers_up_to_the_digit_estimate_parse():
+    doc = parse_document("gen g free;\ntarget 3^100000 + 10^5000*g;\n")
+    assert doc.target.value.num.terms[()] == 3**100000
+    # a coefficient of 1 or -1 adds no digits at any power
+    doc = parse_document("gen g free;\ntarget (-g[1])^-300000;\n")
+    assert len(doc.target.value.den.terms) == 1
+
+
+def test_a_power_past_the_digit_estimate_is_refused_before_it_is_taken():
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match=TOO_MANY_DIGITS):
+        parse_document(BIG_POWER)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_nesting_up_to_the_limit_parses_like_the_reference():
     depth = MAX_NESTING - 1  # the statement's expression is the first level
     assert_parses_like_the_reference("gen g free;\ntarget " + "(" * depth + "g" + ")" * depth + ";\n")
@@ -540,6 +554,7 @@ def test_cli_deep_or_long_input_exit_two(tmp_path):
         ("negated", NEGATED),
         ("long", f"gen g free;\nheight {LONG};\n"),
         ("power", POWER),
+        ("digits", BIG_POWER),
     ):
         doc = tmp_path / f"{name}.df"
         doc.write_text(text)

@@ -24,7 +24,6 @@ from diffield.systems import (
     generic_evaluation,
     generic_points,
     pairwise_fixed_polynomials,
-    restrict_over_corner,
     specialise_step1,
     validate_decomposition,
     wp_decompose_with_witnesses,
@@ -322,25 +321,6 @@ def test_validate_decomposition_detects_perturbation():
     dec[(1, 2)] = dec[(1, 2)] + 1
     ok, problems = validate_decomposition(model, eq, dec)
     assert not ok and any("antisymmetry" in p or "recovery" in p for p in problems)
-
-
-def test_restrict_over_corner_matches():
-    model = free_blocks(4)
-    restricted, mapping = restrict_over_corner(model, 4)
-    assert restricted.size == 3
-    assert set(restricted.base_names) == {"x4"}
-    w = frozenset({mapping[1], mapping[2]})
-    assert set(restricted.corner_names(w)) == set(model.corner_names({1, 2, 4}))
-
-
-def test_double_restriction_commutes():
-    model = free_blocks(4)
-    r1, m1 = restrict_over_corner(model, 4)
-    r2, m2 = restrict_over_corner(r1, m1[3])
-    s1, k1 = restrict_over_corner(model, 3)
-    s2, k2 = restrict_over_corner(s1, k1[4])
-    assert set(r2.base_names) == set(s2.base_names)
-    assert r2.size == s2.size == 2
 
 
 def test_wp_decompose_two_blocks():
