@@ -19,15 +19,16 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .certify import AvoidedRegistry, certify_unsolvable
 from .equations import SearchBounds, TwistedEquation, Unsolvable
 from .field import Element, Presentation
-from .ratfunc import CircleValue, express_in_span, linear_relations
+from .ratfunc import CircleValue, SpanTracker, linear_relations
 from .record import record
 from .systems import AdditiveEquation, SystemModel, pairwise_fixed_polynomials
-from .tower import fixed_space, span_basis
+from .tower import fixed_space
 
 
 class CharacterError(ValueError):
@@ -62,13 +63,18 @@ class CharacterTable:
     def angles(self) -> list[CircleValue]:
         return [v for _, v in self.entries]
 
+    @cached_property
+    def tracker(self) -> SpanTracker:
+        """The relations of the entries' values, kept outside the record fields."""
+        return SpanTracker(e.value for e, _ in self.entries)
+
     def consistency(self) -> Obstruction | None:
         """None when every integer relation has angle sum 0 mod 1."""
         if not self.entries:
             return None
         elems = self.elements()
         angles = self.angles()
-        for rel in linear_relations([e.value for e in elems]):
+        for rel in linear_relations(self.tracker):
             total = Fraction(0)
             for z, v in zip(rel, angles):
                 total += z * v.angle
@@ -84,12 +90,16 @@ def extend_character(
     """Add desired values; returns the extended table or the obstruction.
 
     The decision is order-independent: it only looks at the saturated
-    integer relation lattice of entries plus queries.
+    integer relation lattice of entries plus queries.  The extended table's
+    tracker is a fork of the table's with the new values added.
     """
+    tracker = table.tracker.fork()
     for elem, _ in assignments:
         if not elem.is_fixed():
             raise CharacterError(f"element {elem} is not fixed")
+        tracker.add(elem.value)
     combined = CharacterTable(table.pres, table.entries + tuple(assignments))
+    combined.__dict__["tracker"] = tracker
     bad = combined.consistency()
     if bad is not None:
         return bad
@@ -98,10 +108,9 @@ def extend_character(
 
 def value_of(table: CharacterTable, element: Element) -> CircleValue | None:
     """Forced value of an element of the assigned span; None when outside."""
-    elems = table.elements()
-    if not elems:
+    if not table.entries:
         return None
-    combo = express_in_span([e.value for e in elems], element.value)
+    combo = table.tracker.express(element.value)
     if combo is None:
         return None
     total = Fraction(0)
@@ -135,7 +144,7 @@ def hyperplane_search(
         if not x.is_fixed():
             raise CharacterError(f"element {x} is not fixed")
     span = fixed_space(subfield, bounds)
-    span_values = [s.value for s in span]
+    tracker = SpanTracker(s.value for s in span)
     n = len(xs)
     pres = xs[0].pres
     for h in range(1, height + 1):
@@ -148,7 +157,7 @@ def hyperplane_search(
             total = pres.zero()
             for c, x in zip(z, xs):
                 total = total + pres.const(c) * x
-            combo = express_in_span(span_values, total.value)
+            combo = tracker.express(total.value)
             if combo is not None:
                 b = pres.zero()
                 for q, s in zip(combo, span):
@@ -228,14 +237,15 @@ def build_failing_instance(
     pres = model.pres
     pairs = pairwise_fixed_polynomials(model, idx, bounds)
     span = [s for members in pairs.values() for s in members]
-    combo = express_in_span([s.value for s in span], smap[k].value)
+    # the shared pairwise data: angle 0 on the whole span, one tracker over it
+    table = CharacterTable(pres, tuple((s, CircleValue(0)) for s in span))
+    combo = table.tracker.express(smap[k].value)
     if combo is not None:
         return {
             "verdict": "refused: summand lies in the pairwise fixed span",
             "combination": tuple(combo),
             "span": tuple(span),
         }
-    table = CharacterTable(pres, tuple((s, CircleValue(0)) for s in span_basis(span)))
     # each corner type extends the shared pairwise data *separately*: the
     # whole point of the obstruction is that these one-at-a-time extensions
     # are consistent while a joint one would violate the zero-sum relation.

@@ -162,6 +162,8 @@ def _monomials(vars_: Sequence[VarId], max_deg: int) -> list[MPoly]:
     """All monomials of total degree <= max_deg, deterministically ordered."""
     if max_deg < 0:
         return []
+    if not vars_:  # the loop below would pass every degree up to the cap
+        return [MPoly.const(1)]
     k = len(vars_)
     # quick size estimate: C(max_deg + k, k)
     est = 1

@@ -7,18 +7,16 @@ integral, else ``Fraction``) and are stored fraction-free: each stored row is
 a primitive integer row, positive at its pivot.  A new row is scaled to
 integers and reduced against the stored pivots on arrival, so an
 inconsistent row raises :class:`Infeasible` at once and span growth is known
-row by row.  Values read back (:meth:`Echelon.solve`, :meth:`Echelon.kernel`,
-:meth:`Echelon.rref`) are rationals in ``Coeff`` form again.  Three routines
-feed it rows:
+row by row.  Values read back (:meth:`Echelon.solve`, :meth:`Echelon.kernel`)
+are rationals in ``Coeff`` form again.  Three routines feed it rows:
 
 * :meth:`~diffield.params.ParamContext.add_identity`, the polynomial
   identities of the solvers' parameter systems, one row per monomial: a
   family's numerators (``add_zero``) and the free-base ansatz identities;
-* ``ratfunc._relation_rref``, the values of elements at integer points,
-  behind relation lattices and span membership
-  (:func:`~diffield.ratfunc.linear_relations`,
-  :func:`~diffield.ratfunc.express_in_span`,
-  :class:`~diffield.ratfunc.SpanTracker`);
+* :class:`~diffield.ratfunc.SpanTracker`, one row per element: its values
+  at integer points and a tracking block.  It calls :meth:`Echelon.reduce`
+  and stores a row with :meth:`Echelon.insert` only when a value survives,
+  so the row of a dependent element is never stored;
 * :func:`solve_affine`, dense systems.
 
 The one other routine is :func:`integer_kernel`, which returns a basis of
@@ -26,9 +24,9 @@ the *saturated* integer kernel lattice (all integer vectors in the rational
 kernel), computed by unimodular column reduction.  Rational kernel bases are
 not enough for character-consistency questions: integer relations outside
 the lattice spanned by rescaled basis vectors would go unchecked.
-``linear_relations`` feeds it the rows of :meth:`Echelon.rref`, which depend
-only on the kernel, so the basis does too; raw value rows would let the
-integer entries swell.
+``linear_relations`` feeds it the tracker's reduced row echelon form, which
+depends only on the kernel, so the basis does too; raw value rows would let
+the integer entries swell.
 """
 
 from __future__ import annotations
@@ -73,24 +71,40 @@ class Echelon:
         self.pivots: dict[int, tuple[dict[int, Coeff], Coeff]] = {}
         self.order: list[int] = []  # pivot columns in insertion order
 
+    def fork(self) -> "Echelon":
+        """A copy that grows apart from this one; the stored rows are shared."""
+        c = self.__class__(self.ncols)
+        c.pivots.update(self.pivots)
+        c.order.extend(self.order)
+        return c
+
     def add_row(self, coeffs: Mapping[int, Coeff], const: Coeff) -> bool:
         """Require const + sum(coeff * x_col) = 0.
 
         Returns True when the row was independent of the stored ones (a new
         pivot), False when it reduced to 0 = 0; raises :class:`Infeasible`
-        when it reduced to a nonzero constant.
-
-        The row is scaled to integers by the lcm of its denominators, then
-        reduced fraction-free: against a pivot row with entry ``lead`` at
-        column c, ``r <- (lead/g)*r - (r[c]/g)*prow`` with
-        ``g = gcd(lead, r[c])``.
+        when it reduced to a nonzero constant.  The row is scaled to
+        integers by the lcm of its denominators, then reduced and stored.
         """
         den = 1
         for v in coeffs.values():
             den = lcm(den, v.denominator)
         den = lcm(den, const.denominator)
         row = {c: v.numerator * (den // v.denominator) for c, v in coeffs.items()}
-        const = const.numerator * (den // const.denominator)
+        row, const = self.reduce(row, const.numerator * (den // const.denominator))
+        if not row:
+            if const:
+                raise Infeasible(f"constant residue {coeff_str(const)} cannot vanish")
+            return False
+        self.insert(row, const)
+        return True
+
+    def reduce(self, row: dict[int, int], const: int) -> tuple[dict[int, int], int]:
+        """An integer row and constant reduced fraction-free: no stored pivot column is left.
+
+        Against a pivot row with entry ``lead`` at column c,
+        ``r <- (lead/g)*r - (r[c]/g)*prow`` with ``g = gcd(lead, r[c])``.
+        """
         while True:
             hit = None
             for col in row:
@@ -98,7 +112,7 @@ class Echelon:
                     hit = col
                     break
             if hit is None:
-                break
+                return row, const
             prow, pconst = self.pivots[hit]
             lead = prow[hit]
             factor = row.pop(hit)
@@ -118,10 +132,9 @@ class Echelon:
                 else:
                     row.pop(c, None)
             const -= factor * pconst
-        if not row:
-            if const:
-                raise Infeasible(f"constant residue {coeff_str(const)} cannot vanish")
-            return False
+
+    def insert(self, row: dict[int, int], const: int) -> None:
+        """Store a nonzero reduced row, made primitive and positive at its least column."""
         col = min(row)
         g = int_gcd(*row.values(), const)
         if row[col] < 0:
@@ -131,7 +144,6 @@ class Echelon:
             const //= g
         self.pivots[col] = (row, const)
         self.order.append(col)
-        return True
 
     def _back_substitute(self, values: dict[int, Coeff], affine: bool) -> dict[int, Coeff]:
         """Fill in the pivot columns from ``values`` on the free ones.
@@ -157,21 +169,6 @@ class Echelon:
     def kernel(self) -> list[dict[int, Coeff]]:
         """One kernel direction per free column below ``ncols``, in column order."""
         return [self._back_substitute({f: 1}, False) for f in range(self.ncols) if f not in self.pivots]
-
-    def rref(self) -> list[Row]:
-        """The nonzero rows of the reduced row echelon form, constants left out.
-
-        Row p has 1 at pivot p, 0 at the other pivots and -z[p] at each free
-        column f, where z is the kernel direction of f.  Every pivot must be
-        below ``ncols``.
-        """
-        rows = {p: [1 if j == p else 0 for j in range(self.ncols)] for p in self.pivots}
-        free = [f for f in range(self.ncols) if f not in self.pivots]
-        for f, z in zip(free, self.kernel()):
-            for p, v in z.items():
-                if p != f:
-                    rows[p][f] = -v
-        return [rows[p] for p in sorted(rows)]
 
 
 def solve_affine(matrix: list[Row], rhs: Row) -> Row | None:

@@ -142,12 +142,6 @@ class ParamContext(Echelon):
 
     __slots__ = ()
 
-    def fork(self) -> "ParamContext":
-        c = ParamContext(self.ncols)
-        c.pivots.update(self.pivots)
-        c.order.extend(self.order)
-        return c
-
     def new_param(self) -> int:
         i = self.ncols
         self.ncols += 1

@@ -10,24 +10,21 @@ Only ``RatFunc(num, den)`` normalizes; constructors, sums, products,
 powers, inverses, shifts and renamings build results that are canonical by
 construction (the :class:`RatFunc` docstring says why).
 
-Q-linear dependence is decided in one place, by evaluation:
-:func:`linear_relations` and :func:`express_in_span` build an
-:class:`~diffield.linalg.Echelon` over the values of the elements at fixed
-integer points, check every kernel vector exactly, and hand its reduced row
-echelon form to :func:`~diffield.linalg.integer_kernel` or
-:func:`~diffield.linalg.solve_affine`.  :class:`SpanTracker`, which grows a
-span one element at a time, asks :func:`express_in_span` about each one.
+Q-linear dependence is decided in one place, by evaluation: a
+:class:`SpanTracker` reduces each element once, as the row of its values at
+integer points, against the independent elements before it, and checks each
+dependence exactly.  :func:`linear_relations` hands a tracker's reduced row
+echelon form to :func:`~diffield.linalg.integer_kernel`;
+:func:`express_in_span` asks a tracker over the basis about the target.
 """
 
 from __future__ import annotations
 
-import itertools
-import random
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .linalg import Echelon, integer_kernel, solve_affine
+from .linalg import Echelon, integer_kernel
 from .poly import Q1, Coeff, MPoly, VarId, as_rational, divexact, poly_gcd
 
 
@@ -358,44 +355,41 @@ def substitute_polys(polys: Sequence[MPoly], images: Mapping[VarId, RatFunc]) ->
     return out
 
 
-def _points(nvars: int) -> Iterator[list[int]]:
-    """The fixed sequence of integer evaluation points, in a growing box.
-
-    Point k draws its coordinates from [-B, B] with B = 2^(8 + k // 64), from
-    a generator of its own seeded with 0, so the sequence is the same in
-    every call and every process.
-    """
-    rng = random.Random(0)
-    for k in itertools.count():
+def _coordinates(v: VarId, points: Sequence[int]) -> list[int]:
+    """v's coordinate at each point k, in [-B, B] with B = 2^(8 + k // 64): the
+    splitmix64 finalizer over a mix of (k, v.index, v.shift), so an element's
+    values depend on nothing else, nor on the process or its hash seed."""
+    mask, base = (1 << 64) - 1, v.index * 0xBF58476D1CE4E5B9 + v.shift * 0x94D049BB133111EB
+    out = []
+    for k in points:
+        h = (k * 0x9E3779B97F4A7C15 + base) & mask
+        h = ((h ^ (h >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        h = ((h ^ (h >> 27)) * 0x94D049BB133111EB) & mask
         box = 1 << (8 + k // 64)
-        yield [rng.randrange(-box, box + 1) for _ in range(nvars)]
+        out.append((h ^ (h >> 31)) % (2 * box + 1) - box)
+    return out
 
 
-def _integer_terms(p: MPoly, index: Mapping[VarId, int]) -> tuple[int, list[tuple[int, tuple]]]:
-    """(L, terms) with L * p == sum of c * prod x_i^e over (c, ((i, e), ...)) in terms, all ints.
-
-    Variables become their positions in ``index``, so a point is a list.
-    """
-    den = 1
-    for c in p.terms.values():
-        den = lcm(den, c.denominator)
-    return den, [
-        (c.numerator * (den // c.denominator), tuple((index[v], e) for v, e in m)) for m, c in p.terms.items()
-    ]
-
-
-def _integer_value(terms: list[tuple[int, tuple]], point: list[int]) -> int:
-    """The value of :func:`_integer_terms` terms at an integer point."""
-    total = 0
-    for c, mono in terms:
-        for i, e in mono:
-            c *= point[i] ** e
-        total += c
-    return total
+def _integer_values(p: MPoly, at: dict[VarId, list[int]], points: list[int]) -> tuple[int, list[int]]:
+    """(L, values): L * p at each point, all integers, with L the lcm of p's
+    coefficient denominators; ``at`` caches the variables' coordinates."""
+    den = lcm(*[c.denominator for c in p.terms.values()])
+    values = [0] * len(points)
+    for m, c in p.terms.items():
+        c = c.numerator * (den // c.denominator)
+        term = None
+        for v, e in m:
+            xs = at.get(v)
+            if xs is None:
+                xs = at[v] = _coordinates(v, points)
+            xs = xs if e == 1 else [x**e for x in xs]
+            term = xs if term is None else [a * b for a, b in zip(term, xs)]
+        values = [a + c for a in values] if term is None else [a + c * b for a, b in zip(values, term)]
+    return den, values
 
 
-def _vanishes(elems: Sequence[RatFunc], z: Mapping[int, Coeff]) -> bool:
-    """Exactly whether sum z_i * elems[i] is zero.
+def _vanishes(combo: Iterable[tuple[RatFunc, int]]) -> bool:
+    """Exactly whether the sum of c * e over the pairs (e, c) is zero.
 
     Numerators are summed per denominator, and the sums S_D are cleared
     with the product of the distinct denominators: the sum is zero exactly
@@ -403,8 +397,7 @@ def _vanishes(elems: Sequence[RatFunc], z: Mapping[int, Coeff]) -> bool:
     needed.
     """
     sums: dict[MPoly, MPoly] = {}
-    for i, c in z.items():
-        e = elems[i]
+    for e, c in combo:
         part = e.num.scale(c)
         sums[e.den] = sums[e.den] + part if e.den in sums else part
     num, den = MPoly(), P1
@@ -414,56 +407,121 @@ def _vanishes(elems: Sequence[RatFunc], z: Mapping[int, Coeff]) -> bool:
     return num.is_zero()
 
 
-def _relation_rref(elems: Sequence[RatFunc]) -> list[list[Coeff]]:
-    """The reduced row echelon form of the values of elems at integer
-    points, whose kernel is exactly {z : sum z_i * elems[i] = 0}.
+class SpanTracker:
+    """The Q-linear relations of a growing list of rational functions, by evaluation.
 
-    Rows are the values at the points of :func:`_points`, one coordinate per
-    variable in sorted ``VarId`` order; a point where a denominator vanishes
-    is skipped.  Each row goes to the echelon as integers, its values scaled
-    by the lcm of their denominators, which leaves its kernel unchanged; the
-    echelon stores it as a primitive integer row, positive at its pivot, and
-    its reduced row echelon form comes back in ``Coeff`` form.
-
-    Every relation vanishes at every point, so the kernel of the value rows
-    contains the relation space; values that are independent prove the
-    elements independent.  Rows are added until the rank is n or
-    n rows are in, then every kernel vector is checked exactly with
-    :func:`_vanishes`; if one fails, n more rows go in.  Once all pass, the
-    row space is the orthogonal complement of the relation space, the same
-    as that of any exact coefficient matrix, so the reduced row echelon
-    form is too.  A nonzero function of degree d vanishes at a random point
-    of [-B, B]^m with probability at most d/(2B + 1) (Schwartz 1980), so a
-    failed check is rare.
+    Element i is one row: its values at the m points (:func:`_coordinates`),
+    scaled to integers, and the scale in its tracking column m + i.  Reduced
+    against the kept rows, a surviving value proves the element independent,
+    exactly, and its row is kept.  Otherwise the tracking columns give its
+    coordinates over the kept elements, checked with :func:`_vanishes`.  A
+    nonzero function of degree d vanishes at a random point of [-B, B]^n with
+    probability at most d/(2B + 1) (Schwartz 1980); a failed check means the
+    points did not separate the elements, and the tracker doubles them.  A
+    point where an element has a pole is replaced by the next unused one.
+    Every answer is exact, so none depends on the points or the history.
     """
-    n = len(elems)
-    variables = sorted(set().union(*(e.variables() for e in elems)))
-    index = {v: i for i, v in enumerate(variables)}
-    forms = [(_integer_terms(e.num, index), _integer_terms(e.den, index)) for e in elems]
-    echelon = Echelon(n)
-    points = _points(len(variables))
-    rows, budget = 0, n
-    while True:
-        while rows < budget and len(echelon.pivots) < n:
-            point = next(points)
-            values = {}
-            for j, ((num_scale, num), (den_scale, den)) in enumerate(forms):
-                d = _integer_value(den, point)
-                if not d:
-                    break
-                v = _integer_value(num, point)
-                if v:
-                    values[j] = (v * den_scale, d * num_scale)
-            else:
-                scale = lcm(*(q for _, q in values.values()))
-                echelon.add_row({j: p * (scale // q) for j, (p, q) in values.items()}, 0)
-                rows += 1
-        if all(_vanishes(elems, z) for z in echelon.kernel()):
-            return echelon.rref()
-        budget = rows + n
+
+    __slots__ = ("elems", "kept", "coords", "points", "at", "echelon")
+
+    def __init__(self, elems: Iterable[RatFunc] = ()) -> None:
+        self.elems: list[RatFunc] = []
+        self.kept: list[int] = []  # the independent elements, by index
+        self.coords: dict[int, dict[int, Fraction]] = {}  # each other one over the kept ones
+        self.points, self.at = list(range(8)), {}  # at: coordinates at the points, by variable
+        self.echelon = Echelon()
+        for f in elems:
+            self.add(f)
+
+    def fork(self) -> "SpanTracker":
+        """A tracker that grows apart from this one.  Rows and points are
+        never changed, so both are shared, and so is ``at`` with the points."""
+        t = SpanTracker.__new__(SpanTracker)
+        t.elems, t.kept, t.coords = list(self.elems), list(self.kept), dict(self.coords)
+        t.points, t.at, t.echelon = self.points, self.at, self.echelon.fork()
+        return t
+
+    def add(self, f: RatFunc) -> bool:
+        """Append f; True when it is independent of the elements before it (the span grew)."""
+        row, coords = self._locate(f)
+        i = len(self.elems)
+        self.elems.append(f)
+        if coords is None:
+            self.echelon.insert(row, 0)
+            self.kept.append(i)
+        else:
+            self.coords[i] = coords
+        return coords is None
+
+    def express(self, f: RatFunc) -> list[Fraction] | None:
+        """f's coordinates over the elements, 0 at each one dependent on those
+        before it; None when f is outside their span."""
+        coords = self._locate(f)[1]
+        return None if coords is None else [coords.get(j, Fraction(0)) for j in range(len(self.elems))]
+
+    def rref(self) -> list[list[Coeff]]:
+        """The reduced row echelon form whose kernel is the elements' relation space:
+        row p has 1 at kept element p and p's coordinate at each dependent one."""
+        rows = {p: [1 if j == p else 0 for j in range(len(self.elems))] for p in self.kept}
+        for f, coords in self.coords.items():
+            for p, c in coords.items():
+                rows[p][f] = c
+        return list(rows.values())
+
+    def _locate(self, f: RatFunc) -> tuple[dict[int, int], dict[int, Fraction] | None]:
+        """f's row as the next element, reduced, and its coordinates over the
+        kept elements (None when f is independent of them)."""
+        i = len(self.elems)
+        if len(self.kept) == len(self.points):
+            self._rebuild(more=True)
+        while True:
+            row = self._row(f, i)
+            if row is None:
+                self._rebuild()
+                continue
+            row = self.echelon.reduce(row, 0)[0]
+            m = len(self.points)
+            if min(row) < m:
+                return row, None
+            elems = [*self.elems, f]
+            if _vanishes((elems[j - m], t) for j, t in row.items()):
+                lead = row.pop(m + i)
+                return row, {j - m: Fraction(-t, lead) for j, t in row.items()}
+            self._rebuild(more=True)
+
+    def _row(self, f: RatFunc, i: int) -> dict[int, int] | None:
+        """Element i, f, as a row; None when f has a pole at a point, which
+        is then replaced by the next unused one."""
+        points = self.points
+        num_scale, nums = _integer_values(f.num, self.at, points)
+        den_scale, dens = _integer_values(f.den, self.at, points)
+        if 0 in dens:
+            j = dens.index(0)
+            self.points, self.at = [*points[:j], max(points) + 1, *points[j + 1 :]], {}
+            return None
+        scale = lcm(*(d for n, d in zip(nums, dens) if n))
+        row = {j: n * den_scale * (scale // d) for j, (n, d) in enumerate(zip(nums, dens)) if n}
+        row[len(points) + i] = scale * num_scale
+        return row
+
+    def _rebuild(self, more: bool = False) -> None:
+        """The kept rows again, on twice the points when ``more``; a pole or
+        kept values that the points do not separate start it over."""
+        if more:
+            top = max(self.points) + 1
+            self.points, self.at = [*self.points, *range(top, top + len(self.points))], {}
+        self.echelon = Echelon()
+        for i in self.kept:
+            row = self._row(self.elems[i], i)
+            if row is None:
+                return self._rebuild()
+            row = self.echelon.reduce(row, 0)[0]
+            if min(row) >= len(self.points):
+                return self._rebuild(more=True)
+            self.echelon.insert(row, 0)
 
 
-def linear_relations(elements: Sequence[RatFunc]) -> list[tuple[Fraction, ...]]:
+def linear_relations(elements: Sequence[RatFunc] | SpanTracker) -> list[tuple[Fraction, ...]]:
     """Basis of the integer relation lattice {z : sum z_i * element_i = 0}.
 
     The tuples returned are integral and primitive, form a Q-basis of the full
@@ -471,46 +529,19 @@ def linear_relations(elements: Sequence[RatFunc]) -> list[tuple[Fraction, ...]]:
     is saturated).  Downstream character checks rely on the last point:
     a circle-valued homomorphism extends exactly when it vanishes on every
     integer relation, and a rescaled rational basis could miss some.  The
-    lattice is computed from the reduced row echelon form of the values, so
-    its basis depends only on the relation space.
+    lattice is computed from a tracker's reduced row echelon form, so its
+    basis depends only on the relation space.
     """
-    if not elements:
+    tracker = elements if isinstance(elements, SpanTracker) else SpanTracker(elements)
+    if not tracker.elems:
         raise ValueError("empty element list")
-    basis = integer_kernel(_relation_rref(elements), len(elements))
+    basis = integer_kernel(tracker.rref(), len(tracker.elems))
     return [tuple(Fraction(z) for z in vec) for vec in basis]
 
 
 def express_in_span(basis: Sequence[RatFunc], target: RatFunc) -> list[Fraction] | None:
-    """Rational coordinates of target over the basis values, if any.
-
-    With a dependent basis, the coordinates of the free columns of the
-    reduced row echelon form are zero; so are all of them when every value
-    is zero and the form has no rows.
-    """
-    matrix = _relation_rref([*basis, target])
-    if not matrix:
-        return [Fraction(0)] * len(basis)
-    rhs = [row.pop() for row in matrix]
-    coords = solve_affine(matrix, rhs)
-    return None if coords is None else list(map(Fraction, coords))
-
-
-class SpanTracker:
-    """Incremental Q-span membership for rational functions.
-
-    Membership is decided by :func:`express_in_span` over the members kept
-    so far, so the tracker holds nothing but them.
-    """
-
-    def __init__(self) -> None:
-        self.values: list[RatFunc] = []
-
-    def add(self, f: RatFunc) -> bool:
-        """Add if independent; returns True when the span grew."""
-        if f.is_zero() or express_in_span(self.values, f) is not None:
-            return False
-        self.values.append(f)
-        return True
+    """Rational coordinates of target over the basis values, as :meth:`SpanTracker.express`."""
+    return SpanTracker(basis).express(target)
 
 
 class CircleValue:

@@ -1,7 +1,9 @@
 """Shared test helpers."""
 
+import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -19,7 +21,7 @@ from diffield.freebase import (
     _require_free,
     _window_vars,
 )
-from diffield.linalg import Infeasible
+from diffield.linalg import Echelon, Infeasible, integer_kernel, solve_affine
 from diffield.params import LinComb, ParamContext
 from diffield.parser import Document, ParseError, SemanticError
 from diffield.poly import MPoly, divexact, poly_lcm
@@ -751,3 +753,78 @@ def reference_monic(p):
     if p.is_zero():
         return p
     return p.scale(Fraction(1) / p.terms[reference_leading_monomial(p)])
+
+
+# -- the relation layer before the tracker: every call evaluates every element
+#    afresh at points drawn from random.Random(0), then checks each kernel vector
+
+
+def reference_points(nvars):
+    """Point k draws its coordinates from [-B, B], B = 2^(8 + k // 64), from random.Random(0)."""
+    rng = random.Random(0)
+    for k in itertools.count():
+        box = 1 << (8 + k // 64)
+        yield [rng.randrange(-box, box + 1) for _ in range(nvars)]
+
+
+def _ref_value(p, index, point):
+    total = Fraction(0)
+    for m, c in p.terms.items():
+        for v, e in m:
+            c *= point[index[v]] ** e
+        total += c
+    return total
+
+
+def reference_relation_rref(elems):
+    """The reduced row echelon form of the values of elems at the points, with
+    n more rows until every kernel vector is checked exactly; a point where a
+    denominator vanishes is skipped."""
+    n = len(elems)
+    variables = sorted(set().union(*(e.variables() for e in elems)))
+    index = {v: i for i, v in enumerate(variables)}
+    echelon = Echelon(n)
+    points = reference_points(len(variables))
+    rows, budget = 0, n
+    while True:
+        while rows < budget and len(echelon.pivots) < n:
+            point = next(points)
+            dens = [_ref_value(e.den, index, point) for e in elems]
+            if all(dens):
+                values = {j: _ref_value(e.num, index, point) / d for j, (e, d) in enumerate(zip(elems, dens))}
+                echelon.add_row({j: v for j, v in values.items() if v}, 0)
+                rows += 1
+        exact = []
+        for z in echelon.kernel():
+            total = RatFunc.zero()
+            for j, c in z.items():
+                total = total + RatFunc.const(c) * elems[j]
+            exact.append(total.is_zero())
+        if all(exact):
+            break
+        budget = rows + n
+    # row p: 1 at pivot p and -z[p] at each free column f, z the kernel direction of f
+    out = {p: [1 if j == p else 0 for j in range(n)] for p in echelon.pivots}
+    for f, z in zip([f for f in range(n) if f not in echelon.pivots], echelon.kernel()):
+        for p, v in z.items():
+            if p != f:
+                out[p][f] = -v
+    return [out[p] for p in sorted(out)]
+
+
+def reference_linear_relations(elems):
+    return [tuple(Fraction(z) for z in vec) for vec in integer_kernel(reference_relation_rref(elems), len(elems))]
+
+
+def reference_express_in_span(basis, target):
+    matrix = reference_relation_rref([*basis, target])
+    if not matrix:
+        return [Fraction(0)] * len(basis)
+    rhs = [row.pop() for row in matrix]
+    coords = solve_affine(matrix, rhs)
+    return None if coords is None else list(map(Fraction, coords))
+
+
+def reference_span_grows(kept, f):
+    """Whether f grows the span of the kept values, as SpanTracker.add answered."""
+    return not f.is_zero() and reference_express_in_span(kept, f) is None

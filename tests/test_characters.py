@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffield.characters import (
     CharacterTable,
@@ -117,6 +119,49 @@ def test_extension_matches_bruteforce_kernel_oracle():
         assert decided == oracle, (rows, [a.angle for a in angles])
         agree += 1
     assert agree == 100
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_table_answers_do_not_depend_on_its_history(seed):
+    # tables reached by extensions of any earlier table, with queries in
+    # between, answer as fresh tables with the same entries, and a table's
+    # answers do not change when it is extended; the angles follow a
+    # planted character, perturbed at times to draw obstructions
+    rng = random.Random(seed)
+    p, basis = fixed_playground()
+    psi = [Fraction(rng.randint(0, 11), 12) for _ in basis]
+
+    def draw():
+        coeffs = [rng.randint(-2, 2) for _ in basis]
+        e = p.const(rng.randint(-1, 1))
+        for c, b in zip(coeffs, basis):
+            e = e + c * b
+        angle = sum((c * a for c, a in zip(coeffs, psi)), Fraction(0))
+        return e, CircleValue(angle + (Fraction(1, 4) if rng.random() < 0.15 else 0))
+
+    queries = [draw()[0] for _ in range(2)]
+
+    def answers(table):
+        return table.consistency(), [value_of(table, q) for q in queries]
+
+    tables = [CharacterTable.empty(p)]
+    for _ in range(rng.randint(1, 6)):
+        parent = rng.choice(tables)
+        before = answers(parent)
+        if rng.random() < 0.5:
+            value_of(parent, draw()[0])
+        new = [draw() for _ in range(rng.randint(1, 2))]
+        got = extend_character(parent, new)
+        assert answers(parent) == before
+        fresh = CharacterTable(p, parent.entries + tuple(new))
+        if isinstance(got, CharacterTable):
+            assert got == fresh and fresh.consistency() is None
+            tables.append(got)
+        else:
+            assert got == fresh.consistency()
+    for table in tables:
+        assert answers(table) == answers(CharacterTable(p, table.entries))
 
 
 def _bruteforce_consistent(rows, angles, box):

@@ -11,6 +11,7 @@ their reduced denominators: so the shared denominator is that lcm.
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,11 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import clear_denominators, common_denominator, over_denominator
-from diffield.equations import UnsupportedCoefficientShape
+from diffield.equations import TwistedEquation, Unsolvable, UnsupportedCoefficientShape
 from diffield.field import Element, Presentation
-from diffield.freebase import _monomials
+from diffield.freebase import _monomials, decide_free_base
 from diffield.linalg import Infeasible
 from diffield.params import LinComb, ParamContext
+from diffield.parser import parse_document
 from diffield.poly import MPoly, VarId, to_univar
 from diffield.ratfunc import RatFunc
 from diffield.tower import _lincomb_coefficients, require_level_free
@@ -293,3 +295,22 @@ def test_monomials_match_products_of_variables():
                         p = p * MPoly.var(v)
                     reference.append(p)
             assert _monomials(vars_, max_deg) == reference
+
+
+def test_monomials_without_variables_are_the_constant_at_any_cap():
+    # the loop over every degree up to the cap, which no variables cut short
+    for max_deg in range(6):
+        reference = []
+        for deg in range(max_deg + 1):
+            for combo in itertools.combinations_with_replacement([], deg):
+                reference.append(MPoly({combo: 1}))
+        assert _monomials([], max_deg) == reference == [MPoly.const(1)]
+
+
+def test_a_torsor_of_a_huge_power_over_a_free_base_is_decided_at_once():
+    # the ansatz has no variables, so its degree cap of 10^6 costs nothing
+    doc = parse_document("gen g free;\ntwisted e1 = 1, e2 = g^1000000;\n")
+    start = time.perf_counter()
+    res = decide_free_base(doc.presentation, TwistedEquation(*doc.twisted))
+    assert time.perf_counter() - start < 2.0
+    assert isinstance(res, Unsolvable)

@@ -15,10 +15,13 @@ from hypothesis import strategies as st
 from conftest import (
     clear_denominators,
     over_denominator,
+    reference_express_in_span,
     reference_gcd_primitive,
     reference_leading_monomial,
+    reference_linear_relations,
     reference_mono_cmp,
     reference_monic,
+    reference_span_grows,
 )
 from diffield import ratfunc
 from diffield.field import Presentation, _var_image
@@ -42,7 +45,7 @@ from diffield.ratfunc import (
     PoleError,
     RatFunc,
     SpanTracker,
-    _points,
+    _coordinates,
     express_in_span,
     linear_relations,
 )
@@ -596,14 +599,15 @@ def test_span_tracker_agrees_with_cleared_monomial_tracker(seed):
     dens = [MPoly.const(1), px + MPoly.const(1), py, px * py - MPoly.const(2)]
     tracker, reference = SpanTracker(), ClearedMonomialTracker()
     for _ in range(rng.randint(1, 8)):
-        if tracker.values and rng.random() < 0.4:
+        kept = [tracker.elems[i] for i in tracker.kept]
+        if kept and rng.random() < 0.4:
             f = RatFunc.zero()
-            for v in rng.sample(tracker.values, rng.randint(1, len(tracker.values))):
+            for v in rng.sample(kept, rng.randint(1, len(kept))):
                 f = f + RatFunc.const(Fraction(rng.randint(-2, 2), rng.randint(1, 2))) * v
         else:
             f = RatFunc(rand_poly(rng, [X, Y], max_deg=1), rng.choice(dens))
         assert tracker.add(f) == reference.add(f)
-        assert tracker.values == reference.values
+        assert [tracker.elems[i] for i in tracker.kept] == reference.values
 
 
 @settings(max_examples=60, deadline=None)
@@ -654,14 +658,14 @@ def _echelon_outcome(ncols, rows):
             echelon.add_row(coeffs, const)
     except Infeasible:
         return None
-    return echelon.solve(), echelon.kernel(), echelon.rref()
+    return echelon.solve(), echelon.kernel()
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 10**6))
 def test_echelon_ignores_row_order(seed):
     # the pivots are the RREF's whatever order rows arrive in, so solve,
-    # kernel, rref and infeasibility do not see a permutation of the rows;
+    # kernel and infeasibility do not see a permutation of the rows;
     # ParamContext.add_identity relies on this for its monomial order
     rng = random.Random(seed)
     ncols = rng.randint(1, 5)
@@ -698,7 +702,7 @@ def _mixed_entry(rng):
 
 
 def _dense_reference(ncols, rows):
-    """add_row's returns up to the first Infeasible, then (solve, kernel, rref) or None,
+    """add_row's returns up to the first Infeasible, then (solve, kernel) or None,
     all read off the dense Fraction RREF of the rows seen so far."""
     returns, rank = [], 0
     for k in range(1, len(rows) + 1):
@@ -715,7 +719,7 @@ def _dense_reference(ncols, rows):
             z = {f: 1}
             z.update({p: -row[f] for row, p in zip(red, pivots) if row[f]})
             kernel.append(z)
-    return returns, (solution, kernel, [row[:ncols] for row in red])
+    return returns, (solution, kernel)
 
 
 @settings(max_examples=150, deadline=None)
@@ -752,13 +756,11 @@ def test_echelon_matches_dense_fraction_rref(seed):
     assert got_returns == want_returns
     assert_stored_rows_primitive(echelon)
     if want is not None:
-        got = echelon.solve(), echelon.kernel(), echelon.rref()
+        got = echelon.solve(), echelon.kernel()
         assert got == want
         assert_coefficient_form(got[0].values())
         for z in got[1]:
             assert_coefficient_form(z.values())
-        for row in got[2]:
-            assert_coefficient_form(row)
 
 
 def reference_relations(elems):
@@ -902,17 +904,18 @@ def test_differential_relation_lattices(seed):
 
 
 def test_relations_check_elements_that_vanish_at_the_first_points():
-    # f vanishes at the first two points, the whole first round (one point
-    # per element) for up to two elements, so the values alone would report
-    # the relation f = 0
-    for nvars in (1, 2):
-        first = list(itertools.islice(_points(nvars), 2))
+    # f vanishes at all of a new tracker's first points, so its values alone
+    # would report the relation f = 0; the exact check must send the tracker
+    # on to more points
+    first = SpanTracker().points
+    for gens in ([X], [X, Y]):
         f = RatFunc.zero()
-        for i, gen in enumerate([x, y][:nvars]):
+        for v in gens:
             term = RatFunc.one()
-            for point in first:
-                term = term * (gen - RatFunc.const(point[i]))
+            for k in first:
+                term = term * (RatFunc.var(v) - RatFunc.const(_coordinates(v, [k])[0]))
             f = f + term
+        assert len(SpanTracker([f]).points) > len(first)
         assert linear_relations([f]) == []
         assert linear_relations([RatFunc.one(), f]) == []
         assert linear_relations([f, f + 1, RatFunc.one()]) == [(Fraction(1), Fraction(-1), Fraction(1))]
@@ -931,13 +934,110 @@ def test_express_zero_over_zeros_gives_a_coordinate_per_element():
 
 
 def test_relations_skip_a_pole_at_the_first_point():
-    a = next(_points(1))[0]
+    first = SpanTracker().points
+    a = _coordinates(X, first)[0]
     pole = RatFunc.one() / (x - RatFunc.const(a))
+    assert first[0] not in SpanTracker([pole]).points
     elems = [pole, x * pole, RatFunc.one()]  # x/(x - a) = 1 + a/(x - a)
     assert linear_relations(elems) == reference_relations(elems)
     assert len(linear_relations(elems)) == 1
     assert express_in_span([pole, RatFunc.one()], x * pole) == [Fraction(a), Fraction(1)]
     assert express_in_span([pole], x * pole) is None
+
+
+# -- the relation tracker against the evaluation it replaced (tests/conftest.py)
+
+
+def relation_elements(rng):
+    """Zeros, repeats, constants, combinations and fractions over shared denominator factors in x and y."""
+    elems = []
+    for _ in range(rng.randint(1, 5)):
+        kind = rng.random()
+        if elems and kind < 0.15:
+            elems.append(rng.choice(elems))
+        elif kind < 0.25:
+            elems.append(RatFunc.zero())
+        elif kind < 0.35:
+            elems.append(RatFunc.const(Fraction(rng.randint(-3, 3), rng.randint(1, 2))))
+        elif elems and kind < 0.55:
+            combo = RatFunc.zero()
+            for e in rng.sample(elems, rng.randint(1, len(elems))):
+                combo = combo + RatFunc.const(Fraction(rng.randint(-2, 2), rng.randint(1, 2))) * e
+            elems.append(combo)
+        else:
+            elems.append(shared_factor_ratfunc(rng, (X, Y)))
+    return elems
+
+
+def relation_target(rng, elems):
+    """A combination of elems, plus at times an element with variables they lack."""
+    target = RatFunc.zero()
+    for e in elems:
+        target = target + RatFunc.const(rng.randint(-2, 2)) * e
+    if rng.random() < 0.5:
+        target = target + rng.choice([z, x.shift(1), shared_factor_ratfunc(rng)])
+    return target
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_tracker_agrees_with_the_evaluation_it_replaced(seed):
+    rng = random.Random(seed)
+    elems = relation_elements(rng)
+    target = relation_target(rng, elems)
+    assert linear_relations(elems) == reference_linear_relations(elems)
+    assert express_in_span(elems, target) == reference_express_in_span(elems, target)
+    tracker, kept = SpanTracker(), []
+    for f in [*elems, target]:
+        grew = reference_span_grows(kept, f)
+        assert tracker.add(f) == grew
+        if grew:
+            kept.append(f)
+    assert [tracker.elems[i] for i in tracker.kept] == kept
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_tracker_answers_do_not_depend_on_its_history(seed):
+    # trackers reached by adds, forks and queries in any order answer as a
+    # fresh tracker over the same elements, and a fork leaves its parent as
+    # it was; one pool element has a pole at the first point
+    rng = random.Random(seed)
+    pole = RatFunc.one() / (x - RatFunc.const(_coordinates(X, SpanTracker().points)[0]))
+    pool = [*relation_elements(rng), pole, x * pole]
+    queries = [relation_target(rng, pool) for _ in range(2)]
+
+    def answers(t):
+        return t.kept, t.coords, [t.express(q) for q in queries], t.elems and linear_relations(t)
+
+    trackers = [SpanTracker()]
+    for _ in range(rng.randint(1, 10)):
+        t = rng.choice(trackers)
+        before = answers(t)
+        op = rng.random()
+        if op < 0.3:
+            t.express(rng.choice(pool))
+            assert answers(t) == before
+        elif op < 0.6:
+            child = t.fork()
+            child.add(rng.choice(pool))
+            trackers.append(child)
+            assert answers(t) == before
+        else:
+            t.add(rng.choice(pool))
+    for t in trackers:
+        assert answers(t) == answers(SpanTracker(t.elems))
+
+
+def test_tracker_grows_past_its_first_points():
+    elems = [x**k for k in range(12)] + [y * x**k for k in range(6)]
+    tracker = SpanTracker(elems)
+    assert tracker.kept == list(range(len(elems))) and len(tracker.points) >= len(elems)
+    planted = x**11 * 3 - y * x**5 + 2
+    coords = [Fraction(0)] * len(elems)
+    coords[0], coords[11], coords[17] = Fraction(2), Fraction(3), Fraction(-1)
+    assert tracker.express(planted) == coords
+    assert linear_relations([*elems, planted]) == reference_relations([*elems, planted])
 
 
 # -- exact numbers only ------------------------------------------------------

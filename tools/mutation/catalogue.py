@@ -124,11 +124,31 @@ CATALOGUE: tuple[Mutant, ...] = (
         (f"{TEST_POLY_RATFUNC}::test_differential_is_fixed",),
     ),
     Mutant(
-        "relation lattice without the exact kernel check",
+        "relation tracker without the exact check of a dependent element",
         RATFUNC,
-        "if all(_vanishes(elems, z) for z in echelon.kernel()):",
+        "if _vanishes((elems[j - m], t) for j, t in row.items()):",
         "if True:",
         (f"{TEST_POLY_RATFUNC}::test_relations_check_elements_that_vanish_at_the_first_points",),
+    ),
+    Mutant(
+        "relation tracker fork that shares the parent's element list",
+        RATFUNC,
+        "t.elems, t.kept, t.coords = list(self.elems), list(self.kept), dict(self.coords)",
+        "t.elems, t.kept, t.coords = self.elems, list(self.kept), dict(self.coords)",
+        (
+            f"{TEST_POLY_RATFUNC}::test_tracker_answers_do_not_depend_on_its_history",
+            "tests/test_characters.py::test_table_answers_do_not_depend_on_its_history",
+        ),
+    ),
+    Mutant(
+        "relation tracker storing a dependent row as a pivot",
+        RATFUNC,
+        "if min(row) < m:",
+        "if min(row) < m + i:",
+        (
+            f"{TEST_POLY_RATFUNC}::test_tracker_agrees_with_the_evaluation_it_replaced",
+            f"{TEST_POLY_RATFUNC}::test_span_tracker_agrees_with_cleared_monomial_tracker",
+        ),
     ),
     # -- lookups, the echelon, the free-base bound, witness peeling
     Mutant(
