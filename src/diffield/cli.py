@@ -139,7 +139,7 @@ def _dispatch(command: str, doc: Document | None, bounds: SearchBounds, seed: in
         res = solve_multiplicative_bounded(doc.presentation, eq, bounds)
         return _solve_result(res, repr(eq))
     if command in ("decompose", "ff-decompose"):
-        model, eq = _system_from(doc)
+        model, eq = _equation_from(doc)
         if command == "decompose":
             dec = decompose(model, eq, seed=seed)
             ok, problems = validate_decomposition(model, eq, dec)
@@ -230,7 +230,7 @@ def _dispatch(command: str, doc: Document | None, bounds: SearchBounds, seed: in
             True,
         )
     if command == "nsas-check":
-        model, _ = _system_from(doc, need_summands=False)
+        model = _system_from(doc)
         if doc.target is None:
             raise SemanticError("nsas-check needs a 'target' statement")
         ok, problems = check_n_sas_witness(
@@ -307,22 +307,14 @@ def _dec_entries(dec) -> list[dict]:
     return out
 
 
-def _system_from(doc: Document, need_summands: bool = True):
+def _system_from(doc: Document) -> SystemModel:
     if doc.blocks is None:
         raise SemanticError("missing 'system blocks ...;' statement")
-    block_names = [n for block in doc.blocks for n in block]
-    base_names = [n for n in doc.presentation.names() if n not in block_names]
-    base = doc.presentation.restrict(base_names)
-    assignment = []
-    for i, block in enumerate(doc.blocks, start=1):
-        for name in block:
-            if not doc.presentation.has_gen(name):
-                raise SemanticError(f"unknown block generator {name!r}")
-            assignment.append((name, frozenset({i})))
-    model = SystemModel(doc.presentation, len(doc.blocks), tuple(base_names), tuple(assignment))
-    model.validate()
-    if not need_summands:
-        return model, None
+    return SystemModel.of(doc.presentation, doc.blocks)
+
+
+def _equation_from(doc: Document):
+    model = _system_from(doc)
     if not doc.summands:
         raise SemanticError("missing 'summand i = ...;' statements")
     eq = AdditiveEquation.of(model, doc.summands)

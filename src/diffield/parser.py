@@ -332,6 +332,12 @@ class Document:
     source: str = ""
 
 
+# Statements of one shape each: `word i = expr;` into the Document dict field
+# named here, and `word expr;` into the field of the same name.
+_INDEXED = {"summand": "summands", "rewrite": "rewrites", "witness": "witnesses"}
+_SINGLE = frozenset({"target", "torsor", "closure"})
+
+
 def parse_document(text: str) -> Document:
     cur = _Cursor(tokenize(text))
     pres = Presentation.empty()
@@ -393,20 +399,12 @@ def parse_document(text: str) -> Document:
                 else:
                     break
             doc.blocks = blocks
-        elif word == "summand":
+        elif word in _INDEXED:
             idx = int(cur.take("int"))
             cur.expect("=")
-            doc.summands[idx] = _expr(cur, current())
-        elif word == "rewrite":
-            idx = int(cur.take("int"))
-            cur.expect("=")
-            doc.rewrites[idx] = _expr(cur, current())
-        elif word == "witness":
-            idx = int(cur.take("int"))
-            cur.expect("=")
-            doc.witnesses[idx] = _expr(cur, current())
-        elif word == "target":
-            doc.target = _expr(cur, current())
+            getattr(doc, _INDEXED[word])[idx] = _expr(cur, current())
+        elif word in _SINGLE:
+            setattr(doc, word, _expr(cur, current()))
         elif word == "assign":
             elem = _expr(cur, current())
             cur.expect("=")
@@ -433,13 +431,9 @@ def parse_document(text: str) -> Document:
                 if not current().has_gen(n):
                     raise SemanticError(f"unknown generator {n!r} in subfield")
             doc.subfield = names
-        elif word == "torsor":
-            doc.torsor = _expr(cur, current())
         elif word in ("r12", "r13", "r23"):
             cur.expect("=")
             doc.r_values[word] = _angle(cur)
-        elif word == "closure":
-            doc.closure = _expr(cur, current())
         else:
             _, _, line, column = tokens[cur.pos - 1]
             raise ParseError(f"unknown statement {word!r}", line, column)

@@ -14,8 +14,8 @@ Q-linear dependence is decided in one place, by evaluation: a
 :class:`SpanTracker` reduces each element once, as the row of its values at
 integer points, against the independent elements before it, and checks each
 dependence exactly.  :func:`linear_relations` hands a tracker's reduced row
-echelon form to :func:`~diffield.linalg.integer_kernel`;
-:func:`express_in_span` asks a tracker over the basis about the target.
+echelon form to :func:`~diffield.linalg.integer_kernel`, and
+:meth:`SpanTracker.express` gives an element's coordinates over the tracked ones.
 """
 
 from __future__ import annotations
@@ -539,15 +539,11 @@ def linear_relations(elements: Sequence[RatFunc] | SpanTracker) -> list[tuple[Fr
     return [tuple(Fraction(z) for z in vec) for vec in basis]
 
 
-def express_in_span(basis: Sequence[RatFunc], target: RatFunc) -> list[Fraction] | None:
-    """Rational coordinates of target over the basis values, as :meth:`SpanTracker.express`."""
-    return SpanTracker(basis).express(target)
-
-
 class CircleValue:
     """Element of the rational circle group Q/Z, written additively.
 
-    Angles live in [0, 1); the group law is addition mod 1.  Restricting to
+    Angles live in [0, 1); the group law is addition mod 1: callers add the
+    ``Fraction`` angles and wrap the sum in a new CircleValue.  Restricting to
     rational angles keeps every consistency question exact, and all in-scope
     decisions are Q-linear, so nothing is lost at instance level.  An angle
     is not a coefficient: it is always a ``Fraction``, ``Fraction(0)`` for
@@ -559,12 +555,6 @@ class CircleValue:
     def __init__(self, angle) -> None:
         a = Fraction(as_rational(angle))
         self.angle = a - (a.numerator // a.denominator)
-
-    def __add__(self, other: "CircleValue") -> "CircleValue":
-        return CircleValue(self.angle + other.angle)
-
-    def scaled(self, q) -> "CircleValue":
-        return CircleValue(self.angle * as_rational(q))
 
     def is_identity(self) -> bool:
         return self.angle == 0

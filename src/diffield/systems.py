@@ -5,9 +5,9 @@ parameter set) extended by generator blocks, one per corner index, with
 every block generator free or affine over the base.  Algebraic independence
 of the blocks is then true by construction, and corner membership is exact
 variable-support inspection.  Later constructions adjoin torsor witnesses
-that belong to a *subset* of indices (pairwise corners), so the block map
-assigns each non-base generator the set of indices it involves; corner(w)
-is the sub-presentation of the base plus every generator assigned inside w.
+that belong to a *subset* of indices (pairwise corners), so each generator
+carries the set of indices it involves, empty for the base; corner(w) is the
+sub-presentation of the generators whose index sets lie inside w.
 
 The decomposition algorithm follows the two-step induction: step 1 realizes
 the specialisation of the defining linear identity by generic rational
@@ -58,15 +58,34 @@ class WitnessUnavailable(RuntimeError):
 
 @record(frozen=True)
 class SystemModel:
-    """Corner fields realized by generator blocks over a base presentation."""
+    """Corner fields realized by generators, each carrying its index set.
+
+    ``blocks`` holds one index set per generator of ``pres``, in order: empty
+    for the base, and inside 1..size for the rest.  A rule mentions only
+    generators whose index sets lie inside its own, so corner(w), the
+    generators with index sets inside w, is closed under sigma.
+    """
 
     pres: Presentation
     size: int
-    base_names: tuple[str, ...]
-    assignment: tuple[tuple[str, frozenset[int]], ...]  # non-base generator -> indices
+    blocks: tuple[frozenset[int], ...]  # one index set per generator of pres
 
-    def assignment_map(self) -> dict[str, frozenset[int]]:
-        return dict(self.assignment)
+    @staticmethod
+    def of(pres: Presentation, block_names: Sequence[Sequence[str]]) -> "SystemModel":
+        """The system whose block i holds the generators named in block_names[i - 1];
+        every other generator of pres is base."""
+        index_sets: dict[str, frozenset[int]] = {}
+        for i, block in enumerate(block_names, start=1):
+            for name in block:
+                if not pres.has_gen(name):
+                    raise SystemModelError(f"unknown block generator {name!r}")
+                if name in index_sets:
+                    raise SystemModelError("a generator is assigned to two blocks")
+                index_sets[name] = frozenset({i})
+        blocks = tuple(index_sets.get(g.name, frozenset()) for g in pres.gens)
+        model = SystemModel(pres, len(block_names), blocks)
+        model.validate()
+        return model
 
     def indices(self) -> frozenset[int]:
         return frozenset(range(1, self.size + 1))
@@ -74,23 +93,15 @@ class SystemModel:
     def complement(self, *drop: int) -> frozenset[int]:
         return self.indices() - set(drop)
 
-    def corner_names(self, w: Iterable[int]) -> tuple[str, ...]:
-        wset = frozenset(w)
-        names = list(self.base_names)
-        for name, subset in self.assignment:
-            if subset <= wset:
-                names.append(name)
-        return tuple(names)
-
     def corner(self, w: Iterable[int]) -> Presentation:
-        return self.pres.restrict(self.corner_names(w))
+        wset = frozenset(w)
+        return self.pres.restrict(g.name for g, s in zip(self.pres.gens, self.blocks) if s <= wset)
 
     @cached_property
     def _index_sets(self) -> dict[int, frozenset[int]]:
-        """Generator index -> assigned index set, empty for the base (a memo
-        outside the record fields, unseen by equality, hashing and repr)."""
-        amap = self.assignment_map()
-        return {g.index: amap.get(g.name, frozenset()) for g in self.pres.gens}
+        """Generator index -> index set (a memo outside the record fields,
+        unseen by equality, hashing and repr)."""
+        return {g.index: s for g, s in zip(self.pres.gens, self.blocks)}
 
     def _indices_of(self, v: VarId) -> frozenset[int] | None:
         """Index set of v's generator: empty for the base, None if foreign."""
@@ -111,45 +122,29 @@ class SystemModel:
         )
 
     def adjoin(self, w: Iterable[int], name: str, linear, constant) -> tuple["SystemModel", Element]:
-        """Adjoin a fresh affine generator assigned to the index set w.
-
-        An empty index set extends the base instead (a closure step over the
-        parameter field).
-        """
-        wset = frozenset(w)
-        if not wset <= self.indices():
-            raise SystemModelError(f"index set {set(w)} outside the system")
+        """Adjoin a fresh affine generator with the index set w; an empty w
+        extends the base (a closure step over the parameter field)."""
         pres, gen = self.pres.with_affine(name, linear, constant)
-        if wset:
-            model = SystemModel(pres, self.size, self.base_names, self.assignment + ((name, wset),))
-        else:
-            model = SystemModel(pres, self.size, self.base_names + (name,), self.assignment)
+        model = SystemModel(pres, self.size, self.blocks + (frozenset(w),))
         model.validate()
         return model, gen
 
     def validate(self) -> None:
         if self.size < 1:
             raise SystemModelError("system size must be at least 1")
-        names = set(self.pres.names())
-        for b in self.base_names:
-            if b not in names:
-                raise SystemModelError(f"base generator {b!r} missing from the presentation")
-        if len({name for name, _ in self.assignment}) != len(self.assignment):
-            raise SystemModelError("a generator is assigned to two blocks")
-        for name, subset in self.assignment:
-            if name in self.base_names:
-                raise SystemModelError(f"generator {name!r} is both base and block")
-            if not subset or not subset <= self.indices():
-                raise SystemModelError(f"generator {name!r} has an invalid index set")
-            spec = self.pres.spec(name)
-            if not spec.is_free:
-                for part in (spec.kind.linear, spec.kind.constant):
-                    for v in part.variables():
-                        vsub = self._indices_of(v)
-                        if vsub is None or not vsub <= subset:
-                            raise SystemModelError(
-                                f"rule of {name!r} mentions {v.name!r} outside its corner"
-                            )
+        if len(self.blocks) != len(self.pres.gens):
+            raise SystemModelError("a system needs one index set per generator")
+        indices = self.indices()
+        for g, subset in zip(self.pres.gens, self.blocks):
+            if not subset <= indices:
+                raise SystemModelError(f"index set {set(subset)} of {g.name!r} outside the system")
+            if g.is_free:
+                continue
+            for part in (g.kind.linear, g.kind.constant):
+                for v in part.variables():
+                    vsub = self._indices_of(v)
+                    if vsub is None or not vsub <= subset:
+                        raise SystemModelError(f"rule of {g.name!r} mentions {v.name!r} outside its corner")
 
 
 def build_system(base: Presentation, blocks: Sequence[Sequence[tuple]]) -> SystemModel:
@@ -160,8 +155,6 @@ def build_system(base: Presentation, blocks: Sequence[Sequence[tuple]]) -> Syste
     the base, which is what makes the blocks independent by construction.
     """
     pres = base
-    assignment: list[tuple[str, frozenset[int]]] = []
-    base_names = base.names()
     base_indices = {g.index for g in base.gens}
     for i, block in enumerate(blocks, start=1):
         if not block:
@@ -181,10 +174,7 @@ def build_system(base: Presentation, blocks: Sequence[Sequence[tuple]]) -> Syste
                                     f"rule of {name!r} must mention base generators only"
                                 )
                 pres, _ = pres.with_affine(name, linear, constant)
-            assignment.append((name, frozenset({i})))
-    model = SystemModel(pres, len(blocks), base_names, tuple(assignment))
-    model.validate()
-    return model
+    return SystemModel.of(pres, [[name for name, _ in block] for block in blocks])
 
 
 @record(frozen=True)

@@ -1,14 +1,18 @@
 """Shared test helpers."""
 
+import faulthandler
 import itertools
 import math
 import os
 import random
 import subprocess
 import sys
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 import diffield
 from diffield.equations import MultiplicativeEquation, Solution, TwistedEquation, Unsolvable
@@ -29,25 +33,65 @@ from diffield.ratfunc import P1, CircleValue, RatFunc
 
 
 def run_cli(args, *, cwd=None, timeout):
-    """Run ``python -m diffield.cli ARGS`` in a subprocess.
+    """Run ``python -m diffield.cli ARGS`` in a subprocess (see run_python)."""
+    return run_python(["-m", "diffield.cli", *args], cwd=cwd, timeout=timeout)
+
+
+def run_python(args, *, cwd=None, timeout):
+    """Run ``python ARGS`` in a subprocess, capturing its output as text.
 
     The subprocess imports the same ``diffield`` copy as the test process:
     the directory holding that package goes first on its ``PYTHONPATH`` as
-    an absolute path, so the CLI starts from any working directory even when
-    the suite runs from an uninstalled checkout with ``PYTHONPATH=src``.
+    an absolute path, so it starts from any working directory even when the
+    suite runs from an uninstalled checkout with ``PYTHONPATH=src``.
     """
     path = [str(Path(diffield.__file__).resolve().parents[1])]
     if os.environ.get("PYTHONPATH"):
         path.append(os.environ["PYTHONPATH"])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     return subprocess.run(
-        [sys.executable, "-m", "diffield.cli", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         cwd=cwd,
         timeout=timeout,
         env=env,
     )
+
+
+# -- a test still running past faulthandler_timeout ends the run
+
+
+@pytest.hookimpl(hookwrapper=True, trylast=True)
+def pytest_runtest_protocol(item, nextitem):
+    """End the run when a test is still running after ``faulthandler_timeout``.
+
+    pytest's own faulthandler dumps the stacks at that timeout and lets the
+    test run on, so a hung run stays busy without naming its test.  This
+    wrapper runs inside pytest's (trylast, registered after it) and replaces
+    its timer: at the same timeout it prints the test's node id, dumps every
+    thread's stack and exits with status 1 at once.
+    """
+    timeout = float(item.config.getini("faulthandler_timeout") or 0)
+    if timeout <= 0:
+        yield
+        return
+    faulthandler.cancel_dump_traceback_later()
+    timer = threading.Timer(timeout, _end_hung_run, (item, timeout))
+    timer.daemon = True
+    timer.start()
+    yield
+    timer.cancel()
+
+
+def _end_hung_run(item, timeout):
+    capture = item.config.pluginmanager.get_plugin("capturemanager")
+    if capture is not None:
+        capture.suspend()  # the test's captured stderr is not the terminal's
+    sys.stderr.write(f"\n{item.nodeid}: still running after faulthandler_timeout = {timeout:g} s\n")
+    sys.stderr.flush()
+    faulthandler.dump_traceback(file=sys.stderr, all_threads=True)
+    os._exit(1)
 
 
 def common_denominator(elems):

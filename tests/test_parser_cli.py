@@ -44,6 +44,16 @@ def test_parse_presentation_and_rule():
     assert e1 == 1 and e2 == doc.presentation.gen("a1")
 
 
+def test_statements_of_one_shape_fill_their_own_fields():
+    doc = parse_document(
+        "gen g free;\nsummand 1 = g; rewrite 2 = 2*g; witness 3 = 3*g;\n"
+        "target 4*g; torsor 5*g; closure 6*g;\n"
+    )
+    g = doc.presentation.gen("g")
+    assert (doc.summands, doc.rewrites, doc.witnesses) == ({1: g}, {2: 2 * g}, {3: 3 * g})
+    assert (doc.target, doc.torsor, doc.closure) == (4 * g, 5 * g, 6 * g)
+
+
 def test_rule_expression_evaluates_to_zero():
     text = DOC + "summand 1 = s(a1, 1) - g*a1 - g;\nsystem blocks a1;\n"
     doc = parse_document(text)
@@ -160,6 +170,58 @@ def test_cli_decompose_invalid_equation_exit_two(tmp_path):
     proc = _run_cli(["decompose", str(doc)], tmp_path)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == "input error: summand 1 mentions block 1\n"
+
+
+FREE_BLOCKS = "gen x1 free; gen x2 free;\n"
+
+
+@pytest.mark.parametrize(
+    "statements, message",
+    [
+        ("gen b affine linear=1 const=x1;\nsystem blocks x1 | x2;", "rule of 'b' mentions 'x1' outside its corner"),
+        ("system blocks x1 | x1;", "a generator is assigned to two blocks"),
+        ("system blocks x1 | y;", "unknown block generator 'y'"),
+    ],
+    ids=["base rule names a block", "a name in two blocks", "unknown block name"],
+)
+@pytest.mark.parametrize("command", ["decompose", "nsas-check"])
+def test_cli_malformed_system_exit_two(tmp_path, capsys, command, statements, message):
+    doc = tmp_path / "system.df"
+    doc.write_text(FREE_BLOCKS + statements + "\nsummand 1 = 0; summand 2 = 0;\ntarget 0;\n")
+    assert cli.main([command, str(doc)]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+HYPERPLANE = {"tuple": "tuple g, 2*g;\n", "height": "height 2;\n", "subfield": "subfield g;\n"}
+AMALG = "amalg-check needs 'torsor' and r12/r13/r23 statements"
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("solve-sas", "gen g free;\n", "missing 'twisted e1 = ..., e2 = ...;' statement"),
+        ("solve-mult", "gen g free;\n", "missing 'mult e = ..., z = ...;' statement"),
+        ("decompose", FREE_BLOCKS + "summand 1 = 0;\n", "missing 'system blocks ...;' statement"),
+        ("ff-decompose", FREE_BLOCKS + "system blocks x1 | x2;\n", "missing 'summand i = ...;' statements"),
+        ("nsas-check", FREE_BLOCKS + "system blocks x1 | x2;\n", "nsas-check needs a 'target' statement"),
+        ("closure-step", "gen g free;\n", "closure-step needs a 'closure <expr>;' statement"),
+        *(
+            (
+                "hyperplane",
+                "gen g free;\n" + "".join(line for key, line in HYPERPLANE.items() if key != missing),
+                "hyperplane needs 'tuple', 'height' and 'subfield' statements",
+            )
+            for missing in HYPERPLANE
+        ),
+        ("amalg-check", "gen g free;\nr12 = 0; r13 = 0; r23 = 0;\n", AMALG),
+        ("amalg-check", "gen g free;\ntorsor g;\nr12 = 0; r23 = 0;\n", AMALG),
+    ],
+)
+def test_cli_command_without_its_statement_exit_two(tmp_path, capsys, command, text, message):
+    doc = tmp_path / "job.df"
+    doc.write_text(text)
+    assert cli.main([command, str(doc)]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
 
 
 def test_cli_require_decision_exit_three(tmp_path):

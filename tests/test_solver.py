@@ -23,7 +23,7 @@ from diffield.freebase import _denominator_bound, decide_free_base, replay_refut
 from diffield.linalg import Infeasible
 from diffield.params import LinComb, ParamContext
 from diffield.poly import MPoly, VarId, poly_gcd
-from diffield.ratfunc import express_in_span
+from diffield.ratfunc import SpanTracker
 from diffield.tower import (
     _denominator_candidates,
     fixed_space,
@@ -567,12 +567,12 @@ def test_polynomial_fixed_space_agrees_with_full_search(rules, bounds):
     poly_values = [e.value for e in poly if e.value.is_polynomial()]
     for e in full:
         if e.value.is_polynomial():
-            assert express_in_span(poly_values, e.value) is not None, (p, e)
+            assert SpanTracker(poly_values).express(e.value) is not None, (p, e)
     # (b) and finds nothing outside it
     full_values = [e.value for e in full]
     for e in poly:
         assert e.is_fixed(), (p, e)
-        assert express_in_span(full_values, e.value) is not None, (p, e)
+        assert SpanTracker(full_values).express(e.value) is not None, (p, e)
 
 
 # -- descent ---------------------------------------------------------------------

@@ -54,9 +54,7 @@ def test_two_sas_failure_witnessed():
     base0, reg0 = build_base()
     base, reg, _ = closure_step(base0, reg0, base0.one(), name="t1")
     pair, a1, a2 = adjoin_twisted_pair(base, reg)
-    model = SystemModel(
-        pair, 2, tuple(base.names()), (("a1", frozenset({1})), ("a2", frozenset({2})))
-    )
+    model = SystemModel.of(pair, [["a1"], ["a2"]])
     model.validate()
     t = model.pres.gen("t1")
     btilde = a1 + a2

@@ -15,6 +15,7 @@ from diffield.systems import (
     NoGenericPoint,
     NotFoundWithinBounds,
     SolverOracle,
+    SystemModel,
     SystemModelError,
     WitnessUnavailable,
     build_system,
@@ -92,6 +93,39 @@ def test_build_system_base_keeps_ambient_indices():
         build_system(base, [[("a1", "free")], [("a2", (1, a1))]])
     with pytest.raises(SystemModelError, match="base generators only"):
         build_system(base, [[("a1", "free"), ("a2", (1, a1))], [("a3", "free")]])
+
+
+def test_a_base_rule_that_mentions_a_block_is_refused():
+    # every generator carries its index set, the base's empty, and a rule
+    # stays inside its own corner: a base generator may not name block 1
+    m = free_blocks(3)
+    x1 = m.pres.gen("x1")
+    with pytest.raises(SystemModelError, match="rule of 'b' mentions 'x1' outside its corner"):
+        m.adjoin(set(), "b", 1, x1)
+    m2, t = m.adjoin(set(), "t", 1, 1)
+    assert m2.blocks == m.blocks + (frozenset(),)
+    assert m2.member_of(t, ()) and m2.corner(()).names() == ("t",)
+    m3, b = m2.adjoin({1}, "b", 1, x1 + t)
+    assert m3.member_of(b, {1}) and not m3.member_of(b, {2, 3})
+
+
+def test_an_index_set_outside_the_system_is_refused():
+    m = free_blocks(3)
+    with pytest.raises(SystemModelError, match="outside the system"):
+        m.adjoin({3, 4}, "w", 1, m.pres.gen("x3"))
+    with pytest.raises(SystemModelError, match="one index set per generator"):
+        SystemModel(m.pres, 3, m.blocks[:2]).validate()
+
+
+def test_block_names_are_generators_listed_once():
+    m = free_blocks(3)
+    assert SystemModel.of(m.pres, [["x1"], ["x2"], ["x3"]]) == m
+    with pytest.raises(SystemModelError, match="unknown block generator 'y'"):
+        SystemModel.of(m.pres, [["x1"], ["y"]])
+    with pytest.raises(SystemModelError, match="a generator is assigned to two blocks"):
+        SystemModel.of(m.pres, [["x1", "x2"], ["x3", "x2"]])
+    with pytest.raises(SystemModelError, match="a generator is assigned to two blocks"):
+        SystemModel.of(m.pres, [["x1", "x1"], ["x2"]])
 
 
 def test_three_free_singleton_blocks_valid():

@@ -189,6 +189,21 @@ CATALOGUE: tuple[Mutant, ...] = (
             "tests/test_systems.py::test_wp_decompose_with_witnesses_pinned_height4",
         ),
     ),
+    # -- n-systems: one index set per generator, the base's empty
+    Mutant(
+        "system check that skips the rules of base generators",
+        "src/diffield/systems.py",
+        "            if g.is_free:\n                continue",
+        "            if g.is_free or not subset:\n                continue",
+        ("tests/test_systems.py::test_a_base_rule_that_mentions_a_block_is_refused",),
+    ),
+    Mutant(
+        "block names where the later block wins for a name listed twice",
+        "src/diffield/systems.py",
+        "if name in index_sets:",
+        "if False:",
+        ("tests/test_systems.py::test_block_names_are_generators_listed_once",),
+    ),
     # -- the free-base ansatz: its cleared identity, degree clip and record
     Mutant(
         "cleared identity with sigma(Y) unshifted",
@@ -279,6 +294,16 @@ CATALOGUE: tuple[Mutant, ...] = (
         (
             f"{TEST_PARSER_CLI}::test_shift_sugar_and_sigma_powers",
             f"{TEST_PARSER_CLI}::test_job_documents_parse_like_the_reference",
+        ),
+    ),
+    Mutant(
+        "statement table sending rewrite into witnesses",
+        PARSER,
+        '"rewrite": "rewrites"',
+        '"rewrite": "witnesses"',
+        (
+            f"{TEST_PARSER_CLI}::test_statements_of_one_shape_fill_their_own_fields",
+            f"{TEST_PARSER_CLI}::test_cli_nsas_check",
         ),
     ),
     # -- value records against dataclasses.dataclass
