@@ -288,11 +288,16 @@ def check_n_sas_witness(
 ) -> tuple[bool, list[str]]:
     """Exact verification of a higher torsor-splitting witness set.
 
-    Checks btilde = sum(summands) = sum(rewrite), corner memberships, and
-    that each witness realizes the torsor of its rewritten summand inside
-    the right corner.
+    Checks that every index lies in 1..n, btilde = sum(summands) =
+    sum(rewrite), the corner membership of every summand, and that each
+    witness realizes the torsor of its rewritten summand inside the right
+    corner.
     """
     problems: list[str] = []
+    for kind, family in (("summand", summands), ("rewrite", rewrite), ("witness", witnesses)):
+        for i in sorted(family):
+            if not 1 <= i <= model.size:
+                problems.append(f"index: {kind} {i} outside 1..{model.size}")
     total = model.pres.zero()
     for i in sorted(summands):
         total = total + summands[i]
@@ -303,10 +308,11 @@ def check_n_sas_witness(
         total = total + rewrite[i]
     if total != btilde:
         problems.append("rewritten summands do not sum to the target")
+    for i in sorted(summands):
+        if not model.member_of(summands[i], model.complement(i)):
+            problems.append(f"membership: summand {i} escapes its corner")
     for i in sorted(rewrite):
         w = model.complement(i)
-        if not model.member_of(summands.get(i, model.pres.zero()), w):
-            problems.append(f"membership: summand {i} escapes its corner")
         if not model.member_of(rewrite[i], w):
             problems.append(f"membership: rewritten summand {i} escapes its corner")
         x = witnesses.get(i)

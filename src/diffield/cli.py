@@ -317,9 +317,7 @@ def _equation_from(doc: Document):
     model = _system_from(doc)
     if not doc.summands:
         raise SemanticError("missing 'summand i = ...;' statements")
-    eq = AdditiveEquation.of(model, doc.summands)
-    eq.require_valid(ff=False)
-    return model, eq
+    return model, AdditiveEquation.of(model, doc.summands)
 
 
 def _registry_for(doc: Document):

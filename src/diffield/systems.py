@@ -9,14 +9,17 @@ that belong to a *subset* of indices (pairwise corners), so each generator
 carries the set of indices it involves, empty for the base; corner(w) is the
 sub-presentation of the generators whose index sets lie inside w.
 
-The decomposition algorithm follows the two-step induction: step 1 realizes
-the specialisation of the defining linear identity by generic rational
-evaluation of one block's variables (over algebraically independent blocks,
-generic evaluation is the co-heir at instance level), and step 2 peels the
-last corner until the height-2 remainder telescopes: each peel writes one
-row of the antisymmetric family and adds it to the remaining summands.  The
-witness-driven decompositions peel the same way, one oracle query per torsor
-target of a peeled row.
+The decompositions follow the two-step induction, written once as _peel:
+step 1 realizes the specialisation of the defining linear identity by
+generic rational evaluation of one block's variables (over algebraically
+independent blocks, generic evaluation is the co-heir at instance level),
+and step 2 peels the last corner until the height-2 remainder telescopes.
+Each peel specialises at block `last` with seed + 17*last, writes one row of
+the antisymmetric family, and adds it to the remaining summands; the seed
+then steps by 1 (decompose, and the wp split of the witness-driven
+decompositions) or by 5 (ff_decompose_with_witnesses, whose rows are
+wp-split at seed + 3, one oracle witness per pair, and corrected by
+those witnesses).
 Generic points come from a seeded sequence over growing integer boxes, so
 runs are reproducible bit-exactly.
 """
@@ -278,34 +281,42 @@ def specialise_step1(
 
 
 def decompose(model: SystemModel, eq: AdditiveEquation, seed: int = 0) -> Decomposition:
-    """Antisymmetric pairwise decomposition of an additive equation (height >= 3).
-
-    Peel the last index until the height-2 remainder telescopes: one
-    specialise_step1 at block `last` (seed + 17*last, then seed += 1) gives
-    row `last`, which the remaining summands absorb; n - 2 specialisations.
-    """
+    """Antisymmetric pairwise decomposition of an additive equation (height >= 3):
+    the peel (_peel) with step 1, n - 2 specialisations."""
     eq.require_valid(ff=False)
     if eq.height < 3:
         raise SystemModelError("decomposition requires height at least 3")
-    b = eq.summand_map()
+    return _peel(model, eq.summand_map(), seed, 1)[1]
+
+
+def _peel(model: SystemModel, b: Mapping[int, Element], seed: int, step: int, correct=None):
+    """The two-step induction: peel the last index until two summands telescope.
+
+    Each round specialises b at block `last` = max(b) with seed + 17*last
+    (specialise_step1), which gives row `last`; correct(model, last, row,
+    seed), when given, returns the model and the row to use instead; the
+    remaining summands absorb the row, and seed += step.  Returns (model,
+    dec, rest): dec holds the rows and, when two summands are left, their
+    telescoped pair; rest is the summands left (two, one or none).
+    """
+    b = dict(b)
     dec: Decomposition = {}
     while len(b) > 2:
         last = max(b)
         row = specialise_step1(model, b, last, seed=seed + 17 * last)
         del b[last]
+        if correct is not None:
+            model, row = correct(model, last, row, seed)
         for j in b:
             dec[(last, j)], dec[(j, last)] = row[j], -row[j]
             b[j] = b[j] + row[j]
-        seed += 1
-    dec.update(_telescope(b, *sorted(b)))
-    return dec
-
-
-def _telescope(b: Mapping[int, Element], i: int, j: int) -> Decomposition:
-    """The height-2 step: b_i + b_j = 0 is the decomposition (i,j) = b_i."""
-    if b[i] != -b[j]:
-        raise SystemModelError("height-2 equation does not telescope")
-    return {(i, j): b[i], (j, i): b[j]}
+        seed += step
+    if len(b) == 2:  # the height-2 step: b_i + b_j = 0 is the decomposition (i,j) = b_i
+        i, j = sorted(b)
+        if b[i] != -b[j]:
+            raise SystemModelError("height-2 equation does not telescope")
+        dec[(i, j)], dec[(j, i)] = b[i], b[j]
+    return model, dec, b
 
 
 def validate_decomposition(
@@ -409,67 +420,50 @@ def wp_decompose_with_witnesses(
     WitnessUnavailable naming the blocked query.  An empty d gives empty
     families.
     """
-    active = sorted(d)
     if not sum(d.values(), model.pres.zero()).is_fixed():
         raise SystemModelError("wp-decomposition requires the summand total to be fixed")
-    model, e, wit = _wp_split(model, d, model.indices(), oracle, seed)
-    for i in active:
-        recovered = model.pres.zero()
-        for k in active:
-            if k != i:
-                recovered = recovered + e[(i, k)]
-                if e[(i, k)] != -e[(k, i)]:
-                    raise SystemModelError("internal error: wp-system not antisymmetric")
-                if wit[(i, k)].wp() != e[(i, k)]:
-                    raise SystemModelError("internal error: wp witness fails its torsor")
-        if recovered != d[i].wp():
-            raise SystemModelError("internal error: wp-system does not recover wp(d_i)")
+    family = AdditiveEquation.of(model, {i: x.wp() for i, x in d.items()})
+    model, e, wit = _wp_split(model, family.summand_map(), model.indices(), oracle, seed)
+    ok, problems = validate_decomposition(model, family, e)
+    if not ok:
+        raise SystemModelError("internal error: wp-system invalid: " + "; ".join(problems))
+    if any(wit[k].wp() != e[k] for k in e):
+        raise SystemModelError("internal error: wp witness fails its torsor")
     return model, e, wit
 
 
-def _witness(model: SystemModel, target: Element, corner: frozenset[int], oracle: TorsorWitnessOracle):
-    """The oracle's (x, model) with x in corner and wp(x) = target; a miss
-    raises WitnessUnavailable naming the query."""
-    found = oracle.find(model, target, corner)
-    if found is None:
-        raise WitnessUnavailable(target, corner)
-    return found
+def _wp_split(model, w, universe, oracle, seed):
+    """The peel of the family w = {i: wp(d_i)}, in ascending i, with step 1,
+    plus one oracle witness per pair.
 
-
-def _wp_split(model, d, universe, oracle, seed):
-    """Peel the last index of the wp(d_i) until two summands are left.
-
-    One specialise_step1 at block `last` (seed + 17*last, then seed += 1)
-    gives the targets e[(last,i)]; in ascending i, _witness realizes each
-    over universe - {i, last} and d_i absorbs its witness, so wp(d_i) gains
-    e[(last,i)].  The last pair asks about wp(d_i) for its smaller index; a
-    single summand must be fixed.
+    Each peeled row's targets e[(last,i)] are realized in ascending i over
+    universe - {i, last} before the next specialisation; the last pair's
+    target must lie in its corner, and a single summand must be fixed.  A
+    miss raises WitnessUnavailable naming the query.
     """
-    w = {i: x.wp() for i, x in sorted(d.items())}
-    e: Decomposition = {}
     wit: Decomposition = {}
-    while len(w) > 2:
-        last = max(w)
-        f = specialise_step1(model, w, last, seed=seed + 17 * last)
-        del w[last]
-        for i in w:
-            h, model = _witness(model, f[i], universe - {i, last}, oracle)
-            e[(last, i)], e[(i, last)] = f[i], -f[i]
-            wit[(last, i)], wit[(i, last)] = h, -h
-            w[i] = w[i] + f[i]
-        seed += 1
-    if len(w) == 2:
-        i, j = w
-        target = w[i]
-        if not model.member_of(target, universe - {i, j}):
+
+    def realize(model, i, k, target):
+        corner = universe - {i, k}
+        found = oracle.find(model, target, corner)
+        if found is None:
+            raise WitnessUnavailable(target, corner)
+        wit[(i, k)], wit[(k, i)] = found[0], -found[0]
+        return found[1]
+
+    def witnesses(model, last, row, seed):
+        for i, target in row.items():
+            model = realize(model, last, i, target)
+        return model, row
+
+    model, e, rest = _peel(model, w, seed, 1, witnesses)
+    if len(rest) == 2:
+        i, j = rest
+        if not model.member_of(rest[i], universe - {i, j}):
             raise SystemModelError("wp difference escapes the pair corner")
-        e[(i, j)], e[(j, i)] = target, -target
-        h, model = _witness(model, target, universe - {i, j}, oracle)
-        wit[(i, j)], wit[(j, i)] = h, -h
-    elif len(w) == 1:
-        (x,) = w.values()
-        if not x.is_zero():
-            raise SystemModelError("single-summand wp-decomposition needs a fixed summand")
+        model = realize(model, i, j, rest[i])
+    elif not all(x.is_zero() for x in rest.values()):
+        raise SystemModelError("single-summand wp-decomposition needs a fixed summand")
     return model, e, wit
 
 
@@ -479,32 +473,27 @@ def ff_decompose_with_witnesses(
     oracle: TorsorWitnessOracle,
     seed: int = 0,
 ):
-    """Fixed-field decomposition via the wp-correction pipeline.
+    """Fixed-field decomposition via the wp-correction pipeline: the peel
+    (_peel) with step 5, each row wp-split with oracle witnesses over the
+    corner without `last` (_wp_split at seed + 3) and corrected by them so
+    every entry is fixed.
 
-    Peel the last index as decompose does: specialise at block `last` (seed
-    + 17*last), wp-split that row with oracle witnesses over the corner
-    without `last` (_wp_split at seed + 3), subtract the witnesses so every
-    entry is fixed, and add the row to the remaining summands; seed += 5.
     The result is a valid decomposition into fixed entries, empty at height
     1; a blocked torsor query raises WitnessUnavailable naming its target.
     """
     eq.require_valid(ff=True)
-    b = eq.summand_map()
-    dec: Decomposition = {}
-    while len(b) > 2:
-        last = max(b)
-        d_last = specialise_step1(model, b, last, seed=seed + 17 * last)
-        del b[last]
-        model, _, wit = _wp_split(model, d_last, model.indices() - {last}, oracle, seed + 3)
-        for i in b:
-            entry = d_last[i] - sum((wit[(i, k)] for k in b if k != i), model.pres.zero())
-            if not entry.is_fixed():
+
+    def fix(model, last, row, seed):
+        wp_row = {i: x.wp() for i, x in row.items()}
+        model, _, wit = _wp_split(model, wp_row, model.indices() - {last}, oracle, seed + 3)
+        fixed = {}
+        for i in row:
+            fixed[i] = row[i] - sum((wit[(i, k)] for k in row if k != i), model.pres.zero())
+            if not fixed[i].is_fixed():
                 raise SystemModelError("corrected row entry is not fixed")
-            dec[(last, i)], dec[(i, last)] = entry, -entry
-            b[i] = b[i] + entry
-        seed += 5
-    if len(b) == 2:
-        dec.update(_telescope(b, *sorted(b)))
+        return model, fixed
+
+    model, dec, _ = _peel(model, eq.summand_map(), seed, 5, fix)
     return model, dec
 
 

@@ -26,6 +26,7 @@ from diffield.parser import (
     print_element,
     tokenize,
 )
+from diffield.systems import AdditiveEquation
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -192,6 +193,20 @@ def test_cli_malformed_system_exit_two(tmp_path, capsys, command, statements, me
     assert capsys.readouterr().err == f"input error: {message}\n"
 
 
+@pytest.mark.parametrize("command, job", [("decompose", "cocycle"), ("ff-decompose", "ff_planted")])
+def test_cli_validates_each_equation_once(tmp_path, monkeypatch, command, job):
+    calls = []
+    real = AdditiveEquation.validate
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(AdditiveEquation, "validate", counting)
+    assert cli.main([command, str(ROOT / "jobs" / f"{job}.df"), "--out", str(tmp_path / "r.json")]) == 0
+    assert len(calls) == 1
+
+
 HYPERPLANE = {"tuple": "tuple g, 2*g;\n", "height": "height 2;\n", "subfield": "subfield g;\n"}
 AMALG = "amalg-check needs 'torsor' and r12/r13/r23 statements"
 
@@ -344,20 +359,40 @@ def test_cli_amalg_check(tmp_path):
     assert "solvable" in proc.stdout
 
 
+NSAS_SYSTEM = (
+    "gen g free;\n"
+    "gen u1 affine linear=1 const=g;\ngen u2 affine linear=1 const=g;\n"
+    "system blocks u1 | u2;\n"
+    "target 2*g;\n"
+)
+
+
 def test_cli_nsas_check(tmp_path):
     doc = tmp_path / "n.df"
     doc.write_text(
-        "gen g free;\n"
-        "gen u1 affine linear=1 const=g;\ngen u2 affine linear=1 const=g;\n"
-        "system blocks u1 | u2;\n"
-        "target 2*g;\n"
-        "summand 1 = g; summand 2 = g;\n"
+        NSAS_SYSTEM + "summand 1 = g; summand 2 = g;\n"
         "rewrite 1 = g; rewrite 2 = g;\n"
         "witness 1 = u2; witness 2 = u1;\n"
     )
     proc = _run_cli(["nsas-check", str(doc)], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "verified" in proc.stdout
+    # a summand outside the rewritten indices, and indices outside 1..n, are checked too
+    rejected = {
+        "summand 1 = g - u2; summand 2 = g + u2;\nrewrite 1 = 2*g;\nwitness 1 = 2*u2;\n": [
+            "membership: summand 2 escapes its corner"
+        ],
+        "summand 1 = g; summand 2 = g;\nrewrite 1 = g; rewrite 7 = g;\nwitness 1 = u2; witness 7 = u1;\n": [
+            "index: rewrite 7 outside 1..2",
+            "index: witness 7 outside 1..2",
+        ],
+    }
+    for statements, problems in rejected.items():
+        doc.write_text(NSAS_SYSTEM + statements)
+        out = tmp_path / "n.json"
+        assert cli.main(["nsas-check", str(doc), "--out", str(out)]) == 0
+        result = json.loads(out.read_text())["result"]
+        assert result == {"verdict": "rejected", "problems": problems}, statements
 
 
 # -- the one-pass front end against the parser before it (tests/conftest.py)

@@ -594,6 +594,30 @@ def row_sum_family(model, rng):
     return {i: sum((e[(i, k)] for k in idx if k != i), model.pres.zero()) for i in idx}
 
 
+def product_planted_equation(model, rng):
+    """A fixed-field equation whose entries carry products of cross-block
+    fixed differences such as (u_k - u_l)*(u_l - v_l).
+
+    Their specialisations depend on the point of every peel, not only the
+    first, and the later peels need closures, so each seed of the peel's
+    schedule shows in the output."""
+    idx = range(1, model.size + 1)
+    u = {k: model.pres.gen(f"u{k}") for k in idx}
+    v = {k: model.pres.gen(f"v{k}") for k in idx}
+    dec = {}
+    for a, b in itertools.combinations(idx, 2):
+        e = model.pres.const(rng.randint(-2, 2))
+        corner = sorted(model.complement(a, b))
+        for k, l in zip(corner, corner[1:] + corner[:1]):
+            if k != l:
+                e = e + (u[k] - u[l]) * (u[l] - v[l]) * rng.randint(-1, 1)
+            e = e + (u[k] - v[k]) * rng.randint(-2, 2)
+        dec[(a, b)], dec[(b, a)] = e, -e
+    return AdditiveEquation.of(
+        model, {a: sum((dec[(a, b)] for b in idx if b != a), model.pres.zero()) for a in idx}
+    )
+
+
 def _closures(oracle):
     return [(name, sorted(w), repr(t)) for name, w, t in oracle.closures]
 
@@ -622,6 +646,18 @@ def test_witness_decompositions_match_the_recursive_reference():
             assert _reprs(got_e) == _reprs(want_e), (n, trial)
             assert _reprs(got_wit) == _reprs(want_wit), (n, trial)
             assert _closures(got_oracle) == _closures(want_oracle)
+    rng = random.Random(5)
+    for n in (4, 5):
+        m = torsor_blocks(n)
+        for trial in range(2):
+            seed = 10 * n + trial
+            eq = product_planted_equation(m, rng)
+            got_oracle, want_oracle = ClosureOracle(SearchBounds(1, 1)), ClosureOracle(SearchBounds(1, 1))
+            _, got = ff_decompose_with_witnesses(m, eq, got_oracle, seed=seed)
+            _, want = reference_ff_decompose(m, eq, want_oracle, seed=seed)
+            assert _reprs(got) == _reprs(want), (n, trial)
+            assert _closures(got_oracle) == _closures(want_oracle)
+            assert got_oracle.closures, (n, trial)
 
 
 # Exact outputs of the witness-driven decompositions.  Both reach _wp_split with

@@ -150,7 +150,7 @@ CATALOGUE: tuple[Mutant, ...] = (
             f"{TEST_POLY_RATFUNC}::test_span_tracker_agrees_with_cleared_monomial_tracker",
         ),
     ),
-    # -- lookups, the echelon, the free-base bound, witness peeling
+    # -- lookups, the echelon, the free-base bound, the peel and its seed schedule
     Mutant(
         "spec keeps the last generator of a name",
         "src/diffield/field.py",
@@ -180,14 +180,29 @@ CATALOGUE: tuple[Mutant, ...] = (
         ("tests/test_solver.py::test_denominator_bound_divides_out_repeated_factors",),
     ),
     Mutant(
-        "wp split that does not carry wp(d_i)",
+        "peel whose remaining summands do not absorb the peeled row",
         "src/diffield/systems.py",
-        "w[i] = w[i] + f[i]",
-        "w[i] = w[i]",
+        "b[j] = b[j] + row[j]",
+        "b[j] = b[j]",
         (
+            "tests/test_systems.py::test_decompose_matches_the_recursive_reference",
             "tests/test_systems.py::test_witness_decompositions_match_the_recursive_reference",
             "tests/test_systems.py::test_wp_decompose_with_witnesses_pinned_height4",
         ),
+    ),
+    Mutant(
+        "ff peel stepping its seed by 1 where the schedule steps by 5",
+        "src/diffield/systems.py",
+        "_peel(model, eq.summand_map(), seed, 5, fix)",
+        "_peel(model, eq.summand_map(), seed, 1, fix)",
+        ("tests/test_systems.py::test_witness_decompositions_match_the_recursive_reference",),
+    ),
+    Mutant(
+        "ff row wp-split at the peel's seed instead of seed + 3",
+        "src/diffield/systems.py",
+        "oracle, seed + 3)",
+        "oracle, seed)",
+        ("tests/test_systems.py::test_witness_decompositions_match_the_recursive_reference",),
     ),
     # -- n-systems: one index set per generator, the base's empty
     Mutant(
