@@ -50,6 +50,15 @@ class Obstruction:
 
 @record(frozen=True)
 class CharacterTable:
+    """Circle values assigned to elements of a presentation.
+
+    Invariant: every entry is fixed.  ``empty`` and ``extend_character``
+    keep it, and so does ``build_failing_instance``, whose span is checked by
+    ``require_fixed``.  Since sigma is Q-linear, the Q-span of the entries is
+    then fixed too, so an element the tracker places in that span needs no
+    sigma test of its own.
+    """
+
     pres: Presentation
     entries: tuple[tuple[Element, CircleValue], ...]
 
@@ -92,12 +101,17 @@ def extend_character(
     The decision is order-independent: it only looks at the saturated
     integer relation lattice of entries plus queries.  The extended table's
     tracker is a fork of the table's with the new values added.
+
+    Each element is added to the tracker first, and sigma-tested only when
+    it opens a new direction: one in the span of the entries and the
+    assignments before it is fixed, since they all are.  A non-fixed element
+    is never in that span, so it raises CharacterError at the same element
+    as a test of every element would.
     """
     tracker = table.tracker.fork()
     for elem, _ in assignments:
-        if not elem.is_fixed():
+        if tracker.add(elem.value) and not elem.is_fixed():
             raise CharacterError(f"element {elem} is not fixed")
-        tracker.add(elem.value)
     combined = CharacterTable(table.pres, table.entries + tuple(assignments))
     combined.__dict__["tracker"] = tracker
     bad = combined.consistency()
@@ -107,11 +121,16 @@ def extend_character(
 
 
 def value_of(table: CharacterTable, element: Element) -> CircleValue | None:
-    """Forced value of an element of the assigned span; None when outside."""
-    if not table.entries:
-        return None
-    combo = table.tracker.express(element.value)
+    """Forced value of an element of the assigned span; None when it is free.
+
+    An element in the span is fixed, since the entries are.  One outside it
+    (every element, for the empty table) is free only when it is fixed;
+    otherwise CharacterError is raised.
+    """
+    combo = table.tracker.express(element.value) if table.entries else None
     if combo is None:
+        if not element.is_fixed():
+            raise CharacterError(f"element {element} is not fixed")
         return None
     total = Fraction(0)
     for q, v in zip(combo, table.angles()):

@@ -149,6 +149,12 @@ class Presentation:
             out.setdefault(g.index, g)
         return out
 
+    @cached_property
+    def _images(self) -> dict[tuple[VarId, int], RatFunc]:
+        """The affine generators' images under sigma^{+1} and sigma^{-1}, by
+        (var, direction), kept outside the record fields; _var_image fills it."""
+        return {}
+
     # -- validation ------------------------------------------------------------
 
     def validate(self) -> None:
@@ -365,17 +371,29 @@ class Element:
 
 
 def _var_image(pres: Presentation, var: VarId, direction: int) -> RatFunc:
-    """Image of a single variable under sigma^{+1} or sigma^{-1}."""
+    """Image of a single variable under sigma^{+1} or sigma^{-1}.
+
+    A free generator's image is a shift, made on each call.  An affine
+    generator's is formed once per presentation and direction and kept in
+    ``pres._images``; is_fixed, sigma_value and LinComb.sigma all reach it
+    through sigma_images.
+    """
     g = pres.spec_by_index(var.index)
     if g.is_free:
         return RatFunc.var(var.shifted(direction))
-    kind = g.kind
-    a = RatFunc.var(var)
-    if direction == 1:
-        return kind.linear * a + kind.constant
-    alpha_inv = sigma_value(pres, kind.linear, -1)
-    beta_inv = sigma_value(pres, kind.constant, -1)
-    return (a - beta_inv) / alpha_inv
+    key = (var, direction)
+    image = pres._images.get(key)
+    if image is None:
+        kind = g.kind
+        a = RatFunc.var(var)
+        if direction == 1:
+            image = kind.linear * a + kind.constant
+        else:
+            alpha_inv = sigma_value(pres, kind.linear, -1)
+            beta_inv = sigma_value(pres, kind.constant, -1)
+            image = (a - beta_inv) / alpha_inv
+        pres._images[key] = image
+    return image
 
 
 def sigma_images(pres: Presentation, vars_: set[VarId], direction: int) -> dict[VarId, RatFunc] | None:

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import diffield
+from diffield.characters import CharacterError, CharacterTable
 from diffield.equations import MultiplicativeEquation, Solution, TwistedEquation, Unsolvable
 from diffield.field import Element, Presentation, PresentationError
 from diffield.freebase import (
@@ -872,3 +873,31 @@ def reference_express_in_span(basis, target):
 def reference_span_grows(kept, f):
     """Whether f grows the span of the kept values, as SpanTracker.add answered."""
     return not f.is_zero() and reference_express_in_span(kept, f) is None
+
+
+# -- character tables, sigma-testing every element first
+
+
+def reference_extend_character(table, assignments):
+    """extend_character as it was before it tested only new directions."""
+    tracker = table.tracker.fork()
+    for elem, _ in assignments:
+        if not elem.is_fixed():
+            raise CharacterError(f"element {elem} is not fixed")
+        tracker.add(elem.value)
+    combined = CharacterTable(table.pres, table.entries + tuple(assignments))
+    combined.__dict__["tracker"] = tracker
+    bad = combined.consistency()
+    return combined if bad is None else bad
+
+
+def reference_value_of(table, element):
+    """value_of with the sigma test first, for every element."""
+    if not element.is_fixed():
+        raise CharacterError(f"element {element} is not fixed")
+    if not table.entries:
+        return None
+    combo = table.tracker.express(element.value)
+    if combo is None:
+        return None
+    return CircleValue(sum((q * v.angle for q, v in zip(combo, table.angles())), Fraction(0)))

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_extend_character, reference_value_of
 from diffield.characters import (
+    CharacterError,
     CharacterTable,
     Obstruction,
     build_3amalg_obstruction,
@@ -84,6 +86,76 @@ def test_non_fixed_rejected():
     p, _ = fixed_playground()
     with pytest.raises(ValueError):
         extend_character(CharacterTable.empty(p), [(p.gen("g"), CircleValue(0))])
+
+
+def test_value_of_refuses_an_element_that_is_not_fixed():
+    p, (b1, _, _) = fixed_playground()
+    empty = CharacterTable.empty(p)
+    u0 = p.gen("u0")
+    for table in (empty, extend_character(empty, [(b1, CircleValue(Fraction(1, 3)))])):
+        with pytest.raises(CharacterError, match="element u0 is not fixed"):
+            value_of(table, u0)
+    assert value_of(empty, b1) is None and value_of(empty, p.zero()) is None
+
+
+def _outcome(fn, *args):
+    """What fn returned, or the text of the CharacterError it raised."""
+    try:
+        return fn(*args)
+    except CharacterError as exc:
+        return str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_span_first_checks_agree_with_testing_every_element(seed):
+    # tables grown by extend_character and by the reference, which sigma-tests
+    # every element before it looks at the span, give the same entries or
+    # obstruction, or raise the same error; so do value_of and its reference.
+    # Drawn elements are fixed combinations of the basis (new or, once in
+    # the table, dependent), combinations of the table's own entries (always
+    # dependent), zero, constants, and non-fixed elements, anywhere in a batch.
+    rng = random.Random(seed)
+    p, basis = fixed_playground()
+    g, us = p.gen("g"), [p.gen(f"u{i}") for i in range(4)]
+    psi = [Fraction(rng.randint(0, 11), 12) for _ in range(len(basis) + 1)]  # psi[0] on 1
+
+    def planted(const, coeffs):
+        e = p.const(const)
+        for c, b in zip(coeffs, basis):
+            e = e + c * b
+        return e, const * psi[0] + sum((c * a for c, a in zip(coeffs, psi[1:])), Fraction(0))
+
+    def draw(table):
+        kind = rng.choice(("basis", "basis", "entries", "zero", "constant", "not fixed"))
+        if kind == "basis":
+            e, angle = planted(rng.randint(-1, 1), [rng.randint(-2, 2) for _ in basis])
+        elif kind == "entries" and table.entries:
+            e, angle = p.zero(), Fraction(0)
+            for x, v in rng.sample(table.entries, min(2, len(table.entries))):
+                c = rng.choice((-2, -1, 1, 2))
+                e, angle = e + c * x, angle + c * v.angle
+        elif kind == "constant":
+            e, angle = planted(rng.choice((-2, 1, 3)), [0] * len(basis))
+        elif kind == "not fixed":
+            u = rng.choice(us)
+            e, angle = rng.choice((u, g, p.gen("g", 1), u * rng.choice(basis), u + rng.choice(basis))), Fraction(0)
+        else:
+            e, angle = p.zero(), Fraction(0)
+        return e, CircleValue(angle + (Fraction(1, 4) if rng.random() < 0.15 else 0))
+
+    tables = [CharacterTable.empty(p)]
+    for _ in range(rng.randint(2, 8)):
+        table = rng.choice(tables)
+        if rng.random() < 0.35:
+            e = draw(table)[0]
+            assert _outcome(value_of, table, e) == _outcome(reference_value_of, table, e)
+            continue
+        batch = [draw(table) for _ in range(rng.randint(1, 3))]
+        got = _outcome(extend_character, table, batch)
+        assert got == _outcome(reference_extend_character, table, batch)
+        if isinstance(got, CharacterTable):
+            tables.append(got)
 
 
 def test_extension_matches_bruteforce_kernel_oracle():

@@ -135,6 +135,32 @@ def test_wp_zero_iff_fixed(seed):
     assert q.wp().is_zero() and q.is_fixed()
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6))
+def test_sigma_images_are_kept_per_direction(seed):
+    # each presentation forms an affine generator's image under sigma^{+1}
+    # and sigma^{-1} once; asking for them in either order on equal but
+    # separate presentations gives the same values, and b's inverse image
+    # needs a's, so one direction's image must never answer for the other
+    def build():
+        p = _laws_presentation()
+        p, _ = p.with_affine("b", 1, p.gen("a"))
+        return p
+
+    p, q = build(), build()
+    assert p == q and p is not q
+    rng = random.Random(seed)
+    for _ in range(3):
+        x = _random_element(p, rng, list(p.names()))
+        down, up = x.sigma(-1), x.sigma(1)
+        y = x.in_presentation(q)
+        assert (y.sigma(1).value, y.sigma(-1).value) == (up.value, down.value)
+    affine = {g.index for g in p.gens if not g.is_free}
+    for pres in (p, q):
+        assert all(v.index in affine and d in (1, -1) for v, d in pres._images)
+        assert len(pres._images) <= 2 * len(affine)
+
+
 def test_restriction_preserves_indices():
     p, g, a1 = twisted_pair_presentation()
     sub = p.restrict(["g"])

@@ -351,6 +351,24 @@ def test_cli_ff_decompose(tmp_path):
     assert "decomposed" in proc.stdout
 
 
+NOT_FIXED = (
+    "gen g free;\n"
+    "gen u1 affine linear=1 const=g; gen v1 affine linear=1 const=g;\n"
+    "assign (u1 - v1) = 1/3;\n"
+)
+
+
+@pytest.mark.parametrize("query", ["query u1 free;\nquery g free;\n", "query u1 = 1/2;\n"], ids=["free", "angle"])
+def test_cli_character_refuses_a_query_that_is_not_fixed(tmp_path, capsys, query):
+    # u1 is outside the span of u1 - v1 and sigma(u1) = u1 + g: neither form
+    # of query may call it free or give it a value
+    doc = tmp_path / "c.df"
+    doc.write_text(NOT_FIXED + query)
+    assert cli.main(["character", str(doc)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "input error: element u1 is not fixed\n"
+
+
 def test_cli_amalg_check(tmp_path):
     doc = tmp_path / "a.df"
     doc.write_text("gen g free;\ntorsor g;\nr12 = 1/3; r13 = 2/3; r23 = 1/3;\n")

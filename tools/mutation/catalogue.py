@@ -33,6 +33,8 @@ FREEBASE = "src/diffield/freebase.py"
 PARSER = "src/diffield/parser.py"
 RECORD = "src/diffield/record.py"
 TEST_RECORD = "tests/test_record.py"
+CHARACTERS = "src/diffield/characters.py"
+TEST_CHARACTERS = "tests/test_characters.py"
 
 CATALOGUE: tuple[Mutant, ...] = (
     # -- the polynomial substrate: the integer gcd kernel and the order key
@@ -122,6 +124,38 @@ CATALOGUE: tuple[Mutant, ...] = (
         "return num * value.den == value.num * den",
         "return num == value.num",
         (f"{TEST_POLY_RATFUNC}::test_differential_is_fixed",),
+    ),
+    # -- fixedness proven once: span-first character checks, sigma images per presentation
+    Mutant(
+        "span-first extension that never sigma-tests a new direction",
+        CHARACTERS,
+        "and not elem.is_fixed()",
+        "and False",
+        (
+            f"{TEST_CHARACTERS}::test_non_fixed_rejected",
+            f"{TEST_CHARACTERS}::test_span_first_checks_agree_with_testing_every_element",
+        ),
+    ),
+    Mutant(
+        "value_of without the sigma test outside the span",
+        CHARACTERS,
+        "if not element.is_fixed():",
+        "if False:",
+        (
+            f"{TEST_CHARACTERS}::test_value_of_refuses_an_element_that_is_not_fixed",
+            f"{TEST_CHARACTERS}::test_span_first_checks_agree_with_testing_every_element",
+            f"{TEST_PARSER_CLI}::test_cli_character_refuses_a_query_that_is_not_fixed",
+        ),
+    ),
+    Mutant(
+        "sigma-image cache keyed by the variable without the direction",
+        "src/diffield/field.py",
+        "key = (var, direction)",
+        "key = var",
+        (
+            "tests/test_field.py::test_sigma_images_are_kept_per_direction",
+            "tests/test_field.py::test_sigma_inverse_affine",
+        ),
     ),
     Mutant(
         "relation tracker without the exact check of a dependent element",
