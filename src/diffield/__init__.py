@@ -24,9 +24,6 @@ from .characters import (
     CharacterTable,
     HyperplaneWitness,
     Obstruction,
-    build_3amalg_obstruction,
-    build_failing_instance,
-    check_n_sas_witness,
     extend_character,
     hyperplane_search,
     value_of,
@@ -35,7 +32,9 @@ from .counterexample import (
     CounterexampleReport,
     Height4Instance,
     adjoin_twisted_pair,
+    build_3amalg_obstruction,
     build_base,
+    build_failing_instance,
     build_height4_instance,
     closure_step,
     refute_ff_decomposition,
@@ -70,6 +69,7 @@ from .systems import (
     TorsorWitnessOracle,
     WitnessUnavailable,
     build_system,
+    check_n_sas_witness,
     decompose,
     ff_decompose_bounded,
     ff_decompose_with_witnesses,

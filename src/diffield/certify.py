@@ -14,6 +14,9 @@ The verdict is deliberately three-valued: certificates refute, solutions
 are found elsewhere, and anything the case analysis cannot close is an
 honest Unknown (general unsolvability over non-free bases is only
 semi-decided; only specific families refute unboundedly).
+
+The certifier imports no search module (``tower``, ``systems``), so a
+checker built on it stays a small trusted core.
 """
 
 from __future__ import annotations
@@ -29,9 +32,8 @@ from .equations import (
 )
 from .field import Element, GeneratorSpec, Presentation
 from .freebase import FreeRefutation, decide_free_base, multiplicative_kernel
-from .params import LinComb
+from .params import LinComb, _lincomb_coefficients, require_level_free
 from .record import record
-from .tower import _lincomb_coefficients, last_affine, peel, require_level_free
 
 
 # -- query forms ----------------------------------------------------------------
@@ -275,10 +277,10 @@ def _certify(pres: Presentation, query: Query, registry: AvoidedRegistry | None)
         hit = registry.match(pres, query)
         if hit is not None:
             return hit
-    if pres.is_free_only():
+    affine = pres.affine_top
+    if affine is None:
         return _certify_free(pres, query)
-    gen = last_affine(pres)
-    sub, alpha, beta = peel(pres, gen)
+    gen, sub, alpha, beta = affine.gen, affine.sub, affine.alpha, affine.beta
     cases = leading_cases(pres, sub, gen, alpha, query)
     if cases is None:
         return None

@@ -10,9 +10,8 @@ the hyperplane-freeness condition, with bounded fixed spanning sets
 standing in for the fixed subfield of a sub-presentation.
 
 Everything amalgamation-shaped reduces to this rational-linear angle
-arithmetic: the obstruction instances below demonstrate per-corner
-consistent assignments whose joint extension would violate a forced
-relation.
+arithmetic.  The obstruction instances built on it need certificates and
+corner searches, so they live in :mod:`diffield.counterexample`.
 """
 
 from __future__ import annotations
@@ -20,15 +19,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .certify import AvoidedRegistry, certify_unsolvable
-from .equations import SearchBounds, TwistedEquation, Unsolvable
+from .equations import SearchBounds
 from .field import Element, Presentation
 from .ratfunc import CircleValue, SpanTracker, linear_relations
 from .record import record
-from .systems import AdditiveEquation, SystemModel, pairwise_fixed_polynomials
-from .tower import fixed_space
 
 
 class CharacterError(ValueError):
@@ -52,11 +48,11 @@ class Obstruction:
 class CharacterTable:
     """Circle values assigned to elements of a presentation.
 
-    Invariant: every entry is fixed.  ``empty`` and ``extend_character``
-    keep it, and so does ``build_failing_instance``, whose span is checked by
-    ``require_fixed``.  Since sigma is Q-linear, the Q-span of the entries is
-    then fixed too, so an element the tracker places in that span needs no
-    sigma test of its own.
+    Invariant: every entry is fixed.  ``empty``, ``extend_character`` and
+    ``counterexample.build_failing_instance`` (after ``require_fixed`` and
+    ``is_ff``) keep it.  Since sigma is Q-linear, the Q-span of the entries
+    is then fixed too, so an element the tracker places in that span needs
+    no sigma test of its own.
     """
 
     pres: Presentation
@@ -157,6 +153,7 @@ def hyperplane_search(
     of the subfield; plain enumeration of the height box, smallest maximum
     coefficient first, first nonzero coefficient positive.
     """
+    from .tower import fixed_space  # here, so that importing this module loads no search
     if height < 1:
         raise ValueError("height must be at least 1")
     for x in xs:
@@ -185,161 +182,3 @@ def hyperplane_search(
                     raise AssertionError("internal error: witness failed verification")
                 return HyperplaneWitness(tuple(z), b, tuple(combo))
     return None
-
-
-def build_3amalg_obstruction(
-    pres: Presentation,
-    target: Element,
-    registry: AvoidedRegistry | None,
-    r: tuple[CircleValue, CircleValue, CircleValue],
-) -> dict:
-    """The classic three-witness instance over an unrealized torsor.
-
-    Adjoins independent witnesses alpha_i for T_target and asks for
-    Psi(alpha_i - alpha_j) = r_ij.  The only forced relation is
-    (a1-a2) + (a2-a3) = (a1-a3), so the system is solvable exactly when
-    r12 + r23 = r13 mod 1; the verdict is cross-checked against the
-    character-extension decision.
-    """
-    cert = certify_unsolvable(pres, TwistedEquation.torsor(target), registry)
-    if not isinstance(cert, Unsolvable):
-        raise CharacterError(
-            "refused: the torsor is not certified unrealized over the base"
-        )
-    p = pres
-    alphas = []
-    for i in (1, 2, 3):
-        p, alpha = p.with_affine(f"alpha{i}", 1, target)
-        alphas.append(alpha)
-    a1, a2, a3 = (a.in_presentation(p) for a in alphas)
-    d12, d13, d23 = a1 - a2, a1 - a3, a2 - a3
-    for d in (d12, d13, d23):
-        if not d.is_fixed():
-            raise AssertionError("internal error: witness differences must be fixed")
-    r12, r13, r23 = r
-    attempt = extend_character(
-        CharacterTable.empty(p), [(d12, r12), (d13, r13), (d23, r23)]
-    )
-    forced_ok = (r12.angle + r23.angle - r13.angle) % 1 == 0
-    solvable = isinstance(attempt, CharacterTable)
-    if solvable != forced_ok:
-        raise AssertionError("internal error: extension decision disagrees with the forced relation")
-    return {
-        "verdict": "solvable" if solvable else "obstruction",
-        "forced_relation": "r12 + r23 = r13 (mod 1)",
-        "result": attempt,
-        "certificate": cert.certificate,
-    }
-
-
-def build_failing_instance(
-    model: SystemModel,
-    eq: AdditiveEquation,
-    k: int,
-    bounds: SearchBounds = SearchBounds(4, 3),
-) -> dict:
-    """Character tables on the pairwise corners that no solution can join.
-
-    Requires (and re-checks) that the distinguished summand is outside the
-    rational span of the polynomial fixed elements of the pairwise corners
-    within bounds (pairwise_fixed_polynomials); if a combination exists the
-    instance is refused and the combination returned.
-    Otherwise the summand can be valued freely, and choosing its angle to
-    break the zero-sum relation exhibits the obstruction.
-    """
-    smap = eq.summand_map()
-    if not eq.is_ff():
-        raise CharacterError("equation is not fixed-field")
-    if k not in smap:
-        raise CharacterError(f"no summand {k}")
-    idx = sorted(smap)
-    pres = model.pres
-    pairs = pairwise_fixed_polynomials(model, idx, bounds)
-    span = [s for members in pairs.values() for s in members]
-    # the shared pairwise data: angle 0 on the whole span, one tracker over it
-    table = CharacterTable(pres, tuple((s, CircleValue(0)) for s in span))
-    combo = table.tracker.express(smap[k].value)
-    if combo is not None:
-        return {
-            "verdict": "refused: summand lies in the pairwise fixed span",
-            "combination": tuple(combo),
-            "span": tuple(span),
-        }
-    # each corner type extends the shared pairwise data *separately*: the
-    # whole point of the obstruction is that these one-at-a-time extensions
-    # are consistent while a joint one would violate the zero-sum relation.
-    values: dict[int, CircleValue] = {}
-    for i in idx:
-        if i == k:
-            continue
-        forced = value_of(table, smap[i])
-        if forced is None:
-            solo = extend_character(table, [(smap[i], CircleValue(0))])
-            if not isinstance(solo, CharacterTable):
-                raise AssertionError("internal error: free summand failed to extend")
-            forced = CircleValue(0)
-        values[i] = forced
-    others = sum((values[i].angle for i in values), Fraction(0))
-    vk = CircleValue(Fraction(1, 2) - others)
-    solo = extend_character(table, [(smap[k], vk)])
-    if not isinstance(solo, CharacterTable):
-        raise AssertionError("internal error: distinguished summand was not free")
-    values[k] = vk
-    total = CircleValue(sum((v.angle for v in values.values()), Fraction(0)))
-    if total.is_identity():
-        raise AssertionError("internal error: obstruction angle sum vanished")
-    return {
-        "verdict": "obstruction",
-        "summand_angles": values,
-        "angle_sum": total,
-        "forced_relation": "summands sum to zero, so their angles must too",
-        # extend_character returns a table only when it is consistent
-        "per_corner_tables_consistent": True,
-    }
-
-
-def check_n_sas_witness(
-    model: SystemModel,
-    btilde: Element,
-    summands: Mapping[int, Element],
-    rewrite: Mapping[int, Element],
-    witnesses: Mapping[int, Element],
-) -> tuple[bool, list[str]]:
-    """Exact verification of a higher torsor-splitting witness set.
-
-    Checks that every index lies in 1..n, btilde = sum(summands) =
-    sum(rewrite), the corner membership of every summand, and that each
-    witness realizes the torsor of its rewritten summand inside the right
-    corner.
-    """
-    problems: list[str] = []
-    for kind, family in (("summand", summands), ("rewrite", rewrite), ("witness", witnesses)):
-        for i in sorted(family):
-            if not 1 <= i <= model.size:
-                problems.append(f"index: {kind} {i} outside 1..{model.size}")
-    total = model.pres.zero()
-    for i in sorted(summands):
-        total = total + summands[i]
-    if total != btilde:
-        problems.append("summands do not sum to the target")
-    total = model.pres.zero()
-    for i in sorted(rewrite):
-        total = total + rewrite[i]
-    if total != btilde:
-        problems.append("rewritten summands do not sum to the target")
-    for i in sorted(summands):
-        if not model.member_of(summands[i], model.complement(i)):
-            problems.append(f"membership: summand {i} escapes its corner")
-    for i in sorted(rewrite):
-        w = model.complement(i)
-        if not model.member_of(rewrite[i], w):
-            problems.append(f"membership: rewritten summand {i} escapes its corner")
-        x = witnesses.get(i)
-        if x is None:
-            problems.append(f"missing witness for summand {i}")
-            continue
-        if not model.member_of(x, w):
-            problems.append(f"membership: witness {i} escapes its corner")
-        if x.wp() != rewrite[i]:
-            problems.append(f"witness {i} does not realize its torsor")
-    return (not problems), problems

@@ -14,16 +14,8 @@ import argparse
 import json
 import sys
 
-from .characters import (
-    CharacterTable,
-    Obstruction,
-    build_3amalg_obstruction,
-    check_n_sas_witness,
-    extend_character,
-    hyperplane_search,
-    value_of,
-)
-from .counterexample import build_base, closure_step, run_pipeline
+from .characters import CharacterTable, Obstruction, extend_character, hyperplane_search, value_of
+from .counterexample import build_3amalg_obstruction, build_base, closure_step, run_pipeline
 from .equations import (
     MultiplicativeEquation,
     NoSolutionWithinBounds,
@@ -40,6 +32,7 @@ from .systems import (
     NotFoundWithinBounds,
     SystemModel,
     SystemModelError,
+    check_n_sas_witness,
     decompose,
     ff_decompose_bounded,
     validate_decomposition,

@@ -15,10 +15,14 @@ families.
 A control variant adjoins per-corner witnesses for T_{a_i}, after which the
 bounded search finds a decomposition and the chain honestly refuses: the
 two variants give opposite verdicts, so the refutation is not vacuous.
+
+The character obstructions, build_3amalg_obstruction and
+build_failing_instance, build on the registry and the corner searches here.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Any
 
 from .certify import (
@@ -32,6 +36,7 @@ from .certify import (
     certify_unsolvable,
     replay_certificate,
 )
+from .characters import CharacterError, CharacterTable, extend_character, value_of
 from .equations import (
     NoSolutionWithinBounds,
     SearchBounds,
@@ -41,6 +46,7 @@ from .equations import (
 )
 from .field import Element, Presentation
 from .freebase import decide_free_base
+from .ratfunc import CircleValue
 from .record import record
 from .systems import (
     AdditiveEquation,
@@ -49,6 +55,7 @@ from .systems import (
     build_system,
     ff_decompose_bounded,
     generic_evaluation,
+    pairwise_fixed_polynomials,
 )
 from .tower import solve_twisted_bounded
 
@@ -498,3 +505,113 @@ def run_pipeline(
         control_report,
         "refuted with certificate chain",
     )
+
+
+# -- character obstructions ------------------------------------------------------------
+
+
+def build_3amalg_obstruction(
+    pres: Presentation,
+    target: Element,
+    registry: AvoidedRegistry | None,
+    r: tuple[CircleValue, CircleValue, CircleValue],
+) -> dict:
+    """The classic three-witness instance over an unrealized torsor.
+
+    Adjoins independent witnesses alpha_i for T_target and asks for
+    Psi(alpha_i - alpha_j) = r_ij.  The only forced relation is
+    (a1-a2) + (a2-a3) = (a1-a3), so the system is solvable exactly when
+    r12 + r23 = r13 mod 1; the verdict is cross-checked against the
+    character-extension decision.
+    """
+    cert = certify_unsolvable(pres, TwistedEquation.torsor(target), registry)
+    if not isinstance(cert, Unsolvable):
+        raise CharacterError("refused: the torsor is not certified unrealized over the base")
+    p = pres
+    for i in (1, 2, 3):
+        p, _ = p.with_affine(f"alpha{i}", 1, target)
+    a1, a2, a3 = (p.gen(f"alpha{i}") for i in (1, 2, 3))
+    r12, r13, r23 = r
+    # extend_character sigma-tests d12 and d13, the directions they open;
+    # d23 = d13 - d12 lies in their span, so it is fixed when they are
+    try:
+        attempt = extend_character(
+            CharacterTable.empty(p), [(a1 - a2, r12), (a1 - a3, r13), (a2 - a3, r23)]
+        )
+    except CharacterError:
+        raise AssertionError("internal error: witness differences must be fixed") from None
+    forced_ok = (r12.angle + r23.angle - r13.angle) % 1 == 0
+    solvable = isinstance(attempt, CharacterTable)
+    if solvable != forced_ok:
+        raise AssertionError("internal error: extension decision disagrees with the forced relation")
+    return {
+        "verdict": "solvable" if solvable else "obstruction",
+        "forced_relation": "r12 + r23 = r13 (mod 1)",
+        "result": attempt,
+        "certificate": cert.certificate,
+    }
+
+
+def build_failing_instance(
+    model: SystemModel,
+    eq: AdditiveEquation,
+    k: int,
+    bounds: SearchBounds = SearchBounds(4, 3),
+) -> dict:
+    """Character tables on the pairwise corners that no solution can join.
+
+    Requires (and re-checks) that the distinguished summand is outside the
+    rational span of the polynomial fixed elements of the pairwise corners
+    within bounds (pairwise_fixed_polynomials); if a combination exists the
+    instance is refused and the combination returned.
+    Otherwise the summand can be valued freely, and choosing its angle to
+    break the zero-sum relation exhibits the obstruction.
+    """
+    smap = eq.summand_map()
+    if not eq.is_ff():
+        raise CharacterError("equation is not fixed-field")
+    if k not in smap:
+        raise CharacterError(f"no summand {k}")
+    idx = sorted(smap)
+    pres = model.pres
+    pairs = pairwise_fixed_polynomials(model, idx, bounds)
+    span = [s for members in pairs.values() for s in members]
+    # the shared pairwise data: angle 0 on the whole span, one tracker over it
+    table = CharacterTable(pres, tuple((s, CircleValue(0)) for s in span))
+    combo = table.tracker.express(smap[k].value)
+    if combo is not None:
+        return {
+            "verdict": "refused: summand lies in the pairwise fixed span",
+            "combination": tuple(combo),
+            "span": tuple(span),
+        }
+
+    # each corner type extends the shared pairwise data *separately*: the
+    # whole point of the obstruction is that these one-at-a-time extensions
+    # are consistent while a joint one would violate the zero-sum relation.
+    # is_ff has sigma-tested every summand, so one outside the span joins a
+    # table built directly: extend_character would sigma-test it again.
+    def extends(i: int, angle: CircleValue) -> CircleValue:
+        if CharacterTable(pres, table.entries + ((smap[i], angle),)).consistency() is not None:
+            raise AssertionError(f"internal error: summand {i} failed to extend")
+        return angle
+
+    values: dict[int, CircleValue] = {}
+    for i in idx:
+        if i == k:
+            continue
+        in_span = table.tracker.express(smap[i].value) is not None  # then value_of runs no sigma test
+        values[i] = value_of(table, smap[i]) if in_span else extends(i, CircleValue(0))
+    others = sum((values[i].angle for i in values), Fraction(0))
+    values[k] = extends(k, CircleValue(Fraction(1, 2) - others))
+    total = CircleValue(sum((v.angle for v in values.values()), Fraction(0)))
+    if total.is_identity():
+        raise AssertionError("internal error: obstruction angle sum vanished")
+    return {
+        "verdict": "obstruction",
+        "summand_angles": values,
+        "angle_sum": total,
+        "forced_relation": "summands sum to zero, so their angles must too",
+        # extends checked each free summand's table; a forced value is consistent
+        "per_corner_tables_consistent": True,
+    }

@@ -112,9 +112,6 @@ class Presentation:
     def has_gen(self, name: str) -> bool:
         return name in self._by_name
 
-    def is_free_only(self) -> bool:
-        return all(g.is_free for g in self.gens)
-
     def subsumes(self, other: "Presentation") -> bool:
         mine = {g.index: g for g in self.gens}
         return all(mine.get(g.index) == g for g in other.gens)
@@ -148,6 +145,16 @@ class Presentation:
         for g in self.gens:
             out.setdefault(g.index, g)
         return out
+
+    @cached_property
+    def affine_top(self) -> "AffineTop | None":
+        """The last affine generator with its rule over the others, kept
+        outside the record fields; None when every generator is free."""
+        for g in reversed(self.gens):
+            if not g.is_free:
+                sub = self.restrict([n for n in self.names() if n != g.name])
+                return AffineTop(g, sub, Element(sub, g.kind.linear), Element(sub, g.kind.constant))
+        return None
 
     @cached_property
     def _images(self) -> dict[tuple[VarId, int], RatFunc]:
@@ -225,6 +232,17 @@ class Presentation:
                 raise PresentationError(
                     f"affine generator {g.name!r} appears at shift {v.shift}"
                 )
+
+
+@record(frozen=True)
+class AffineTop:
+    """A presentation's last affine generator gen, with sigma(gen) = alpha*gen
+    + beta over sub, the presentation without gen."""
+
+    gen: GeneratorSpec
+    sub: Presentation
+    alpha: Element
+    beta: Element
 
 
 def _as_ratfunc(x) -> RatFunc:

@@ -93,7 +93,7 @@ class FreeRefutation:
 
 
 def _require_free(pres: Presentation) -> None:
-    if not pres.is_free_only():
+    if pres.affine_top is not None:
         raise UnsupportedCoefficientShape(
             "free-base decision requires a presentation with only free generators"
         )

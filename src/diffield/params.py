@@ -11,16 +11,18 @@ so infeasibility surfaces immediately (as
 the context cheaply (pivot rows are immutable once stored).
 :meth:`ParamContext.add_identity` is the one place a polynomial identity
 becomes rows, one per monomial; :meth:`ParamContext.add_zero` hands it the
-numerators of a family.
+numerators of a family.  ``_lincomb_coefficients`` and ``require_level_free``
+are the level steps that the tower search and the certifier share.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from .field import Element, Presentation, sigma_images
+from .equations import UnsupportedCoefficientShape
+from .field import Element, GeneratorSpec, Presentation, sigma_images
 from .linalg import Echelon
-from .poly import Coeff, MPoly, divexact, poly_gcd
+from .poly import Coeff, MPoly, divexact, poly_gcd, to_univar
 from .ratfunc import P1, RatFunc, _cancel, substitute_polys
 
 
@@ -132,6 +134,33 @@ class LinComb:
             if q:
                 total = total + v.scale(q)
         return self.pres.element(RatFunc(total, self.den))
+
+
+def require_level_free(e1: Element, pres: Presentation, sub: Presentation, gen: GeneratorSpec) -> Element:
+    """e1 as an element of sub; UnsupportedCoefficientShape when it involves gen."""
+    if pres.varid(gen.name) in e1.value.variables():
+        _lincomb_coefficients(LinComb.constant(pres, e1), pres, gen, sub)  # raises when gen is in the denominator
+        raise UnsupportedCoefficientShape(
+            f"twist coefficient mentions the extension generator {gen.name!r}"
+        )
+    return sub.element(e1.value)
+
+
+def _lincomb_coefficients(lc: LinComb, pres: Presentation, gen: GeneratorSpec, sub: Presentation) -> dict[int, LinComb]:
+    """Split a LinComb into per-degree LinCombs over the sub-presentation.
+
+    The numerators split over the shared denominator, and each degree's piece
+    is reduced again.  Raises UnsupportedCoefficientShape when the
+    denominator, the lcm of the coefficients' reduced ones, involves gen.
+    """
+    var = pres.varid(gen.name)
+    if var in lc.den.variables():
+        raise UnsupportedCoefficientShape(f"coefficient has {gen.name!r} in its denominator")
+    pieces: dict[int, dict[int | None, MPoly]] = {}  # degree -> parameter (None: const) -> piece
+    for param, num in ((None, lc.const), *lc.coeffs.items()):
+        for deg, part in to_univar(num, var).items():
+            pieces.setdefault(deg, {})[param] = part
+    return {deg: LinComb(sub, p.pop(None, MPoly()), p, lc.den, shared=lc.den) for deg, p in pieces.items()}
 
 
 class ParamContext(Echelon):

@@ -22,6 +22,9 @@ wp-split at seed + 3, one oracle witness per pair, and corrected by
 those witnesses).
 Generic points come from a seeded sequence over growing integer boxes, so
 runs are reproducible bit-exactly.
+
+validate_decomposition and check_n_sas_witness check decompositions and
+higher torsor-splitting witness sets exactly, without search.
 """
 
 from __future__ import annotations
@@ -346,6 +349,46 @@ def validate_decomposition(
                 total = total + dec[(i, j)]
         if total != smap[i]:
             problems.append(f"recovery fails at summand {i}")
+    return (not problems), problems
+
+
+def check_n_sas_witness(
+    model: SystemModel,
+    btilde: Element,
+    summands: Mapping[int, Element],
+    rewrite: Mapping[int, Element],
+    witnesses: Mapping[int, Element],
+) -> tuple[bool, list[str]]:
+    """Exact verification of a higher torsor-splitting witness set.
+
+    Checks that every index lies in 1..n, btilde = sum(summands) =
+    sum(rewrite), the corner membership of every summand, and that each
+    witness realizes the torsor of its rewritten summand inside the right
+    corner.
+    """
+    problems: list[str] = []
+    for kind, family in (("summand", summands), ("rewrite", rewrite), ("witness", witnesses)):
+        for i in sorted(family):
+            if not 1 <= i <= model.size:
+                problems.append(f"index: {kind} {i} outside 1..{model.size}")
+    for kind, family in (("summands", summands), ("rewritten summands", rewrite)):
+        if sum((family[i] for i in sorted(family)), model.pres.zero()) != btilde:
+            problems.append(f"{kind} do not sum to the target")
+    for i in sorted(summands):
+        if not model.member_of(summands[i], model.complement(i)):
+            problems.append(f"membership: summand {i} escapes its corner")
+    for i in sorted(rewrite):
+        w = model.complement(i)
+        if not model.member_of(rewrite[i], w):
+            problems.append(f"membership: rewritten summand {i} escapes its corner")
+        x = witnesses.get(i)
+        if x is None:
+            problems.append(f"missing witness for summand {i}")
+            continue
+        if not model.member_of(x, w):
+            problems.append(f"membership: witness {i} escapes its corner")
+        if x.wp() != rewrite[i]:
+            problems.append(f"witness {i} does not realize its torsor")
     return (not problems), problems
 
 

@@ -38,19 +38,11 @@ from .equations import (
     TwistedEquation,
     UnsupportedCoefficientShape,
 )
-from .field import Element, GeneratorSpec, Presentation
+from .field import Element, Presentation
 from .freebase import decide_free_base, twisted_family
 from .linalg import Infeasible
-from .params import LinComb, ParamContext
-from .poly import MPoly, to_univar
+from .params import LinComb, ParamContext, _lincomb_coefficients, require_level_free
 from .ratfunc import SpanTracker
-
-
-def last_affine(pres: Presentation) -> GeneratorSpec | None:
-    for g in reversed(pres.gens):
-        if not g.is_free:
-            return g
-    return None
 
 
 def iter_twisted_branches(
@@ -70,7 +62,8 @@ def iter_twisted_branches(
     """
     if deg_budget < 0:
         return
-    if pres.is_free_only():
+    affine = pres.affine_top
+    if affine is None:
         forked = ctx.fork()
         try:
             fam = twisted_family(pres, e1, rhs, forked, deg_budget, window)
@@ -78,9 +71,7 @@ def iter_twisted_branches(
             return
         yield forked, fam
         return
-    gen = last_affine(pres)
-    assert gen is not None
-    sub, alpha, beta = peel(pres, gen)
+    gen, sub, alpha, beta = affine.gen, affine.sub, affine.alpha, affine.beta
     e1_sub = require_level_free(e1, pres, sub, gen)
     a_var = pres.gen(gen.name)
     for m in range(0, 1 if polynomial else deg_budget + 1):
@@ -106,39 +97,6 @@ def iter_twisted_branches(
             for final_ctx, ys in _coefficient_tower(sub, beta, level, deg_budget, {}, top, window, polynomial):
                 family = sum((ys[k].lift(pres).mul_known(a_var**k) for k in range(deg_budget + 1)), LinComb.zero(pres))
                 yield final_ctx, family.mul_known(pres.one() / denominator)
-
-
-def peel(pres: Presentation, gen: GeneratorSpec) -> tuple[Presentation, Element, Element]:
-    """(sub, alpha, beta): pres without gen, and gen's rule sigma(gen) = alpha*gen + beta over sub."""
-    sub = pres.restrict([n for n in pres.names() if n != gen.name])
-    return sub, Element(sub, gen.kind.linear), Element(sub, gen.kind.constant)
-
-
-def require_level_free(e1: Element, pres: Presentation, sub: Presentation, gen: GeneratorSpec) -> Element:
-    """e1 as an element of sub; UnsupportedCoefficientShape when it involves gen."""
-    if pres.varid(gen.name) in e1.value.variables():
-        _lincomb_coefficients(LinComb.constant(pres, e1), pres, gen, sub)  # raises when gen is in the denominator
-        raise UnsupportedCoefficientShape(
-            f"twist coefficient mentions the extension generator {gen.name!r}"
-        )
-    return sub.element(e1.value)
-
-
-def _lincomb_coefficients(lc: LinComb, pres: Presentation, gen: GeneratorSpec, sub: Presentation) -> dict[int, LinComb]:
-    """Split a LinComb into per-degree LinCombs over the sub-presentation.
-
-    The numerators split over the shared denominator, and each degree's piece
-    is reduced again.  Raises UnsupportedCoefficientShape when the
-    denominator, the lcm of the coefficients' reduced ones, involves gen.
-    """
-    var = pres.varid(gen.name)
-    if var in lc.den.variables():
-        raise UnsupportedCoefficientShape(f"coefficient has {gen.name!r} in its denominator")
-    pieces: dict[int, dict[int | None, MPoly]] = {}  # degree -> parameter (None: const) -> piece
-    for param, num in ((None, lc.const), *lc.coeffs.items()):
-        for deg, part in to_univar(num, var).items():
-            pieces.setdefault(deg, {})[param] = part
-    return {deg: LinComb(sub, p.pop(None, MPoly()), p, lc.den, shared=lc.den) for deg, p in pieces.items()}
 
 
 # The memo outlives a search because decide job streams repeat presentations.
@@ -221,7 +179,7 @@ def solve_twisted_bounded(pres: Presentation, eq: TwistedEquation, bounds: Searc
     Over an all-free presentation this delegates to the genuine decision,
     which can return the stronger Unsolvable verdict.
     """
-    if pres.is_free_only():
+    if pres.affine_top is None:
         return decide_free_base(pres, eq)
     ctx = ParamContext()
     rhs = LinComb.constant(pres, eq.e2)
@@ -238,7 +196,7 @@ def solve_multiplicative_bounded(
     pres: Presentation, eq: MultiplicativeEquation, bounds: SearchBounds = SearchBounds()
 ) -> SolveResult:
     """Nonzero solutions of sigma(x) = e^z * x within the bounded class."""
-    if pres.is_free_only():
+    if pres.affine_top is None:
         return decide_free_base(pres, eq)
     for x in _homogeneous_solutions(pres, eq.ratio(), bounds.degree, bounds.window):
         if eq.holds_for(x):
@@ -296,7 +254,7 @@ def fixed_candidates(
     free presentation gives none: its fixed field is Q, which fixed_space
     adds as ``first``.
     """
-    if pres.is_free_only():
+    if pres.affine_top is None:
         return []
     return require_fixed(_homogeneous_solutions(pres, pres.one(), bounds.degree, bounds.window, polynomial=polynomial))
 

@@ -13,9 +13,10 @@ import pytest
 from conftest import run_cli
 
 from diffield.certify import certify_unsolvable, replay_certificate
-from diffield.characters import CharacterTable, build_3amalg_obstruction, extend_character
+from diffield.characters import CharacterTable, extend_character
 from diffield.counterexample import (
     adjoin_twisted_pair,
+    build_3amalg_obstruction,
     build_base,
     build_height4_instance,
     closure_step,

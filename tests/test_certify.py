@@ -27,7 +27,7 @@ from diffield.equations import (
     Unsolvable,
 )
 from diffield.field import Element, Presentation
-from diffield.tower import peel, solve_multiplicative_bounded, solve_twisted_bounded
+from diffield.tower import solve_multiplicative_bounded, solve_twisted_bounded
 
 
 def base_with_registry():
@@ -149,9 +149,9 @@ def test_certifier_never_contradicts_solver():
 
 def split(pres, name, query):
     """The labelled cases of the reduction of query over generator name."""
-    gen = pres.spec(name)
-    sub, alpha, _ = peel(pres, gen)
-    return dict(leading_cases(pres, sub, gen, alpha, query))
+    top = pres.affine_top
+    assert top.gen.name == name
+    return dict(leading_cases(pres, top.sub, top.gen, top.alpha, query))
 
 
 def test_reduce_cases_match_hand_calculation():

@@ -9,22 +9,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_extend_character, reference_value_of
+from diffield import cli
 from diffield.characters import (
     CharacterError,
     CharacterTable,
     Obstruction,
-    build_3amalg_obstruction,
-    build_failing_instance,
-    check_n_sas_witness,
     extend_character,
     hyperplane_search,
     value_of,
 )
-from diffield.counterexample import build_base, build_height4_instance, closure_step
+from diffield.counterexample import (
+    build_3amalg_obstruction,
+    build_base,
+    build_failing_instance,
+    build_height4_instance,
+    closure_step,
+)
 from diffield.equations import SearchBounds
-from diffield.field import Presentation
+from diffield.field import Element, Presentation
 from diffield.ratfunc import CircleValue
-from diffield.systems import AdditiveEquation, build_system
+from diffield.systems import AdditiveEquation, build_system, check_n_sas_witness
 
 
 def fixed_playground():
@@ -331,6 +335,58 @@ def test_3amalg_requires_certificate():
             base, base.gen("g", 1) - base.gen("g"), registry,
             (CircleValue(0), CircleValue(0), CircleValue(0)),
         )
+
+
+def count_is_fixed(monkeypatch) -> list:
+    """The elements Element.is_fixed is called on from here on, in order."""
+    calls = []
+    is_fixed = Element.is_fixed
+
+    def counted(self):
+        calls.append(self)
+        return is_fixed(self)
+
+    monkeypatch.setattr(Element, "is_fixed", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "r", ["r12 = 1/3; r13 = 2/3; r23 = 1/3;", "r12 = 1/2; r13 = 0; r23 = 1/3;"], ids=["solvable", "obstruction"]
+)
+def test_amalg_check_sigma_tests_two_differences(monkeypatch, capsys, tmp_path, r):
+    # extend_character tests d12 and d13; d23 = d13 - d12 is fixed by linearity
+    job = tmp_path / "amalg.df"
+    job.write_text(f"gen g free;\ntorsor g;\n{r}\n", encoding="utf-8")
+    calls = count_is_fixed(monkeypatch)
+    assert cli.main(["amalg-check", str(job)]) == 0
+    assert '"verdict"' in capsys.readouterr().out
+    assert [repr(d) for d in calls] == ["alpha1 - alpha2", "alpha1 - alpha3"]
+
+
+def test_3amalg_refuses_witness_differences_that_are_not_fixed(monkeypatch):
+    base, registry = build_base()
+    with_affine = Presentation.with_affine
+
+    def skewed(self, name, linear, constant):
+        # sigma(alpha2) = alpha2 + target + 1, so alpha1 - alpha2 is not fixed
+        return with_affine(self, name, linear, constant + 1 if name == "alpha2" else constant)
+
+    monkeypatch.setattr(Presentation, "with_affine", skewed)
+    with pytest.raises(AssertionError, match="witness differences must be fixed"):
+        build_3amalg_obstruction(base, base.gen("g"), registry, (CircleValue(0),) * 3)
+
+
+def test_failing_instance_sigma_tests_each_summand_once(monkeypatch):
+    base0, reg0 = build_base()
+    base, reg, _ = closure_step(base0, reg0, base0.one(), name="t1")
+    inst = build_height4_instance(base, reg, control=False)
+    summands = inst.equation.summand_map()
+    calls = count_is_fixed(monkeypatch)
+    report = build_failing_instance(inst.model, inst.equation, 4, SearchBounds(2, 1))
+    assert report["verdict"] == "obstruction"
+    # is_ff tests each summand; the rest are the corners' candidates, all 1
+    assert [calls.count(s) for s in summands.values()] == [1] * len(summands)
+    assert all(x == 1 for x in calls if x not in summands.values())
 
 
 def test_failing_instance_on_height4():

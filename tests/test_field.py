@@ -169,6 +169,24 @@ def test_restriction_preserves_indices():
     assert (sub.gen("g") + a1) == (g + a1)
 
 
+def test_affine_top_is_formed_once_and_matches_restrict():
+    p, g = Presentation.empty().with_free("g")
+    assert p.affine_top is None
+    p, _ = p.with_affine("t", 1, 1)
+    p, _ = p.with_affine("a", g, g + 1)
+    p, _ = p.with_free("h")  # a free generator after the last affine one stays in sub
+    top = p.affine_top
+    assert top is p.affine_top
+    assert top.gen == p.spec("a")
+    assert top.sub == p.restrict(["g", "t", "h"])
+    assert top.alpha.pres is top.sub and top.beta.pres is top.sub
+    assert (top.alpha, top.beta) == (top.sub.gen("g"), top.sub.gen("g") + 1)
+    assert top.sub.affine_top.gen == p.spec("t") and top.sub.affine_top.sub == p.restrict(["g", "h"])
+    # kept outside the record fields: equality and hashing see gens only
+    again = Presentation(p.gens)
+    assert again == p and hash(again) == hash(p) and "affine_top" not in again.__dict__
+
+
 def test_affine_shift_materialization_rejected():
     p, g, a1 = twisted_pair_presentation()
     with pytest.raises(PresentationError):

@@ -23,11 +23,10 @@ from diffield.equations import TwistedEquation, Unsolvable, UnsupportedCoefficie
 from diffield.field import Element, Presentation
 from diffield.freebase import _monomials, decide_free_base
 from diffield.linalg import Infeasible
-from diffield.params import LinComb, ParamContext
+from diffield.params import LinComb, ParamContext, _lincomb_coefficients, require_level_free
 from diffield.parser import parse_document
 from diffield.poly import MPoly, VarId, to_univar
 from diffield.ratfunc import RatFunc
-from diffield.tower import _lincomb_coefficients, require_level_free
 
 
 class ReferenceLinComb:

@@ -17,8 +17,7 @@ from diffield.equations import (
 )
 from diffield.field import Presentation
 from diffield.freebase import decide_free_base
-from diffield.characters import check_n_sas_witness
-from diffield.systems import SystemModel
+from diffield.systems import SystemModel, check_n_sas_witness
 from diffield.tower import solve_twisted_bounded
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -308,10 +308,18 @@ CATALOGUE: tuple[Mutant, ...] = (
     ),
     Mutant(
         "degree split without the generator check on the denominator",
-        "src/diffield/tower.py",
+        "src/diffield/params.py",
         "if var in lc.den.variables():",
         "if False:",
         (f"{TEST_PARAMS}::test_degree_split_agrees_with_the_reference",),
+    ),
+    # -- layers: the certifier imports no search
+    Mutant(
+        "certifier importing the tower search again",
+        "src/diffield/certify.py",
+        "from .record import record\n",
+        "from .record import record\nfrom .tower import fixed_space\n",
+        ("tests/test_layers.py::test_every_module_imports_only_lower_layers",),
     ),
     # -- the parser's cursor and atom table; a quick failure goes first, since
     #    pytest -x stops there before a cursor that never advances can loop
