@@ -116,8 +116,10 @@ class Presentation:
         mine = {g.index: g for g in self.gens}
         return all(mine.get(g.index) == g for g in other.gens)
 
+    @cached_property
     def shape(self) -> tuple[FreeSpec | AffineSpec, ...]:
-        """The generator kinds, with every rule variable renamed by position.
+        """The generator kinds, with every rule variable renamed by position,
+        kept outside the record fields.
 
         A variable of a rule becomes ``VarId(position, "", shift)``, where
         position is its generator's place in ``gens``.  Two presentations have
@@ -345,13 +347,13 @@ class Element:
 
         The k-th generator of this element's presentation becomes target's
         k-th, at the same shifts.  The two presentations must have the same
-        shape() (ValueError otherwise; a free generator never goes to an
+        shape (ValueError otherwise; a free generator never goes to an
         affine one), so the renaming maps each rule onto its image's rule: it
         commutes with sigma and takes fixed elements to fixed elements.  It
         must also be strictly increasing in index (RatFunc.rename raises
         ValueError otherwise), so canonical forms go to canonical forms.
         """
-        if self.pres.shape() != target.shape():
+        if self.pres.shape != target.shape:
             raise ValueError("presentations of different shapes")
         gens = {s.index: (d.index, d.name) for s, d in zip(self.pres.gens, target.gens)}
         return Element._make(target, self.value.rename(gens))

@@ -22,7 +22,7 @@ from typing import Mapping
 from .equations import UnsupportedCoefficientShape
 from .field import Element, GeneratorSpec, Presentation, sigma_images
 from .linalg import Echelon
-from .poly import Coeff, MPoly, divexact, poly_gcd, to_univar
+from .poly import Coeff, MPoly, _monomial_gcd, divexact, poly_gcd, to_univar
 from .ratfunc import P1, RatFunc, _cancel, substitute_polys
 
 
@@ -36,10 +36,13 @@ class LinComb:
     times den, and equal families have equal forms.
 
     The constructor is the one reducer: it cancels gcd(den, numerators...)
-    and makes den monic.  The gcd stops at the first constant gcd.  It
-    starts from den, or from ``shared``: an operation that builds a monic
-    den passes a divisor of it that holds every common factor, so sums and
-    products take gcds of parts only, as RatFunc's Henrici forms do.
+    and makes den monic.  The gcd stops at the first constant gcd; against a
+    one-term divisor it is the common monomial content of the divisor and
+    the numerators' terms, taken in one pass.  It starts from den, or from
+    ``shared``: an operation that builds a monic den passes a divisor of it
+    that holds every common factor, so sums and products take gcds of parts
+    only, as RatFunc's Henrici forms do.  When that divisor is the unit
+    ``P1`` the parts are already reduced, and only zero coefficients go.
     """
 
     __slots__ = ("pres", "const", "coeffs", "den")
@@ -50,18 +53,31 @@ class LinComb:
         g = den if shared is None else shared
         if not (const.terms or coeffs):
             den = g = P1
-        for n in (const, *coeffs.values()):
-            if g.is_constant():
-                break
-            if n.terms:
-                g = poly_gcd(g, n)
-        h = P1 if g.is_constant() else g  # a gcd is monic
-        if shared is None:  # only then may den not be monic
-            h = h.scale(den.leading_coefficient())
-        if h != P1:
-            const, den = divexact(const, h), divexact(den, h)
-            coeffs = {k: divexact(v, h) for k, v in coeffs.items()}
+        if g is not P1:
+            if not g.is_constant():
+                nums = (const, *coeffs.values())
+                if len(g.terms) == 1:
+                    g = MPoly(_monomial_gcd(g.terms, [m for n in nums for m in n.terms]))
+                else:
+                    for n in nums:
+                        if n.terms:
+                            g = poly_gcd(g, n)
+                            if g.is_constant():
+                                break
+            h = P1 if g.is_constant() else g  # a gcd is monic
+            if shared is None:  # only then may den not be monic
+                h = h.scale(den.leading_coefficient())
+            if h != P1:
+                const, den = divexact(const, h), divexact(den, h)
+                coeffs = {k: divexact(v, h) for k, v in coeffs.items()}
         self.pres, self.const, self.coeffs, self.den = pres, const, coeffs, den
+
+    @staticmethod
+    def _reduced(pres: Presentation, const: MPoly, coeffs: dict[int, MPoly], den: MPoly) -> "LinComb":
+        """A family from parts already in the reduced form, shared as they are."""
+        lc = LinComb.__new__(LinComb)
+        lc.pres, lc.const, lc.coeffs, lc.den = pres, const, coeffs, den
+        return lc
 
     @staticmethod
     def constant(pres: Presentation, value: Element) -> "LinComb":
@@ -69,7 +85,7 @@ class LinComb:
 
     @staticmethod
     def zero(pres: Presentation) -> "LinComb":
-        return LinComb(pres, MPoly())
+        return LinComb._reduced(pres, MPoly(), {}, P1)
 
     def __add__(self, other: "LinComb") -> "LinComb":
         """With g = gcd(D, E), D = D'g and E = E'g: N*E' + M*D' over D'E,
@@ -95,7 +111,7 @@ class LinComb:
         return self.const * f, {k: v * f for k, v in self.coeffs.items()}
 
     def __neg__(self) -> "LinComb":
-        return LinComb(self.pres, -self.const, {k: -v for k, v in self.coeffs.items()}, self.den, shared=P1)
+        return LinComb._reduced(self.pres, -self.const, {k: -v for k, v in self.coeffs.items()}, self.den)
 
     def __sub__(self, other: "LinComb") -> "LinComb":
         return self + (-other)
@@ -119,7 +135,7 @@ class LinComb:
 
     def lift(self, pres: Presentation) -> "LinComb":
         """Reinterpret over a presentation that subsumes the current one."""
-        return LinComb(pres, self.const, self.coeffs, self.den, shared=P1)
+        return LinComb._reduced(pres, self.const, self.coeffs, self.den)
 
     def evaluate(self, values: Mapping[int, Coeff]) -> Element:
         return self._accumulate(self.const, values)

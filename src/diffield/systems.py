@@ -571,7 +571,7 @@ def pairwise_fixed_polynomials(
     for pos, i in enumerate(idx):
         for j in idx[pos + 1 :]:
             corner = model.corner(model.complement(i, j))
-            shape = corner.shape()
+            shape = corner.shape
             if shape in searched:
                 candidates = require_fixed(x.renamed(corner) for x in searched[shape])
             else:

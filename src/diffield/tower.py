@@ -12,6 +12,14 @@ solved recursively; the recursion bottoms out in the complete free-base
 solver.  Everything stays jointly linear in the bookkeeping parameters, so
 each structural branch is one exact linear system.
 
+Special denominators are refuted once per level.  If D is monic of degree
+m >= 1 with sigma(D) = alpha^m * D, its coefficient c of a^(m-1) solves
+sigma(c) - alpha*c = -m*beta (M. Karr, "Summation in Finite Terms", JACM
+28(2), 1981; M. Bronstein, "On Solutions of Linear Ordinary Difference
+Equations in their Coefficient Field", JSC 29(6), 2000).  In characteristic
+0 that is the m = 1 equation sigma(w) - alpha*w = -beta scaled by m, so
+when m = 1 has no denominator within the bounds, no degree has one.
+
 Search class (what "within bounds" means here): numerator and denominator
 degree at most ``bounds.degree`` in every affine generator, coefficient
 degree budgets shrinking accordingly, free-variable shifts within
@@ -76,11 +84,15 @@ def iter_twisted_branches(
     a_var = pres.gen(gen.name)
     for m in range(0, 1 if polynomial else deg_budget + 1):
         for delta in _denominator_candidates(sub, alpha, beta, m, deg_budget, window):
-            denominator = sum((c.in_presentation(pres) * a_var**k for k, c in enumerate(delta)), pres.zero())
             # sigma(N) = alpha^m * (e1*N + rhs*D), with N of degree at most
             # deg_budget: the coefficients of rhs*D above it must vanish.  The
-            # first D is 1, so a rhs with gen in its denominator raises at once.
-            rhs_delta = _lincomb_coefficients(rhs.mul_known(denominator), pres, gen, sub)
+            # first D is 1 (m = 0), never formed or multiplied by, so a rhs
+            # with gen in its denominator raises at once.
+            if m:
+                denominator = sum((c.in_presentation(pres) * a_var**k for k, c in enumerate(delta)), pres.zero())
+                rhs_delta = _lincomb_coefficients(rhs.mul_known(denominator), pres, gen, sub)
+            else:
+                rhs_delta = _lincomb_coefficients(rhs, pres, gen, sub)
             top = ctx.fork()
             try:
                 for k, row in rhs_delta.items():
@@ -94,9 +106,9 @@ def iter_twisted_branches(
                 base = rhs_delta[k].mul_known(scale) if k in rhs_delta else LinComb.zero(sub)
                 return e1_sub * scale, base, deg_budget - k
 
-            for final_ctx, ys in _coefficient_tower(sub, beta, level, deg_budget, {}, top, window, polynomial):
-                family = sum((ys[k].lift(pres).mul_known(a_var**k) for k in range(deg_budget + 1)), LinComb.zero(pres))
-                yield final_ctx, family.mul_known(pres.one() / denominator)
+            for final_ctx, ys in _coefficient_tower(sub, beta, level, deg_budget, {}, {}, top, window, polynomial):
+                family = sum((ys[k].lift(pres).mul_known(a_var**k) for k in range(1, deg_budget + 1)), ys[0].lift(pres))
+                yield final_ctx, family.mul_known(pres.one() / denominator) if m else family
 
 
 # The memo outlives a search because decide job streams repeat presentations.
@@ -115,21 +127,37 @@ def _denominator_candidates(
 ) -> tuple[tuple[Element, ...], ...]:
     """Concrete monic denominators D = sum_k c_k a^k: tuples (c_0..c_m), c_m = 1.
 
-    sigma(D) = alpha^m * D is the coefficient tower with twist 1 and base 0,
-    solved in an isolated parameter context; each branch is materialized at
-    its particular point, and a tuple equal to an earlier branch's (compared
-    as elements) is dropped.  Results are memoized per exact budget, so
-    enumeration order never depends on call history.
+    sigma(D) = alpha^m * D is the coefficient tower with twist alpha^(m-k)
+    at level k and base 0, solved in an isolated parameter context; each
+    branch is materialized at its particular point, and a tuple equal to an
+    earlier branch's (compared as elements) is dropped.  Results are
+    memoized per exact budget, so enumeration order never depends on call
+    history.
+
+    For m >= 2 the top level k = m-1 is sigma(c) - alpha*c = -m*beta (the
+    solved c_m = 1 adds -C(m, m-1)*beta*sigma(1)): the m = 1 equation
+    sigma(w) - alpha*w = -beta scaled by m, which is nonzero in
+    characteristic 0 (Karr 1981; Bronstein 2000).  Scaling a right-hand side
+    by a nonzero rational scales its rows and keeps windows, valuations, the
+    ansatz and the free-base denominators, so the level has a branch exactly
+    when m = 1 has one.  An empty m = 1 entry with the same budget and
+    window therefore returns () at once.  The check reads the memoized m = 1
+    entry, computing it when absent, so results never depend on call history
+    either; iter_twisted_branches asks for m = 1 before any m >= 2, so it
+    adds no search there.
     """
     one = sub.one()
     if m == 0:
         return ((one,),)
+    if m > 1 and not _denominator_candidates(sub, alpha, beta, 1, deg_budget, window):
+        return ()
 
     def level(k: int) -> tuple[Element, LinComb, int]:
         return alpha ** (m - k), LinComb.zero(sub), deg_budget
 
+    leading = {m: LinComb.constant(sub, one)}  # sigma(1) = 1
     out: dict[tuple[Element, ...], None] = {}  # insertion-ordered set
-    for ctx, solved in _coefficient_tower(sub, beta, level, m - 1, {m: LinComb.constant(sub, one)}, ParamContext(), window):
+    for ctx, solved in _coefficient_tower(sub, beta, level, m - 1, leading, leading, ParamContext(), window):
         particular = ctx.solve()
         out[tuple(solved[k].evaluate(particular) for k in range(m + 1))] = None
     return tuple(out)
@@ -141,6 +169,7 @@ def _coefficient_tower(
     level: Callable[[int], tuple[Element, LinComb, int]],
     k: int,
     solved: dict[int, LinComb],
+    images: dict[int, LinComb],
     ctx: ParamContext,
     window: int,
     polynomial: bool = False,
@@ -151,7 +180,9 @@ def _coefficient_tower(
 
         sigma(y_k) - twist * y_k = base - sum_{i>k} C(i,k) beta^(i-k) sigma(y_i)
 
-    over the coefficients y_i already solved, searched within ``budget``
+    over the coefficients y_i already solved, whose images sigma(y_i) are
+    ``images``: each is formed once, when its branch is, and only when a
+    level below reads it.  Each level is searched within ``budget``
     (Karr's degree-by-degree split; see fixed_space).  A lower-level family
     can carry extension-generator denominators (an m >= 1 denominator
     branch); feeding it into the next level would need a non-polynomial
@@ -163,14 +194,15 @@ def _coefficient_tower(
         return
     twist, rhs, budget = level(k)
     for i in sorted(solved):
-        rhs = rhs - solved[i].sigma().mul_known(sub.const(comb(i, k)) * beta ** (i - k))
+        rhs = rhs - images[i].mul_known(sub.const(comb(i, k)) * beta ** (i - k))
     branches = iter_twisted_branches(sub, twist, rhs, ctx, budget, window, polynomial=polynomial)
     while True:
         try:
             ctx2, fam = next(branches)
         except (StopIteration, UnsupportedCoefficientShape):
             return
-        yield from _coefficient_tower(sub, beta, level, k - 1, {**solved, k: fam}, ctx2, window, polynomial)
+        below = {**images, k: fam.sigma()} if k else images
+        yield from _coefficient_tower(sub, beta, level, k - 1, {**solved, k: fam}, below, ctx2, window, polynomial)
 
 
 def solve_twisted_bounded(pres: Presentation, eq: TwistedEquation, bounds: SearchBounds = SearchBounds()) -> SolveResult:

@@ -31,6 +31,7 @@ from diffield.params import LinComb, ParamContext
 from diffield.parser import Document, ParseError, SemanticError
 from diffield.poly import MPoly, divexact, poly_lcm
 from diffield.ratfunc import P1, CircleValue, RatFunc
+from diffield.tower import _coefficient_tower
 
 
 def run_cli(args, *, cwd=None, timeout):
@@ -293,6 +294,26 @@ def reference_decide_free_base(pres, eq):
     if isinstance(eq, MultiplicativeEquation):
         return _reference_decide_multiplicative(pres, eq)
     raise TypeError(f"unsupported equation type {type(eq).__name__}")
+
+
+# -- the tower's special denominators before the once-per-level refutation:
+#    every degree m solves its own coefficient tower
+
+
+def reference_denominator_candidates(sub, alpha, beta, m, deg_budget, window):
+    one = sub.one()
+    if m == 0:
+        return ((one,),)
+
+    def level(k):
+        return alpha ** (m - k), LinComb.zero(sub), deg_budget
+
+    leading = {m: LinComb.constant(sub, one)}
+    out = {}
+    for ctx, solved in _coefficient_tower(sub, beta, level, m - 1, leading, leading, ParamContext(), window):
+        particular = ctx.solve()
+        out[tuple(solved[k].evaluate(particular) for k in range(m + 1))] = None
+    return tuple(out)
 
 
 # -- the parser before its tuple tokens, text-compare cursor and atom table:

@@ -1,5 +1,6 @@
 """Pipeline stages: base registry, closure, twisted pair, height-4 instance."""
 
+from diffield import params, run_pipeline, tower
 from diffield.certify import TwistedShiftFamily, certify_unsolvable
 from diffield.counterexample import (
     adjoin_twisted_pair,
@@ -146,3 +147,22 @@ def test_shift_families_certify_over_both_corners():
             corner, TwistedShiftFamily(corner.one(), corner.gen(which)), reg
         )
         assert isinstance(res, Unsolvable)
+
+
+def test_pipeline_search_counts_are_pinned(monkeypatch):
+    # run_pipeline() at (2, 2), seed 1, from a cold denominator memo.  The
+    # m = 1 refutation of a special denominator spares the tower of every
+    # m >= 2 (368 tower calls and 221 free-base searches without it), and the
+    # family reducer takes a one-term divisor's monomial content without a
+    # gcd (410 gcds without it)
+    calls = dict.fromkeys(["iter_twisted_branches", "twisted_family", "poly_gcd"], 0)
+    for module, name in ((tower, "iter_twisted_branches"), (tower, "twisted_family"), (params, "poly_gcd")):
+        def counting(*args, _original=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    tower._denominator_candidates.cache_clear()
+    report = run_pipeline(bounds=SearchBounds(2, 2), seed=1)
+    assert report.verdict == "refuted with certificate chain"
+    assert calls == {"iter_twisted_branches": 273, "twisted_family": 136, "poly_gcd": 5}

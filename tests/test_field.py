@@ -207,7 +207,7 @@ def _laws_presentation_renamed():
 @given(st.integers(0, 10**6))
 def test_renamed_commutes_with_sigma(seed):
     p, q = _laws_presentation(), _laws_presentation_renamed()
-    assert p.shape() == q.shape()
+    assert p.shape == q.shape
     rng = random.Random(seed)
     x = _random_element(p, rng, list(p.names()))
     y = x.renamed(q)
@@ -216,6 +216,15 @@ def test_renamed_commutes_with_sigma(seed):
     assert y.is_fixed() == x.is_fixed()
     assert y.renamed(p) == x and repr(y.renamed(p)) == repr(x)
     assert p.const(Fraction(-2, 3)).renamed(q) == q.const(Fraction(-2, 3))
+
+
+def test_shape_is_formed_once_per_presentation():
+    p, q = _laws_presentation(), _laws_presentation()
+    assert p == q and p is not q
+    assert p.shape is p.shape  # a second read is the first one's object
+    assert p.shape == q.shape and p.shape is not q.shape
+    assert "shape" not in repr(p)  # kept outside the record fields
+    assert hash(p) == hash(q)
 
 
 def test_renamed_refuses_another_shape():

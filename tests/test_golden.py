@@ -3,13 +3,14 @@
 ``tests/golden/<job>.json`` holds the report of each ``jobs/<job>.df`` run
 with the command and flags listed below (the README's commands), and
 ``tests/golden/verify_counterexample.json`` holds the report of
-``diffield verify-counterexample`` at its default bounds.  The
-reports print canonical forms (``repr`` of polynomials and rational
-functions, lattice bases, witnesses), so any drift in the exact substrate's
-canonical forms shows up here.  Regenerate a file only for an intended
-change of output, with ``diffield COMMAND jobs/JOB.df FLAGS --out
-tests/golden/JOB.json`` (or ``diffield verify-counterexample --out
-tests/golden/verify_counterexample.json``).
+``diffield verify-counterexample`` at its default bounds, and
+``verify_counterexample_deg8.json`` its report with ``--bounds-degree 8
+--bounds-window 4``.  The reports print canonical forms (``repr`` of
+polynomials and rational functions, lattice bases, witnesses), so any drift
+in the exact substrate's canonical forms shows up here.  Regenerate a file
+only for an intended change of output, with ``diffield COMMAND
+jobs/JOB.df FLAGS --out tests/golden/JOB.json`` (or ``diffield
+verify-counterexample [FLAGS] --out tests/golden/NAME.json``).
 """
 
 from pathlib import Path
@@ -54,6 +55,12 @@ def test_golden_report(job, tmp_path):
 def test_golden_verify_counterexample(tmp_path):
     # the paper's counterexample at default bounds: refuted, control flips
     _assert_golden(["verify-counterexample"], "verify_counterexample", tmp_path)
+
+
+def test_golden_verify_counterexample_deg8(tmp_path):
+    # deeper torsor searches, where most special-denominator degrees are refuted at m = 1
+    flags = ["--bounds-degree", "8", "--bounds-window", "4", "--require-decision"]
+    _assert_golden(["verify-counterexample", *flags], "verify_counterexample_deg8", tmp_path)
 
 
 def test_golden_covers_every_job():

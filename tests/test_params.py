@@ -144,20 +144,26 @@ def draw_poly(rng, vars_, terms=3):
     return p
 
 
-def draw_element(rng, pres, den_vars=None):
-    """A small element whose denominator is a product of factors that recur across draws."""
+def draw_element(rng, pres, den_vars=None, dens="any"):
+    """A small element whose denominator is a product of factors that recur across draws.
+
+    ``dens`` is "any" (factors v and v + 1), "monomial" (factors v only) or
+    "unit" (denominator 1).
+    """
     vars_ = variables(pres)
-    factors = [MPoly.var(v) + MPoly.const(c) for v in (den_vars or vars_) for c in (0, 1)]
     den = MPoly.const(1)
-    for _ in range(rng.choice([0, 0, 1, 1, 2])):
-        den = den * rng.choice(factors)
+    if dens != "unit":
+        consts = (0,) if dens == "monomial" else (0, 1)
+        factors = [MPoly.var(v) + MPoly.const(c) for v in (den_vars or vars_) for c in consts]
+        for _ in range(rng.choice([0, 0, 1, 1, 2])):
+            den = den * rng.choice(factors)
     return Element(pres, RatFunc(draw_poly(rng, vars_), den))
 
 
-def draw_family(rng, pres, den_vars=None):
+def draw_family(rng, pres, den_vars=None, dens="any"):
     """(LinComb, reference) for one drawn family; zero coefficients are kept out."""
-    const = draw_element(rng, pres, den_vars) if rng.random() < 0.7 else pres.zero()
-    coeffs = {k: draw_element(rng, pres, den_vars) for k in PARAMS if rng.random() < 0.6}
+    const = draw_element(rng, pres, den_vars, dens) if rng.random() < 0.7 else pres.zero()
+    coeffs = {k: draw_element(rng, pres, den_vars, dens) for k in PARAMS if rng.random() < 0.6}
     lc = LinComb.constant(pres, const)
     for k, e in coeffs.items():
         lc = lc + LinComb(pres, MPoly(), {k: e.value.num}, e.value.den)
@@ -197,6 +203,26 @@ def test_family_operations_agree_with_the_reference(base, seed):
     values = draw_values(rng)
     assert a.evaluate(values) == ref_a.evaluate(values)
     assert a.direction(values) == ref_a.direction(values)
+    # monomial denominators: the reducer takes one content pass, no gcds
+    c, ref_c = draw_family(rng, pres, dens="monomial")
+    d, ref_d = draw_family(rng, pres, dens="monomial")
+    assert_agrees(c, ref_c)
+    assert_agrees(c + d, ref_c + ref_d)
+    assert_agrees((c + d) - d, (ref_c + ref_d) - ref_d)
+    assert_agrees(c.mul_known(e), ref_c.mul_known(e))
+    assert_agrees(c.sigma(), ref_c.sigma())
+    # unit denominators: zero, negation and sums built without the reducer
+    u, ref_u = draw_family(rng, pres, dens="unit")
+    v, ref_v = draw_family(rng, pres, dens="unit")
+    zero, ref_zero = LinComb.zero(pres), ReferenceLinComb(pres, pres.zero())
+    assert_agrees(zero, ref_zero)
+    assert_agrees(-u, -ref_u)
+    assert_agrees(u - u, ref_u - ref_u)
+    assert_agrees(u + v, ref_u + ref_v)
+    assert_agrees((u + v) - v, (ref_u + ref_v) - ref_v)
+    assert_agrees(zero + u, ref_zero + ref_u)
+    assert_agrees(zero - u, ref_zero - ref_u)
+    assert_agrees(-zero, -ref_zero)
 
 
 @settings(max_examples=40, deadline=None)
@@ -210,6 +236,12 @@ def test_lift_agrees_with_the_reference(seed):
     assert lifted.pres is pres
     assert_agrees(lifted, ref.lift(pres))
     assert_agrees(lifted.sigma(), ref.lift(pres).sigma())
+    unit, ref_unit = draw_family(rng, sub, dens="unit")
+    for lc, ref in ((unit, ref_unit), (-unit, -ref_unit), (LinComb.zero(sub), ReferenceLinComb(sub, sub.zero()))):
+        lifted = lc.lift(pres)
+        assert lifted.pres is pres
+        assert_agrees(lifted, ref.lift(pres))
+        assert_agrees(lifted + lifted.sigma(), ref.lift(pres) + ref.lift(pres).sigma())
 
 
 @settings(max_examples=60, deadline=None)

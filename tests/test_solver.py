@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_decide_free_base, reference_twisted_family
+from conftest import reference_decide_free_base, reference_denominator_candidates, reference_twisted_family
 from diffield.descent import DescentHypothesisViolated, descent_linear, descent_multiplicative
 from diffield.equations import (
     MultiplicativeEquation,
@@ -478,6 +478,34 @@ def test_fixed_space_does_not_depend_on_the_denominator_memo():
     assert info.misses - misses < cold_misses  # it reused the other search's entries
     assert warm == cold
     assert info.maxsize is not None
+
+
+def special_denominator_rules():
+    """The last affine generator's rule over Q(g), or Q(g)(t), by name."""
+    p, g = free_base()
+    closed, g1, _ = closed_base()
+    return {
+        "sigma": p.with_affine("t", 1, 1)[0],  # no special denominator
+        "pi": p.with_affine("a", g, 0)[0],  # D = a^m
+        "avoided": closed.with_affine("a1", g1, g1)[0],  # sigma(w) - g*w = -g has no solution
+        "realized": p.with_affine("a", g, g - 1)[0],  # D = (a + 1)^m
+        "scaled": p.with_affine("a", 2, 1)[0],  # D = (a + 1)^m
+    }
+
+
+@pytest.mark.parametrize("name", ["sigma", "pi", "avoided", "realized", "scaled"])
+def test_special_denominators_agree_with_every_degree_solved(name):
+    # m >= 2 reads the m = 1 entry, computing it when the memo lacks it: so
+    # each budget is asked cold at its highest m first, then downwards
+    top = special_denominator_rules()[name].affine_top
+    args = (top.sub, top.alpha, top.beta)
+    for budget in (1, 2, 3):
+        for window in (1, 2):
+            _denominator_candidates.cache_clear()
+            for m in range(budget, 0, -1):
+                got = _denominator_candidates(*args, m, budget, window)
+                assert got == reference_denominator_candidates(*args, m, budget, window)
+                assert bool(got) == (name in ("pi", "realized", "scaled")), (m, budget, window)
 
 
 # The three tests below reach denominators of degree m >= 1 in an affine

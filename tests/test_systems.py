@@ -451,7 +451,7 @@ def test_pairwise_fixed_polynomials_do_not_read_names(bounds):
     model = misnamed_blocks()
     first = model.corner(model.complement(1, 2))  # a11, a12, c11_12
     later = model.corner(model.complement(2, 3))  # a9, a12, c9_12
-    assert first.shape() == later.shape()
+    assert first.shape == later.shape
     # the test can see a leak: the first corner's span, renamed, is not the
     # later corner's own span
     renamed_span = [x.renamed(later) for x in fixed_space(first, bounds, polynomial=True)]

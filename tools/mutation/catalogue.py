@@ -34,6 +34,7 @@ PARSER = "src/diffield/parser.py"
 RECORD = "src/diffield/record.py"
 TEST_RECORD = "tests/test_record.py"
 CHARACTERS = "src/diffield/characters.py"
+TOWER = "src/diffield/tower.py"
 TEST_CHARACTERS = "tests/test_characters.py"
 
 CATALOGUE: tuple[Mutant, ...] = (
@@ -307,11 +308,39 @@ CATALOGUE: tuple[Mutant, ...] = (
         ),
     ),
     Mutant(
+        "unit-denominator family that keeps a zero coefficient",
+        "src/diffield/params.py",
+        "if v.terms} if coeffs else {}",
+        "if v.terms or den is P1} if coeffs else {}",
+        (f"{TEST_PARAMS}::test_family_operations_agree_with_the_reference",),
+    ),
+    Mutant(
         "degree split without the generator check on the denominator",
         "src/diffield/params.py",
         "if var in lc.den.variables():",
         "if False:",
         (f"{TEST_PARAMS}::test_degree_split_agrees_with_the_reference",),
+    ),
+    # -- the tower's special denominators: no m >= 2 tower when m = 1 has none
+    Mutant(
+        "special-denominator prune that ignores the m = 1 entry",
+        TOWER,
+        "if m > 1 and not _denominator_candidates(sub, alpha, beta, 1, deg_budget, window):",
+        "if m > 1:",
+        (
+            f"{TEST_SOLVER}::test_special_denominators_agree_with_every_degree_solved",
+            "tests/test_counterexample.py::test_pipeline_search_counts_are_pinned",
+        ),
+    ),
+    Mutant(
+        "special-denominator prune that also empties m = 1",
+        TOWER,
+        "if m > 1 and not _denominator_candidates(sub, alpha, beta, 1, deg_budget, window):",
+        "if m == 1 or m > 1 and not _denominator_candidates(sub, alpha, beta, 1, deg_budget, window):",
+        (
+            f"{TEST_SOLVER}::test_special_denominators_agree_with_every_degree_solved",
+            "tests/test_counterexample.py::test_pipeline_search_counts_are_pinned",
+        ),
     ),
     # -- layers: the certifier imports no search
     Mutant(
