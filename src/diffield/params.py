@@ -11,12 +11,17 @@ so infeasibility surfaces immediately (as
 the context cheaply (pivot rows are immutable once stored).
 :meth:`ParamContext.add_identity` is the one place a polynomial identity
 becomes rows, one per monomial; :meth:`ParamContext.add_zero` hands it the
-numerators of a family.  ``_lincomb_coefficients`` and ``require_level_free``
-are the level steps that the tower search and the certifier share.
+numerators of a family.  :meth:`ParamContext.reduced` rewrites a family
+over the free parameters alone: each pivot parameter is replaced by its
+value over the later ones, so a family the rows pin to zero becomes the
+zero family (:meth:`LinComb.is_zero`).  ``_lincomb_coefficients`` and
+``require_level_free`` are the level steps that the tower search and the
+certifier share.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Mapping
 
 from .equations import UnsupportedCoefficientShape
@@ -86,6 +91,10 @@ class LinComb:
     @staticmethod
     def zero(pres: Presentation) -> "LinComb":
         return LinComb._reduced(pres, MPoly(), {}, P1)
+
+    def is_zero(self) -> bool:
+        """True for the zero family: no constant and no parameter left."""
+        return not (self.const.terms or self.coeffs)
 
     def __add__(self, other: "LinComb") -> "LinComb":
         """With g = gcd(D, E), D = D'g and E = E'g: N*E' + M*D' over D'E,
@@ -194,6 +203,35 @@ class ParamContext(Echelon):
 
     def new_params(self, count: int) -> list[int]:
         return [self.new_param() for _ in range(count)]
+
+    def reduced(self, lc: LinComb) -> LinComb:
+        """lc over the free parameters: each pivot replaced by its value over the later columns.
+
+        A stored row ``const + sum(row[c] * x_c) = 0`` gives the pivot
+        ``x_p = -(const + sum_{c != p} row[c] * x_c) / row[p]``.  The pivots
+        are taken in insertion order: a stored row mentions only pivots
+        inserted after it, so no substitution brings back one already done,
+        and one pass leaves only free columns.  The result differs from lc by
+        a combination of stored rows, so it has lc's value at every solution
+        and along every kernel direction; the reducer then cancels what the
+        substitution made common to den and the numerators.
+        """
+        if not any(c in self.pivots for c in lc.coeffs):
+            return lc
+        const, coeffs = lc.const, dict(lc.coeffs)
+        for col in self.order:
+            v = coeffs.pop(col, None)
+            if v is None or not v.terms:
+                continue
+            row, pconst = self.pivots[col]
+            lead = row[col]
+            if pconst:
+                const = const - v.scale(Fraction(pconst, lead))
+            for c, r in row.items():
+                if c != col:
+                    t = v.scale(Fraction(r, lead))
+                    coeffs[c] = coeffs[c] - t if c in coeffs else -t
+        return LinComb(lc.pres, const, coeffs, lc.den)
 
     def add_zero(self, lc: LinComb) -> None:
         """Require lc == 0: its numerators must vanish identically."""

@@ -12,6 +12,17 @@ solved recursively; the recursion bottoms out in the complete free-base
 solver.  Everything stays jointly linear in the bookkeeping parameters, so
 each structural branch is one exact linear system.
 
+Families are kept over the free parameters of their branch's echelon: each
+branch's family has its solved parameters substituted out
+(:meth:`~diffield.params.ParamContext.reduced`).  That changes a family only
+by a combination of the branch's rows, so it keeps its value at every
+solution of the branch.  A free-base ansatz read off a sparser right-hand
+side can be smaller, and it still holds every solution, since its bounds
+hold at each parameter value.  A family the rows pin to zero becomes the
+zero family, and it is skipped: it is never multiplied into a level's
+right-hand side, sigma-substituted, or added as a term of the assembled
+numerator.
+
 Special denominators are refuted once per level.  If D is monic of degree
 m >= 1 with sigma(D) = alpha^m * D, its coefficient c of a^(m-1) solves
 sigma(c) - alpha*c = -m*beta (M. Karr, "Summation in Finite Terms", JACM
@@ -65,8 +76,11 @@ def iter_twisted_branches(
 ) -> Iterator[tuple[ParamContext, LinComb]]:
     """Yield (ctx, family) branches covering the search class.
 
-    With ``polynomial`` every level searches denominator degree m = 0 only
-    (see fixed_space).
+    Each family is over the free parameters of its ctx: the free-base
+    family, and the numerator assembled from the coefficient levels, whose
+    zero levels add no term, are reduced before a denominator D of degree
+    m >= 1 divides them.  With ``polynomial`` every level searches
+    denominator degree m = 0 only (see fixed_space).
     """
     if deg_budget < 0:
         return
@@ -77,7 +91,7 @@ def iter_twisted_branches(
             fam = twisted_family(pres, e1, rhs, forked, deg_budget, window)
         except Infeasible:
             return
-        yield forked, fam
+        yield forked, forked.reduced(fam)
         return
     gen, sub, alpha, beta = affine.gen, affine.sub, affine.alpha, affine.beta
     e1_sub = require_level_free(e1, pres, sub, gen)
@@ -107,7 +121,8 @@ def iter_twisted_branches(
                 return e1_sub * scale, base, deg_budget - k
 
             for final_ctx, ys in _coefficient_tower(sub, beta, level, deg_budget, {}, {}, top, window, polynomial):
-                family = sum((ys[k].lift(pres).mul_known(a_var**k) for k in range(1, deg_budget + 1)), ys[0].lift(pres))
+                terms = (ys[k].lift(pres).mul_known(a_var**k) for k in range(1, deg_budget + 1) if not ys[k].is_zero())
+                family = final_ctx.reduced(sum(terms, ys[0].lift(pres)))
                 yield final_ctx, family.mul_known(pres.one() / denominator) if m else family
 
 
@@ -182,26 +197,29 @@ def _coefficient_tower(
 
     over the coefficients y_i already solved, whose images sigma(y_i) are
     ``images``: each is formed once, when its branch is, and only when a
-    level below reads it.  Each level is searched within ``budget``
-    (Karr's degree-by-degree split; see fixed_space).  A lower-level family
-    can carry extension-generator denominators (an m >= 1 denominator
-    branch); feeding it into the next level would need a non-polynomial
-    split, so such combinations are outside the documented class and their
-    branches simply end there.
+    level below reads it.  A zero y_i is its own image and adds no term.
+    Each level is searched within ``budget`` (Karr's degree-by-degree split;
+    see fixed_space).  A lower-level family can carry extension-generator
+    denominators (an m >= 1 denominator branch); feeding it into the next
+    level would need a non-polynomial split, so such combinations are
+    outside the documented class and their branches simply end there.
+    Whether a family carries one is read off its free-parameter form: an
+    m >= 1 family that its rows make polynomial in the generator is fed on.
     """
     if k < 0:
         yield ctx, solved
         return
     twist, rhs, budget = level(k)
     for i in sorted(solved):
-        rhs = rhs - images[i].mul_known(sub.const(comb(i, k)) * beta ** (i - k))
+        if not images[i].is_zero():
+            rhs = rhs - images[i].mul_known(sub.const(comb(i, k)) * beta ** (i - k))
     branches = iter_twisted_branches(sub, twist, rhs, ctx, budget, window, polynomial=polynomial)
     while True:
         try:
             ctx2, fam = next(branches)
         except (StopIteration, UnsupportedCoefficientShape):
             return
-        below = {**images, k: fam.sigma()} if k else images
+        below = {**images, k: fam if fam.is_zero() else fam.sigma()} if k else images
         yield from _coefficient_tower(sub, beta, level, k - 1, {**solved, k: fam}, below, ctx2, window, polynomial)
 
 

@@ -1,6 +1,7 @@
 """Shared test helpers."""
 
 import faulthandler
+import functools
 import itertools
 import math
 import os
@@ -16,7 +17,14 @@ import pytest
 
 import diffield
 from diffield.characters import CharacterError, CharacterTable
-from diffield.equations import MultiplicativeEquation, Solution, TwistedEquation, Unsolvable
+from diffield.equations import (
+    MultiplicativeEquation,
+    NoSolutionWithinBounds,
+    Solution,
+    TwistedEquation,
+    Unsolvable,
+    UnsupportedCoefficientShape,
+)
 from diffield.field import Element, Presentation, PresentationError
 from diffield.freebase import (
     FreeRefutation,
@@ -25,13 +33,15 @@ from diffield.freebase import (
     _monomials,
     _require_free,
     _window_vars,
+    decide_free_base,
+    twisted_family,
 )
 from diffield.linalg import Echelon, Infeasible, integer_kernel, solve_affine
-from diffield.params import LinComb, ParamContext
+from diffield.params import LinComb, ParamContext, _lincomb_coefficients, require_level_free
 from diffield.parser import Document, ParseError, SemanticError
 from diffield.poly import MPoly, divexact, poly_lcm
 from diffield.ratfunc import P1, CircleValue, RatFunc
-from diffield.tower import _coefficient_tower
+from diffield.tower import require_fixed, span_basis
 
 
 def run_cli(args, *, cwd=None, timeout):
@@ -296,8 +306,99 @@ def reference_decide_free_base(pres, eq):
     raise TypeError(f"unsupported equation type {type(eq).__name__}")
 
 
+# -- the tower search before families were kept over the free parameters:
+#    every family carries the parameters the echelon has solved, and zero
+#    families are multiplied and sigma-substituted like any other; the
+#    differential reference of tests/test_solver.py.  Its special
+#    denominators come from reference_denominator_candidates below, on this
+#    same path, memoized as the search memoizes them.
+
+
+def reference_iter_twisted_branches(pres, e1, rhs, ctx, deg_budget, window, *, polynomial=False):
+    if deg_budget < 0:
+        return
+    affine = pres.affine_top
+    if affine is None:
+        forked = ctx.fork()
+        try:
+            fam = twisted_family(pres, e1, rhs, forked, deg_budget, window)
+        except Infeasible:
+            return
+        yield forked, fam
+        return
+    gen, sub, alpha, beta = affine.gen, affine.sub, affine.alpha, affine.beta
+    e1_sub = require_level_free(e1, pres, sub, gen)
+    a_var = pres.gen(gen.name)
+    for m in range(0, 1 if polynomial else deg_budget + 1):
+        for delta in _reference_denominators(sub, alpha, beta, m, deg_budget, window):
+            if m:
+                denominator = sum((c.in_presentation(pres) * a_var**k for k, c in enumerate(delta)), pres.zero())
+                rhs_delta = _lincomb_coefficients(rhs.mul_known(denominator), pres, gen, sub)
+            else:
+                rhs_delta = _lincomb_coefficients(rhs, pres, gen, sub)
+            top = ctx.fork()
+            try:
+                for k, row in rhs_delta.items():
+                    if k > deg_budget:
+                        top.add_zero(row)
+            except Infeasible:
+                continue
+
+            def level(k):
+                scale = alpha ** (m - k)
+                base = rhs_delta[k].mul_known(scale) if k in rhs_delta else LinComb.zero(sub)
+                return e1_sub * scale, base, deg_budget - k
+
+            for final_ctx, ys in reference_coefficient_tower(sub, beta, level, deg_budget, {}, {}, top, window, polynomial):
+                family = sum((ys[k].lift(pres).mul_known(a_var**k) for k in range(1, deg_budget + 1)), ys[0].lift(pres))
+                yield final_ctx, family.mul_known(pres.one() / denominator) if m else family
+
+
+def reference_coefficient_tower(sub, beta, level, k, solved, images, ctx, window, polynomial=False):
+    if k < 0:
+        yield ctx, solved
+        return
+    twist, rhs, budget = level(k)
+    for i in sorted(solved):
+        rhs = rhs - images[i].mul_known(sub.const(math.comb(i, k)) * beta ** (i - k))
+    branches = reference_iter_twisted_branches(sub, twist, rhs, ctx, budget, window, polynomial=polynomial)
+    while True:
+        try:
+            ctx2, fam = next(branches)
+        except (StopIteration, UnsupportedCoefficientShape):
+            return
+        below = {**images, k: fam.sigma()} if k else images
+        yield from reference_coefficient_tower(sub, beta, level, k - 1, {**solved, k: fam}, below, ctx2, window, polynomial)
+
+
+def reference_solve_twisted_bounded(pres, eq, bounds):
+    if pres.affine_top is None:
+        return decide_free_base(pres, eq)
+    rhs = LinComb.constant(pres, eq.e2)
+    for branch_ctx, family in reference_iter_twisted_branches(pres, eq.e1, rhs, ParamContext(), bounds.degree, bounds.window):
+        x = family.evaluate(branch_ctx.solve())
+        if eq.holds_for(x):
+            return Solution(x)
+        raise AssertionError("internal error: branch solution failed verification")
+    return NoSolutionWithinBounds(bounds)
+
+
+def reference_fixed_space(pres, bounds, *, polynomial=False):
+    found = []
+    if pres.affine_top is not None:
+        branches = reference_iter_twisted_branches(
+            pres, pres.one(), LinComb.zero(pres), ParamContext(), bounds.degree, bounds.window, polynomial=polynomial
+        )
+        for ctx, family in branches:
+            for direction in ctx.kernel():
+                x = family.direction(direction)
+                if not x.is_zero():
+                    found.append(x)
+    return span_basis(require_fixed(found), first=pres.one())
+
+
 # -- the tower's special denominators before the once-per-level refutation:
-#    every degree m solves its own coefficient tower
+#    every degree m solves its own coefficient tower, on the search path above
 
 
 def reference_denominator_candidates(sub, alpha, beta, m, deg_budget, window):
@@ -310,10 +411,13 @@ def reference_denominator_candidates(sub, alpha, beta, m, deg_budget, window):
 
     leading = {m: LinComb.constant(sub, one)}
     out = {}
-    for ctx, solved in _coefficient_tower(sub, beta, level, m - 1, leading, leading, ParamContext(), window):
+    for ctx, solved in reference_coefficient_tower(sub, beta, level, m - 1, leading, leading, ParamContext(), window):
         particular = ctx.solve()
         out[tuple(solved[k].evaluate(particular) for k in range(m + 1))] = None
     return tuple(out)
+
+
+_reference_denominators = functools.lru_cache(maxsize=1024)(reference_denominator_candidates)
 
 
 # -- the parser before its tuple tokens, text-compare cursor and atom table:

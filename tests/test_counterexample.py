@@ -150,19 +150,30 @@ def test_shift_families_certify_over_both_corners():
 
 
 def test_pipeline_search_counts_are_pinned(monkeypatch):
-    # run_pipeline() at (2, 2), seed 1, from a cold denominator memo.  The
-    # m = 1 refutation of a special denominator spares the tower of every
-    # m >= 2 (368 tower calls and 221 free-base searches without it), and the
-    # family reducer takes a one-term divisor's monomial content without a
-    # gcd (410 gcds without it)
-    calls = dict.fromkeys(["iter_twisted_branches", "twisted_family", "poly_gcd"], 0)
-    for module, name in ((tower, "iter_twisted_branches"), (tower, "twisted_family"), (params, "poly_gcd")):
-        def counting(*args, _original=getattr(module, name), _name=name, **kwargs):
+    # run_pipeline() at (2, 2) and (8, 4), seed 1, each from a cold
+    # denominator memo.  The m = 1 refutation of a special denominator spares
+    # the tower of every m >= 2 (368 tower calls and 221 free-base searches
+    # at (2, 2) without it).  Families are kept over the echelon's free
+    # parameters and zero families are skipped: the search tree is the same,
+    # but at (2, 2) it takes 122 sigma images and 451 products by a known
+    # element without that (757 and 3579 at (8, 4)), and the family reducer
+    # takes no gcd at all (5 at (2, 2) and 268 at (8, 4) without it)
+    names = ("iter_twisted_branches", "twisted_family", "poly_gcd", "sigma", "mul_known")
+    calls = dict.fromkeys(names, 0)
+    targets = (tower, tower, params, params.LinComb, params.LinComb)
+    for target, name in zip(targets, names):
+        def counting(*args, _original=getattr(target, name), _name=name, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, counting)
-    tower._denominator_candidates.cache_clear()
-    report = run_pipeline(bounds=SearchBounds(2, 2), seed=1)
-    assert report.verdict == "refuted with certificate chain"
-    assert calls == {"iter_twisted_branches": 273, "twisted_family": 136, "poly_gcd": 5}
+        monkeypatch.setattr(target, name, counting)
+    pinned = {
+        (2, 2): {"iter_twisted_branches": 273, "twisted_family": 136, "poly_gcd": 0, "sigma": 33, "mul_known": 172},
+        (8, 4): {"iter_twisted_branches": 1153, "twisted_family": 771, "poly_gcd": 0, "sigma": 93, "mul_known": 803},
+    }
+    for bounds, counts in pinned.items():
+        calls.update(dict.fromkeys(names, 0))
+        tower._denominator_candidates.cache_clear()
+        report = run_pipeline(bounds=SearchBounds(*bounds), seed=1)
+        assert report.verdict == "refuted with certificate chain"
+        assert calls == counts, bounds

@@ -303,6 +303,46 @@ def test_add_zero_rows_agree_with_the_reference(base, seed):
         assert ctx.order == ref_ctx.order
 
 
+ECHELON_COLUMNS = range(len(PARAMS) + 2)  # rows also reach past the families' parameters
+_entries = st.one_of(
+    st.integers(-3, 3).filter(bool),
+    st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(2, 3)),
+)
+_rows = st.lists(
+    st.tuples(st.dictionaries(st.sampled_from(ECHELON_COLUMNS), _entries, min_size=1, max_size=4), st.integers(-3, 3)),
+    max_size=5,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(BASES)), _rows, st.integers(0, 10**6))
+def test_reduced_families_keep_only_free_parameters(base, rows, seed):
+    rng = random.Random(seed)
+    pres = BASES[base]
+    ctx = ParamContext(len(ECHELON_COLUMNS))
+    for coeffs, const in rows:
+        try:
+            ctx.add_row(coeffs, const)
+        except Infeasible:  # the echelon is left as it was
+            pass
+    solution, kernel = ctx.solve(), ctx.kernel()
+    lc, _ = draw_family(rng, pres)
+    # plus a multiple of a stored row, which the rows pin to zero
+    if ctx.order and rng.random() < 0.5:
+        row, const = ctx.pivots[rng.choice(ctx.order)]
+        pinned = LinComb(pres, MPoly.const(const), {c: MPoly.const(v) for c, v in row.items()})
+        lc = lc + pinned.mul_known(draw_element(rng, pres))
+        assert ctx.reduced(pinned).is_zero()
+    reduced = ctx.reduced(lc)
+    assert not set(reduced.coeffs) & set(ctx.pivots)
+    assert reduced.evaluate(solution) == lc.evaluate(solution)
+    for direction in kernel:
+        assert reduced.direction(direction) == lc.direction(direction)
+    again = ctx.reduced(reduced)
+    assert (again.const, again.coeffs, again.den) == (reduced.const, reduced.coeffs, reduced.den)
+    assert ctx.reduced(LinComb.zero(pres)).is_zero()
+
+
 def test_evaluate_reduces_the_shared_denominator():
     # (g*x0 + x1)/g at x0 = 1, x1 = 0 is 1, though the family's form is over g
     pres = BASES["free"]

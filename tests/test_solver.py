@@ -8,7 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_decide_free_base, reference_denominator_candidates, reference_twisted_family
+from conftest import (
+    reference_decide_free_base,
+    reference_denominator_candidates,
+    reference_fixed_space,
+    reference_solve_twisted_bounded,
+    reference_twisted_family,
+)
 from diffield.descent import DescentHypothesisViolated, descent_linear, descent_multiplicative
 from diffield.equations import (
     MultiplicativeEquation,
@@ -574,21 +580,30 @@ CONSTANT = (
 )
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.integers(0, len(LINEAR) - 1), st.integers(0, len(CONSTANT) - 1)),
-        min_size=1,
-        max_size=2,
-    ),
-    st.sampled_from([SearchBounds(1, 0), SearchBounds(1, 1), SearchBounds(2, 0), SearchBounds(2, 1)]),
+TOWER_RULES = st.lists(
+    st.tuples(st.integers(0, len(LINEAR) - 1), st.integers(0, len(CONSTANT) - 1)),
+    min_size=1,
+    max_size=2,
 )
-def test_polynomial_fixed_space_agrees_with_full_search(rules, bounds):
+
+
+def drawn_tower(rules):
+    """Q(g) extended by affine generators a0, a1, .. with the drawn rules."""
     p, g = free_base()
     a = p.one()
     for n, (lin, con) in enumerate(rules):
         g, a = g.in_presentation(p), a.in_presentation(p)
         p, a = p.with_affine(f"a{n}", LINEAR[lin](g), CONSTANT[con](g, a))
+    return p
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    TOWER_RULES,
+    st.sampled_from([SearchBounds(1, 0), SearchBounds(1, 1), SearchBounds(2, 0), SearchBounds(2, 1)]),
+)
+def test_polynomial_fixed_space_agrees_with_full_search(rules, bounds):
+    p = drawn_tower(rules)
     full = fixed_space(p, bounds)
     poly = fixed_space(p, bounds, polynomial=True)
     # (a) the polynomial mode loses no polynomial member of the full space
@@ -601,6 +616,59 @@ def test_polynomial_fixed_space_agrees_with_full_search(rules, bounds):
     for e in poly:
         assert e.is_fixed(), (p, e)
         assert SpanTracker(full_values).express(e.value) is not None, (p, e)
+
+
+# A query over a drawn tower: sigma(x) - e1*x = e2 with x a combination of
+# the terms below (``a`` the last affine generator), planted as
+# e2 = sigma(x) - e1*x or taken as e2 = x.
+TWISTS = (lambda g: g.pres.one(), lambda g: g, lambda g: g.pres.one() / g)
+TERMS = (
+    lambda g, a: g.pres.one(),
+    lambda g, a: g,
+    lambda g, a: g.sigma(1),
+    lambda g, a: g.pres.one() / g,
+    lambda g, a: a,
+    lambda g, a: g * a,
+    lambda g, a: a * a,
+)
+QUERIES = st.tuples(
+    st.integers(0, len(TWISTS) - 1),
+    st.lists(st.tuples(st.integers(0, len(TERMS) - 1), st.integers(-2, 2).filter(bool)), max_size=3),
+    st.booleans(),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(TOWER_RULES, st.sampled_from([SearchBounds(2, 1), SearchBounds(3, 2)]), QUERIES)
+@example([(4, 1), (4, 1)], SearchBounds(3, 2), (0, [], False))
+def test_tower_search_agrees_with_the_reference(rules, bounds, query):
+    # families over the free parameters only, zero families skipped: the
+    # free-base ansatz sees sparser right-hand sides, and the answers and
+    # fixed spaces are the ones the unreduced search finds, with one
+    # exception, in the full fixed space only.  A special-denominator family
+    # whose rows make it polynomial is fed to the level below, where the
+    # reference ends the branch on its formal denominator.  Over
+    # sigma(a0) = 1 - a0, sigma(a1) = 1 - a1 at (3, 2) (the example above)
+    # the search so finds the special denominator a1*(a1 - 1)*(a1 - a0) of
+    # degree 3, and a 36th fixed member, besides the reference's 35.
+    p = drawn_tower(rules)
+    g, a = p.gen("g"), p.gen(f"a{len(rules) - 1}")
+    twist, terms, planted = query
+    e1 = TWISTS[twist](g)
+    x = sum((TERMS[i](g, a) * c for i, c in terms), p.zero())
+    eq = TwistedEquation(e1, x.sigma(1) - e1 * x if planted else x)
+    got = repr(solve_twisted_bounded(p, eq, bounds))
+    assert got == repr(reference_solve_twisted_bounded(p, eq, bounds))
+    if planted:
+        assert got.startswith("Solution(")
+    for polynomial in (False, True):
+        found = fixed_space(p, bounds, polynomial=polynomial)
+        expected = reference_fixed_space(p, bounds, polynomial=polynomial)
+        if repr(found) != repr(expected):  # only a strictly larger span
+            assert not polynomial, (found, expected)
+            assert len(found) > len(expected), (found, expected)
+            span = SpanTracker([e.value for e in found])
+            assert all(span.express(e.value) is not None for e in expected), (found, expected)
 
 
 # -- descent ---------------------------------------------------------------------

@@ -342,6 +342,34 @@ CATALOGUE: tuple[Mutant, ...] = (
             "tests/test_counterexample.py::test_pipeline_search_counts_are_pinned",
         ),
     ),
+    # -- tower families over the free parameters only, zero families skipped
+    Mutant(
+        "free-parameter reduction walking the pivots in reverse order",
+        "src/diffield/params.py",
+        "for col in self.order:",
+        "for col in reversed(self.order):",
+        (f"{TEST_PARAMS}::test_reduced_families_keep_only_free_parameters",),
+    ),
+    Mutant(
+        "free-parameter reduction dropping the row constant",
+        "src/diffield/params.py",
+        "const = const - v.scale(Fraction(pconst, lead))",
+        "const = const",
+        (
+            f"{TEST_PARAMS}::test_reduced_families_keep_only_free_parameters",
+            f"{TEST_SOLVER}::test_tower_search_agrees_with_the_reference",
+        ),
+    ),
+    Mutant(
+        "coefficient tower skipping the nonzero images instead of the zero ones",
+        TOWER,
+        "if not images[i].is_zero():",
+        "if images[i].is_zero():",
+        (
+            f"{TEST_SOLVER}::test_tower_search_agrees_with_the_reference",
+            "tests/test_counterexample.py::test_pipeline_search_counts_are_pinned",
+        ),
+    ),
     # -- layers: the certifier imports no search
     Mutant(
         "certifier importing the tower search again",
