@@ -17,6 +17,30 @@ semi-decided; only specific families refute unboundedly).
 
 The certifier imports no search module (``tower``, ``systems``), so a
 checker built on it stays a small trusted core.
+
+``certify_constants`` proves that the polynomial fixed elements of a
+presentation are Q: the elements polynomial in its affine generators, with
+coefficients in the free base field K.  It reads the polynomial form of
+Karr's criterion for PiSigma-extensions (M. Karr, "Summation in Finite
+Terms", JACM 28(2), 1981; C. Schneider, "Symbolic Summation in Difference
+Fields", PhD thesis, RISC Linz, 2001), one affine generator at a time from
+the bottom.  Let R be the polynomials below a, with fixed elements Q (true
+for K, whose fixed field is Q), and let p = sum_{k<=n} y_k a^k, y_n != 0,
+n >= 1, be fixed, where sigma(a) = alpha*a + beta.  The coefficient of a^n
+gives sigma(y_n)*alpha^n = y_n.  If alpha = 1, then y_n is a nonzero
+constant c, and the coefficient of a^(n-1), sigma(y_{n-1}) - y_{n-1} =
+-n*c*beta, makes w = -y_{n-1}/(n*c) a polynomial solution of
+sigma(w) - w = beta in R.  If alpha != 1, then sigma(y)/y = alpha^z has the
+polynomial solution y_n in R for z = -n <= -1.  So when that query is
+refuted over R, R[a] has fixed elements Q, and the next generator may
+assume it.
+
+The refutations below a run in the polynomial mode of ``leading_cases``:
+a polynomial has denominator degree m = 0 at every level, and the
+second-coefficient case, where a leading coefficient must be fixed, uses
+that the fixed elements of each level below are Q, which the levels
+already certified establish.  A registry entry or a free-base refutation
+refutes every solution, polynomial ones included.
 """
 
 from __future__ import annotations
@@ -103,7 +127,18 @@ class TwistedShiftFamily:
         return f"sigma(x) - ({self.e1})*x = {self.e2} + c (c arbitrary one level down)"
 
 
-Query = Union[TwistedEquation, MultiplicativeEquation, RatioQuery, MultFamilyQuery, TwistedShiftFamily]
+@record(frozen=True)
+class FixedQuery:
+    """sigma(x) = x for a polynomial x of degree n >= 1 in the top generator.
+
+    Only the polynomial mode of ``leading_cases`` splits it.
+    """
+
+    def __repr__(self) -> str:
+        return "sigma(x) = x, x polynomial of degree n >= 1 in the top generator"
+
+
+Query = Union[TwistedEquation, MultiplicativeEquation, RatioQuery, MultFamilyQuery, TwistedShiftFamily, FixedQuery]
 
 
 # -- certificate nodes -------------------------------------------------------------
@@ -266,13 +301,40 @@ def replay_certificate(pres: Presentation, query: Query, cert: Certificate, regi
     return isinstance(again, Unsolvable) and again.certificate == cert
 
 
+def certify_constants(pres: Presentation, registry: AvoidedRegistry | None = None) -> tuple[Certificate, ...] | str:
+    """Certificates that the polynomial fixed elements of pres are Q, or a name.
+
+    One certificate per affine generator, listed from the bottom: no
+    polynomial of positive degree in it is fixed (see the module
+    docstring).  The generators are tried from the top, since a planted
+    constant usually sits there, and the first one that cannot be closed is
+    named.  The order of the tries does not matter: the induction needs
+    every generator closed.
+    """
+    query = FixedQuery()
+    certificates = []
+    level = pres
+    while (affine := level.affine_top) is not None:
+        try:
+            node = _certify(level, query, registry, polynomial=True)
+        except UnsupportedCoefficientShape:
+            node = None
+        if node is None:
+            return affine.gen.name
+        certificates.append(Certificate(level.names(), repr(query), node))
+        level = affine.sub
+    return tuple(reversed(certificates))
+
+
 def _normalize_query(query: Query) -> Query:
     if isinstance(query, MultiplicativeEquation):
         return RatioQuery(query.ratio())
     return query
 
 
-def _certify(pres: Presentation, query: Query, registry: AvoidedRegistry | None) -> CertNode | None:
+def _certify(
+    pres: Presentation, query: Query, registry: AvoidedRegistry | None, polynomial: bool = False
+) -> CertNode | None:
     if registry is not None:
         hit = registry.match(pres, query)
         if hit is not None:
@@ -281,15 +343,16 @@ def _certify(pres: Presentation, query: Query, registry: AvoidedRegistry | None)
     if affine is None:
         return _certify_free(pres, query)
     gen, sub, alpha, beta = affine.gen, affine.sub, affine.alpha, affine.beta
-    cases = leading_cases(pres, sub, gen, alpha, query)
+    cases = leading_cases(pres, sub, gen, alpha, query, polynomial=polynomial)
     if cases is None:
         return None
     rule = f"sigma({gen.name}) = ({alpha})*{gen.name} + ({beta})"
-    return _close_case(sub, gen, rule, query, cases, registry)
+    return _close_case(sub, gen, rule, query, cases, registry, polynomial)
 
 
 def leading_cases(
-    pres: Presentation, sub: Presentation, gen: GeneratorSpec, alpha: Element, query: Query
+    pres: Presentation, sub: Presentation, gen: GeneratorSpec, alpha: Element, query: Query,
+    *, polynomial: bool = False,
 ) -> list[tuple[str, Query | DegreeObstruction]] | None:
     """Labelled degree cases of one leading-coefficient reduction, or None.
 
@@ -310,7 +373,23 @@ def leading_cases(
     family (the arbitrary shift swallows the only coefficient), and alpha =
     1 with e1 = 1 (the leading coefficients may be constant).  A family with
     a base over alpha != 1 is refused too: its exponents would smear over Z.
+
+    With ``polynomial`` the solution is a polynomial in a: m = 0, so the
+    twisted split compares n with d2, and alpha enters the leading ratio as
+    alpha^(-n), n >= 0.  A family whose base is 1, alpha or 1/alpha keeps
+    its exponents in one set then, and a twist that is a power of alpha
+    folds into them.  Where a leading coefficient must be fixed, the fixed
+    elements one level down are Q (see certify_constants): for the
+    FixedQuery, and for a family sigma(y)/y = alpha^e whose exponent set
+    holds 0 only at n >= 1.  There the coefficient of a^(n-1) is the second
+    case, sigma(w) - alpha*w = beta.
     """
+    if isinstance(query, FixedQuery):
+        if not polynomial:
+            return None
+        if alpha == 1:
+            return [("n >= 1: y_n in Q, coefficient of a^(n-1)", TwistedEquation(sub.one(), pres.affine_top.beta))]
+        return [("n >= 1", MultFamilyQuery(sub.one(), alpha, IntSet("le", -1)))]
     if isinstance(query, (TwistedEquation, TwistedShiftFamily)):
         e1 = _level_free(query.e1, pres, sub, gen)
         if e1 is None:
@@ -324,13 +403,16 @@ def leading_cases(
             return None
         if alpha == 1:
             high: Query = RatioQuery(e1)
+        elif polynomial:
+            high = _folded(e1, alpha, -(d2 + 1))
         else:
             high = MultFamilyQuery(e1, alpha, IntSet("le", -(d2 + 1)))
         shift = alpha ** (-d2)
+        m = "" if polynomial else "m + "
         return [
-            (f"n < m + {d2}" if d2 else "n < m", DegreeObstruction(d2, top)),
-            (f"n = m + {d2}", TwistedEquation(e1 * shift, top * shift)),
-            (f"n > m + {d2}", high),
+            (f"n < {m}{d2}" if d2 or polynomial else "n < m", DegreeObstruction(d2, top)),
+            (f"n = {m}{d2}", TwistedEquation(e1 * shift, top * shift)),
+            (f"n > {m}{d2}", high),
         ]
     if isinstance(query, RatioQuery):
         twist = _level_free(query.ratio, pres, sub, gen)
@@ -345,20 +427,60 @@ def leading_cases(
         return None
     if alpha == 1:
         derived: Query = RatioQuery(twist) if base == 1 else MultFamilyQuery(twist, base, exponents)
+    elif polynomial:
+        return _polynomial_family_cases(pres, alpha, twist, base, exponents)
     elif base == 1:
         derived = MultFamilyQuery(twist, alpha, IntSet("all"))
     else:
         return None
-    return [("any degrees n, m", derived)]
+    return [("any degree n" if polynomial else "any degrees n, m", derived)]
 
 
-def _close_case(sub, gen, rule, query, cases: list[tuple[str, Query | DegreeObstruction]], registry) -> CertNode | None:
+def _polynomial_family_cases(
+    pres: Presentation, alpha: Element, twist: Element, base: Element, exponents: IntSet
+) -> list[tuple[str, Query]] | None:
+    """The leading ratio twist * base^z * alpha^(-n), z in exponents, n >= 0, over alpha != 1."""
+    if base == 1 and twist == 1:
+        return None  # y = 1 solves it
+    if base == 1:
+        return [("any degree n", _folded(twist, alpha, 0))]
+    if base == alpha and exponents.kind == "le":
+        exps = exponents  # z - n <= bound
+    elif base == alpha or base * alpha == 1:
+        exps = IntSet("all")
+    else:
+        return None
+    if twist != 1:
+        return [("any degree n", MultFamilyQuery(twist, alpha, exps))]
+    if not exponents.excludes_zero():
+        return None  # y = 1 solves it at z = 0
+    if exps.excludes_zero():
+        return [("any degree n", MultFamilyQuery(twist, alpha, exps))]
+    # alpha^0 only at n = +-z >= 1: y_n is fixed, and the coefficient of
+    # a^(n-1) is sigma(y_{n-1}) - alpha*y_{n-1} = -n*y_n*beta
+    return [
+        ("exponent of alpha nonzero", MultFamilyQuery(twist, alpha, IntSet("nonzero"))),
+        ("exponent of alpha zero, n >= 1: y_n in Q, coefficient of a^(n-1)", TwistedEquation(alpha, pres.affine_top.beta)),
+    ]
+
+
+def _folded(twist: Element, alpha: Element, bound: int) -> MultFamilyQuery:
+    """sigma(y)/y = twist * alpha^z, z <= bound, with a power alpha^k of a twist folded into z."""
+    k = _power_of(twist, alpha)
+    if k is None:
+        return MultFamilyQuery(twist, alpha, IntSet("le", bound))
+    return MultFamilyQuery(alpha.pres.one(), alpha, IntSet("le", bound + k))
+
+
+def _close_case(
+    sub, gen, rule, query, cases: list[tuple[str, Query | DegreeObstruction]], registry, polynomial: bool = False
+) -> CertNode | None:
     out: list[Case] = []
     for label, derived in cases:
         if isinstance(derived, DegreeObstruction):
             out.append(Case(label, None, derived))
             continue
-        node = _certify(sub, derived, registry)
+        node = _certify(sub, derived, registry, polynomial)
         if node is None:
             return None
         out.append(Case(label, derived, node))

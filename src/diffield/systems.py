@@ -34,6 +34,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from .certify import AvoidedRegistry, certify_constants
 from .equations import SearchBounds, Solution, TwistedEquation
 from .field import Element, Presentation
 from .linalg import Infeasible
@@ -546,34 +547,44 @@ class NotFoundWithinBounds:
 
 
 def pairwise_fixed_polynomials(
-    model: SystemModel, idx: Sequence[int], bounds: SearchBounds
+    model: SystemModel, idx: Sequence[int], bounds: SearchBounds, registry: AvoidedRegistry | None = None
 ) -> dict[tuple[int, int], list[Element]]:
     """Polynomial fixed elements of each pairwise corner, over model.pres.
 
-    A polynomial has no affine generator in any denominator, so the
-    polynomial-only search fixed_space(corner, bounds, polynomial=True)
-    reaches every polynomial fixed element of the corner within the bounds
-    (see fixed_space); its members with free-base denominators are dropped.
+    A corner whose polynomial fixed elements certify_constants proves to be
+    Q gets [1], at every bound, with no search: the search below finds only
+    members of Q there, whose span_basis is [1].  The avoided-family
+    ``registry``, when the caller holds one, closes some of the certifier's
+    queries at once; the certificates need none.
 
-    The search runs once per corner shape (Presentation.shape: the generator
-    kinds in index order, with rules renamed by position).  It reads
-    generators by index and rule only, so a later corner of a known shape
-    gets the first one's candidates renamed into its own generators
-    (Element.renamed), each checked fixed again.  Every corner then takes its
-    own span_basis, whose order reads the corner's own names, so each list
-    is the one fixed_space gives for that corner.
+    Another corner is searched.  A polynomial has no affine generator in
+    any denominator, so the polynomial-only search fixed_space(corner,
+    bounds, polynomial=True) reaches every polynomial fixed element of the
+    corner within the bounds (see fixed_space); its members with free-base
+    denominators are dropped.
+
+    The certificate and the search run once per corner shape
+    (Presentation.shape: the generator kinds in index order, with rules
+    renamed by position).  Both read generators by index and rule only, so
+    a later corner of a known shape is certified with the first one, or gets
+    its candidates renamed into its own generators (Element.renamed), each
+    checked fixed again.  Every corner then takes its own span_basis, whose
+    order reads the corner's own names, so each list is the one fixed_space
+    gives for that corner.
 
     Pairs (i, j) with i before j in idx come in idx order, and members in
     fixed_space order; callers number their parameters by that order.
     """
     out: dict[tuple[int, int], list[Element]] = {}
-    searched: dict[tuple, list[Element]] = {}  # shape -> candidates of its first corner
+    searched: dict[tuple, list[Element]] = {}  # shape -> candidates of its first corner, none when certified
     for pos, i in enumerate(idx):
         for j in idx[pos + 1 :]:
             corner = model.corner(model.complement(i, j))
             shape = corner.shape
             if shape in searched:
                 candidates = require_fixed(x.renamed(corner) for x in searched[shape])
+            elif isinstance(certify_constants(corner, registry), tuple):
+                candidates = searched[shape] = []
             else:
                 candidates = searched[shape] = fixed_candidates(corner, bounds, polynomial=True)
             out[(i, j)] = [
@@ -585,7 +596,10 @@ def pairwise_fixed_polynomials(
 
 
 def ff_decompose_bounded(
-    model: SystemModel, eq: AdditiveEquation, bounds: SearchBounds = SearchBounds(4, 3)
+    model: SystemModel,
+    eq: AdditiveEquation,
+    bounds: SearchBounds = SearchBounds(4, 3),
+    registry: AvoidedRegistry | None = None,
 ) -> Decomposition | NotFoundWithinBounds:
     """Direct search for a fixed-field decomposition.
 
@@ -602,7 +616,7 @@ def ff_decompose_bounded(
     ctx = ParamContext()
     entries: dict[tuple[int, int], LinComb] = {}
     pres = model.pres
-    for (i, j), span in pairwise_fixed_polynomials(model, idx, bounds).items():
+    for (i, j), span in pairwise_fixed_polynomials(model, idx, bounds, registry).items():
         comb = LinComb(pres, MPoly(), {ctx.new_param(): e.value.num for e in span})  # members are polynomials
         entries[(i, j)], entries[(j, i)] = comb, -comb
     try:

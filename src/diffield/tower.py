@@ -23,6 +23,13 @@ zero family, and it is skipped: it is never multiplied into a level's
 right-hand side, sigma-substituted, or added as a term of the assembled
 numerator.
 
+A query of degree budget 0 is a free-base query.  Its solutions have
+degree 0 in every affine generator, so they lie in the free base: there is
+one branch, the free-base family of sigma(y) - e1*y = c, where c is the
+coefficient of rhs at the affine monomial 1, under rows that make every
+coefficient at a nonconstant affine monomial vanish.  It raises or comes
+back empty exactly when the level-by-level tower would (_free_base_branch).
+
 Special denominators are refuted once per level.  If D is monic of degree
 m >= 1 with sigma(D) = alpha^m * D, its coefficient c of a^(m-1) solves
 sigma(c) - alpha*c = -m*beta (M. Karr, "Summation in Finite Terms", JACM
@@ -80,18 +87,14 @@ def iter_twisted_branches(
     family, and the numerator assembled from the coefficient levels, whose
     zero levels add no term, are reduced before a denominator D of degree
     m >= 1 divides them.  With ``polynomial`` every level searches
-    denominator degree m = 0 only (see fixed_space).
+    denominator degree m = 0 only (see fixed_space).  A query of budget 0
+    has the one free-base branch of _free_base_branch.
     """
     if deg_budget < 0:
         return
     affine = pres.affine_top
-    if affine is None:
-        forked = ctx.fork()
-        try:
-            fam = twisted_family(pres, e1, rhs, forked, deg_budget, window)
-        except Infeasible:
-            return
-        yield forked, forked.reduced(fam)
+    if affine is None or deg_budget == 0:
+        yield from _free_base_branch(pres, e1, rhs, ctx, deg_budget, window)
         return
     gen, sub, alpha, beta = affine.gen, affine.sub, affine.alpha, affine.beta
     e1_sub = require_level_free(e1, pres, sub, gen)
@@ -126,11 +129,49 @@ def iter_twisted_branches(
                 yield final_ctx, family.mul_known(pres.one() / denominator) if m else family
 
 
+def _free_base_branch(
+    pres: Presentation, e1: Element, rhs: LinComb, ctx: ParamContext, deg_budget: int, window: int
+) -> Iterator[tuple[ParamContext, LinComb]]:
+    """The one branch of a query with no affine generator left to split.
+
+    Over a free presentation this is the free-base family within the budget.
+    At budget 0 over affine generators it is the same family at the free
+    base: a solution of degree 0 in every affine generator lies there, so
+    e1 must mention none of them, and every coefficient of rhs at a
+    nonconstant affine monomial must vanish.  The levels are walked top
+    down, the coefficient of a^0 of each one passed to the next, as the
+    coefficient tower at budget 0 would; a generator in a denominator can
+    cancel only once that coefficient is taken.  The top level raises
+    UnsupportedCoefficientShape for a twist or a denominator that mentions
+    its generator, and a lower one ends with no branch, as a level of the
+    tower does.
+    """
+    forked = ctx.fork()
+    base = pres
+    try:
+        while (affine := base.affine_top) is not None:
+            try:
+                e1 = require_level_free(e1, base, affine.sub, affine.gen)
+                pieces = _lincomb_coefficients(rhs, base, affine.gen, affine.sub)
+            except UnsupportedCoefficientShape:
+                if base is pres:
+                    raise
+                return
+            rhs = pieces.pop(0) if 0 in pieces else LinComb.zero(affine.sub)
+            for row in pieces.values():
+                forked.add_zero(row)
+            base = affine.sub
+        fam = twisted_family(base, e1, rhs, forked, deg_budget, window)
+    except Infeasible:
+        return
+    yield forked, forked.reduced(fam).lift(pres)
+
+
 # The memo outlives a search because decide job streams repeat presentations.
-# Working sets: 90 entries for run_pipeline() at default bounds, 82 at the
-# benchmark's (2, 2) bounds (one corner search per shape), 9 for a stream of
-# 504 decide jobs; 1024 bounds a long-lived process without evicting within
-# any of these.
+# Working sets: 59 entries for run_pipeline() at default bounds and at the
+# benchmark's (2, 2) bounds (the certified corners run no search, and a
+# budget-0 query reads no entry), 8 for a stream of 504 decide jobs; 1024
+# bounds a long-lived process without evicting within any of these.
 @functools.lru_cache(maxsize=1024)
 def _denominator_candidates(
     sub: Presentation,
@@ -198,6 +239,8 @@ def _coefficient_tower(
     over the coefficients y_i already solved, whose images sigma(y_i) are
     ``images``: each is formed once, when its branch is, and only when a
     level below reads it.  A zero y_i is its own image and adds no term.
+    The right-hand side is reduced over the free parameters of ctx before
+    the level is searched, as every family is.
     Each level is searched within ``budget`` (Karr's degree-by-degree split;
     see fixed_space).  A lower-level family can carry extension-generator
     denominators (an m >= 1 denominator branch); feeding it into the next
@@ -213,6 +256,7 @@ def _coefficient_tower(
     for i in sorted(solved):
         if not images[i].is_zero():
             rhs = rhs - images[i].mul_known(sub.const(comb(i, k)) * beta ** (i - k))
+    rhs = ctx.reduced(rhs)
     branches = iter_twisted_branches(sub, twist, rhs, ctx, budget, window, polynomial=polynomial)
     while True:
         try:

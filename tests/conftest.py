@@ -311,7 +311,9 @@ def reference_decide_free_base(pres, eq):
 #    families are multiplied and sigma-substituted like any other; the
 #    differential reference of tests/test_solver.py.  Its special
 #    denominators come from reference_denominator_candidates below, on this
-#    same path, memoized as the search memoizes them.
+#    same path, memoized as the search memoizes them.  A query of budget 0
+#    descends one affine level at a time, as the search did before such a
+#    query went straight to the free base.
 
 
 def reference_iter_twisted_branches(pres, e1, rhs, ctx, deg_budget, window, *, polynomial=False):

@@ -1,5 +1,6 @@
 """Certificates: case analyses, registry matching, replay, reductions."""
 
+import itertools
 import random
 import re
 
@@ -14,6 +15,7 @@ from diffield.certify import (
     RatioQuery,
     RegistryEntry,
     TwistedShiftFamily,
+    certify_constants,
     certify_unsolvable,
     leading_cases,
     replay_certificate,
@@ -27,7 +29,7 @@ from diffield.equations import (
     Unsolvable,
 )
 from diffield.field import Element, Presentation
-from diffield.tower import solve_multiplicative_bounded, solve_twisted_bounded
+from diffield.tower import fixed_space, solve_multiplicative_bounded, solve_twisted_bounded
 
 
 def base_with_registry():
@@ -284,3 +286,121 @@ def test_solver_and_certifier_commute_with_renamings(seed):
     assert rename(found) == solve_twisted_bounded(target, rename(equation), bounds)
     for query in (equation, TwistedShiftFamily(e1, e2)):
         assert rename(certify_unsolvable(source, query)) == certify_unsolvable(target, rename(query))
+
+
+# -- certify_constants: the polynomial fixed elements of a corner are Q -------------
+
+
+def height4_corners(control):
+    from diffield.counterexample import build_base, build_height4_instance
+
+    base0, reg0 = build_base()
+    base, reg, _ = closed(base0, base0.gen("g"), reg0)
+    model = build_height4_instance(base, reg, control=control).model
+    return [model.corner(model.complement(i, j)) for i, j in itertools.combinations(range(1, 5), 2)]
+
+
+def test_main_corners_certify_and_search_only_constants():
+    # one certificate per affine generator, from the bottom; the search at
+    # (4, 3), which the certificate stands in for, finds only the constants
+    for corner in height4_corners(control=False):
+        certificates = certify_constants(corner)
+        assert isinstance(certificates, tuple), corner.names()
+        names = corner.names()  # g, then the affine generators
+        assert [c.presentation for c in certificates] == [names[:k] for k in range(2, len(names) + 1)]
+        assert fixed_space(corner, SearchBounds(4, 3), polynomial=True) == [corner.one()]
+
+
+def test_control_corners_do_not_certify():
+    # each control corner has a planted constant at its top generator: in
+    # {g, t1, a3, a4, c34, h3, h4}, T_{a4} is solved by h3 - c34, so h4 - h3 + c34
+    # is fixed
+    for corner in height4_corners(control=True):
+        top = corner.names()[-1]
+        assert certify_constants(corner) == top
+        assert len(fixed_space(corner, SearchBounds(2, 1), polynomial=True)) > 1
+    corner = height4_corners(control=True)[0]
+    h3, h4, c34 = corner.gen("h3"), corner.gen("h4"), corner.gen("c34")
+    assert (h4 - h3 + c34).is_fixed()
+
+
+def rule2_blocks(*pairs):
+    """Q(g)(t1) with three blocks a2, a3, a4 of rule 2 and the torsors c_ij of pairs."""
+    from diffield.counterexample import build_base, pair_rules
+    from diffield.systems import build_system
+
+    base0, reg0 = build_base()
+    base, _, _ = closed(base0, base0.gen("g"), reg0)
+    _, rule2 = pair_rules(base)
+    model = build_system(base, [[(f"a{i}", rule2)] for i in (2, 3, 4)])
+    for i, j in pairs:
+        a = {k: model.pres.gen(f"a{k}") for k in (2, 3, 4)}
+        model, _ = model.adjoin({i - 1, j - 1}, f"c{i}{j}", 1, a[i] - a[j])
+    return model.pres
+
+
+def test_a_corner_of_three_rule2_blocks_certifies():
+    assert len(certify_constants(rule2_blocks())) == 4
+    assert len(certify_constants(rule2_blocks((3, 4)))) == 5
+    # with all three torsors, c23 - c24 + c34 is fixed
+    pres = rule2_blocks((2, 3), (2, 4), (3, 4))
+    assert (pres.gen("c23") - pres.gen("c24") + pres.gen("c34")).is_fixed()
+    assert certify_constants(pres) == "c34"
+
+
+def test_a_pi_pair_does_not_certify():
+    # sigma(a) = g*a and sigma(b) = b/g: a*b is fixed.  Over Q(g)[a], the
+    # leading coefficient of a fixed polynomial in b solves
+    # sigma(y)/y = (1/g)^z = g^(-z), z <= -1, and y = a^(-z) does
+    p, g = Presentation.empty().with_free("g")
+    p, a = p.with_affine("a", g, 0)
+    p, b = p.with_affine("b", p.one() / p.gen("g"), 0)
+    assert (a.in_presentation(p) * b).is_fixed()
+    assert certify_constants(p) == "b"
+    assert isinstance(certify_constants(p.restrict(["g", "a"])), tuple)
+
+
+# Rules sigma(a) = linear*a + constant over Q(g), ``a`` in a constant the
+# previous affine generator, and polynomial terms in the last one.
+TOWER_LINEAR = (lambda g: g.pres.one(), lambda g: g, lambda g: g.pres.one() / g, lambda g: g.sigma(1) / g)
+TOWER_CONSTANT = (
+    lambda g, a: g.pres.zero(),
+    lambda g, a: g.pres.one(),
+    lambda g, a: g,
+    lambda g, a: g.pres.one() / g,
+    lambda g, a: a,
+    lambda g, a: g * a,
+)
+TOWER_TERMS = (lambda g, a: g, lambda g, a: g.pres.one() / g, lambda g, a: a, lambda g, a: g * a, lambda g, a: a * a)
+TOWER_RULES = st.lists(
+    st.tuples(st.integers(0, len(TOWER_LINEAR) - 1), st.integers(0, len(TOWER_CONSTANT) - 1)), min_size=1, max_size=3
+)
+
+
+def affine_tower(rules):
+    p, g = Presentation.empty().with_free("g")
+    a = p.one()
+    for n, (lin, con) in enumerate(rules):
+        g, a = g.in_presentation(p), a.in_presentation(p)
+        p, a = p.with_affine(f"a{n}", TOWER_LINEAR[lin](g), TOWER_CONSTANT[con](g, a))
+    return p, g.in_presentation(p), a
+
+
+@settings(max_examples=80, deadline=None)
+@given(TOWER_RULES)
+def test_a_certified_tower_has_only_constant_polynomial_fixed_elements(rules):
+    p, _, _ = affine_tower(rules)
+    if isinstance(certify_constants(p), tuple):
+        assert fixed_space(p, SearchBounds(2, 1), polynomial=True) == [p.one()], rules
+
+
+@settings(max_examples=80, deadline=None)
+@given(TOWER_RULES, st.lists(st.tuples(st.integers(0, len(TOWER_TERMS) - 1), st.integers(-2, 2).filter(bool)), max_size=3))
+def test_a_planted_torsor_solution_never_certifies(rules, terms):
+    # adjoin w with sigma(w) = w + beta for beta = sigma(x) - x, x a polynomial
+    # of the tower: then w - x is a fixed polynomial of degree 1 in w
+    p, g, a = affine_tower(rules)
+    x = sum((TOWER_TERMS[i](g, a) * c for i, c in terms), p.zero())
+    p, w = p.with_affine("w", 1, x.sigma(1) - x)
+    assert (w - x.in_presentation(p)).is_fixed()
+    assert isinstance(certify_constants(p), str)

@@ -151,13 +151,14 @@ def test_shift_families_certify_over_both_corners():
 
 def test_pipeline_search_counts_are_pinned(monkeypatch):
     # run_pipeline() at (2, 2) and (8, 4), seed 1, each from a cold
-    # denominator memo.  The m = 1 refutation of a special denominator spares
-    # the tower of every m >= 2 (368 tower calls and 221 free-base searches
-    # at (2, 2) without it).  Families are kept over the echelon's free
-    # parameters and zero families are skipped: the search tree is the same,
-    # but at (2, 2) it takes 122 sigma images and 451 products by a known
-    # element without that (757 and 3579 at (8, 4)), and the family reducer
-    # takes no gcd at all (5 at (2, 2) and 268 at (8, 4) without it)
+    # denominator memo.  The main corners certify (certify_constants) and run
+    # no search, so the counts do not depend on the main bounds: what is left
+    # are the control corners at (2, 1) and the two torsor confirmations.
+    # With the main corners searched they were 273 tower calls, 136
+    # free-base searches, 33 sigma images and 172 products by a known
+    # element at (2, 2), and 1153, 771, 93 and 803 at (8, 4).  A budget-0
+    # query goes straight to the free base, and the family reducer takes no
+    # gcd at all (5 at (2, 2) and 268 at (8, 4) without it)
     names = ("iter_twisted_branches", "twisted_family", "poly_gcd", "sigma", "mul_known")
     calls = dict.fromkeys(names, 0)
     targets = (tower, tower, params, params.LinComb, params.LinComb)
@@ -168,8 +169,8 @@ def test_pipeline_search_counts_are_pinned(monkeypatch):
 
         monkeypatch.setattr(target, name, counting)
     pinned = {
-        (2, 2): {"iter_twisted_branches": 273, "twisted_family": 136, "poly_gcd": 0, "sigma": 33, "mul_known": 172},
-        (8, 4): {"iter_twisted_branches": 1153, "twisted_family": 771, "poly_gcd": 0, "sigma": 93, "mul_known": 803},
+        (2, 2): {"iter_twisted_branches": 161, "twisted_family": 111, "poly_gcd": 0, "sigma": 25, "mul_known": 107},
+        (8, 4): {"iter_twisted_branches": 161, "twisted_family": 111, "poly_gcd": 0, "sigma": 25, "mul_known": 107},
     }
     for bounds, counts in pinned.items():
         calls.update(dict.fromkeys(names, 0))

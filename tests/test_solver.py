@@ -12,6 +12,7 @@ from conftest import (
     reference_decide_free_base,
     reference_denominator_candidates,
     reference_fixed_space,
+    reference_iter_twisted_branches,
     reference_solve_twisted_bounded,
     reference_twisted_family,
 )
@@ -23,6 +24,7 @@ from diffield.equations import (
     Solution,
     TwistedEquation,
     Unsolvable,
+    UnsupportedCoefficientShape,
 )
 from diffield.field import Presentation
 from diffield.freebase import _denominator_bound, decide_free_base, replay_refutation, twisted_family
@@ -33,6 +35,7 @@ from diffield.ratfunc import SpanTracker
 from diffield.tower import (
     _denominator_candidates,
     fixed_space,
+    iter_twisted_branches,
     solve_multiplicative_bounded,
     solve_twisted_bounded,
 )
@@ -669,6 +672,89 @@ def test_tower_search_agrees_with_the_reference(rules, bounds, query):
             assert len(found) > len(expected), (found, expected)
             span = SpanTracker([e.value for e in found])
             assert all(span.express(e.value) is not None for e in expected), (found, expected)
+
+
+# A budget-0 query over a drawn tower of up to three levels: the twist and
+# the terms may mention the lowest or the top affine generator, in a
+# numerator or a denominator.  With a parameter x0, rhs = e2 + x0*u.
+ZERO_TWISTS = (
+    lambda g, low, top: g.pres.one(),
+    lambda g, low, top: g,
+    lambda g, low, top: g.pres.one() / g,
+    lambda g, low, top: low,
+    lambda g, low, top: top,
+    lambda g, low, top: g.pres.one() / top,
+)
+ZERO_TERMS = (
+    lambda g, low, top: g.pres.one(),
+    lambda g, low, top: g,
+    lambda g, low, top: g.sigma(1) / g,
+    lambda g, low, top: low,
+    lambda g, low, top: top,
+    lambda g, low, top: g * top,
+    lambda g, low, top: low * top,
+    lambda g, low, top: g.pres.one() / low,
+    lambda g, low, top: g.pres.one() / top,
+    lambda g, low, top: top / low,
+    lambda g, low, top: (low * g + top) / low,
+)
+ZERO_SUMS = st.lists(st.tuples(st.integers(0, len(ZERO_TERMS) - 1), st.integers(-2, 2).filter(bool)), max_size=3)
+
+
+def _budget_zero_branches(search, p, e1, rhs, window, polynomial):
+    """Each branch's particular point, value there and kernel directions; or the exception's name."""
+    try:
+        out = []
+        for ctx, family in search(p, e1, rhs, ParamContext(1), 0, window, polynomial=polynomial):
+            point = ctx.solve()
+            directions = [repr(family.direction(v)) for v in ctx.kernel()]
+            out.append((sorted(point.items()), repr(family.evaluate(point)), directions))
+        return out
+    except UnsupportedCoefficientShape as exc:
+        return type(exc).__name__
+
+
+def _outcome(solve, p, eq, bounds):
+    try:
+        return repr(solve(p, eq, bounds))
+    except UnsupportedCoefficientShape as exc:
+        return type(exc).__name__
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, len(LINEAR) - 1), st.integers(0, len(CONSTANT) - 1)), min_size=1, max_size=3),
+    st.integers(0, 2),
+    st.integers(0, len(ZERO_TWISTS) - 1),
+    ZERO_SUMS,
+    ZERO_SUMS,
+)
+@example([(0, 1), (0, 5)], 1, 0, [], [(10, 1)])
+def test_budget_zero_queries_agree_with_the_reference(rules, window, twist, e2_terms, u_terms):
+    # a budget-0 query goes straight to the free base; the reference splits
+    # it one affine level at a time.  A twist or a denominator that mentions
+    # the top generator raises at the top level, one that mentions a lower
+    # generator ends the branch there, and a lower generator in a
+    # denominator may cancel once the top coefficient of a^0 is taken (the
+    # example: rhs = x0*(g*a0 + a1)/a0, whose coefficient of a1^0 is x0*g)
+    p = drawn_tower(rules)
+    g, low, top = p.gen("g"), p.gen("a0"), p.gen(f"a{len(rules) - 1}")
+
+    def total(terms):
+        return sum((ZERO_TERMS[i](g, low, top) * c for i, c in terms), p.zero())
+
+    e1 = ZERO_TWISTS[twist](g, low, top)
+    e2, u = total(e2_terms), total(u_terms)
+    bounds = SearchBounds(0, window)
+    eq = TwistedEquation(e1, e2)
+    assert _outcome(solve_twisted_bounded, p, eq, bounds) == _outcome(reference_solve_twisted_bounded, p, eq, bounds)
+    rhs = LinComb.constant(p, e2) + LinComb(p, MPoly(), {0: u.value.num}, u.value.den)
+    for polynomial in (False, True):
+        got = _budget_zero_branches(iter_twisted_branches, p, e1, rhs, window, polynomial)
+        want = _budget_zero_branches(reference_iter_twisted_branches, p, e1, rhs, window, polynomial)
+        assert got == want, (e1, rhs)
+        found = fixed_space(p, bounds, polynomial=polynomial)
+        assert repr(found) == repr(reference_fixed_space(p, bounds, polynomial=polynomial))
 
 
 # -- descent ---------------------------------------------------------------------

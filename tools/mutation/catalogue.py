@@ -35,6 +35,8 @@ RECORD = "src/diffield/record.py"
 TEST_RECORD = "tests/test_record.py"
 CHARACTERS = "src/diffield/characters.py"
 TOWER = "src/diffield/tower.py"
+CERTIFY = "src/diffield/certify.py"
+TEST_CERTIFY = "tests/test_certify.py"
 TEST_CHARACTERS = "tests/test_characters.py"
 
 CATALOGUE: tuple[Mutant, ...] = (
@@ -369,6 +371,39 @@ CATALOGUE: tuple[Mutant, ...] = (
             f"{TEST_SOLVER}::test_tower_search_agrees_with_the_reference",
             "tests/test_counterexample.py::test_pipeline_search_counts_are_pinned",
         ),
+    ),
+    # -- a budget-0 query is a free-base query
+    Mutant(
+        "free-base step that skips the rows of nonconstant affine monomials",
+        TOWER,
+        "for row in pieces.values():",
+        "for row in ():",
+        (f"{TEST_SOLVER}::test_budget_zero_queries_agree_with_the_reference",),
+    ),
+    # -- certified corners: Karr's criterion in the polynomial mode
+    Mutant(
+        "constants query without its second-coefficient case",
+        CERTIFY,
+        'return [("n >= 1: y_n in Q, coefficient of a^(n-1)", TwistedEquation(sub.one(), pres.affine_top.beta))]',
+        "return None",
+        (
+            f"{TEST_CERTIFY}::test_main_corners_certify_and_search_only_constants",
+            f"{TEST_CERTIFY}::test_a_corner_of_three_rule2_blocks_certifies",
+        ),
+    ),
+    Mutant(
+        "family split without its second-coefficient case",
+        CERTIFY,
+        '        ("exponent of alpha zero, n >= 1: y_n in Q, coefficient of a^(n-1)", TwistedEquation(alpha, pres.affine_top.beta)),\n',
+        "",
+        (f"{TEST_CERTIFY}::test_a_pi_pair_does_not_certify",),
+    ),
+    Mutant(
+        "constants query with the exponent set flipped to z >= 1",
+        CERTIFY,
+        'return [("n >= 1", MultFamilyQuery(sub.one(), alpha, IntSet("le", -1)))]',
+        'return [("n >= 1", MultFamilyQuery(sub.one(), sub.one() / alpha, IntSet("le", -1)))]',
+        (f"{TEST_CERTIFY}::test_a_pi_pair_does_not_certify",),
     ),
     # -- layers: the certifier imports no search
     Mutant(
