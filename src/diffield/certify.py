@@ -39,8 +39,8 @@ The refutations below a run in the polynomial mode of ``leading_cases``:
 a polynomial has denominator degree m = 0 at every level, and the
 second-coefficient case, where a leading coefficient must be fixed, uses
 that the fixed elements of each level below are Q, which the levels
-already certified establish.  A registry entry or a free-base refutation
-refutes every solution, polynomial ones included.
+already certified establish.  A free-base refutation refutes every
+solution, polynomial ones included.
 """
 
 from __future__ import annotations
@@ -301,7 +301,7 @@ def replay_certificate(pres: Presentation, query: Query, cert: Certificate, regi
     return isinstance(again, Unsolvable) and again.certificate == cert
 
 
-def certify_constants(pres: Presentation, registry: AvoidedRegistry | None = None) -> tuple[Certificate, ...] | str:
+def certify_constants(pres: Presentation) -> tuple[Certificate, ...] | str:
     """Certificates that the polynomial fixed elements of pres are Q, or a name.
 
     One certificate per affine generator, listed from the bottom: no
@@ -316,7 +316,7 @@ def certify_constants(pres: Presentation, registry: AvoidedRegistry | None = Non
     level = pres
     while (affine := level.affine_top) is not None:
         try:
-            node = _certify(level, query, registry, polynomial=True)
+            node = _certify(level, query, None, polynomial=True)
         except UnsupportedCoefficientShape:
             node = None
         if node is None:

@@ -328,7 +328,7 @@ def refute_ff_decomposition(
     """
     model = instance.model
     steps: list[ChainStep] = []
-    bounded = ff_decompose_bounded(model, instance.equation, bounds, registry)
+    bounded = ff_decompose_bounded(model, instance.equation, bounds)
     found = not isinstance(bounded, NotFoundWithinBounds)
     steps.append(
         ChainStep(

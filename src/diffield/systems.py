@@ -34,7 +34,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .certify import AvoidedRegistry, certify_constants
+from .certify import certify_constants
 from .equations import SearchBounds, Solution, TwistedEquation
 from .field import Element, Presentation
 from .linalg import Infeasible
@@ -547,15 +547,13 @@ class NotFoundWithinBounds:
 
 
 def pairwise_fixed_polynomials(
-    model: SystemModel, idx: Sequence[int], bounds: SearchBounds, registry: AvoidedRegistry | None = None
+    model: SystemModel, idx: Sequence[int], bounds: SearchBounds
 ) -> dict[tuple[int, int], list[Element]]:
     """Polynomial fixed elements of each pairwise corner, over model.pres.
 
     A corner whose polynomial fixed elements certify_constants proves to be
     Q gets [1], at every bound, with no search: the search below finds only
-    members of Q there, whose span_basis is [1].  The avoided-family
-    ``registry``, when the caller holds one, closes some of the certifier's
-    queries at once; the certificates need none.
+    members of Q there, whose span_basis is [1].
 
     Another corner is searched.  A polynomial has no affine generator in
     any denominator, so the polynomial-only search fixed_space(corner,
@@ -583,7 +581,7 @@ def pairwise_fixed_polynomials(
             shape = corner.shape
             if shape in searched:
                 candidates = require_fixed(x.renamed(corner) for x in searched[shape])
-            elif isinstance(certify_constants(corner, registry), tuple):
+            elif isinstance(certify_constants(corner), tuple):
                 candidates = searched[shape] = []
             else:
                 candidates = searched[shape] = fixed_candidates(corner, bounds, polynomial=True)
@@ -596,10 +594,7 @@ def pairwise_fixed_polynomials(
 
 
 def ff_decompose_bounded(
-    model: SystemModel,
-    eq: AdditiveEquation,
-    bounds: SearchBounds = SearchBounds(4, 3),
-    registry: AvoidedRegistry | None = None,
+    model: SystemModel, eq: AdditiveEquation, bounds: SearchBounds = SearchBounds(4, 3)
 ) -> Decomposition | NotFoundWithinBounds:
     """Direct search for a fixed-field decomposition.
 
@@ -616,7 +611,7 @@ def ff_decompose_bounded(
     ctx = ParamContext()
     entries: dict[tuple[int, int], LinComb] = {}
     pres = model.pres
-    for (i, j), span in pairwise_fixed_polynomials(model, idx, bounds, registry).items():
+    for (i, j), span in pairwise_fixed_polynomials(model, idx, bounds).items():
         comb = LinComb(pres, MPoly(), {ctx.new_param(): e.value.num for e in span})  # members are polynomials
         entries[(i, j)], entries[(j, i)] = comb, -comb
     try:
