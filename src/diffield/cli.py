@@ -265,11 +265,8 @@ def _dispatch(command: str, doc: Document | None, bounds: SearchBounds, seed: in
 
 def _solve_result(res, equation: str):
     if isinstance(res, Solution):
-        return (
-            {"verdict": "solution", "equation": equation, "witness": print_element(res.witness)},
-            f"solution: {print_element(res.witness)}",
-            True,
-        )
+        witness = print_element(res.witness)
+        return {"verdict": "solution", "equation": equation, "witness": witness}, f"solution: {witness}", True
     if isinstance(res, NoSolutionWithinBounds):
         return (
             {

@@ -48,7 +48,7 @@ from .field import Element, Presentation
 from .linalg import Infeasible
 from .params import LinComb, ParamContext
 from .poly import MPoly, VarId, divexact, poly_gcd
-from .ratfunc import RatFunc
+from .ratfunc import P1, RatFunc
 from .record import record
 
 _ANSATZ_LIMIT = 20000
@@ -209,8 +209,17 @@ class Ansatz:
 
         The coefficients of Y become fresh parameters of ctx, and the rows
         come from the cleared polynomial identity (e1 = p1/q1, rhs = R/Q2)
-          sigma(Y)*A*q1*Q2 - p1*Y*sigma(A)*Q2 = R*sigma(A)*A*q1,
+          sigma(Y)*A*q1*Q2 - p1*Y*sigma(A)*Q2 = R*H,  H = sigma(A)*A*q1,
         built with polynomial products only: no gcd normalization in the loop.
+        When Q2 divides H (one exact division decides it), the rows come from
+        the reduced identity
+          sigma(Y)*A*q1 - p1*Y*sigma(A) = R*(H/Q2)
+        instead, whose products are smaller by deg Q2.  The cleared identity
+        is Q2 times the reduced one, both sides affine in the parameters, and
+        Q[vars] is a domain: a parameter assignment satisfies one exactly
+        when it satisfies the other.  So both have the same solutions, hence
+        the same row space, pivot set, solve(), kernel() and reduced
+        families; only the stored rows may differ.
         With no monomials only y = 0 is left, so rhs must vanish.
         Raises Infeasible when no parameter assignment can work.
         """
@@ -220,13 +229,20 @@ class Ansatz:
         a_poly, q2 = self.denominator, rhs.den
         p1, q1 = e1.value.num, e1.value.den
         a_shifted = a_poly.shift(1)
+        rhs_scale = None
+        if rhs.const.terms or rhs.coeffs:  # else the identity is homogeneous and Q2 = 1
+            rhs_scale = a_shifted * a_poly * q1
+            if not q2.is_constant():
+                try:
+                    rhs_scale, q2 = divexact(rhs_scale, q2), P1
+                except ValueError:
+                    pass
         lhs_pos = a_poly * q1 * q2
         lhs_neg = p1 * a_shifted * q2
         params = ctx.new_params(len(self.monomials))
         coeffs = {p: mono.shift(1) * lhs_pos - mono * lhs_neg for p, mono in zip(params, self.monomials)}
         const = MPoly()
-        if rhs.const.terms or rhs.coeffs:  # else the identity is homogeneous
-            rhs_scale = a_shifted * a_poly * q1
+        if rhs_scale is not None:
             const = -(rhs.const * rhs_scale)
             for lam, part in rhs.coeffs.items():  # outer parameters: never fresh ones
                 coeffs[lam] = -(part * rhs_scale)
@@ -240,6 +256,10 @@ class Ansatz:
         )
 
 
+def _mult_text(ratio: Element) -> str:
+    return f"sigma(x) = ({ratio})*x"
+
+
 def multiplicative_kernel(
     pres: Presentation,
     ratio: Element,
@@ -250,23 +270,23 @@ def multiplicative_kernel(
 
     Returns (basis of the solution space, refutation record when empty).
     The space has dimension at most one over Q since the fixed field of a
-    free presentation is Q.
+    free presentation is Q.  The equation's text is formed only for a
+    refutation.
     """
     _require_free(pres)
     u = ratio.value
-    eqrepr = f"sigma(x) = ({ratio})*x"
     if u.is_constant():
         if u == RatFunc.one():
             return [pres.one()], None
         cert = FreeRefutation(
-            "multiplicative", eqrepr, None, "1", 0, 1,
+            "multiplicative", _mult_text(ratio), None, "1", 0, 1,
             None, f"constant ratio {ratio} != 1 admits no nonzero solution",
         )
         return [], cert
     window = _window([u.num, u.den], window_cap)
     if window is None or window.is_empty():
         cert = FreeRefutation(
-            "multiplicative", eqrepr, window, "1", 0, 0,
+            "multiplicative", _mult_text(ratio), window, "1", 0, 0,
             None,
             "empty shift window: nonconstant solutions impossible, "
             "constants require ratio = 1",
@@ -285,7 +305,9 @@ def multiplicative_kernel(
             basis.append(x)
     if basis:
         return basis, None
-    return [], ansatz.refutation("multiplicative", eqrepr, None, "homogeneous coefficient system has trivial kernel")
+    return [], ansatz.refutation(
+        "multiplicative", _mult_text(ratio), None, "homogeneous coefficient system has trivial kernel"
+    )
 
 
 def _twisted_ansatz(

@@ -27,10 +27,16 @@ from diffield.equations import (
     UnsupportedCoefficientShape,
 )
 from diffield.field import Presentation
-from diffield.freebase import _denominator_bound, decide_free_base, replay_refutation, twisted_family
+from diffield.freebase import (
+    _denominator_bound,
+    _twisted_ansatz,
+    decide_free_base,
+    replay_refutation,
+    twisted_family,
+)
 from diffield.linalg import Infeasible
 from diffield.params import LinComb, ParamContext
-from diffield.poly import MPoly, VarId, poly_gcd
+from diffield.poly import MPoly, VarId, divexact, poly_gcd
 from diffield.ratfunc import SpanTracker
 from diffield.tower import (
     _denominator_candidates,
@@ -876,6 +882,10 @@ def _rhs_family(const, parts):
 @example("g[1]/g", ([(1, 0, 2)], None), [([(1, 1, 2)], None)], 0, None)
 @example("(g[1]+1)/(g+2)", ([(2, 0, 2), (1, 1, 1)], (0, 1)), [], 0, 1)
 def test_twisted_family_agrees_with_the_reference(e1, const, parts, deg_cap, window_cap):
+    _assert_family_like_the_reference(e1, const, parts, deg_cap, window_cap)
+
+
+def _assert_family_like_the_reference(e1, const, parts, deg_cap, window_cap):
     e1 = NAMED[e1]
     rhs = _rhs_family(_free_element(const), [_free_element(p) for p in parts])
     ctx, ref_ctx = ParamContext(len(parts)), ParamContext(len(parts))
@@ -887,4 +897,46 @@ def test_twisted_family_agrees_with_the_reference(e1, const, parts, deg_cap, win
         return
     got = twisted_family(FREE, e1, rhs, ctx, deg_cap, window_cap)
     assert (got.const, got.coeffs, got.den) == (want.const, want.coeffs, want.den)
-    assert (ctx.ncols, ctx.pivots, ctx.order) == (ref_ctx.ncols, ref_ctx.pivots, ref_ctx.order)
+    # The rows may come from the identity divided by Q2, so the stored rows
+    # can differ; the row space cannot: same pivots, solution and kernel.
+    assert (ctx.ncols, set(ctx.pivots)) == (ref_ctx.ncols, set(ref_ctx.pivots))
+    assert ctx.solve() == ref_ctx.solve()
+    assert ctx.kernel() == ref_ctx.kernel()
+
+
+def _q2_divides_h(e1, rhs):
+    """Whether the rows of twisted_family come from the identity divided by Q2."""
+    a_poly = _twisted_ansatz(FREE, e1, rhs, None, None).denominator
+    try:
+        divexact(a_poly.shift(1) * a_poly * e1.value.den, rhs.den)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "e1, const, parts, divided",
+    [
+        ("g", ([(1, 0, -2)], None), [([(1, 0, 1)], None)], False),  # Q2 = g^2, A = 1
+        ("1/g", ([(2, 0, -1)], None), [([(1, 1, 1)], (0, 2)), ([(1, 0, 1)], None)], False),  # Q2 = g*(g+2)
+        ("1", ([(1, 0, 0)], (1, 1)), [([(1, 0, 1)], (0, 1))], True),  # Q2 = (g+1)(g[1]+1), A = g+1
+    ],
+)
+def test_parametric_family_with_and_without_the_division(e1, const, parts, divided):
+    rhs = _rhs_family(_free_element(const), [_free_element(p) for p in parts])
+    assert _q2_divides_h(NAMED[e1], rhs) is divided
+    for deg_cap in (None, 0, 2):
+        _assert_family_like_the_reference(e1, const, parts, deg_cap, None)
+
+
+@pytest.mark.parametrize("e1", ["1", "g"])
+def test_planted_solution_over_a_divided_identity(e1):
+    # D = (g[1]+3)(g+2) divides H = sigma(A)*A*q1: the rows are read off the
+    # identity divided by Q2, and the planted x comes back
+    e1 = NAMED[e1]
+    x = (_g(-1) + 2 * _g(0) + 1) / ((_g(1) + 3) * (_g(0) + 2))
+    eq = TwistedEquation(e1, x.sigma() - e1 * x)
+    assert _q2_divides_h(e1, LinComb.constant(FREE, eq.e2))
+    got = decide_free_base(FREE, eq)
+    assert got == reference_decide_free_base(FREE, eq)
+    assert isinstance(got, Solution) and got.witness == x

@@ -380,6 +380,17 @@ CATALOGUE: tuple[Mutant, ...] = (
         "for row in ():",
         (f"{TEST_SOLVER}::test_budget_zero_queries_agree_with_the_reference",),
     ),
+    # -- the free-base rows read off the identity divided by Q2
+    Mutant(
+        "free-base rows with only the right-hand side divided by Q2",
+        FREEBASE,
+        "rhs_scale, q2 = divexact(rhs_scale, q2), P1",
+        "rhs_scale = divexact(rhs_scale, q2)",
+        (
+            f"{TEST_SOLVER}::test_planted_solution_over_a_divided_identity",
+            f"{TEST_SOLVER}::test_parametric_family_with_and_without_the_division",
+        ),
+    ),
     # -- certified corners: Karr's criterion in the polynomial mode
     Mutant(
         "constants query without its second-coefficient case",
