@@ -20,23 +20,18 @@ from .certify import (
     certify_unsolvable,
     replay_certificate,
 )
-from .characters import (
-    CharacterTable,
-    HyperplaneWitness,
-    Obstruction,
-    extend_character,
-    hyperplane_search,
-    value_of,
-)
+from .characters import CharacterTable, Obstruction, extend_character, value_of
 from .counterexample import (
     CounterexampleReport,
     Height4Instance,
+    HyperplaneWitness,
     adjoin_twisted_pair,
     build_3amalg_obstruction,
     build_base,
     build_failing_instance,
     build_height4_instance,
     closure_step,
+    hyperplane_search,
     refute_ff_decomposition,
     run_pipeline,
     verify_no_torsor_over_twisted,
@@ -66,7 +61,6 @@ from .systems import (
     SolverOracle,
     SystemModel,
     SystemModelError,
-    TorsorWitnessOracle,
     WitnessUnavailable,
     build_system,
     check_n_sas_witness,

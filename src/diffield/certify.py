@@ -54,7 +54,7 @@ from .equations import (
     Unsolvable,
     UnsupportedCoefficientShape,
 )
-from .field import Element, GeneratorSpec, Presentation
+from .field import Element, Presentation
 from .freebase import FreeRefutation, decide_free_base, multiplicative_kernel
 from .params import LinComb, _lincomb_coefficients, require_level_free
 from .record import record
@@ -247,8 +247,6 @@ def _query_subsumed(query: Query, registered: Query) -> bool:
         if isinstance(query, RatioQuery) and registered.twist == 1:
             z = _power_of(query.ratio, registered.base)
             return z is not None and z != 0 and registered.exponents.kind in ("all", "nonzero")
-        if isinstance(query, MultiplicativeEquation) and registered.twist == 1:
-            return query.e == registered.base and registered.exponents.kind in ("all", "nonzero")
     return False
 
 
@@ -339,24 +337,20 @@ def _certify(
         hit = registry.match(pres, query)
         if hit is not None:
             return hit
-    affine = pres.affine_top
-    if affine is None:
+    if pres.affine_top is None:
         return _certify_free(pres, query)
-    gen, sub, alpha, beta = affine.gen, affine.sub, affine.alpha, affine.beta
-    cases = leading_cases(pres, sub, gen, alpha, query, polynomial=polynomial)
+    cases = leading_cases(pres, query, polynomial=polynomial)
     if cases is None:
         return None
-    rule = f"sigma({gen.name}) = ({alpha})*{gen.name} + ({beta})"
-    return _close_case(sub, gen, rule, query, cases, registry, polynomial)
+    return _close_case(pres, query, cases, registry, polynomial)
 
 
 def leading_cases(
-    pres: Presentation, sub: Presentation, gen: GeneratorSpec, alpha: Element, query: Query,
-    *, polynomial: bool = False,
+    pres: Presentation, query: Query, *, polynomial: bool = False
 ) -> list[tuple[str, Query | DegreeObstruction]] | None:
     """Labelled degree cases of one leading-coefficient reduction, or None.
 
-    A solution x = N(a)/D(a) over the top generator a (sigma(a) = alpha*a +
+    A solution x = N(a)/D(a) over pres's affine top a (sigma(a) = alpha*a +
     beta over sub), with deg N = n, deg D = m in normal position, forces a
     condition on the leading coefficient ratio one level down (Karr 1981,
     "Summation in finite terms", JACM 28(2)).
@@ -384,17 +378,19 @@ def leading_cases(
     holds 0 only at n >= 1.  There the coefficient of a^(n-1) is the second
     case, sigma(w) - alpha*w = beta.
     """
+    affine = pres.affine_top
+    sub, alpha = affine.sub, affine.alpha
     if isinstance(query, FixedQuery):
         if not polynomial:
             return None
         if alpha == 1:
-            return [("n >= 1: y_n in Q, coefficient of a^(n-1)", TwistedEquation(sub.one(), pres.affine_top.beta))]
+            return [("n >= 1: y_n in Q, coefficient of a^(n-1)", TwistedEquation(sub.one(), affine.beta))]
         return [("n >= 1", MultFamilyQuery(sub.one(), alpha, IntSet("le", -1)))]
     if isinstance(query, (TwistedEquation, TwistedShiftFamily)):
-        e1 = _level_free(query.e1, pres, sub, gen)
+        e1 = _level_free(query.e1, pres)
         if e1 is None:
             return None
-        coeffs = _lincomb_coefficients(LinComb.constant(pres, query.e2), pres, gen, sub)
+        coeffs = _lincomb_coefficients(LinComb.constant(pres, query.e2), pres)
         d2 = max(coeffs.keys(), default=0)
         top = coeffs[d2].evaluate({}) if coeffs else sub.zero()
         if d2 == 0 and (isinstance(query, TwistedShiftFamily) or top.is_zero()):
@@ -415,11 +411,11 @@ def leading_cases(
             (f"n > {m}{d2}", high),
         ]
     if isinstance(query, RatioQuery):
-        twist = _level_free(query.ratio, pres, sub, gen)
+        twist = _level_free(query.ratio, pres)
         base, exponents = sub.one(), IntSet("all")
     elif isinstance(query, MultFamilyQuery):
-        twist = _level_free(query.twist, pres, sub, gen)
-        base = _level_free(query.base, pres, sub, gen)
+        twist = _level_free(query.twist, pres)
+        base = _level_free(query.base, pres)
         exponents = query.exponents
     else:
         return None
@@ -428,7 +424,7 @@ def leading_cases(
     if alpha == 1:
         derived: Query = RatioQuery(twist) if base == 1 else MultFamilyQuery(twist, base, exponents)
     elif polynomial:
-        return _polynomial_family_cases(pres, alpha, twist, base, exponents)
+        return _polynomial_family_cases(pres, twist, base, exponents)
     elif base == 1:
         derived = MultFamilyQuery(twist, alpha, IntSet("all"))
     else:
@@ -437,9 +433,11 @@ def leading_cases(
 
 
 def _polynomial_family_cases(
-    pres: Presentation, alpha: Element, twist: Element, base: Element, exponents: IntSet
+    pres: Presentation, twist: Element, base: Element, exponents: IntSet
 ) -> list[tuple[str, Query]] | None:
     """The leading ratio twist * base^z * alpha^(-n), z in exponents, n >= 0, over alpha != 1."""
+    affine = pres.affine_top
+    alpha = affine.alpha
     if base == 1 and twist == 1:
         return None  # y = 1 solves it
     if base == 1:
@@ -460,7 +458,7 @@ def _polynomial_family_cases(
     # a^(n-1) is sigma(y_{n-1}) - alpha*y_{n-1} = -n*y_n*beta
     return [
         ("exponent of alpha nonzero", MultFamilyQuery(twist, alpha, IntSet("nonzero"))),
-        ("exponent of alpha zero, n >= 1: y_n in Q, coefficient of a^(n-1)", TwistedEquation(alpha, pres.affine_top.beta)),
+        ("exponent of alpha zero, n >= 1: y_n in Q, coefficient of a^(n-1)", TwistedEquation(alpha, affine.beta)),
     ]
 
 
@@ -473,23 +471,28 @@ def _folded(twist: Element, alpha: Element, bound: int) -> MultFamilyQuery:
 
 
 def _close_case(
-    sub, gen, rule, query, cases: list[tuple[str, Query | DegreeObstruction]], registry, polynomial: bool = False
+    pres: Presentation, query: Query, cases: list[tuple[str, Query | DegreeObstruction]],
+    registry: AvoidedRegistry | None, polynomial: bool = False,
 ) -> CertNode | None:
+    """The split of query over pres's affine top, once every case one level down has closed."""
+    affine = pres.affine_top
     out: list[Case] = []
     for label, derived in cases:
         if isinstance(derived, DegreeObstruction):
             out.append(Case(label, None, derived))
             continue
-        node = _certify(sub, derived, registry, polynomial)
+        node = _certify(affine.sub, derived, registry, polynomial)
         if node is None:
             return None
         out.append(Case(label, derived, node))
-    return ExtensionSplit(gen.name, rule, repr(query), tuple(out))
+    name = affine.gen.name
+    rule = f"sigma({name}) = ({affine.alpha})*{name} + ({affine.beta})"
+    return ExtensionSplit(name, rule, repr(query), tuple(out))
 
 
-def _level_free(elem: Element, pres: Presentation, sub: Presentation, gen) -> Element | None:
+def _level_free(elem: Element, pres: Presentation) -> Element | None:
     try:
-        return require_level_free(elem, pres, sub, gen)
+        return require_level_free(elem, pres)
     except UnsupportedCoefficientShape:
         return None
 

@@ -11,17 +11,16 @@ standing in for the fixed subfield of a sub-presentation.
 
 Everything amalgamation-shaped reduces to this rational-linear angle
 arithmetic.  The obstruction instances built on it need certificates and
-corner searches, so they live in :mod:`diffield.counterexample`.
+corner searches, and the hyperplane search needs the fixed-space search, so
+they live in :mod:`diffield.counterexample`.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .equations import SearchBounds
 from .field import Element, Presentation
 from .ratfunc import CircleValue, SpanTracker, linear_relations
 from .record import record
@@ -132,53 +131,3 @@ def value_of(table: CharacterTable, element: Element) -> CircleValue | None:
     for q, v in zip(combo, table.angles()):
         total += q * v.angle
     return CircleValue(total)
-
-
-@record(frozen=True)
-class HyperplaneWitness:
-    coefficients: tuple[int, ...]
-    value: Element  # the subfield element b with sum(z_i x_i) = b
-    combination: tuple[Fraction, ...]  # b over the subfield spanning set
-
-
-def hyperplane_search(
-    xs: Sequence[Element],
-    height: int,
-    subfield: Presentation,
-    bounds: SearchBounds = SearchBounds(3, 2),
-) -> HyperplaneWitness | None:
-    """Smallest-height integer relation sum(z_i x_i) = b with b in the subfield.
-
-    Complete over |z_i| <= height relative to the bounded fixed spanning set
-    of the subfield; plain enumeration of the height box, smallest maximum
-    coefficient first, first nonzero coefficient positive.
-    """
-    from .tower import fixed_space  # here, so that importing this module loads no search
-    if height < 1:
-        raise ValueError("height must be at least 1")
-    for x in xs:
-        if not x.is_fixed():
-            raise CharacterError(f"element {x} is not fixed")
-    span = fixed_space(subfield, bounds)
-    tracker = SpanTracker(s.value for s in span)
-    n = len(xs)
-    pres = xs[0].pres
-    for h in range(1, height + 1):
-        for z in itertools.product(range(-h, h + 1), repeat=n):
-            if max(abs(c) for c in z) != h:
-                continue
-            first = next((c for c in z if c), None)
-            if first is None or first < 0:
-                continue
-            total = pres.zero()
-            for c, x in zip(z, xs):
-                total = total + pres.const(c) * x
-            combo = tracker.express(total.value)
-            if combo is not None:
-                b = pres.zero()
-                for q, s in zip(combo, span):
-                    b = b + pres.const(q) * pres.element(s.value)
-                if b != total:
-                    raise AssertionError("internal error: witness failed verification")
-                return HyperplaneWitness(tuple(z), b, tuple(combo))
-    return None

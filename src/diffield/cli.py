@@ -14,8 +14,8 @@ import argparse
 import json
 import sys
 
-from .characters import CharacterTable, Obstruction, extend_character, hyperplane_search, value_of
-from .counterexample import build_3amalg_obstruction, build_base, closure_step, run_pipeline
+from .characters import CharacterTable, Obstruction, extend_character, value_of
+from .counterexample import build_3amalg_obstruction, build_base, closure_step, hyperplane_search, run_pipeline
 from .equations import (
     MultiplicativeEquation,
     NoSolutionWithinBounds,
@@ -319,12 +319,8 @@ def _registry_for(doc: Document):
     pres = doc.presentation
     if "g" not in pres.names() or not pres.spec("g").is_free:
         raise SemanticError("this command needs a presentation with a free generator named g")
-    base0, registry = build_base()
-    names = list(pres.names())
-    if names == ["g"]:
-        return pres, registry
-    current, reg = base0, registry
-    for name in names:
+    current, reg = build_base()
+    for name in pres.names():
         if name == "g":
             continue
         spec = pres.spec(name)
@@ -343,9 +339,17 @@ def certificate_to_dict(cert: FreeRefutation) -> dict:
     The bounded solvers return Unsolvable only through decide_free_base, so
     the certificate is always a free-base refutation.
     """
-    data = cert.summary()
-    data["equation_kind"] = data.pop("kind")
-    return {"kind": "free-base", **data}
+    return {
+        "kind": "free-base",
+        "equation": cert.equation,
+        "window": None if cert.window is None else [cert.window.lo, cert.window.hi],
+        "denominator_bound": cert.denominator_bound,
+        "degree_cap": cert.degree_cap,
+        "ansatz_size": cert.ansatz_size,
+        "constant_candidate": cert.constant_candidate,
+        "note": cert.note,
+        "equation_kind": cert.kind,
+    }
 
 
 if __name__ == "__main__":

@@ -17,13 +17,15 @@ bounded search finds a decomposition and the chain honestly refuses: the
 two variants give opposite verdicts, so the refutation is not vacuous.
 
 The character obstructions, build_3amalg_obstruction and
-build_failing_instance, build on the registry and the corner searches here.
+build_failing_instance, build on the registry and the corner searches here;
+hyperplane_search reads the bounded fixed space of a subfield.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from typing import Any
+from typing import Any, Sequence
 
 from .certify import (
     AvoidedRegistry,
@@ -46,7 +48,7 @@ from .equations import (
 )
 from .field import Element, Presentation
 from .freebase import decide_free_base
-from .ratfunc import CircleValue
+from .ratfunc import CircleValue, SpanTracker
 from .record import record
 from .systems import (
     AdditiveEquation,
@@ -57,7 +59,7 @@ from .systems import (
     generic_evaluation,
     pairwise_fixed_polynomials,
 )
-from .tower import solve_twisted_bounded
+from .tower import fixed_space, solve_twisted_bounded
 
 
 class ReconstructionError(RuntimeError):
@@ -92,16 +94,22 @@ def build_base() -> tuple[Presentation, AvoidedRegistry]:
     not certify.
     """
     pres, g = Presentation.empty().with_free("g")
-    entries = []
-    for q in registry_queries(pres):
-        res = certify_unsolvable(pres, q)
-        if not isinstance(res, Unsolvable):
-            raise ReconstructionError(f"base family {q!r} did not certify: {res!r}")
-        entries.append(RegistryEntry(q, res.certificate))
+    registry = certify_registry(pres, None)
     guard = decide_free_base(pres, TwistedEquation(pres.one(), pres.gen("g", 1) - g))
     if not (isinstance(guard, Solution) and guard.witness == g):
         raise ReconstructionError("sanity guard failed: telescoping torsor must solve to g")
-    return pres, AvoidedRegistry(pres, tuple(entries))
+    return pres, registry
+
+
+def certify_registry(pres: Presentation, parent: AvoidedRegistry | None) -> AvoidedRegistry:
+    """The families of registry_queries over pres, each certified with the parent's hits."""
+    entries = []
+    for q in registry_queries(pres):
+        res = certify_unsolvable(pres, q, parent)
+        if not isinstance(res, Unsolvable):
+            raise ReconstructionError(f"family {q!r} does not certify over {pres.names()}: {res!r}")
+        entries.append(RegistryEntry(q, res.certificate))
+    return AvoidedRegistry(pres, tuple(entries))
 
 
 def replay_registry(registry: AvoidedRegistry, parent: AvoidedRegistry | None) -> bool:
@@ -135,18 +143,10 @@ def closure_step(
     check = gen.wp()
     if check != target.in_presentation(new_pres):
         raise ReconstructionError("closure witness does not solve its torsor")
-    entries = []
-    for q in registry_queries(new_pres):
-        res = certify_unsolvable(new_pres, q, registry)
-        if not isinstance(res, Unsolvable):
-            raise ReconstructionError(
-                f"closure step rejected: {q!r} no longer certifies ({res!r})"
-            )
-        entries.append(RegistryEntry(q, res.certificate))
-    return new_pres, AvoidedRegistry(new_pres, tuple(entries)), ClosureStep(name, repr(target))
+    return new_pres, certify_registry(new_pres, registry), ClosureStep(name, repr(target))
 
 
-def adjoin_twisted_pair(pres: Presentation, registry: AvoidedRegistry) -> tuple[Presentation, Element, Element]:
+def adjoin_twisted_pair(pres: Presentation) -> tuple[Presentation, Element, Element]:
     """Adjoin a1 and a2 with the rules of pair_rules, independently."""
     rule1, rule2 = pair_rules(pres)
     p1, a1 = pres.with_affine("a1", *rule1)
@@ -192,9 +192,7 @@ class Height4Instance:
     control: bool
 
 
-def build_height4_instance(
-    base: Presentation, registry: AvoidedRegistry, control: bool = False
-) -> Height4Instance:
+def build_height4_instance(base: Presentation, control: bool = False) -> Height4Instance:
     """Blocks a1..a4 with the twisted rules, pairwise torsor witnesses, and
     the height-4 fixed-field equation f123 + f124 + f134 + f234 = 0.
 
@@ -472,7 +470,7 @@ def run_pipeline(
     base, registry, step = closure_step(base0, registry0, base0.one(), name="t1")
     closure_steps = [step]
     replayed = replay_registry(registry0, None) and replay_registry(registry, registry0)
-    pair_pres, a1, a2 = adjoin_twisted_pair(base, registry)
+    pair_pres, a1, a2 = adjoin_twisted_pair(base)
     product = verify_product_identity(pair_pres)
     if not product["identity"]:
         raise ReconstructionError("product identity failed")
@@ -480,14 +478,14 @@ def run_pipeline(
         which: verify_no_torsor_over_twisted(pair_pres, registry, which, torsor_bounds)
         for which in ("a1", "a2")
     }
-    instance = build_height4_instance(base, registry, control=False)
+    instance = build_height4_instance(base, control=False)
     instance_checks = {
         "all_fixed": all(v.is_fixed() for v in instance.f_elements.values()),
         "zero_sum": sum(instance.f_elements.values(), instance.model.pres.zero()).is_zero(),
         "memberships": instance.equation.validate() == [],
     }
     refutation = refute_ff_decomposition(instance, registry, bounds, seed)
-    control_instance = build_height4_instance(base, registry, control=True)
+    control_instance = build_height4_instance(base, control=True)
     control_report = refute_ff_decomposition(control_instance, registry, control_bounds, seed)
     if not (refutation.completed() and not control_report.completed()):
         raise ReconstructionError(
@@ -615,3 +613,55 @@ def build_failing_instance(
         # extends checked each free summand's table; a forced value is consistent
         "per_corner_tables_consistent": True,
     }
+
+
+# -- hyperplane relations over a subfield ----------------------------------------------
+
+
+@record(frozen=True)
+class HyperplaneWitness:
+    coefficients: tuple[int, ...]
+    value: Element  # the subfield element b with sum(z_i x_i) = b
+    combination: tuple[Fraction, ...]  # b over the subfield spanning set
+
+
+def hyperplane_search(
+    xs: Sequence[Element],
+    height: int,
+    subfield: Presentation,
+    bounds: SearchBounds = SearchBounds(3, 2),
+) -> HyperplaneWitness | None:
+    """Smallest-height integer relation sum(z_i x_i) = b with b in the subfield.
+
+    Complete over |z_i| <= height relative to the bounded fixed spanning set
+    of the subfield; plain enumeration of the height box, smallest maximum
+    coefficient first, first nonzero coefficient positive.
+    """
+    if height < 1:
+        raise ValueError("height must be at least 1")
+    for x in xs:
+        if not x.is_fixed():
+            raise CharacterError(f"element {x} is not fixed")
+    span = fixed_space(subfield, bounds)
+    tracker = SpanTracker(s.value for s in span)
+    n = len(xs)
+    pres = xs[0].pres
+    for h in range(1, height + 1):
+        for z in itertools.product(range(-h, h + 1), repeat=n):
+            if max(abs(c) for c in z) != h:
+                continue
+            first = next((c for c in z if c), None)
+            if first is None or first < 0:
+                continue
+            total = pres.zero()
+            for c, x in zip(z, xs):
+                total = total + pres.const(c) * x
+            combo = tracker.express(total.value)
+            if combo is not None:
+                b = pres.zero()
+                for q, s in zip(combo, span):
+                    b = b + pres.const(q) * pres.element(s.value)
+                if b != total:
+                    raise AssertionError("internal error: witness failed verification")
+                return HyperplaneWitness(tuple(z), b, tuple(combo))
+    return None

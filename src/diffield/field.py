@@ -20,8 +20,8 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterable
 
-from .poly import MPoly, VarId
-from .ratfunc import RatFunc, substitute_polys
+from .poly import VarId
+from .ratfunc import RatFunc, _coerce, substitute_polys
 from .record import record
 
 
@@ -248,13 +248,7 @@ class AffineTop:
 
 
 def _as_ratfunc(x) -> RatFunc:
-    if isinstance(x, Element):
-        return x.value
-    if isinstance(x, RatFunc):
-        return x
-    if isinstance(x, MPoly):
-        return RatFunc.from_poly(x)
-    return RatFunc.const(x)
+    return x.value if isinstance(x, Element) else _coerce(x)
 
 
 class Element:

@@ -79,18 +79,6 @@ class FreeRefutation:
     constant_candidate: str | None
     note: str
 
-    def summary(self) -> dict:
-        return {
-            "kind": self.kind,
-            "equation": self.equation,
-            "window": None if self.window is None else [self.window.lo, self.window.hi],
-            "denominator_bound": self.denominator_bound,
-            "degree_cap": self.degree_cap,
-            "ansatz_size": self.ansatz_size,
-            "constant_candidate": self.constant_candidate,
-            "note": self.note,
-        }
-
 
 def _require_free(pres: Presentation) -> None:
     if pres.affine_top is not None:

@@ -16,7 +16,7 @@ over the free parameters alone: each pivot parameter is replaced by its
 value over the later ones, so a family the rows pin to zero becomes the
 zero family (:meth:`LinComb.is_zero`).  ``_lincomb_coefficients`` and
 ``require_level_free`` are the level steps that the tower search and the
-certifier share.
+certifier share; each reads its level off the presentation's ``affine_top``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .equations import UnsupportedCoefficientShape
-from .field import Element, GeneratorSpec, Presentation, sigma_images
+from .field import Element, Presentation, sigma_images
 from .linalg import Echelon
 from .poly import Coeff, MPoly, _monomial_gcd, divexact, poly_gcd, to_univar
 from .ratfunc import P1, RatFunc, _cancel, substitute_polys
@@ -161,31 +161,35 @@ class LinComb:
         return self.pres.element(RatFunc(total, self.den))
 
 
-def require_level_free(e1: Element, pres: Presentation, sub: Presentation, gen: GeneratorSpec) -> Element:
-    """e1 as an element of sub; UnsupportedCoefficientShape when it involves gen."""
-    if pres.varid(gen.name) in e1.value.variables():
-        _lincomb_coefficients(LinComb.constant(pres, e1), pres, gen, sub)  # raises when gen is in the denominator
+def require_level_free(e1: Element, pres: Presentation) -> Element:
+    """e1 over the level below pres's affine top; UnsupportedCoefficientShape
+    when it involves the top generator."""
+    affine = pres.affine_top
+    if pres.varid(affine.gen.name) in e1.value.variables():
+        _lincomb_coefficients(LinComb.constant(pres, e1), pres)  # raises when the generator is in the denominator
         raise UnsupportedCoefficientShape(
-            f"twist coefficient mentions the extension generator {gen.name!r}"
+            f"twist coefficient mentions the extension generator {affine.gen.name!r}"
         )
-    return sub.element(e1.value)
+    return affine.sub.element(e1.value)
 
 
-def _lincomb_coefficients(lc: LinComb, pres: Presentation, gen: GeneratorSpec, sub: Presentation) -> dict[int, LinComb]:
-    """Split a LinComb into per-degree LinCombs over the sub-presentation.
+def _lincomb_coefficients(lc: LinComb, pres: Presentation) -> dict[int, LinComb]:
+    """Split a LinComb into per-degree LinCombs in pres's affine top, over the level below.
 
     The numerators split over the shared denominator, and each degree's piece
     is reduced again.  Raises UnsupportedCoefficientShape when the
-    denominator, the lcm of the coefficients' reduced ones, involves gen.
+    denominator, the lcm of the coefficients' reduced ones, involves the
+    generator.
     """
-    var = pres.varid(gen.name)
+    affine = pres.affine_top
+    var = pres.varid(affine.gen.name)
     if var in lc.den.variables():
-        raise UnsupportedCoefficientShape(f"coefficient has {gen.name!r} in its denominator")
+        raise UnsupportedCoefficientShape(f"coefficient has {affine.gen.name!r} in its denominator")
     pieces: dict[int, dict[int | None, MPoly]] = {}  # degree -> parameter (None: const) -> piece
     for param, num in ((None, lc.const), *lc.coeffs.items()):
         for deg, part in to_univar(num, var).items():
             pieces.setdefault(deg, {})[param] = part
-    return {deg: LinComb(sub, p.pop(None, MPoly()), p, lc.den, shared=lc.den) for deg, p in pieces.items()}
+    return {deg: LinComb(affine.sub, p.pop(None, MPoly()), p, lc.den, shared=lc.den) for deg, p in pieces.items()}
 
 
 class ParamContext(Echelon):

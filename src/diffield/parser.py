@@ -445,13 +445,8 @@ def parse_document(text: str) -> Document:
 
 
 def print_element(elem: Element) -> str:
-    return print_value(elem.value)
-
-
-def print_value(value) -> str:
     """A polynomial prints as its ``repr``; a fraction as ``(num)/(den)``."""
-    if isinstance(value, RatFunc):
-        if not value.is_polynomial():
-            return f"({value.num!r})/({value.den!r})"
-        value = value.num
-    return repr(value)
+    value = elem.value
+    if not value.is_polynomial():
+        return f"({value.num!r})/({value.den!r})"
+    return repr(value.num)

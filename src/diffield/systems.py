@@ -396,15 +396,10 @@ def check_n_sas_witness(
 # -- torsor witness oracles ---------------------------------------------------------
 
 
-class TorsorWitnessOracle:
-    """Answers: a witness x in corner(w) with sigma(x) - x = target, or None."""
-
-    def find(self, model: SystemModel, target: Element, w: frozenset[int]):
-        raise NotImplementedError
-
-
-class SolverOracle(TorsorWitnessOracle):
-    """Bounded search in the corner presentation; never extends the model."""
+class SolverOracle:
+    """find(model, target, w): a witness x in corner(w) with sigma(x) - x =
+    target and its model, or None, by bounded search in the corner; never
+    extends the model."""
 
     def __init__(self, bounds: SearchBounds = SearchBounds(4, 2)):
         self.bounds = bounds
@@ -452,7 +447,7 @@ class ClosureOracle(SolverOracle):
 def wp_decompose_with_witnesses(
     model: SystemModel,
     d: Mapping[int, Element],
-    oracle: TorsorWitnessOracle,
+    oracle: SolverOracle,
     seed: int = 0,
 ):
     """Split wp(d_i) into an antisymmetric family of realized torsor targets.
@@ -514,7 +509,7 @@ def _wp_split(model, w, universe, oracle, seed):
 def ff_decompose_with_witnesses(
     model: SystemModel,
     eq: AdditiveEquation,
-    oracle: TorsorWitnessOracle,
+    oracle: SolverOracle,
     seed: int = 0,
 ):
     """Fixed-field decomposition via the wp-correction pipeline: the peel

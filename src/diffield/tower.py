@@ -90,14 +90,12 @@ def iter_twisted_branches(
     denominator degree m = 0 only (see fixed_space).  A query of budget 0
     has the one free-base branch of _free_base_branch.
     """
-    if deg_budget < 0:
-        return
     affine = pres.affine_top
     if affine is None or deg_budget == 0:
         yield from _free_base_branch(pres, e1, rhs, ctx, deg_budget, window)
         return
     gen, sub, alpha, beta = affine.gen, affine.sub, affine.alpha, affine.beta
-    e1_sub = require_level_free(e1, pres, sub, gen)
+    e1_sub = require_level_free(e1, pres)
     a_var = pres.gen(gen.name)
     for m in range(0, 1 if polynomial else deg_budget + 1):
         for delta in _denominator_candidates(sub, alpha, beta, m, deg_budget, window):
@@ -107,9 +105,9 @@ def iter_twisted_branches(
             # with gen in its denominator raises at once.
             if m:
                 denominator = sum((c.in_presentation(pres) * a_var**k for k, c in enumerate(delta)), pres.zero())
-                rhs_delta = _lincomb_coefficients(rhs.mul_known(denominator), pres, gen, sub)
+                rhs_delta = _lincomb_coefficients(rhs.mul_known(denominator), pres)
             else:
-                rhs_delta = _lincomb_coefficients(rhs, pres, gen, sub)
+                rhs_delta = _lincomb_coefficients(rhs, pres)
             top = ctx.fork()
             try:
                 for k, row in rhs_delta.items():
@@ -151,8 +149,8 @@ def _free_base_branch(
     try:
         while (affine := base.affine_top) is not None:
             try:
-                e1 = require_level_free(e1, base, affine.sub, affine.gen)
-                pieces = _lincomb_coefficients(rhs, base, affine.gen, affine.sub)
+                e1 = require_level_free(e1, base)
+                pieces = _lincomb_coefficients(rhs, base)
             except UnsupportedCoefficientShape:
                 if base is pres:
                     raise

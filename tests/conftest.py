@@ -74,6 +74,19 @@ def run_python(args, *, cwd=None, timeout):
 # -- a test still running past faulthandler_timeout ends the run
 
 
+_STDERR_FD = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    # capture is suspended here, as for pytest's own faulthandler: this is
+    # the terminal's stderr, which a running test's capture does not redirect
+    config.stash[_STDERR_FD] = os.dup(sys.stderr.fileno())
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[_STDERR_FD])
+
+
 @pytest.hookimpl(hookwrapper=True, trylast=True)
 def pytest_runtest_protocol(item, nextitem):
     """End the run when a test is still running after ``faulthandler_timeout``.
@@ -83,6 +96,11 @@ def pytest_runtest_protocol(item, nextitem):
     wrapper runs inside pytest's (trylast, registered after it) and replaces
     its timer: at the same timeout it prints the test's node id, dumps every
     thread's stack and exits with status 1 at once.
+
+    That timer is a Python thread, so it cannot run while one C call holds
+    the GIL (a catastrophic regex, a huge integer operation).  faulthandler's
+    own watchdog thread can: 5 s later it dumps the stacks to the terminal
+    and exits the process.
     """
     timeout = float(item.config.getini("faulthandler_timeout") or 0)
     if timeout <= 0:
@@ -92,8 +110,10 @@ def pytest_runtest_protocol(item, nextitem):
     timer = threading.Timer(timeout, _end_hung_run, (item, timeout))
     timer.daemon = True
     timer.start()
+    faulthandler.dump_traceback_later(timeout + 5, exit=True, file=item.config.stash[_STDERR_FD])
     yield
     timer.cancel()
+    faulthandler.cancel_dump_traceback_later()
 
 
 def _end_hung_run(item, timeout):
@@ -329,15 +349,15 @@ def reference_iter_twisted_branches(pres, e1, rhs, ctx, deg_budget, window, *, p
         yield forked, fam
         return
     gen, sub, alpha, beta = affine.gen, affine.sub, affine.alpha, affine.beta
-    e1_sub = require_level_free(e1, pres, sub, gen)
+    e1_sub = require_level_free(e1, pres)
     a_var = pres.gen(gen.name)
     for m in range(0, 1 if polynomial else deg_budget + 1):
         for delta in _reference_denominators(sub, alpha, beta, m, deg_budget, window):
             if m:
                 denominator = sum((c.in_presentation(pres) * a_var**k for k, c in enumerate(delta)), pres.zero())
-                rhs_delta = _lincomb_coefficients(rhs.mul_known(denominator), pres, gen, sub)
+                rhs_delta = _lincomb_coefficients(rhs.mul_known(denominator), pres)
             else:
-                rhs_delta = _lincomb_coefficients(rhs, pres, gen, sub)
+                rhs_delta = _lincomb_coefficients(rhs, pres)
             top = ctx.fork()
             try:
                 for k, row in rhs_delta.items():

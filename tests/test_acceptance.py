@@ -65,7 +65,7 @@ def closed_base():
 def test_criterion_1_product_identity(closed_base):
     base, reg = closed_base
     start = time.time()
-    pair, a1, a2 = adjoin_twisted_pair(base, reg)
+    pair, a1, a2 = adjoin_twisted_pair(base)
     ok = (a1 * a2).wp() == a1 + a2 + 1
     _report("1 product identity", ok, time.time() - start, 1.0)
 
@@ -158,7 +158,7 @@ def test_criterion_4_free_base_decisions():
 def test_criterion_5_twisted_pair_torsor_refutation(closed_base):
     base, reg = closed_base
     start = time.time()
-    pair, a1, a2 = adjoin_twisted_pair(base, reg)
+    pair, a1, a2 = adjoin_twisted_pair(base)
     frame = verify_no_torsor_over_twisted(pair, reg, "a1", SearchBounds(6, 4))
     derived = frame["derived_equations"]
     ok = any(d == "sigma(x) - (1/g)*x = 1/g" for d in derived)
@@ -337,7 +337,7 @@ def test_criterion_10_witness_driven_ff_decomposition(closed_base):
             ok = ok and all(v.is_fixed() for v in got.values())
             good += ok
             total += 1
-    inst = build_height4_instance(base, reg, control=False)
+    inst = build_height4_instance(base, control=False)
     blocked_ok = False
     try:
         ff_decompose_with_witnesses(inst.model, inst.equation, SolverOracle(SearchBounds(2, 1)), seed=0)

@@ -14,14 +14,18 @@ from diffield.certify import (
     MultFamilyQuery,
     RatioQuery,
     RegistryEntry,
+    RegistryHit,
     TwistedShiftFamily,
+    _normalize_query,
     certify_constants,
     certify_unsolvable,
     leading_cases,
     replay_certificate,
 )
+from diffield import certify
 from diffield.equations import (
     MultiplicativeEquation,
+    NoSolutionWithinBounds,
     SearchBounds,
     Solution,
     TwistedEquation,
@@ -29,6 +33,7 @@ from diffield.equations import (
     Unsolvable,
 )
 from diffield.field import Element, Presentation
+from diffield.freebase import decide_free_base
 from diffield.tower import fixed_space, solve_multiplicative_bounded, solve_twisted_bounded
 
 
@@ -64,8 +69,12 @@ def test_registry_matches_power_queries():
     p, g, registry = base_with_registry()
     hit = registry.match(p, RatioQuery(g * g))
     assert hit is not None
-    hit = registry.match(p, MultiplicativeEquation(g, -3))
-    assert hit is not None
+    # a multiplicative query reaches the registry as its ratio query
+    query = _normalize_query(MultiplicativeEquation(g, -3))
+    assert query == RatioQuery(p.one() / g**3)
+    assert registry.match(p, query) == RegistryHit(0, repr(registry.entries[0].query))
+    res = certify_unsolvable(p, MultiplicativeEquation(g, -3), registry)
+    assert isinstance(res, Unsolvable) and res.certificate.node == RegistryHit(0, repr(registry.entries[0].query))
     assert registry.match(p, RatioQuery(p.one())) is None
 
 
@@ -153,7 +162,7 @@ def split(pres, name, query):
     """The labelled cases of the reduction of query over generator name."""
     top = pres.affine_top
     assert top.gen.name == name
-    return dict(leading_cases(pres, top.sub, top.gen, top.alpha, query))
+    return dict(leading_cases(pres, query))
 
 
 def test_reduce_cases_match_hand_calculation():
@@ -184,6 +193,78 @@ def test_reduce_torsor_extension_cases():
     assert same.e1 == g and same.e2 == g
     ratio = cases["n > m + 0"]
     assert isinstance(ratio, RatioQuery) and ratio.ratio == g
+
+
+def pi_step():
+    """Q(g)(a) with sigma(a) = g*a, its g, a and the free base Q(g)."""
+    p, g = Presentation.empty().with_free("g")
+    pa, a = p.with_affine("a", g, 0)
+    return pa, pa.gen("g"), a, pa.affine_top.sub
+
+
+def test_multiplicative_equations_over_a_pi_step():
+    # the ratio case over alpha = g != 1: sigma(x) = e*x leads to
+    # sigma(y)/y = e*g^z, z in Z, one level down
+    pa, g, a, sub = pi_step()
+    two = MultiplicativeEquation(pa.const(2), 1)
+    assert split(pa, "a", RatioQuery(pa.const(2))) == {
+        "any degrees n, m": MultFamilyQuery(sub.const(2), sub.gen("g"), IntSet("all"))
+    }
+    # sigma(x) = 2x: the family is refuted, its z = 0 sample by 2 != 1
+    res = certify_unsolvable(pa, two)
+    assert isinstance(res, Unsolvable) and replay_certificate(pa, two, res.certificate)
+    (case,) = res.certificate.node.cases
+    assert case.node.spot_checks == IntSet("all").samples() and 0 in case.node.spot_checks
+    assert isinstance(solve_multiplicative_bounded(pa, two, SearchBounds(3, 2)), NoSolutionWithinBounds)
+    # solvable ones stay Unknown, and the search finds their solutions
+    for e, x in ((g, a), (pa.one() / g, pa.one() / a), (pa.gen("g", 1) / g, g)):
+        eq = MultiplicativeEquation(e, 1)
+        assert isinstance(certify_unsolvable(pa, eq), Unknown), e
+        found = solve_multiplicative_bounded(pa, eq, SearchBounds(3, 2))
+        assert isinstance(found, Solution) and found.witness == x, e
+
+
+def test_polynomial_family_cases_over_a_pi_step():
+    # a polynomial y of degree n in a has leading ratio twist * base^z * g^(-n)
+    pa, g, a, sub = pi_step()
+    one, two, g0 = pa.one(), pa.const(2), sub.gen("g")
+
+    def cases(query):
+        got = leading_cases(pa, query, polynomial=True)
+        return got if got is None else dict(got)
+
+    # refused where y = 1 solves it: sigma(y)/y = 1, and g^z at z = 0
+    for query in (RatioQuery(one), MultFamilyQuery(one, g, IntSet("all"))):
+        assert cases(query) is None, query
+        assert isinstance(solve_multiplicative_bounded(pa, MultiplicativeEquation(one, 1), SearchBounds(0, 0)), Solution)
+    # the twist of sigma(y)/y = 2 moves into a family over g, z <= 0 ...
+    assert cases(RatioQuery(two)) == {"any degree n": MultFamilyQuery(sub.const(2), g0, IntSet("le", 0))}
+    assert isinstance(certify_unsolvable(sub, MultFamilyQuery(sub.const(2), g0, IntSet("le", 0))), Unsolvable)
+    assert isinstance(solve_multiplicative_bounded(pa, MultiplicativeEquation(two, 1), SearchBounds(3, 2)), NoSolutionWithinBounds)
+    # ... and the twist g = g^1 folds into the exponents, where z = 0 is y = a
+    assert cases(RatioQuery(g)) == {"any degree n": MultFamilyQuery(sub.one(), g0, IntSet("le", 1))}
+    assert isinstance(certify_unsolvable(sub, MultFamilyQuery(sub.one(), g0, IntSet("le", 1))), Unknown)
+    # a twisted family over alpha keeps its twist, with the exponents smeared over Z
+    family = MultFamilyQuery(two, g, IntSet("nonzero"))
+    assert cases(family) == {"any degree n": MultFamilyQuery(sub.const(2), g0, IntSet("all"))}
+    assert isinstance(certify_unsolvable(sub, MultFamilyQuery(sub.const(2), g0, IntSet("all"))), Unsolvable)
+    for z in (1, -1, 2):
+        eq = MultiplicativeEquation(two * g**z, 1)
+        assert isinstance(solve_multiplicative_bounded(pa, eq, SearchBounds(3, 2)), NoSolutionWithinBounds), z
+
+
+def test_free_family_exits(monkeypatch):
+    p, g = Presentation.empty().with_free("g")
+    # a constant base has no uniform argument, though each member is refuted
+    family = MultFamilyQuery(p.one(), p.const(2), IntSet("nonzero"))
+    assert isinstance(certify_unsolvable(p, family), Unknown)
+    for z in family.exponents.samples():
+        assert isinstance(decide_free_base(p, MultiplicativeEquation(p.const(2), z)), Unsolvable), z
+    # each sample is decided: a decision that finds a solution refuses the family
+    refuted = MultFamilyQuery(p.one(), g, IntSet("nonzero"))
+    assert isinstance(certify_unsolvable(p, refuted), Unsolvable)
+    monkeypatch.setattr(certify, "multiplicative_kernel", lambda pres, ratio: ([pres.one()], None))
+    assert isinstance(certify_unsolvable(p, refuted), Unknown)
 
 
 # -- order-preserving renamings ------------------------------------------------
@@ -296,7 +377,7 @@ def height4_corners(control):
 
     base0, reg0 = build_base()
     base, reg, _ = closed(base0, base0.gen("g"), reg0)
-    model = build_height4_instance(base, reg, control=control).model
+    model = build_height4_instance(base, control=control).model
     return [model.corner(model.complement(i, j)) for i, j in itertools.combinations(range(1, 5), 2)]
 
 

@@ -15,7 +15,6 @@ from diffield.characters import (
     CharacterTable,
     Obstruction,
     extend_character,
-    hyperplane_search,
     value_of,
 )
 from diffield.counterexample import (
@@ -24,6 +23,7 @@ from diffield.counterexample import (
     build_failing_instance,
     build_height4_instance,
     closure_step,
+    hyperplane_search,
 )
 from diffield.equations import SearchBounds
 from diffield.field import Element, Presentation
@@ -379,7 +379,7 @@ def test_3amalg_refuses_witness_differences_that_are_not_fixed(monkeypatch):
 def test_failing_instance_sigma_tests_each_summand_once(monkeypatch):
     base0, reg0 = build_base()
     base, reg, _ = closure_step(base0, reg0, base0.one(), name="t1")
-    inst = build_height4_instance(base, reg, control=False)
+    inst = build_height4_instance(base, control=False)
     summands = inst.equation.summand_map()
     calls = count_is_fixed(monkeypatch)
     report = build_failing_instance(inst.model, inst.equation, 4, SearchBounds(2, 1))
@@ -392,7 +392,7 @@ def test_failing_instance_sigma_tests_each_summand_once(monkeypatch):
 def test_failing_instance_on_height4():
     base0, reg0 = build_base()
     base, reg, _ = closure_step(base0, reg0, base0.one(), name="t1")
-    inst = build_height4_instance(base, reg, control=False)
+    inst = build_height4_instance(base, control=False)
     report = build_failing_instance(inst.model, inst.equation, 4, SearchBounds(2, 1))
     assert report["verdict"] == "obstruction"
     assert not report["angle_sum"].is_identity()

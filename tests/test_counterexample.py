@@ -75,7 +75,7 @@ def test_closure_with_g_target():
 
 def test_twisted_pair_rules():
     base0, reg0, base, reg, _ = closed_base()
-    pair, a1, a2 = adjoin_twisted_pair(base, reg)
+    pair, a1, a2 = adjoin_twisted_pair(base)
     g = pair.gen("g")
     assert a1.sigma(1) == g * a1 + g
     assert a2.sigma(1) == (a2 + 1) / g
@@ -84,7 +84,7 @@ def test_twisted_pair_rules():
 
 def test_product_identity_and_controls():
     base0, reg0, base, reg, _ = closed_base()
-    pair, a1, a2 = adjoin_twisted_pair(base, reg)
+    pair, a1, a2 = adjoin_twisted_pair(base)
     out = verify_product_identity(pair)
     assert out["identity"] and out["perturbed_identity_fails"]
     assert out["torsor_of_pair_sum_realized"]
@@ -102,7 +102,7 @@ def test_product_identity_finds_the_witness_by_its_rule_not_its_name():
 
 def test_no_torsor_over_twisted_both_sides():
     base0, reg0, base, reg, _ = closed_base()
-    pair, a1, a2 = adjoin_twisted_pair(base, reg)
+    pair, a1, a2 = adjoin_twisted_pair(base)
     frame = verify_no_torsor_over_twisted(pair, reg, "a1", SearchBounds(4, 2))
     assert isinstance(frame["bounded"], NoSolutionWithinBounds)
     assert any("1/g" in d for d in frame["derived_equations"])
@@ -112,7 +112,7 @@ def test_no_torsor_over_twisted_both_sides():
 
 def test_height4_instance_checks():
     base0, reg0, base, reg, _ = closed_base()
-    inst = build_height4_instance(base, reg)
+    inst = build_height4_instance(base)
     assert all(f.is_fixed() for f in inst.f_elements.values())
     total = inst.model.pres.zero()
     for f in inst.f_elements.values():
@@ -127,12 +127,12 @@ def test_height4_instance_checks():
 
 def test_refutation_chain_and_control_flip():
     base0, reg0, base, reg, _ = closed_base()
-    inst = build_height4_instance(base, reg, control=False)
+    inst = build_height4_instance(base, control=False)
     report = refute_ff_decomposition(inst, reg, SearchBounds(2, 1))
     assert report.verdict == "refuted"
     assert isinstance(report.bounded, NotFoundWithinBounds)
     assert set(report.side_certificates) == {"a1", "a2"}
-    control = build_height4_instance(base, reg, control=True)
+    control = build_height4_instance(base, control=True)
     report2 = refute_ff_decomposition(control, reg, SearchBounds(2, 1))
     assert report2.verdict.startswith("refused")
     assert not isinstance(report2.bounded, NotFoundWithinBounds)
@@ -140,7 +140,7 @@ def test_refutation_chain_and_control_flip():
 
 def test_shift_families_certify_over_both_corners():
     base0, reg0, base, reg, _ = closed_base()
-    inst = build_height4_instance(base, reg, control=False)
+    inst = build_height4_instance(base, control=False)
     for which in ("a1", "a2"):
         corner = inst.model.corner({int(which[1])})
         res = certify_unsolvable(

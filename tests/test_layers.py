@@ -4,10 +4,10 @@ The certifier and the character tables are the core that a certificate
 checker trusts, so they sit below the tower search: ``certify`` never
 reaches ``tower``, and ``characters`` reaches none of ``certify``,
 ``systems`` and ``tower``.  The check reads the module-level imports of
-``src/diffield/*.py`` with ``ast``; an import inside a function runs only
-when the function does, so it is no edge.  A check on ``sys.modules`` could
-not show this: importing any submodule runs ``diffield/__init__.py``, which
-loads them all.
+``src/diffield/*.py`` with ``ast``.  An import inside a function would run
+only when the function does, so it would be no edge; no module has one, so
+the graph holds every edge.  A check on ``sys.modules`` could not show this:
+importing any submodule runs ``diffield/__init__.py``, which loads them all.
 """
 
 import ast
@@ -54,6 +54,17 @@ def module_imports(tree: ast.Module) -> set[str]:
     return out
 
 
+def function_level_imports(tree: ast.Module) -> list[int]:
+    """The lines of the import statements inside a function body."""
+    return sorted({
+        node.lineno
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    })
+
+
 def import_graph() -> dict[str, set[str]]:
     return {
         path.stem: module_imports(ast.parse(path.read_text(encoding="utf-8")))
@@ -94,3 +105,17 @@ def test_the_trusted_core_reaches_no_search():
 def test_a_function_level_import_is_no_edge():
     source = "from .a import x\n\ndef f():\n    from .b import y\n\nclass C:\n    from .c import z\n"
     assert module_imports(ast.parse(source)) == {"a", "c"}
+
+
+def test_no_module_imports_inside_a_function():
+    found = {
+        path.stem: lines
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (lines := function_level_imports(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert found == {}
+
+
+def test_a_function_level_import_is_found():
+    source = "import a\n\ndef f():\n    from .b import y\n    def g():\n        import c\n"
+    assert function_level_imports(ast.parse(source)) == [4, 6]

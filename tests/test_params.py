@@ -250,17 +250,17 @@ def test_degree_split_agrees_with_the_reference(seed):
     # denominators mention a1 in some draws: both forms must refuse those
     rng = random.Random(seed)
     pres = BASES["closed"]
-    gen = pres.spec("a1")
-    sub = pres.restrict(["g", "t1"])
+    gen, sub = pres.affine_top.gen, pres.affine_top.sub
+    assert gen.name == "a1" and sub == pres.restrict(["g", "t1"])
     den_vars = variables(pres) if rng.random() < 0.3 else variables(sub)
     lc, ref = draw_family(rng, pres, den_vars)
     try:
         expected = reference_split(ref, pres, gen, sub)
     except UnsupportedCoefficientShape:
         with pytest.raises(UnsupportedCoefficientShape):
-            _lincomb_coefficients(lc, pres, gen, sub)
+            _lincomb_coefficients(lc, pres)
         return
-    got = _lincomb_coefficients(lc, pres, gen, sub)
+    got = _lincomb_coefficients(lc, pres)
     assert set(got) == set(expected)
     for deg, part in got.items():
         assert part.pres is sub
@@ -269,15 +269,16 @@ def test_degree_split_agrees_with_the_reference(seed):
 
 def test_a_twist_one_level_down_must_be_free_of_the_generator():
     pres = BASES["closed"]
-    gen, sub = pres.spec("a1"), pres.restrict(["g", "t1"])
+    sub = pres.affine_top.sub
+    assert sub == pres.restrict(["g", "t1"])
     g, a1 = pres.gen("g"), pres.gen("a1")
-    twist = require_level_free(g / (g + 1), pres, sub, gen)
+    twist = require_level_free(g / (g + 1), pres)
     assert twist.pres is sub and twist == sub.gen("g") / (sub.gen("g") + 1)
-    assert require_level_free(pres.zero(), pres, sub, gen) == sub.zero()
+    assert require_level_free(pres.zero(), pres) == sub.zero()
     with pytest.raises(UnsupportedCoefficientShape, match="'a1' in its denominator"):
-        require_level_free(a1 / (a1 + 1), pres, sub, gen)
+        require_level_free(a1 / (a1 + 1), pres)
     with pytest.raises(UnsupportedCoefficientShape, match="mentions the extension generator 'a1'"):
-        require_level_free(g * a1 + 1, pres, sub, gen)
+        require_level_free(g * a1 + 1, pres)
 
 
 @pytest.mark.parametrize("base", sorted(BASES))

@@ -311,6 +311,37 @@ def test_cli_closure_step(tmp_path):
     assert "adjoined" in proc.stdout
 
 
+CLOSED_BASE = "gen g free;\ngen t1 affine linear=1 const=1;\n"
+
+
+def test_cli_rebuilds_the_registry_over_a_closed_base(tmp_path, capsys):
+    doc = tmp_path / "c.df"
+    doc.write_text(CLOSED_BASE + "closure g;\n")
+    assert cli.main(["closure-step", str(doc)]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out[: out.rindex("}") + 1])["result"]["generator"] == "t2"
+    assert out.endswith("closure-step: adjoined t2\n")
+    # over a torsor step the certifier refuses sigma(x) - x = g (alpha = 1 and e1 = 1): Unknown
+    doc.write_text(CLOSED_BASE + "torsor g;\nr12 = 1/3; r13 = 2/3; r23 = 1/3;\n")
+    assert cli.main(["amalg-check", str(doc)]) == 2
+    assert capsys.readouterr().err == "input error: refused: the torsor is not certified unrealized over the base\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("gen h free;\n", "this command needs a presentation with a free generator named g"),
+        ("gen g free;\ngen h free;\n", "extra free generators are not supported by the registry"),
+        ("gen g free;\ngen a affine linear=g const=g;\n", "registry re-certification supports torsor extensions only"),
+    ],
+)
+def test_cli_registry_rebuild_refuses_other_bases(tmp_path, capsys, text, message):
+    doc = tmp_path / "c.df"
+    doc.write_text(text + "closure 1;\n")
+    assert cli.main(["closure-step", str(doc)]) == 2
+    assert capsys.readouterr() == ("", f"input error: {message}\n")
+
+
 def test_cli_verify_counterexample_reduced_bounds(tmp_path):
     outs = []
     for run in (1, 2):

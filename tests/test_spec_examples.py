@@ -52,7 +52,7 @@ def test_two_sas_failure_witnessed():
     # rewrite: every natural candidate fails the higher splitting check
     base0, reg0 = build_base()
     base, reg, _ = closure_step(base0, reg0, base0.one(), name="t1")
-    pair, a1, a2 = adjoin_twisted_pair(base, reg)
+    pair, a1, a2 = adjoin_twisted_pair(base)
     model = SystemModel.of(pair, [["a1"], ["a2"]])
     model.validate()
     t = model.pres.gen("t1")

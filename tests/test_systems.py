@@ -464,7 +464,7 @@ def test_pairwise_fixed_polynomials_do_not_read_names(bounds):
 def test_pairwise_fixed_polynomials_of_the_pipeline_instances(control, bounds):
     base0, reg0 = build_base()
     base, reg, _ = closure_step(base0, reg0, base0.one(), name="t1")
-    instance = build_height4_instance(base, reg, control=control)
+    instance = build_height4_instance(base, control=control)
     assert_pairwise_matches_fixed_space(instance.model, bounds)
 
 

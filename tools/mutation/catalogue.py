@@ -38,6 +38,8 @@ TOWER = "src/diffield/tower.py"
 CERTIFY = "src/diffield/certify.py"
 TEST_CERTIFY = "tests/test_certify.py"
 TEST_CHARACTERS = "tests/test_characters.py"
+COUNTEREXAMPLE = "src/diffield/counterexample.py"
+CLI = "src/diffield/cli.py"
 
 CATALOGUE: tuple[Mutant, ...] = (
     # -- the polynomial substrate: the integer gcd kernel and the order key
@@ -395,7 +397,7 @@ CATALOGUE: tuple[Mutant, ...] = (
     Mutant(
         "constants query without its second-coefficient case",
         CERTIFY,
-        'return [("n >= 1: y_n in Q, coefficient of a^(n-1)", TwistedEquation(sub.one(), pres.affine_top.beta))]',
+        'return [("n >= 1: y_n in Q, coefficient of a^(n-1)", TwistedEquation(sub.one(), affine.beta))]',
         "return None",
         (
             f"{TEST_CERTIFY}::test_main_corners_certify_and_search_only_constants",
@@ -405,7 +407,7 @@ CATALOGUE: tuple[Mutant, ...] = (
     Mutant(
         "family split without its second-coefficient case",
         CERTIFY,
-        '        ("exponent of alpha zero, n >= 1: y_n in Q, coefficient of a^(n-1)", TwistedEquation(alpha, pres.affine_top.beta)),\n',
+        '        ("exponent of alpha zero, n >= 1: y_n in Q, coefficient of a^(n-1)", TwistedEquation(alpha, affine.beta)),\n',
         "",
         (f"{TEST_CERTIFY}::test_a_pi_pair_does_not_certify",),
     ),
@@ -415,6 +417,24 @@ CATALOGUE: tuple[Mutant, ...] = (
         'return [("n >= 1", MultFamilyQuery(sub.one(), alpha, IntSet("le", -1)))]',
         'return [("n >= 1", MultFamilyQuery(sub.one(), sub.one() / alpha, IntSet("le", -1)))]',
         (f"{TEST_CERTIFY}::test_a_pi_pair_does_not_certify",),
+    ),
+    # -- one definition each: the avoided-family registry loop and the certificate record
+    Mutant(
+        "registry loop certifying without the parent registry",
+        COUNTEREXAMPLE,
+        "res = certify_unsolvable(pres, q, parent)",
+        "res = certify_unsolvable(pres, q, None)",
+        ("tests/test_golden.py::test_golden_verify_counterexample",),
+    ),
+    Mutant(
+        "certificate record without its equation kind",
+        CLI,
+        '        "equation_kind": cert.kind,\n',
+        "",
+        (
+            "tests/test_golden.py::test_golden_report[twisted_avoided]",
+            "tests/test_golden.py::test_golden_report[multiplicative_family]",
+        ),
     ),
     # -- layers: the certifier imports no search
     Mutant(
