@@ -403,7 +403,7 @@ def leading_cases(
             high = _folded(e1, alpha, -(d2 + 1))
         else:
             high = MultFamilyQuery(e1, alpha, IntSet("le", -(d2 + 1)))
-        shift = alpha ** (-d2)
+        shift = affine.alpha_power(-d2)
         m = "" if polynomial else "m + "
         return [
             (f"n < {m}{d2}" if d2 or polynomial else "n < m", DegreeObstruction(d2, top)),

@@ -24,9 +24,10 @@ from .equations import (
     TwistedEquation,
     Unsolvable,
 )
-from .field import PresentationError
+from .field import Element, Presentation, PresentationError
 from .freebase import FreeRefutation
 from .parser import Document, ParseError, SemanticError, parse_document, print_element
+from .ratfunc import RatFunc
 from .systems import (
     AdditiveEquation,
     NotFoundWithinBounds,
@@ -213,7 +214,7 @@ def _dispatch(command: str, doc: Document | None, bounds: SearchBounds, seed: in
         base, registry = _registry_for(doc)
         rep = build_3amalg_obstruction(
             base,
-            doc.torsor.in_presentation(base),
+            _moved(doc.torsor, base),
             registry,
             (doc.r_values["r12"], doc.r_values["r13"], doc.r_values["r23"]),
         )
@@ -238,7 +239,7 @@ def _dispatch(command: str, doc: Document | None, bounds: SearchBounds, seed: in
         if doc.closure is None:
             raise SemanticError("closure-step needs a 'closure <expr>;' statement")
         base, registry = _registry_for(doc)
-        pres, reg, step = closure_step(base, registry, doc.closure.in_presentation(base))
+        pres, reg, step = closure_step(base, registry, _moved(doc.closure, base))
         return (
             {
                 "verdict": "accepted",
@@ -314,7 +315,10 @@ def _registry_for(doc: Document):
     """Certified base registry for documents over a single free generator g.
 
     The avoided-family registry is tied to bases built from one free g plus
-    torsor extensions; re-certify it over the document's presentation.
+    torsor extensions; re-certify it over the document's presentation,
+    rebuilt with g first and the torsors after it in the document's order.
+    The document may list g after a torsor, so its values move to the
+    rebuilt presentation by generator name (_moved), never by index.
     """
     pres = doc.presentation
     if "g" not in pres.names() or not pres.spec("g").is_free:
@@ -328,9 +332,24 @@ def _registry_for(doc: Document):
             raise SemanticError("extra free generators are not supported by the registry")
         if spec.kind.linear != current.one().value:
             raise SemanticError("registry re-certification supports torsor extensions only")
-        target = current.element(spec.kind.constant)
+        target = _moved(Element(pres, spec.kind.constant), current)
         current, reg, _ = closure_step(current, reg, target, name=name)
     return current, reg
+
+
+def _moved(elem: Element, pres: Presentation) -> Element:
+    """elem over pres, each variable sent to pres's generator of its name.
+
+    The indices of the two presentations need not correspond in order, so
+    this substitutes (RatFunc.rename needs an increasing map) and the value
+    comes back in canonical form.  PresentationError when pres lacks a name.
+    """
+    images = {}
+    for v in elem.value.variables():
+        w = pres.varid(v.name, v.shift)
+        if w != v:
+            images[v] = RatFunc.var(w)
+    return Element(pres, elem.value.substitute(images))
 
 
 def certificate_to_dict(cert: FreeRefutation) -> dict:

@@ -12,10 +12,28 @@ multiplicative twists sigma(a) = e*a + e) is of this shape.
 Affine generators only ever appear at shift 0: positive and negative images
 are expanded eagerly through the rule, keeping the variable set finite and
 canonical forms comparable.
+
+Presentations are interned (hash-consed; J.-C. Filliatre and S. Conchon,
+"Type-safe modular hash-consing", ML Workshop 2006).  Every presentation a
+factory returns is the chain of its generators, each step added to the
+previous prefix by ``_extended``, a bounded ``functools.lru_cache`` keyed by
+(prefix, generator): ``restrict`` walks the same chain, so a value reached
+either way is one object.  A step is validated on a miss only, and one that
+fails validation raises and is never kept.  Each presentation then forms
+once what it keeps outside its record fields: its hash, the lookups
+``_by_name`` and ``_by_index``, ``shape``, ``affine_top`` with its tables of
+the powers of alpha, beta and the generator, and the sigma-images of
+``_images``.  Each is a pure function of the presentation's value, and
+equality and hashing stay by value, so a presentation built directly, or
+rebuilt after its entry was evicted, is equal to the interned one and
+answers alike: no result depends on which presentations were built before.
+The table holds at most ``INTERN_SIZE`` entries, as the tower's denominator
+memo does, so a long-lived process keeps a bounded set.
 """
 
 from __future__ import annotations
 
+import functools
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterable
@@ -64,32 +82,38 @@ class Presentation:
 
     gens: tuple[GeneratorSpec, ...]
 
-    # -- construction -------------------------------------------------------
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The record hash over the fields, formed once and kept outside them."""
+        return hash((self.gens,))
+
+    # -- construction (interned: see the module docstring) ---------------------
 
     @staticmethod
     def empty() -> "Presentation":
-        return Presentation(())
+        return _EMPTY
 
     def _next_index(self) -> int:
         return max((g.index for g in self.gens), default=-1) + 1
 
     def with_free(self, name: str) -> tuple["Presentation", "Element"]:
-        p = Presentation(self.gens + (GeneratorSpec(self._next_index(), name, FreeSpec()),))
-        p.validate()
+        p = _extended(self, GeneratorSpec(self._next_index(), name, FreeSpec()))
         return p, p.gen(name)
 
     def with_affine(self, name: str, linear, constant) -> tuple["Presentation", "Element"]:
-        lin = _as_ratfunc(linear)
-        const = _as_ratfunc(constant)
-        spec = GeneratorSpec(self._next_index(), name, AffineSpec(lin, const))
-        p = Presentation(self.gens + (spec,))
-        p.validate()
+        kind = AffineSpec(_as_ratfunc(linear), _as_ratfunc(constant))
+        p = _extended(self, GeneratorSpec(self._next_index(), name, kind))
         return p, p.gen(name)
 
     def restrict(self, names: Iterable[str]) -> "Presentation":
         keep = set(names)
-        p = Presentation(tuple(g for g in self.gens if g.name in keep))
-        p.validate()
+        p = _EMPTY
+        for g in self.gens:
+            if g.name in keep:
+                p = _extended(p, g)
         return p
 
     # -- lookups -------------------------------------------------------------
@@ -155,7 +179,7 @@ class Presentation:
         for g in reversed(self.gens):
             if not g.is_free:
                 sub = self.restrict([n for n in self.names() if n != g.name])
-                return AffineTop(g, sub, Element(sub, g.kind.linear), Element(sub, g.kind.constant))
+                return AffineTop(g, sub, Element(sub, g.kind.linear), Element(sub, g.kind.constant), self.gen(g.name))
         return None
 
     @cached_property
@@ -236,15 +260,60 @@ class Presentation:
                 )
 
 
+_EMPTY = Presentation(())
+INTERN_SIZE = 1024
+
+
+# Working sets: 3 entries for a stream of 504 decide jobs, 49 for 120
+# characters jobs, 37 for run_pipeline() at (2, 2), (4, 3) or (8, 4); 1024
+# bounds a long-lived process without evicting within any of these.
+@functools.lru_cache(maxsize=INTERN_SIZE)
+def _extended(parent: Presentation, spec: GeneratorSpec) -> Presentation:
+    """The interned presentation of parent's generators followed by spec."""
+    p = Presentation(parent.gens + (spec,))
+    p.validate()
+    return p
+
+
 @record(frozen=True)
 class AffineTop:
     """A presentation's last affine generator gen, with sigma(gen) = alpha*gen
-    + beta over sub, the presentation without gen."""
+    + beta over sub, the presentation without gen; var is gen as an element
+    of the whole presentation.
+
+    The powers of alpha, beta and var are kept in tables by exponent, filled
+    on demand (``alpha_power``, ``beta_power``, ``var_power``).  Each
+    presentation forms its own AffineTop, so two whose alphas compare equal
+    keep separate tables, each power over its own presentation.
+    """
 
     gen: GeneratorSpec
     sub: Presentation
     alpha: Element
     beta: Element
+    var: Element
+
+    @cached_property
+    def _powers(self) -> tuple[dict[int, "Element"], dict[int, "Element"], dict[int, "Element"]]:
+        """The tables of alpha, beta and var, kept outside the record fields."""
+        return {}, {}, {}
+
+    def alpha_power(self, n: int) -> "Element":
+        return _power(self._powers[0], self.alpha, n)
+
+    def beta_power(self, n: int) -> "Element":
+        return _power(self._powers[1], self.beta, n)
+
+    def var_power(self, n: int) -> "Element":
+        return _power(self._powers[2], self.var, n)
+
+
+def _power(table: dict[int, "Element"], base: "Element", n: int) -> "Element":
+    """base**n, formed on the first request and kept in table by exponent."""
+    power = table.get(n)
+    if power is None:
+        power = table[n] = base**n
+    return power
 
 
 def _as_ratfunc(x) -> RatFunc:

@@ -94,9 +94,8 @@ def iter_twisted_branches(
     if affine is None or deg_budget == 0:
         yield from _free_base_branch(pres, e1, rhs, ctx, deg_budget, window)
         return
-    gen, sub, alpha, beta = affine.gen, affine.sub, affine.alpha, affine.beta
+    sub, alpha, beta = affine.sub, affine.alpha, affine.beta
     e1_sub = require_level_free(e1, pres)
-    a_var = pres.gen(gen.name)
     for m in range(0, 1 if polynomial else deg_budget + 1):
         for delta in _denominator_candidates(sub, alpha, beta, m, deg_budget, window):
             # sigma(N) = alpha^m * (e1*N + rhs*D), with N of degree at most
@@ -104,7 +103,7 @@ def iter_twisted_branches(
             # first D is 1 (m = 0), never formed or multiplied by, so a rhs
             # with gen in its denominator raises at once.
             if m:
-                denominator = sum((c.in_presentation(pres) * a_var**k for k, c in enumerate(delta)), pres.zero())
+                denominator = sum((c.in_presentation(pres) * affine.var_power(k) for k, c in enumerate(delta)), pres.zero())
                 rhs_delta = _lincomb_coefficients(rhs.mul_known(denominator), pres)
             else:
                 rhs_delta = _lincomb_coefficients(rhs, pres)
@@ -117,12 +116,12 @@ def iter_twisted_branches(
                 continue
 
             def level(k: int) -> tuple[Element, LinComb, int]:
-                scale = alpha ** (m - k)
+                scale = affine.alpha_power(m - k)
                 base = rhs_delta[k].mul_known(scale) if k in rhs_delta else LinComb.zero(sub)
                 return e1_sub * scale, base, deg_budget - k
 
-            for final_ctx, ys in _coefficient_tower(sub, beta, level, deg_budget, {}, {}, top, window, polynomial):
-                terms = (ys[k].lift(pres).mul_known(a_var**k) for k in range(1, deg_budget + 1) if not ys[k].is_zero())
+            for final_ctx, ys in _coefficient_tower(sub, affine.beta_power, level, deg_budget, {}, {}, top, window, polynomial):
+                terms = (ys[k].lift(pres).mul_known(affine.var_power(k)) for k in range(1, deg_budget + 1) if not ys[k].is_zero())
                 family = final_ctx.reduced(sum(terms, ys[0].lift(pres)))
                 yield final_ctx, family.mul_known(pres.one() / denominator) if m else family
 
@@ -166,6 +165,8 @@ def _free_base_branch(
 
 
 # The memo outlives a search because decide job streams repeat presentations.
+# It is one of the package's two bounded module-level tables, with
+# field._extended, which interns the presentations it is keyed by.
 # Working sets: 59 entries for run_pipeline() at default bounds and at the
 # benchmark's (2, 2) bounds (the certified corners run no search, and a
 # budget-0 query reads no entry), 8 for a stream of 504 decide jobs; 1024
@@ -211,7 +212,7 @@ def _denominator_candidates(
 
     leading = {m: LinComb.constant(sub, one)}  # sigma(1) = 1
     out: dict[tuple[Element, ...], None] = {}  # insertion-ordered set
-    for ctx, solved in _coefficient_tower(sub, beta, level, m - 1, leading, leading, ParamContext(), window):
+    for ctx, solved in _coefficient_tower(sub, beta.__pow__, level, m - 1, leading, leading, ParamContext(), window):
         particular = ctx.solve()
         out[tuple(solved[k].evaluate(particular) for k in range(m + 1))] = None
     return tuple(out)
@@ -219,7 +220,7 @@ def _denominator_candidates(
 
 def _coefficient_tower(
     sub: Presentation,
-    beta: Element,
+    beta_power: Callable[[int], Element],
     level: Callable[[int], tuple[Element, LinComb, int]],
     k: int,
     solved: dict[int, LinComb],
@@ -234,9 +235,10 @@ def _coefficient_tower(
 
         sigma(y_k) - twist * y_k = base - sum_{i>k} C(i,k) beta^(i-k) sigma(y_i)
 
-    over the coefficients y_i already solved, whose images sigma(y_i) are
-    ``images``: each is formed once, when its branch is, and only when a
-    level below reads it.  A zero y_i is its own image and adds no term.
+    over the coefficients y_i already solved, with beta^j read from
+    ``beta_power(j)``.  Their images sigma(y_i) are ``images``: each is
+    formed once, when its branch is, and only when a level below reads it.
+    A zero y_i is its own image and adds no term.
     The right-hand side is reduced over the free parameters of ctx before
     the level is searched, as every family is.
     Each level is searched within ``budget`` (Karr's degree-by-degree split;
@@ -253,7 +255,7 @@ def _coefficient_tower(
     twist, rhs, budget = level(k)
     for i in sorted(solved):
         if not images[i].is_zero():
-            rhs = rhs - images[i].mul_known(sub.const(comb(i, k)) * beta ** (i - k))
+            rhs = rhs - images[i].mul_known(sub.const(comb(i, k)) * beta_power(i - k))
     rhs = ctx.reduced(rhs)
     branches = iter_twisted_branches(sub, twist, rhs, ctx, budget, window, polynomial=polynomial)
     while True:
@@ -262,7 +264,7 @@ def _coefficient_tower(
         except (StopIteration, UnsupportedCoefficientShape):
             return
         below = {**images, k: fam if fam.is_zero() else fam.sigma()} if k else images
-        yield from _coefficient_tower(sub, beta, level, k - 1, {**solved, k: fam}, below, ctx2, window, polynomial)
+        yield from _coefficient_tower(sub, beta_power, level, k - 1, {**solved, k: fam}, below, ctx2, window, polynomial)
 
 
 def solve_twisted_bounded(pres: Presentation, eq: TwistedEquation, bounds: SearchBounds = SearchBounds()) -> SolveResult:

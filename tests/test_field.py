@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffield.field import AffineSpec, FreeSpec, GeneratorSpec, Presentation, PresentationError
+from diffield import field
+from diffield.field import INTERN_SIZE, AffineSpec, FreeSpec, GeneratorSpec, Presentation, PresentationError
 from diffield.poly import MPoly, VarId
 from diffield.ratfunc import RatFunc
 
@@ -141,13 +142,11 @@ def test_sigma_images_are_kept_per_direction(seed):
     # each presentation forms an affine generator's image under sigma^{+1}
     # and sigma^{-1} once; asking for them in either order on equal but
     # separate presentations gives the same values, and b's inverse image
-    # needs a's, so one direction's image must never answer for the other
-    def build():
-        p = _laws_presentation()
-        p, _ = p.with_affine("b", 1, p.gen("a"))
-        return p
-
-    p, q = build(), build()
+    # needs a's, so one direction's image must never answer for the other.
+    # The factories intern, so the second is built directly.
+    p = _laws_presentation()
+    p, _ = p.with_affine("b", 1, p.gen("a"))
+    q = Presentation(p.gens)
     assert p == q and p is not q
     rng = random.Random(seed)
     for _ in range(3):
@@ -187,6 +186,71 @@ def test_affine_top_is_formed_once_and_matches_restrict():
     assert again == p and hash(again) == hash(p) and "affine_top" not in again.__dict__
 
 
+def test_presentations_are_interned():
+    p, g = Presentation.empty().with_free("g")
+    assert Presentation.empty().with_free("g")[0] is p
+    t, _ = p.with_affine("t", 1, 1)
+    assert p.with_affine("t", RatFunc.const(1), p.one())[0] is t
+    # restriction walks the same chain, so it reaches the same objects
+    assert t.restrict(["g"]) is p and t.affine_top.sub is p
+    # a rule with another constant is another presentation, in either order
+    q, _ = Presentation.empty().with_free("g_interning")  # a parent no other test builds
+    two, _ = q.with_affine("t", 1, 2)
+    one, _ = q.with_affine("t", 1, 1)
+    assert one.spec("t").kind.constant == RatFunc.const(1) and two.spec("t").kind.constant == RatFunc.const(2)
+    assert q.with_affine("t", 1, 2)[0] is two and q.with_affine("t", 1, 1)[0] is one
+    # equality and hashing stay by value: a direct build is equal, not interned
+    again = Presentation(t.gens)
+    assert again == t and hash(again) == hash(t) and again is not t
+    assert again.with_free("h")[0] is t.with_free("h")[0]
+
+
+def test_a_presentation_that_fails_validation_is_never_interned():
+    p, g = Presentation.empty().with_free("g")
+    ok, _ = p.with_affine("t", 1, g)
+    before = field._extended.cache_info()
+    for _ in range(3):
+        with pytest.raises(PresentationError, match="linear part zero"):
+            p.with_affine("z", 0, 1)
+        with pytest.raises(PresentationError, match="not in this presentation"):
+            ok.restrict(["t"])  # t's rule mentions g
+    after = field._extended.cache_info()
+    assert after.misses - before.misses == 6 and after.currsize == before.currsize
+
+
+def test_the_intern_table_stays_within_its_bound():
+    p, g = Presentation.empty().with_free("g")
+    t, _ = p.with_affine("t", 1, 1)
+    for i in range(INTERN_SIZE + 10):
+        p.with_free(f"bound{i}")
+    info = field._extended.cache_info()
+    assert info.maxsize == INTERN_SIZE and info.currsize == INTERN_SIZE
+    # evicted values are rebuilt equal, and answer alike
+    again, _ = Presentation.empty().with_free("g")[0].with_affine("t", 1, 1)
+    assert again == t and hash(again) == hash(t)
+    assert again.gen("t").sigma(1) == t.gen("t").sigma(1)
+
+
+def test_power_tables_are_kept_per_presentation():
+    # a1 over Q(g) and a1 over Q(g)(t) have alphas and betas that compare
+    # equal; each presentation keeps its own powers, over its own sub
+    p, g = Presentation.empty().with_free("g")
+    over_g, _ = p.with_affine("a1", g, g)
+    closed, _ = p.with_affine("t", 1, 1)
+    over_t, _ = closed.with_affine("a1", closed.gen("g"), closed.gen("g"))
+    tops = (over_g.affine_top, over_t.affine_top)
+    assert tops[0].alpha == tops[1].alpha and tops[0].beta == tops[1].beta and tops[0].sub != tops[1].sub
+    for n in (3, -3, 2, 0, -2, 1, -1):
+        for top in tops:
+            for power, base in ((top.alpha_power, top.alpha), (top.beta_power, top.beta), (top.var_power, top.var)):
+                got = power(n)
+                assert got is power(n) and got.pres is base.pres and got == base**n
+    for top in tops:
+        assert top.var.pres is (over_g if top is tops[0] else over_t)
+        for n in (1, 2, 5):
+            assert top.alpha_power(-n) * top.alpha_power(n) == 1
+
+
 def test_affine_shift_materialization_rejected():
     p, g, a1 = twisted_pair_presentation()
     with pytest.raises(PresentationError):
@@ -219,7 +283,8 @@ def test_renamed_commutes_with_sigma(seed):
 
 
 def test_shape_is_formed_once_per_presentation():
-    p, q = _laws_presentation(), _laws_presentation()
+    p = _laws_presentation()
+    q = Presentation(p.gens)  # the factories intern: a second build is p
     assert p == q and p is not q
     assert p.shape is p.shape  # a second read is the first one's object
     assert p.shape == q.shape and p.shape is not q.shape

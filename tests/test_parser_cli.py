@@ -14,7 +14,7 @@ from conftest import reference_parse_document, reference_tokenize, run_cli
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffield import cli
+from diffield import cli, field, tower
 from diffield.field import Element
 from diffield.parser import (
     MAX_NESTING,
@@ -342,6 +342,37 @@ def test_cli_registry_rebuild_refuses_other_bases(tmp_path, capsys, text, messag
     assert capsys.readouterr() == ("", f"input error: {message}\n")
 
 
+TORSOR_FIRST = "gen t affine linear=1 const=1;\ngen g free;\n"
+G_FIRST = "gen g free;\ngen t affine linear=1 const=1;\n"
+
+
+@pytest.mark.parametrize(
+    "command, body",
+    [
+        ("closure-step", "closure t;\n"),
+        ("closure-step", "gen u affine linear=1 const=t*g;\nclosure u + g*t;\n"),
+        ("amalg-check", "torsor g;\nr12 = 1/3; r13 = 2/3; r23 = 1/3;\n"),
+    ],
+)
+def test_cli_registry_rebuild_moves_values_by_name(tmp_path, capsys, command, body):
+    # the registry is rebuilt with g first, so a document that lists a torsor
+    # before g must have its rules and values moved by name, not by index
+    outcomes = []
+    for gens in (TORSOR_FIRST, G_FIRST):
+        doc = tmp_path / "c.df"
+        doc.write_text(gens + body)
+        code = cli.main([command, str(doc)])
+        out, err = capsys.readouterr()
+        report, summary = (json.loads(out[: out.rindex("}") + 1]), out[out.rindex("}") + 1 :]) if out else (None, "")
+        if report is not None:
+            assert report.pop("input") == gens + body
+        outcomes.append((code, report, summary, err))
+    assert outcomes[0] == outcomes[1]
+    assert "foreign variable" not in outcomes[0][3]
+    if command == "closure-step":
+        assert outcomes[0][0] == 0 and outcomes[0][1]["result"]["verdict"] == "accepted"
+
+
 def test_cli_verify_counterexample_reduced_bounds(tmp_path):
     outs = []
     for run in (1, 2):
@@ -496,6 +527,34 @@ def test_benchmark_documents_parse_like_the_reference(stream, seed):
     workloads = _workloads()
     for job in workloads.make_jobs(stream, seed, workloads.JOBS[stream]):
         assert_parses_like_the_reference(job["doc"])
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("stream", ["decide", "characters"])
+def test_reports_do_not_depend_on_the_interned_presentations(stream, seed, tmp_path, capsys):
+    # the benchmark streams through cli.main: from cleared tables (interned
+    # presentations and the denominator memo), again warm, and again in
+    # reverse order; each job's report is byte-identical in all three
+    workloads = _workloads()
+    jobs = workloads.make_jobs(stream, seed, workloads.JOBS[stream])
+    paths = []
+    for i, job in enumerate(jobs):
+        paths.append(tmp_path / f"job{i}.df")
+        paths[-1].write_text(job["doc"])
+
+    def reports(order):
+        out = {}
+        for i in order:
+            code = cli.main([jobs[i]["argv"][0], str(paths[i]), *jobs[i]["argv"][1:]])
+            out[i] = (code, capsys.readouterr())
+        return out
+
+    field._extended.cache_clear()
+    tower._denominator_candidates.cache_clear()
+    cold = reports(range(len(jobs)))
+    assert field._extended.cache_info().currsize > 0
+    assert cold == reports(range(len(jobs)))
+    assert cold == reports(reversed(range(len(jobs))))
 
 
 PRELUDE = "gen g free;\ngen h free;\ngen a affine linear=g const=1;\n"

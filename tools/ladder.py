@@ -1,7 +1,7 @@
 """A growth ladder: the pipeline and the free-base decision at rising sizes, each rung in a fresh process.
 
     python3 tools/ladder.py                          # every rung, into BENCH_ladder.json
-    python3 tools/ladder.py --rungs 2,2 4,3 free:1:1 --out "$TMPDIR/ladder.json"
+    python3 tools/ladder.py --rungs 2,2 4,3 free:1:1 free:refuted:1 --out "$TMPDIR/ladder.json"
     python3 tools/ladder.py --src OTHER/src --label before
 
 A pipeline rung ``d,w`` is ``run_pipeline(bounds=SearchBounds(d, w),
@@ -19,12 +19,21 @@ k = 1..4 and e1 in {1, g}.  Its answer is a Solution whose witness solves
 the equation; the counted run repeats the call counting the denominator
 bound's gcds and divisions.
 
+A refuted free-base rung ``free:refuted:k`` is ``decide_free_base`` on
+sigma(x) - x = 1/D over Q(g), with D as above, for k = 1..4.  Its answer is
+an Unsolvable whose refutation ``replay_refutation`` accepts; its report is
+the refutation's repr.  The answer also records whether the right-hand
+denominator Q2 = D divides H = sigma(A)*A*q1, A the ansatz's denominator
+bound: the free-base decision reads its rows off the identity divided by
+Q2 exactly when it does (see ``freebase.Ansatz.family``).  It is counted
+like the planted rungs.
+
 Each rung runs ``--repeat`` times, each time in a new interpreter that
 imports the package from ``--src`` (the checkout's own ``src`` by default),
-and records the median wall time of the timed call.  The sha256 of the
-report (the pipeline report's JSON, the decision's repr) must be the same
-in every run of a rung; it is recorded, so two labels can be compared byte
-for byte.
+and records the median wall time of the timed call and the answer.  The
+sha256 of the report (the pipeline report's JSON, the decision's repr) must
+be the same in every run of a rung; it is recorded, so two labels can be
+compared byte for byte.
 
 A rung that passes its time limit (``--limit`` seconds for all its runs) is
 recorded with status ``timeout`` and the rungs above it are still run.  The
@@ -47,7 +56,11 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-RUNGS = ("2,2", "4,3", "8,4", "12,6", "16,8", "20,10", *(f"free:{k}:{e1}" for k in range(1, 5) for e1 in ("1", "g")))
+RUNGS = (
+    "2,2", "4,3", "8,4", "12,6", "16,8", "20,10",
+    *(f"free:{k}:{e1}" for k in range(1, 5) for e1 in ("1", "g")),
+    *(f"free:refuted:{k}" for k in range(1, 5)),
+)
 COUNTED = (("tower", "iter_twisted_branches"), ("tower", "twisted_family"), ("systems", "fixed_candidates"))
 FREE_COUNTED = (("freebase", "poly_gcd"), ("freebase", "divexact"))
 FREE_FACTORS = ((1, 3), (0, 2), (-1, 5), (2, 7))  # (shift s, constant c): the factor g[s] + c
@@ -59,7 +72,9 @@ def worker(spec: str) -> dict:
 
     from diffield import tower
 
-    if spec.startswith("free:"):
+    if spec.startswith("free:refuted:"):
+        call, describe, counted = _refuted_run(int(spec.rsplit(":", 1)[1]))
+    elif spec.startswith("free:"):
         _, k, e1 = spec.split(":")
         call, describe, counted = _free_base_run(int(k), e1)
     else:
@@ -93,13 +108,11 @@ def _pipeline_run(degree: int, window: int):
 
 def _free_base_run(k: int, e1_name: str):
     """The rung's timed decision, what turns it into (its repr, answer), and its counted functions."""
-    from diffield import Presentation, Solution, TwistedEquation
+    from diffield import Solution, TwistedEquation
     from diffield.freebase import decide_free_base
 
-    pres, g = Presentation.empty().with_free("g")
-    den = pres.one()
-    for s, c in FREE_FACTORS[:k]:
-        den = den * (pres.gen("g", s) + c)
+    pres, den = _free_denominator(k)
+    g = pres.gen("g")
     x = (pres.gen("g", -1) + 2 * g + 1) / den
     e1 = g if e1_name == "g" else pres.one()
     eq = TwistedEquation(e1, x.sigma() - e1 * x)
@@ -109,6 +122,42 @@ def _free_base_run(k: int, e1_name: str):
         return repr(res), {"verdict": type(res).__name__, "verified": solved}
 
     return lambda: decide_free_base(pres, eq), describe, FREE_COUNTED
+
+
+def _refuted_run(k: int):
+    """The refuted rung's timed decision, what turns it into (its repr, answer), and its counted functions."""
+    from diffield import TwistedEquation, Unsolvable
+    from diffield.freebase import _twisted_ansatz, decide_free_base, replay_refutation
+    from diffield.params import LinComb
+    from diffield.poly import divexact
+
+    pres, den = _free_denominator(k)
+    eq = TwistedEquation(pres.one(), pres.one() / den)
+
+    def describe(res) -> tuple[str, dict]:
+        replayed = isinstance(res, Unsolvable) and replay_refutation(pres, eq, res.certificate)
+        rhs = LinComb.constant(pres, eq.e2)
+        a_poly = _twisted_ansatz(pres, eq.e1, rhs, None, None).denominator
+        try:
+            divexact(a_poly.shift(1) * a_poly * eq.e1.value.den, rhs.den)
+            divides = True
+        except ValueError:
+            divides = False
+        report = repr(res.certificate) if isinstance(res, Unsolvable) else repr(res)
+        return report, {"verdict": type(res).__name__, "replayed": replayed, "q2_divides_h": divides}
+
+    return lambda: decide_free_base(pres, eq), describe, FREE_COUNTED
+
+
+def _free_denominator(k: int):
+    """Q(g) and the product of the first k of FREE_FACTORS."""
+    from diffield import Presentation
+
+    pres, _ = Presentation.empty().with_free("g")
+    den = pres.one()
+    for s, c in FREE_FACTORS[:k]:
+        den = den * (pres.gen("g", s) + c)
+    return pres, den
 
 
 def _count_calls(counted) -> dict[str, int]:
@@ -137,6 +186,9 @@ def problems_of(out: dict) -> list[str]:
             found.append(f"main verdict {answer['verdict']!r}")
         if not answer["control"].startswith("refused"):
             found.append(f"control verdict {answer['control']!r}")
+    elif "replayed" in answer:
+        if answer["verdict"] != "Unsolvable" or not answer["replayed"]:
+            found.append(f"refuted free-base answer {answer!r}")
     elif answer != {"verdict": "Solution", "verified": True}:
         found.append(f"free-base answer {answer!r}")
     if not out["counted_report_matches"]:
@@ -169,6 +221,7 @@ def rung(src: Path, spec: str, repeat: int, limit: float) -> dict:
             wall_s=round(statistics.median(out["wall_s"] for out in runs), 4),
             wall_s_runs=[round(out["wall_s"], 4) for out in runs],
             report_sha256=runs[0]["report_sha256"],
+            answer=runs[0]["answer"],
             counts=runs[0]["counts"],
         )
         entry.setdefault("status", "failed" if problems else "ok")
@@ -179,7 +232,7 @@ def rung(src: Path, spec: str, repeat: int, limit: float) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--rungs", nargs="*", default=list(RUNGS), help="pipeline bounds d,w or free:k:e1")
+    parser.add_argument("--rungs", nargs="*", default=list(RUNGS), help="pipeline bounds d,w, free:k:e1 or free:refuted:k")
     parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument("--limit", type=float, default=120.0, help="seconds for all runs of one rung")
     parser.add_argument("--src", type=Path, default=ROOT / "src")
@@ -199,6 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     data["workload"] = {
         "d,w": "run_pipeline(bounds=SearchBounds(d, w), seed=1)",
         "free:k:e1": "decide_free_base on a planted x = (g[-1] + 2g + 1)/D, D a product of k shifted linear factors",
+        "free:refuted:k": "decide_free_base on sigma(x) - x = 1/D, D as above; answer a replayed Unsolvable",
     }
     data.setdefault("runs", {})[args.label] = {
         "recorded": time.strftime("%Y-%m-%d"),

@@ -189,6 +189,29 @@ CATALOGUE: tuple[Mutant, ...] = (
             f"{TEST_POLY_RATFUNC}::test_span_tracker_agrees_with_cleared_monomial_tracker",
         ),
     ),
+    # -- interned presentations and their power tables
+    Mutant(
+        "intern key without the affine rule's constant",
+        "src/diffield/field.py",
+        "p = _extended(self, GeneratorSpec(self._next_index(), name, kind))",
+        'p = globals().setdefault("_keyed_without_constant", {}).setdefault('
+        "(self, name, kind.linear), _extended(self, GeneratorSpec(self._next_index(), name, kind)))",
+        ("tests/test_field.py::test_presentations_are_interned",),
+    ),
+    Mutant(
+        "power tables shared by every presentation",
+        "src/diffield/field.py",
+        "return {}, {}, {}",
+        'return globals().setdefault("_shared_powers", ({}, {}, {}))',
+        ("tests/test_field.py::test_power_tables_are_kept_per_presentation",),
+    ),
+    Mutant(
+        "power table answering base^(-n) with base^n",
+        "src/diffield/field.py",
+        "power = table.get(n)",
+        "power = table.get(abs(n))",
+        ("tests/test_field.py::test_power_tables_are_kept_per_presentation",),
+    ),
     # -- lookups, the echelon, the free-base bound, the peel and its seed schedule
     Mutant(
         "spec keeps the last generator of a name",
