@@ -315,7 +315,8 @@ def _registry_for(doc: Document):
     """Certified base registry for documents over a single free generator g.
 
     The avoided-family registry is tied to bases built from one free g plus
-    torsor extensions; re-certify it over the document's presentation,
+    torsor extensions.  The base's registry is build_base's one value per
+    process; each torsor re-certifies it over the document's presentation,
     rebuilt with g first and the torsors after it in the document's order.
     The document may list g after a torsor, so its values move to the
     rebuilt presentation by generator name (_moved), never by index.

@@ -19,10 +19,16 @@ two variants give opposite verdicts, so the refutation is not vacuous.
 The character obstructions, build_3amalg_obstruction and
 build_failing_instance, build on the registry and the corner searches here;
 hyperplane_search reads the bounded fixed space of a subfield.
+
+The module keeps one cached value: build_base's base and registry, formed
+and guarded on the first call and shared by every later one (run_pipeline,
+and the CLI's amalg-check and closure-step jobs).  It is a pure function of
+the code, so no result depends on which calls came before.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from typing import Any, Sequence
@@ -84,6 +90,7 @@ def registry_queries(pres: Presentation) -> tuple:
     )
 
 
+@functools.cache
 def build_base() -> tuple[Presentation, AvoidedRegistry]:
     """The free base E0 = Q(g) with its certified avoided families.
 
@@ -92,6 +99,14 @@ def build_base() -> tuple[Presentation, AvoidedRegistry]:
     genuine decision procedure.  A telescoping sanity guard confirms the
     certifier is not vacuous: sigma(x) - x = g[1] - g is solvable and must
     not certify.
+
+    One value per process: the function takes no argument and returns frozen
+    records (an interned presentation and a frozen registry), so
+    ``functools.cache`` keeps the first result and every later call returns
+    that same object.  The certification and the guard run on the first call
+    only; a call that raises caches nothing, so a failed guard fails again on
+    the next call.  The value is a pure function of the code, not of which
+    jobs ran before, so no result depends on the call history.
     """
     pres, g = Presentation.empty().with_free("g")
     registry = certify_registry(pres, None)

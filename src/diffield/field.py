@@ -179,7 +179,9 @@ class Presentation:
         for g in reversed(self.gens):
             if not g.is_free:
                 sub = self.restrict([n for n in self.names() if n != g.name])
-                return AffineTop(g, sub, Element(sub, g.kind.linear), Element(sub, g.kind.constant), self.gen(g.name))
+                vid = self.varid(g.name)
+                var = Element._make(self, RatFunc.var(vid))
+                return AffineTop(g, sub, Element(sub, g.kind.linear), Element(sub, g.kind.constant), var, vid)
         return None
 
     @cached_property
@@ -279,7 +281,7 @@ def _extended(parent: Presentation, spec: GeneratorSpec) -> Presentation:
 class AffineTop:
     """A presentation's last affine generator gen, with sigma(gen) = alpha*gen
     + beta over sub, the presentation without gen; var is gen as an element
-    of the whole presentation.
+    of the whole presentation, and var_id its variable.
 
     The powers of alpha, beta and var are kept in tables by exponent, filled
     on demand (``alpha_power``, ``beta_power``, ``var_power``).  Each
@@ -292,6 +294,7 @@ class AffineTop:
     alpha: Element
     beta: Element
     var: Element
+    var_id: VarId
 
     @cached_property
     def _powers(self) -> tuple[dict[int, "Element"], dict[int, "Element"], dict[int, "Element"]]:

@@ -165,7 +165,7 @@ def require_level_free(e1: Element, pres: Presentation) -> Element:
     """e1 over the level below pres's affine top; UnsupportedCoefficientShape
     when it involves the top generator."""
     affine = pres.affine_top
-    if pres.varid(affine.gen.name) in e1.value.variables():
+    if affine.var_id in e1.value.variables():
         _lincomb_coefficients(LinComb.constant(pres, e1), pres)  # raises when the generator is in the denominator
         raise UnsupportedCoefficientShape(
             f"twist coefficient mentions the extension generator {affine.gen.name!r}"
@@ -182,7 +182,7 @@ def _lincomb_coefficients(lc: LinComb, pres: Presentation) -> dict[int, LinComb]
     generator.
     """
     affine = pres.affine_top
-    var = pres.varid(affine.gen.name)
+    var = affine.var_id
     if var in lc.den.variables():
         raise UnsupportedCoefficientShape(f"coefficient has {affine.gen.name!r} in its denominator")
     pieces: dict[int, dict[int | None, MPoly]] = {}  # degree -> parameter (None: const) -> piece

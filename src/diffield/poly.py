@@ -18,8 +18,12 @@ variable, with every exponent positive.  The zero polynomial has no terms.
 
 :func:`poly_gcd` runs Knuth's primitive PRS (TAOCP vol. 2, 4.6.1) on integer
 term dicts ``{monomial: int}``, cleared of denominators once; it builds one
-MPoly of the result.  :func:`coeff_str` prints a coefficient, also an int past
-Python's digit limit on int-to-str conversion.
+MPoly of the result.  Two sides in disjoint sets of variables have gcd 1
+before any pseudo-division: a factor of a polynomial involves only the
+polynomial's variables, so a common factor involves none and is a constant.
+Shifts count as variables apart, so g and g[1] share none.
+:func:`coeff_str` prints a coefficient, also an int past Python's digit limit
+on int-to-str conversion.
 """
 
 from __future__ import annotations
@@ -491,6 +495,8 @@ def _gcd_primitive(a: dict[Monomial, int], b: dict[Monomial, int]) -> dict[Monom
         return _monomial_gcd(b, a)
     a, b = _stripped(a), _stripped(b)
     da, db = _degrees(a), _degrees(b)
+    if da.keys().isdisjoint(db):  # no variable in common: see the module docstring
+        return {ONE_MONO: 1}
     # Fewest pseudo-division rounds and least coefficient growth.
     v = min(da.keys() | db.keys(), key=lambda v: (da.get(v, 0) + db.get(v, 0), v))
     if v not in da:

@@ -16,6 +16,10 @@ integer points, against the independent elements before it, and checks each
 dependence exactly.  :func:`linear_relations` hands a tracker's reduced row
 echelon form to :func:`~diffield.linalg.integer_kernel`, and
 :meth:`SpanTracker.express` gives an element's coordinates over the tracked ones.
+When at most one element is dependent, the relation space has dimension at
+most one and :func:`linear_relations` reads its lattice off the tracker instead:
+empty, or spanned by the one primitive integer vector along the dependent
+element's coordinates, which is the basis ``integer_kernel`` returns.
 """
 
 from __future__ import annotations
@@ -531,12 +535,41 @@ def linear_relations(elements: Sequence[RatFunc] | SpanTracker) -> list[tuple[Fr
     integer relation, and a rescaled rational basis could miss some.  The
     lattice is computed from a tracker's reduced row echelon form, so its
     basis depends only on the relation space.
+
+    The relation space has one dimension per dependent element.  With none
+    the lattice is empty.  With one, f, the space is the line through
+    (``tracker.coords[f]``, -1 at f), and its saturated lattice is spanned by
+    the line's primitive integer vector; of its two signs, ``integer_kernel``
+    returns the one whose first nonzero entry is positive, and so does
+    :func:`_relation_of`.  Only two or more dependent elements run
+    ``integer_kernel``, where scaling each element's vector apart can miss
+    relations of the lattice.
     """
     tracker = elements if isinstance(elements, SpanTracker) else SpanTracker(elements)
     if not tracker.elems:
         raise ValueError("empty element list")
+    if len(tracker.coords) <= 1:
+        return [_relation_of(f, coords, len(tracker.elems)) for f, coords in tracker.coords.items()]
     basis = integer_kernel(tracker.rref(), len(tracker.elems))
     return [tuple(Fraction(z) for z in vec) for vec in basis]
+
+
+def _relation_of(f: int, coords: Mapping[int, Fraction], n: int) -> tuple[Fraction, ...]:
+    """The primitive integer multiple of (coords, -1 at f), first nonzero entry positive.
+
+    Scaled by the lcm d of the coordinates' denominators, the vector is
+    already primitive: the entry at f is -d, and for each prime p dividing d
+    some denominator holds p to d's full power, so that entry, its numerator
+    times d over that denominator, is prime to p.
+    """
+    den = lcm(*(c.denominator for c in coords.values()))
+    vec = [0] * n
+    for j, c in coords.items():
+        vec[j] = c.numerator * (den // c.denominator)
+    vec[f] = -den
+    if next(z for z in vec if z) < 0:
+        vec = [-z for z in vec]
+    return tuple(map(Fraction, vec))
 
 
 class CircleValue:

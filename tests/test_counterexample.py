@@ -1,8 +1,11 @@
 """Pipeline stages: base registry, closure, twisted pair, height-4 instance."""
 
-from diffield import params, run_pipeline, tower
+import pytest
+
+from diffield import counterexample, params, run_pipeline, tower
 from diffield.certify import TwistedShiftFamily, certify_unsolvable
 from diffield.counterexample import (
+    ReconstructionError,
     adjoin_twisted_pair,
     build_base,
     build_height4_instance,
@@ -34,6 +37,28 @@ def test_build_base_certifies_three_families():
     base0, reg0 = build_base()
     assert len(reg0.entries) == 3
     assert replay_registry(reg0, None)
+
+
+def test_build_base_is_one_value_per_process():
+    build_base.cache_clear()
+    first = build_base()
+    assert build_base() is first
+    assert build_base.cache_info().currsize == 1
+    # the cached value is the value a fresh certification forms
+    fresh = build_base.__wrapped__()
+    assert fresh == first and fresh is not first
+
+
+def test_a_failing_base_guard_raises_on_every_call_and_is_never_cached(monkeypatch):
+    build_base.cache_clear()
+    monkeypatch.setattr(counterexample, "decide_free_base", lambda pres, eq: None)
+    for _ in range(2):
+        with pytest.raises(ReconstructionError, match="sanity guard failed"):
+            build_base()
+        assert build_base.cache_info().currsize == 0
+    monkeypatch.undo()
+    base0, reg0 = build_base()
+    assert build_base.cache_info().currsize == 1 and len(reg0.entries) == 3
 
 
 def test_base_sanity_guard_telescope():

@@ -14,7 +14,7 @@ from conftest import reference_parse_document, reference_tokenize, run_cli
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffield import cli, field, tower
+from diffield import cli, counterexample, field, tower
 from diffield.field import Element
 from diffield.parser import (
     MAX_NESTING,
@@ -529,30 +529,49 @@ def test_benchmark_documents_parse_like_the_reference(stream, seed):
         assert_parses_like_the_reference(job["doc"])
 
 
+# The registry commands, which start from build_base's cached registry: the
+# two sample jobs, and a closure step over two torsors listed around g.
+REGISTRY_JOBS = [
+    (["amalg-check"], (ROOT / "jobs" / "amalg.df").read_text()),
+    (["closure-step"], (ROOT / "jobs" / "closure.df").read_text()),
+    (
+        ["closure-step"],
+        "gen t affine linear=1 const=1;\ngen g free;\ngen u affine linear=1 const=g;\nclosure 1/g;\n",
+    ),
+]
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("stream", ["decide", "characters"])
 def test_reports_do_not_depend_on_the_interned_presentations(stream, seed, tmp_path, capsys):
-    # the benchmark streams through cli.main: from cleared tables (interned
-    # presentations and the denominator memo), again warm, and again in
-    # reverse order; each job's report is byte-identical in all three
+    # the benchmark streams through cli.main, and the registry commands after
+    # them: from cleared tables (interned presentations, the denominator memo
+    # and build_base's value), again warm, and again in reverse order; each
+    # job's report is byte-identical in all three
     workloads = _workloads()
-    jobs = workloads.make_jobs(stream, seed, workloads.JOBS[stream])
+    jobs = [
+        (job["argv"], job["doc"]) for job in workloads.make_jobs(stream, seed, workloads.JOBS[stream])
+    ] + REGISTRY_JOBS
     paths = []
-    for i, job in enumerate(jobs):
+    for i, (_, doc) in enumerate(jobs):
         paths.append(tmp_path / f"job{i}.df")
-        paths[-1].write_text(job["doc"])
+        paths[-1].write_text(doc)
 
     def reports(order):
         out = {}
         for i in order:
-            code = cli.main([jobs[i]["argv"][0], str(paths[i]), *jobs[i]["argv"][1:]])
+            argv = jobs[i][0]
+            code = cli.main([argv[0], str(paths[i]), *argv[1:]])
             out[i] = (code, capsys.readouterr())
         return out
 
     field._extended.cache_clear()
     tower._denominator_candidates.cache_clear()
+    counterexample.build_base.cache_clear()
     cold = reports(range(len(jobs)))
     assert field._extended.cache_info().currsize > 0
+    assert counterexample.build_base.cache_info().currsize == 1
+    assert all(code == 0 for code, _ in cold.values())
     assert cold == reports(range(len(jobs)))
     assert cold == reports(reversed(range(len(jobs))))
 

@@ -1028,6 +1028,71 @@ def test_tracker_answers_do_not_depend_on_its_history(seed):
         assert answers(t) == answers(SpanTracker(t.elems))
 
 
+# -- linear_relations read off the tracker at rank <= 1, against integer_kernel
+#    on the tracker's rows and the evaluation path (tests/conftest.py)
+
+# Q-linearly independent: monomials, a constant and two partial fractions
+_INDEPENDENT = [x, y, z, x * y, x * x, RatFunc.one(), RatFunc.one() / (x + 1), x / (y - 2)]
+
+
+def dependent_elements(rng, dependents):
+    """Independent elements, then `dependents` rational combinations of them
+    (among them zeros and repeats), in a shuffled order."""
+    elems = rng.sample(_INDEPENDENT, rng.randint(1, 4))
+    base = list(elems)
+    for _ in range(dependents):
+        combo = RatFunc.zero()
+        for e in rng.sample(base, rng.randint(0, len(base))):
+            combo = combo + RatFunc.const(Fraction(rng.randint(-3, 3), rng.randint(1, 3))) * e
+        elems.append(combo)
+    rng.shuffle(elems)
+    return elems
+
+
+def assert_relations_like_the_kernel(elems):
+    tracker = SpanTracker(elems)
+    got = linear_relations(tracker)
+    assert got == [tuple(map(Fraction, v)) for v in integer_kernel(tracker.rref(), len(elems))]
+    assert got == reference_linear_relations(elems)
+    assert all(type(c) is Fraction for vec in got for c in vec)
+    return got
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 3))
+def test_relations_read_off_the_tracker_agree_with_the_integer_kernel(seed, dependents):
+    rng = random.Random(seed)
+    elems = dependent_elements(rng, dependents)
+    for order in (elems, rng.sample(elems, len(elems)), elems[::-1]):
+        assert len(SpanTracker(order).coords) == dependents
+        assert_relations_like_the_kernel(order)
+
+
+def test_relations_read_off_keep_the_kernel_sign():
+    # the first nonzero entry is positive, wherever the dependent element is
+    zero = RatFunc.zero()
+    assert assert_relations_like_the_kernel([zero]) == [(1,)]
+    assert assert_relations_like_the_kernel([x, -x]) == [(1, 1)]
+    assert assert_relations_like_the_kernel([y, x, x * -2]) == [(0, 2, 1)]
+    assert assert_relations_like_the_kernel([x, y, zero]) == [(0, 0, 1)]
+    assert assert_relations_like_the_kernel([x / 3, y, x * Fraction(-1, 2)]) == [(3, 0, 2)]
+    assert assert_relations_like_the_kernel([x, y]) == []
+
+
+def test_two_dependent_elements_are_not_scaled_one_by_one():
+    # g/2 and g/2 + g[1] depend on g and g[1]; each alone scales to (1, 0, -2, 0)
+    # and (1, 2, 0, -2), but the saturated lattice also holds (0, 1, 1, -1),
+    # which is no integer combination of those two
+    g, g1 = RatFunc.var(VarId(0, "g", 0)), RatFunc.var(VarId(0, "g", 1))
+    half = RatFunc.const(Fraction(1, 2))
+    got = assert_relations_like_the_kernel([g, g1, half * g, half * g + g1])
+    def small_combinations(u, v):
+        return {tuple(a * p + b * q for p, q in zip(u, v)) for a in range(-3, 4) for b in range(-3, 4)}
+
+    assert (0, 1, 1, -1) in small_combinations(*got)
+    assert (0, 1, 1, -1) not in small_combinations((1, 0, -2, 0), (1, 2, 0, -2))
+
+
 def test_tracker_grows_past_its_first_points():
     elems = [x**k for k in range(12)] + [y * x**k for k in range(6)]
     tracker = SpanTracker(elems)
@@ -1257,12 +1322,22 @@ def assert_gcd_like_the_reference(a, b):
 
 _GCD_VARS = [VarId(0, "g", k) for k in (-1, 0, 1)] + [VarId(1, "h", k) for k in (0, 1)]
 _GCD_COEFFS = st.sampled_from([1, 1, -1, 2, -3, 6, Fraction(1, 2), Fraction(-2, 3)])
-_GCD_MONOS = st.lists(st.sampled_from(_GCD_VARS), max_size=2).map(
-    lambda vs: tuple(sorted((v, vs.count(v)) for v in set(vs)))
-)
-_GCD_FACTORS = st.lists(st.tuples(_GCD_MONOS, _GCD_COEFFS), min_size=2, max_size=3).map(
-    lambda terms: sum((MPoly({m: c}) for m, c in terms), MPoly())
-)
+
+
+def _monos_over(variables):
+    return st.lists(st.sampled_from(variables), max_size=2).map(
+        lambda vs: tuple(sorted((v, vs.count(v)) for v in set(vs)))
+    )
+
+
+def _factors_over(variables):
+    return st.lists(st.tuples(_monos_over(variables), _GCD_COEFFS), min_size=2, max_size=3).map(
+        lambda terms: sum((MPoly({m: c}) for m, c in terms), MPoly())
+    )
+
+
+_GCD_MONOS = _monos_over(_GCD_VARS)
+_GCD_FACTORS = _factors_over(_GCD_VARS)
 
 
 @st.composite
@@ -1318,6 +1393,35 @@ def test_gcd_against_a_degree_16_product_in_6_variables():
     up = _g(1) * _g(2) * (_g(-1) + two) ** 2 * (_g(1) * _g(2) + two)
     assert (product.total_degree(), len(product.variables())) == (16, 6)
     assert_gcd_like_the_reference(product, up)
+
+
+def test_gcd_of_sides_in_disjoint_or_one_shared_variable():
+    g, g1, h, h1 = _g(0), _g(1), MPoly.var(_GCD_VARS[3]), MPoly.var(_GCD_VARS[4])
+    one, two, half = MPoly.const(1), MPoly.const(2), MPoly.const(Fraction(1, 2))
+    cases = [
+        (g + one, g1 + one),  # g and g[1] are different variables
+        (g * g1 + half, h * h1 - two),
+        ((g + half) * (g * g - two), (g1 * h + MPoly.const(Fraction(2, 3))) * (h + one)),
+        ((g + one) * g1, g + one),  # share g only: the gcd is g + 1
+        ((g + h) * (g1 + two), (g1 + two) * (h1 - half)),  # share g[1] only
+        (g * h + one, g + two),  # share g only, gcd 1
+    ]
+    for a, b in cases:
+        assert_gcd_like_the_reference(a, b)
+        assert_gcd_like_the_reference(b.scale(Fraction(-3, 2)), a)
+    assert poly_gcd((g + one) * g1, g + one) == g + one
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(_factors_over(_GCD_VARS[:3]), min_size=1, max_size=2).flatmap(gcd_operand),
+    st.lists(_factors_over(_GCD_VARS[3:]), min_size=1, max_size=2).flatmap(gcd_operand),
+)
+def test_differential_gcd_of_disjoint_sides(a, b):
+    # products over g's shifts against products over h's (shifts keep each
+    # side's generator; a drawn one-term side may still mention both)
+    assert_gcd_like_the_reference(a, b)
+    assert_gcd_like_the_reference(b, a)
 
 
 _KEY_VARS = [VarId(i, n, k) for i, n in ((0, "g"), (2, "h")) for k in (-1, 0, 2)]

@@ -51,6 +51,16 @@ CATALOGUE: tuple[Mutant, ...] = (
         (f"{TEST_POLY_RATFUNC}::test_gcd_of_recorded_shapes", f"{TEST_POLY_RATFUNC}::test_differential_gcd"),
     ),
     Mutant(
+        "gcd exit taken when the variable sets differ, not when they are disjoint",
+        POLY,
+        "if da.keys().isdisjoint(db):",
+        "if da.keys() != db.keys():",
+        (
+            f"{TEST_POLY_RATFUNC}::test_gcd_of_sides_in_disjoint_or_one_shared_variable",
+            f"{TEST_POLY_RATFUNC}::test_differential_gcd",
+        ),
+    ),
+    Mutant(
         "primitive gcd normalised to a negative leading coefficient",
         POLY,
         "if g[max(g, key=MONO_KEY)] < 0:",
@@ -177,6 +187,26 @@ CATALOGUE: tuple[Mutant, ...] = (
         (
             f"{TEST_POLY_RATFUNC}::test_tracker_answers_do_not_depend_on_its_history",
             "tests/test_characters.py::test_table_answers_do_not_depend_on_its_history",
+        ),
+    ),
+    Mutant(
+        "relation read-off taken for two dependent elements",
+        RATFUNC,
+        "if len(tracker.coords) <= 1:",
+        "if len(tracker.coords) <= 2:",
+        (
+            f"{TEST_POLY_RATFUNC}::test_two_dependent_elements_are_not_scaled_one_by_one",
+            f"{TEST_POLY_RATFUNC}::test_relations_read_off_the_tracker_agree_with_the_integer_kernel",
+        ),
+    ),
+    Mutant(
+        "relation read-off without its sign rule",
+        RATFUNC,
+        "if next(z for z in vec if z) < 0:",
+        "if False:",
+        (
+            f"{TEST_POLY_RATFUNC}::test_relations_read_off_keep_the_kernel_sign",
+            f"{TEST_POLY_RATFUNC}::test_relations_read_off_the_tracker_agree_with_the_integer_kernel",
         ),
     ),
     Mutant(
